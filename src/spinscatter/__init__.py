@@ -42,6 +42,7 @@ from .hilbert import (
     partial_trace,
     pauli_along,
     project,
+    pure_pair_figures,
     schmidt_coefficients,
     tensor,
     von_neumann_entropy,
@@ -71,6 +72,7 @@ from .scattering import (
     first_order_composition,
     matrix_amplitudes,
     scalar_amplitudes,
+    star_product,
     two_impurity_exact,
 )
 from .tolerances import DEFAULT as DEFAULT_TOLERANCES
@@ -127,9 +129,11 @@ __all__ = [
     "partial_trace",
     "pauli_along",
     "project",
+    "pure_pair_figures",
     "run_protocol",
     "scalar_amplitudes",
     "schmidt_coefficients",
+    "star_product",
     "sweep",
     "tensor",
     "two_impurity_exact",

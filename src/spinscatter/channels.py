@@ -22,6 +22,13 @@ coupling every S_c = 1 and the map is exactly the identity.
 Eigenvalue presets: "default" = (1, 1, -2, 0); "standard-pauli" =
 (1, 1, 1, -3), the spectrum of the two-spin Pauli exchange operator
 sigma.sigma (triplet +1, singlet -3).  Any custom 4-tuple is accepted.
+
+Both operators are linear in fixed projectors: T = sum_c S_c P_c for the
+exchange channels and T = P+ + S P- for the filter.  exchange_transmission
+and filter_transmission take stacks of amplitudes (leading axes) and
+projectors of any register size, so protocols embed the projectors once and
+build the operators of many parameter points in one step; the single-impurity
+functions below are the same construction for one point.
 """
 
 import math
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import SpinState, make_state, pauli_along
+from .hilbert import make_state, pauli_along
 from .scattering import OperatorAmplitudes, scalar_amplitudes
 from .tolerances import DEFAULT as TOL
 
@@ -38,6 +45,16 @@ EXCHANGE_EIGENVALUE_PRESETS: dict[str, tuple[float, float, float, float]] = {
     "standard-pauli": (1.0, 1.0, 1.0, -3.0),
 }
 DEFAULT_EXCHANGE_EIGENVALUES = EXCHANGE_EIGENVALUE_PRESETS["default"]
+
+_RT = math.sqrt(0.5)
+# channel kets on (particle, impurity): aligned up, aligned down, symmetric,
+# antisymmetric -- the order of every eigenvalue 4-tuple
+_CHANNEL_KETS = np.array(
+    [[1, 0, 0, 0], [0, 0, 0, 1], [0, _RT, _RT, 0], [0, _RT, -_RT, 0]], dtype=complex
+)
+EXCHANGE_PROJECTORS = np.einsum("ci,cj->cij", _CHANNEL_KETS, _CHANNEL_KETS.conj())
+"""Channel projectors |c><c|, shape (4, 4, 4), in eigenvalue order."""
+EXCHANGE_PROJECTORS.setflags(write=False)
 
 
 def _check_eigenvalues(eigenvalues) -> tuple[float, float, float, float]:
@@ -61,7 +78,7 @@ class FixedImpurity:
         if len(ax) != 3 or not all(math.isfinite(x) for x in ax):
             raise ValueError("axis must be a finite 3-vector")
         if abs(math.sqrt(sum(x * x for x in ax)) - 1.0) > TOL.normalization:
-            raise ValueError("axis must be a unit vector (within 1e-10)")
+            raise ValueError(f"axis must be a unit vector (within {TOL.normalization:g})")
         object.__setattr__(self, "axis", ax)
 
 
@@ -86,15 +103,7 @@ def exchange_eigenbasis(eigenvalues=DEFAULT_EXCHANGE_EIGENVALUES):
     the most significant qubit.
     """
     ev = _check_eigenvalues(eigenvalues)
-    rt = math.sqrt(0.5)
-    labels = ("particle", "impurity")
-    states = (
-        make_state([1, 0, 0, 0], labels),
-        make_state([0, 0, 0, 1], labels),
-        make_state([0, rt, rt, 0], labels),
-        make_state([0, rt, -rt, 0], labels),
-    )
-    return list(zip(states, ev))
+    return [(make_state(ket, ("particle", "impurity")), lam) for ket, lam in zip(_CHANNEL_KETS, ev)]
 
 
 def exchange_matrix(eigenvalues=DEFAULT_EXCHANGE_EIGENVALUES) -> np.ndarray:
@@ -103,19 +112,33 @@ def exchange_matrix(eigenvalues=DEFAULT_EXCHANGE_EIGENVALUES) -> np.ndarray:
     Multiplying by the coupling gives the delta-barrier potential the
     exchange impurity presents to the two-spin space.
     """
-    out = np.zeros((4, 4), dtype=complex)
-    for state, lam in exchange_eigenbasis(eigenvalues):
-        v = state.amplitudes
-        out += lam * np.outer(v, v.conj())
-    return out
+    return np.einsum("c,cij->ij", _check_eigenvalues(eigenvalues), EXCHANGE_PROJECTORS)
+
+
+def exchange_transmission(amplitudes, projectors=EXCHANGE_PROJECTORS) -> np.ndarray:
+    """Exchange-impurity transmission T = sum_c S_c P_c for stacked amplitudes.
+
+    amplitudes has shape (..., 4) in channel order; projectors (4, D, D) are
+    the channel projectors, possibly embedded in a larger register.  Returns
+    shape (..., D, D).
+    """
+    return np.einsum("...c,cij->...ij", amplitudes, projectors)
+
+
+def filter_transmission(amplitude, sigma) -> np.ndarray:
+    """Pinned-spin filter transmission T = P+ + S P-, P+- = (I +- n.sigma)/2.
+
+    amplitude S (shape ...) is the anti-aligned transmission and sigma
+    (..., D, D) the spin projection n.sigma, possibly embedded in a larger
+    register.  The aligned component passes with amplitude exactly 1.
+    """
+    eye = np.eye(sigma.shape[-1])
+    return 0.5 * (eye + sigma) + np.asarray(amplitude)[..., None, None] * (0.5 * (eye - sigma))
 
 
 def kondo_channel_amplitudes(spec: KondoImpurity, k: float) -> tuple[complex, ...]:
     """Per-channel scalar transmissions S_c = 1/(1 + i r*lambda_c/k)."""
-    return tuple(
-        scalar_amplitudes(spec.coupling * lam, k).transmission
-        for _, lam in exchange_eigenbasis(spec.eigenvalues)
-    )
+    return tuple(scalar_amplitudes(spec.coupling * lam, k).transmission for lam in spec.eigenvalues)
 
 
 def kondo_operators(spec: KondoImpurity, k: float) -> OperatorAmplitudes:
@@ -124,11 +147,7 @@ def kondo_operators(spec: KondoImpurity, k: float) -> OperatorAmplitudes:
     Built channel by channel from the eigenbasis (a deliberately different
     route from matrix_amplitudes' linear solve; the two must agree).
     """
-    amplitudes = kondo_channel_amplitudes(spec, k)
-    t = np.zeros((4, 4), dtype=complex)
-    for (state, _), s_c in zip(exchange_eigenbasis(spec.eigenvalues), amplitudes):
-        v = state.amplitudes
-        t += s_c * np.outer(v, v.conj())
+    t = exchange_transmission(np.array(kondo_channel_amplitudes(spec, k)))
     return OperatorAmplitudes(t, t - np.eye(4))
 
 
@@ -136,12 +155,8 @@ def fixed_filter_operators(spec: FixedImpurity, k: float) -> OperatorAmplitudes:
     """Single-spin transmission/reflection operators of the pinned-spin filter."""
     # anti-aligned component sees twice the bare coupling
     s = scalar_amplitudes(2.0 * spec.coupling, k).transmission
-    sigma = pauli_along(spec.axis)
-    eye = np.eye(2, dtype=complex)
-    p_plus = 0.5 * (eye + sigma)
-    p_minus = 0.5 * (eye - sigma)
-    t = p_plus + s * p_minus
-    return OperatorAmplitudes(t, t - eye)
+    t = filter_transmission(s, pauli_along(spec.axis))
+    return OperatorAmplitudes(t, t - np.eye(2))
 
 
 def embed(op, total_qubits: int, targets) -> np.ndarray:

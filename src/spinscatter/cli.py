@@ -395,12 +395,17 @@ def _check_channel_construction():
 
 def _check_two_impurity_conservation():
     rng = np.random.default_rng(99)
-    dev = 0.0
+    geoms = []
     for _ in range(10):
         m1 = embed(float(rng.uniform(-1.5, 1.5)) * exchange_matrix(), 3, (2, 1))
         m2 = embed(float(rng.uniform(-1.5, 1.5)) * exchange_matrix(), 3, (2, 0))
-        geom = TwoImpurityGeometry(float(rng.uniform(0.3, 3.0)),
-                                   float(rng.uniform(0.5, 4.0)), m1, m2)
+        geoms.append(TwoImpurityGeometry(float(rng.uniform(0.3, 3.0)),
+                                         float(rng.uniform(0.5, 4.0)), m1, m2))
+    for coupling in (1e8, 1e10):  # strong coupling: (I + iM/k) has condition number ~coupling
+        geoms.append(TwoImpurityGeometry(1.0, 1.0, embed(coupling * exchange_matrix(), 3, (2, 1)),
+                                         embed(coupling * exchange_matrix(), 3, (2, 0))))
+    dev = 0.0
+    for geom in geoms:
         res = two_impurity_exact(geom)
         t, r = res.transmission, res.reflection
         dev = max(dev, float(np.max(np.abs(

@@ -33,7 +33,7 @@ def pauli_along(axis) -> np.ndarray:
     if ax.shape != (3,) or not np.all(np.isfinite(ax)):
         raise ValueError("axis must be a finite 3-vector")
     if abs(float(np.linalg.norm(ax)) - 1.0) > TOL.normalization:
-        raise ValueError("axis must be a unit vector (within 1e-10)")
+        raise ValueError(f"axis must be a unit vector (within {TOL.normalization:g})")
     return ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
 
 
@@ -99,7 +99,7 @@ def basis_state(bits: str, labels=None) -> SpinState:
 def normalize(s: SpinState) -> SpinState:
     """Explicitly rescale to unit norm; raises on a (near-)zero state."""
     n2 = s.norm_squared
-    if n2 <= 1e-28:
+    if n2 <= TOL.null_floor:
         raise ValueError("cannot normalize a zero state")
     return SpinState(s.amplitudes / math.sqrt(n2), s.labels)
 
@@ -136,7 +136,7 @@ class DensityMatrix:
         if not np.all(np.isfinite(m)):
             raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > TOL.algebraic:
-            raise ValueError("density matrix must be Hermitian (within 1e-12)")
+            raise ValueError(f"density matrix must be Hermitian (within {TOL.algebraic:g})")
         tr = complex(np.trace(m))
         if abs(tr.imag) > TOL.algebraic or tr.real <= 0.0:
             raise ValueError("density matrix trace must be real and positive")
@@ -194,11 +194,13 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix entries must be finite")
     if np.max(np.abs(mat - mat.conj().T)) > TOL.algebraic:
-        raise ValueError("matrix must be Hermitian (within 1e-12)")
+        raise ValueError(f"matrix must be Hermitian (within {TOL.algebraic:g})")
     w, q = np.linalg.eigh(mat)
     residual = float(np.linalg.norm(mat - (q * w) @ q.conj().T))
     if residual > TOL.solver_residual:
-        raise InternalFaultError(f"eigendecomposition residual {residual:.3e} exceeds 1e-10")
+        raise InternalFaultError(
+            f"eigendecomposition residual {residual:.3e} exceeds {TOL.solver_residual:g}"
+        )
     return w
 
 
@@ -206,11 +208,29 @@ def von_neumann_entropy(rho) -> float:
     """Entropy -tr(rho log2 rho) in bits of a unit-trace density matrix."""
     dm = rho if isinstance(rho, DensityMatrix) else DensityMatrix(np.asarray(rho, dtype=complex))
     if abs(dm.trace - 1.0) > TOL.normalization:
-        raise ValueError("density matrix must have unit trace (within 1e-10)")
+        raise ValueError(f"density matrix must have unit trace (within {TOL.normalization:g})")
     w = hermitian_eigenvalues(dm)
-    w = np.clip(w, 0.0, None)  # [-1e-12, 0) noise clips to 0; worse already raised
+    w = np.clip(w, 0.0, None)  # [-clip, 0) noise clips to 0; worse already raised
     ent = -sum(p * math.log2(p) for p in w if p > 0.0)
     return float(ent) if ent > 0.0 else 0.0  # also folds -0.0 to 0.0
+
+
+def pure_pair_figures(pairs):
+    """Entanglement entropy (bits) and concurrence of normalized two-qubit pure states.
+
+    pairs holds amplitude vectors along its last axis, shape (..., 4).  The
+    concurrence is C = 2|c00 c11 - c01 c10| (clipped to 1), and either qubit's
+    reduced density matrix has eigenvalues (1 +- sqrt(1 - C^2))/2, so the
+    entropy follows from C with no eigensolver.  Returns two arrays of shape
+    pairs.shape[:-1].
+    """
+    c = np.minimum(1.0, 2.0 * np.abs(pairs[..., 0] * pairs[..., 3] - pairs[..., 1] * pairs[..., 2]))
+    # smaller eigenvalue (1 - sqrt(1 - C^2))/2, written without the cancellation
+    low = c * c / (2.0 * (1.0 + np.sqrt(1.0 - c * c)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low_term = np.where(low > 0.0, low * np.log2(low), 0.0)
+    ent = -(low_term + (1.0 - low) * np.log1p(-low) / math.log(2.0))
+    return np.where(ent > 0.0, ent, 0.0), c  # also folds -0.0 to 0.0
 
 
 def concurrence(s: SpinState) -> float:
@@ -219,8 +239,7 @@ def concurrence(s: SpinState) -> float:
         raise ValueError("concurrence requires a two-qubit state")
     if not s.normalized:
         raise ValueError("concurrence requires a normalized state")
-    c = s.amplitudes
-    return min(1.0, float(2.0 * abs(c[0] * c[3] - c[1] * c[2])))
+    return float(pure_pair_figures(s.amplitudes)[1])
 
 
 def schmidt_coefficients(s: SpinState, bipartition) -> np.ndarray:
@@ -246,7 +265,7 @@ def project(s: SpinState, qubit: int, axis=(0.0, 0.0, 1.0), outcome: int = +1):
     if outcome not in (+1, -1):
         raise ValueError("outcome must be +1 or -1")
     total = s.norm_squared
-    if total <= 1e-28:
+    if total <= TOL.null_floor:
         raise ValueError("cannot measure a zero state")
     proj = 0.5 * (np.eye(2, dtype=complex) + outcome * pauli_along(axis))
     full = np.kron(np.eye(2 ** (n - 1 - qubit)), np.kron(proj, np.eye(2**qubit)))
@@ -270,7 +289,7 @@ def drop_qubit(s: SpinState, qubit: int, bit: int) -> SpinState:
     t = s.amplitudes.reshape((2,) * n)
     axis = n - 1 - qubit
     discarded = np.take(t, 1 - bit, axis=axis)
-    if float(np.max(np.abs(discarded))) > 1e-12:
+    if float(np.max(np.abs(discarded))) > TOL.collapse:
         raise ValueError("qubit is not collapsed onto the requested basis state")
     kept = np.take(t, bit, axis=axis).reshape(-1)
     labels = tuple(lb for i, lb in enumerate(s.labels) if i != n - 1 - qubit)
@@ -289,13 +308,10 @@ def entropy_between(s: SpinState, qubit_a: int, qubit_b: int):
     if int(qubit_a) == int(qubit_b):
         raise ValueError("qubits must differ")
     if s.num_qubits == 2:
-        return von_neumann_entropy(partial_trace(s, {qubit_a}))
+        return float(pure_pair_figures(s.amplitudes)[0])
     dm = partial_trace(s, {qubit_a, qubit_b})
     purity = float(np.trace(dm.matrix @ dm.matrix).real)
     if abs(purity - 1.0) > TOL.normalization:
         return None
     _, vecs = np.linalg.eigh(dm.matrix)
-    hi, lo = max(qubit_a, qubit_b), min(qubit_a, qubit_b)
-    n = s.num_qubits
-    pair = SpinState(vecs[:, -1], (s.labels[n - 1 - hi], s.labels[n - 1 - lo]))
-    return von_neumann_entropy(partial_trace(pair, {0}))
+    return float(pure_pair_figures(vecs[:, -1])[0])

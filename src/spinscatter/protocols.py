@@ -11,9 +11,20 @@ Four protocols, each returning a ProtocolResult:
   off the same free-spin impurity; measuring the impurity projects the
   particles onto an entangled state.
 - entangle_impurities: one particle flies past two separated free-spin
-  impurities; measuring the particle entangles the impurities.  Runs either
-  as the first-order single-pass composition or through the exact two-region
-  solver that keeps every back-and-forth reflection.
+  impurities; measuring the particle entangles the impurities.  Mode
+  "exact" composes the two impurities by the S-matrix (Redheffer star
+  product) rule, keeping every back-and-forth reflection; mode
+  "first-order" is its truncation to a single pass.
+
+Evaluation: each protocol is one kernel over N stacked parameter points,
+with register states held as arrays of shape (N, 2^n).  The channel
+projectors are embedded in the register once, at import, so the operators
+of all N points come from one einsum.  sweep runs the kernel over its grid
+in blocks of _BLOCK points; the single-call functions and run_protocol are
+a batch of one whose row is wrapped in the ProtocolResult, EventTree and
+SpinState types.  Parameters are validated at those entry points for all
+points at once, and the error raised is the one a point-by-point loop would
+raise first.
 
 Probability bookkeeping: branch states carry raw (unnormalized) amplitudes
 descended from the normalized initial state, so a branch's squared norm is
@@ -22,47 +33,48 @@ branch are reported alongside.  The retry loop ("reflected, start over with
 a fresh particle") is reported as per-attempt probabilities and an expected
 attempt count 1/p, never simulated stochastically.
 
-Measurements here are in the z basis {|0>, |1>}; arbitrary-axis measurement
-is available through hilbert.project for custom pipelines.  Entropy and
-concurrence in outcomes always refer to the two undetected qubits.
+Measurements here are in the z basis {|0>, |1>}, taken by slicing the
+amplitude array; arbitrary-axis measurement is available through
+hilbert.project for custom pipelines.  Entropy and concurrence in outcomes
+always refer to the two undetected qubits.
 """
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import (
     DEFAULT_EXCHANGE_EIGENVALUES,
     EXCHANGE_EIGENVALUE_PRESETS,
-    FixedImpurity,
+    EXCHANGE_PROJECTORS,
     KondoImpurity,
+    _check_eigenvalues,
     embed,
-    exchange_matrix,
-    fixed_filter_operators,
-    kondo_channel_amplitudes,
-    kondo_operators,
-)
-from .hilbert import (
-    SpinState,
-    apply,
-    basis_state,
-    concurrence,
-    drop_qubit,
-    make_state,
-    normalize,
-    partial_trace,
-    von_neumann_entropy,
+    exchange_transmission,
+    filter_transmission,
 )
 from .errors import InternalFaultError
-from .scattering import TwoImpurityGeometry, scalar_amplitudes, two_impurity_exact
+from .hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinState, basis_state, pure_pair_figures
+from .scattering import barrier_transmission, star_product
 from .tolerances import DEFAULT as TOL
 
-# Branches whose probability falls at or below this floor are exact arithmetic
-# nulls (e.g. the reflected branch at zero coupling), not small physical
-# amplitudes; they are pruned from trees and carry no post state.
-_NULL = 1e-28
+_PAIR_REGISTER = ("particle-2", "particle-1")
+_PARTICLES_REGISTER = ("particle-2", "particle-1", "impurity-0")
+_IMPURITIES_REGISTER = ("particle-0", "impurity-1", "impurity-2")
+
+# Channel projectors embedded once per target pair of the three-qubit register.
+_EXCHANGE_ON = {
+    targets: np.stack([embed(proj, 3, targets) for proj in EXCHANGE_PROJECTORS])
+    for targets in ((1, 0), (2, 0), (2, 1))
+}
+# Pauli matrices on particle-1 of the filtered pair; the filter's n.sigma is
+# their combination with the axis components.
+_FILTER_PAULIS = np.stack([embed(sigma, 2, (0,)) for sigma in (PAULI_X, PAULI_Y, PAULI_Z)])
+
+_BLOCK = 256  # grid points per kernel call; bounds the (N, 8, 8) temporaries
 
 
 @dataclass(frozen=True)
@@ -109,52 +121,345 @@ class ProtocolResult:
     metadata: dict[str, float] = field(default_factory=dict)
 
 
-def _tree(*branches: EventBranch) -> EventTree:
-    return EventTree(tuple(b for b in branches if b.probability > _NULL))
+# ---------------------------------------------------------------------------
+# Batched kernel: validation, stacked results, wrapping of one point
 
 
-def _branch(label: str, state: SpinState) -> EventBranch:
-    return EventBranch(label, state.norm_squared, state)
+class _Checks:
+    """Validation of N stacked points, reported as a point-by-point loop would.
+
+    Checks are recorded in the order a single evaluation makes them; the
+    error raised is that of the first failing check at the first failing
+    point in row-major order.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._checks = []
+
+    def add(self, bad, message, error=ValueError):
+        """Record a check; message is text or a function of the point index."""
+        self._checks.append((np.broadcast_to(bad, (self.n,)), message, error))
+
+    def fail(self, message):
+        """A failure shared by every point, raised at once (after earlier checks at point 0)."""
+        self.add(True, message)
+        self.raise_first()
+
+    def raise_first(self):
+        if not self._checks:
+            return
+        bad = np.stack([b for b, _, _ in self._checks])
+        failing = bad.any(axis=0)
+        if failing.any():
+            point = int(np.argmax(failing))
+            _, message, error = self._checks[int(np.argmax(bad[:, point]))]
+            raise error(message(point) if callable(message) else message)
+        self._checks.clear()
 
 
-def _pair_outcome(label: str, post_full: SpinState, measured_qubit: int, bit: int,
-                  parent_prob: float) -> ProtocolOutcome:
-    """Outcome record for a z-collapsed branch, reduced to the unmeasured pair."""
-    prob = post_full.norm_squared
-    cond = prob / parent_prob if parent_prob > _NULL else 0.0
-    if prob <= _NULL:
-        return ProtocolOutcome(label, 0.0, cond, None, None, None)
-    pair = normalize(drop_qubit(post_full, measured_qubit, bit))
-    ent = von_neumann_entropy(partial_trace(pair, {0}))
-    return ProtocolOutcome(label, prob, cond, pair, ent, concurrence(pair))
+class _Outcomes(NamedTuple):
+    """One designated branch at N points; rows where live is False are nulls."""
+
+    label: str
+    pair_labels: tuple[str, ...]
+    probability: np.ndarray  # absolute, 0.0 for nulls
+    conditional: np.ndarray
+    pair: np.ndarray  # (N, 4) normalized pair amplitudes (meaningless for nulls)
+    entropy: np.ndarray
+    concurrence: np.ndarray
+    live: np.ndarray
 
 
-def _measured_branches(state: SpinState, qubit: int, label_prefix: str):
-    """Split a branch on a z measurement; returns [(label, bit, post_full), ...]."""
-    out = []
+class _Batch(NamedTuple):
+    """One protocol's results at N stacked points."""
+
+    register: tuple[str, ...]
+    tree: tuple[tuple[str, np.ndarray, np.ndarray], ...]  # (label, raw amplitudes, probability)
+    outcomes: tuple[_Outcomes, ...]
+    metadata: dict[str, np.ndarray]  # NaN marks an entry absent at that point
+
+
+def _quiet(fn):
+    """Run a parser or kernel with floating-point warnings off.
+
+    Overflow or an infinite input shows up as non-finite values, which the
+    checks reject with a one-line error instead of warnings on stderr.
+    """
+    @functools.wraps(fn)
+    def quiet(*args):
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    return quiet
+
+
+def _norm2(amps):
+    return (amps.real ** 2 + amps.imag ** 2).sum(axis=-1)
+
+
+def _modulus(z):
+    # libm hypot, as Python's abs(complex) computes it; np.abs can differ in the last bit
+    return np.hypot(z.real, z.imag)
+
+
+def _apply(op, psi):
+    return np.einsum("nij,nj->ni", op, psi)
+
+
+def _outcome(label, pair_labels, amps, prob, parent=None) -> _Outcomes:
+    """Figures of a branch whose undetected pair has raw amplitudes amps.
+
+    prob is the branch's absolute probability; parent the probability of the
+    branch it is conditioned on (None: the branch is unconditional).
+    """
+    live = prob > TOL.null_floor
+    if parent is None:
+        cond = np.where(live, prob, 0.0)
+    else:
+        cond = np.where(parent > TOL.null_floor, prob / parent, 0.0)
+    pair = amps / np.sqrt(np.where(live, prob, 1.0))[:, None]
+    entropy, conc = pure_pair_figures(pair)
+    return _Outcomes(label, pair_labels, np.where(live, prob, 0.0), cond, pair, entropy, conc, live)
+
+
+def _measure(state, qubit, prefix, register, parent):
+    """z measurement of one qubit, by slicing.
+
+    Returns the tree branches (label, collapsed amplitudes) and the outcomes
+    of the two bits; each outcome's pair drops the measured qubit.
+    """
+    n = len(register)
+    index = np.arange(2 ** n)
+    pair_labels = tuple(label for i, label in enumerate(register) if i != n - 1 - qubit)
+    branches, outcomes = [], []
     for bit in (0, 1):
-        t = state.amplitudes.reshape((2,) * state.num_qubits)
-        axis = state.num_qubits - 1 - qubit
-        collapsed = np.zeros_like(t)
-        idx = [slice(None)] * state.num_qubits
-        idx[axis] = bit
-        collapsed[tuple(idx)] = t[tuple(idx)]
-        post = SpinState(collapsed.reshape(-1), state.labels)
-        out.append((f"{label_prefix}|{bit}>", bit, post))
-    return out
+        keep = np.flatnonzero(((index >> qubit) & 1) == bit)
+        collapsed = np.zeros_like(state)
+        collapsed[:, keep] = state[:, keep]
+        label = f"{prefix}|{bit}>"
+        branches.append((label, collapsed))
+        outcomes.append(_outcome(label, pair_labels, state[:, keep], _norm2(collapsed), parent))
+    return branches, outcomes
 
 
-def _attempts(meta: dict, success_probability: float) -> dict:
-    meta["success_probability"] = success_probability
-    if success_probability > _NULL:
-        meta["expected_attempts"] = 1.0 / success_probability
-    return meta
+def _batch(psi0, register, tree, outcomes, metadata, point) -> _Batch:
+    """Check the stacked results and bundle them.
+
+    point(i) describes parameter point i for error messages.  Checks: every
+    amplitude is finite, the branches of each point's tree add up to its
+    initial probability within the solver residual (flux conservation), and
+    every live post state is normalized.
+    """
+    finite = np.all([np.isfinite(amps).all(axis=-1) for _, amps in tree], axis=0)
+    if not finite.all():
+        raise ValueError(f"amplitudes must be finite (at {point(int(np.argmin(finite)))})")
+    probabilities = [_norm2(amps) for _, amps in tree]
+    deviation = np.abs(np.sum(probabilities, axis=0) - _norm2(psi0))
+    worst = int(np.argmax(deviation))
+    if deviation[worst] > TOL.solver_residual:
+        raise InternalFaultError(
+            f"flux conservation violated by {deviation[worst]:.3e} "
+            f"(> {TOL.solver_residual:g}) at {point(worst)}"
+        )
+    for o in outcomes:
+        off = np.where(o.live, np.abs(_norm2(o.pair) - 1.0), 0.0)
+        worst = int(np.argmax(off))
+        if off[worst] >= TOL.normalization:
+            raise InternalFaultError(
+                f"post state of {o.label!r} off unit norm by {off[worst]:.3e} at {point(worst)}"
+            )
+    tree = tuple((label, amps, prob) for (label, amps), prob in zip(tree, probabilities))
+    return _Batch(register, tree, tuple(outcomes), metadata)
 
 
-def _check_pair(a: complex, b: complex):
-    total = abs(a) ** 2 + abs(b) ** 2
-    if abs(total - 1.0) > TOL.normalization:
-        raise ValueError(f"|a|^2 + |b|^2 must equal 1 (got {total:.12g})")
+def _describe(**arrays):
+    def point(i):
+        return ", ".join(f"{name}={np.asarray(v)[i]:.12g}" for name, v in arrays.items())
+    return point
+
+
+def _result(batch: _Batch) -> ProtocolResult:
+    """Wrap the single point of a batch of one in the public result types."""
+    outcomes = tuple(
+        ProtocolOutcome(o.label, float(o.probability[0]), float(o.conditional[0]),
+                        SpinState(o.pair[0], o.pair_labels), float(o.entropy[0]),
+                        float(o.concurrence[0]))
+        if o.live[0] else
+        ProtocolOutcome(o.label, 0.0, float(o.conditional[0]), None, None, None)
+        for o in batch.outcomes
+    )
+    tree = EventTree(tuple(
+        EventBranch(label, float(prob[0]), SpinState(amps[0], batch.register))
+        for label, amps, prob in batch.tree if prob[0] > TOL.null_floor
+    ))
+    meta = {name: float(v[0]) for name, v in batch.metadata.items() if not math.isnan(v[0])}
+    return ProtocolResult(outcomes, tree, meta)
+
+
+def _attempts(success_probability) -> dict:
+    expected = np.where(success_probability > TOL.null_floor, 1.0 / success_probability, np.nan)
+    return {"success_probability": success_probability, "expected_attempts": expected}
+
+
+def _check_pair(checks, a, b):
+    total = _modulus(a) ** 2 + _modulus(b) ** 2
+    checks.add(np.abs(total - 1.0) > TOL.normalization,
+               lambda i: f"|a|^2 + |b|^2 must equal 1 (got {total[i]:.12g})")
+
+
+def _check_wave_number(checks, k):
+    checks.add(~(np.isfinite(k) & (k > 0)), "k must be positive")
+
+
+def _check_couplings(checks, r, eigenvalues, message):
+    checks.add(~np.isfinite(np.multiply.outer(r, eigenvalues)).all(axis=-1), message)
+
+
+def _check_initial(checks, initial, content):
+    if initial.num_qubits != 3:
+        checks.fail(f"initial state must have 3 qubits ({content})")
+    if not initial.normalized:
+        checks.fail("initial state must be normalized")
+
+
+def _channel_amplitudes(r, k, eigenvalues):
+    """(N, 4) per-channel transmissions S_c = 1/(1 + i r lambda_c / k)."""
+    return barrier_transmission(np.multiply.outer(r, eigenvalues), k[:, None])
+
+
+@_quiet
+def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
+    _check_pair(checks, a, b)
+    checks.add(~np.isfinite(r), "coupling must be finite")
+    if axis.shape[-1] != 3:
+        checks.fail("axis must be a finite 3-vector")
+    checks.add(~np.isfinite(axis).all(axis=-1), "axis must be a finite 3-vector")
+    checks.add(np.abs(np.sqrt(np.sum(axis * axis, axis=-1)) - 1.0) > TOL.normalization,
+               f"axis must be a unit vector (within {TOL.normalization:g})")
+    _check_wave_number(checks, k)
+    checks.add(~np.isfinite(2.0 * r), "coupling must be finite")
+    checks.raise_first()
+
+    # anti-aligned component sees twice the bare coupling
+    t = filter_transmission(barrier_transmission(2.0 * r, k),
+                            np.einsum("na,aij->nij", axis, _FILTER_PAULIS))
+    psi0 = np.zeros((checks.n, 4), dtype=complex)
+    psi0[:, 0], psi0[:, 3] = a, b
+    transmit = _apply(t, psi0)
+    reflect = _apply(t - np.eye(4), psi0)
+    prob = _norm2(transmit)
+    outcome = _outcome("transmitted", _PAIR_REGISTER, transmit, prob)
+    meta = {"coupling": r, "xi": 2.0 * r / k, **_attempts(prob)}
+    return _batch(psi0, _PAIR_REGISTER, [("transmitted", transmit), ("reflected", reflect)],
+                  [outcome], meta, _describe(a=a, b=b, k=k, r=r))
+
+
+def _optimal_coupling(checks, a, b, k):
+    _check_wave_number(checks, k)
+    ma, mb = _modulus(a), _modulus(b)
+    checks.add((ma <= 0.0) | (ma >= mb), "optimal coupling requires 0 < |a| < |b|")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coupling = k * np.sqrt((mb / ma) ** 2 - 1.0) / 2.0
+        checks.add(~np.isfinite(2.0 * coupling), "coupling must be finite")
+        # verify the defining balance |S(2r)| = |a/b| before handing the value out
+        residual = np.abs(_modulus(barrier_transmission(2.0 * coupling, k)) - ma / mb)
+    checks.add(residual > TOL.algebraic,
+               lambda i: f"optimal coupling balance residual {residual[i]:.3e} "
+                         f"exceeds {TOL.algebraic:g}",
+               InternalFaultError)
+    return coupling
+
+
+@_quiet
+def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
+    _check_pair(checks, a, b)
+    _check_wave_number(checks, k)
+    _check_couplings(checks, r, eigenvalues, "coupling must be finite")
+    checks.raise_first()
+
+    s = _channel_amplitudes(r, k, eigenvalues)
+    t = exchange_transmission(s, _EXCHANGE_ON[(1, 0)])
+    psi0 = np.zeros((checks.n, 8), dtype=complex)
+    psi0[:, 0], psi0[:, 6] = a, b
+    transmit = _apply(t, psi0)
+    reflect = _apply(t - np.eye(8), psi0)
+    measured, outcomes = _measure(transmit, 0, "transmitted, impurity measured ",
+                                  _PARTICLES_REGISTER, _norm2(transmit))
+    residual = np.abs(_modulus(a * s[:, 0]) - _modulus(b * (s[:, 2] + s[:, 3]) / 2.0))
+    meta = {"condition_residual": residual, **_attempts(outcomes[0].probability)}
+    return _batch(psi0, _PARTICLES_REGISTER, [*measured, ("reflected", reflect)],
+                  outcomes, meta, _describe(a=a, b=b, k=k, r=r))
+
+
+@_quiet
+def _entangle_particles(checks, k, r, eigenvalues, initial) -> _Batch:
+    _check_initial(checks, initial, "two particles and the impurity")
+    _check_wave_number(checks, k)
+    _check_couplings(checks, r, eigenvalues, "coupling must be finite")
+    checks.raise_first()
+
+    s = _channel_amplitudes(r, k, eigenvalues)
+    t_first = exchange_transmission(s, _EXCHANGE_ON[(1, 0)])
+    t_second = exchange_transmission(s, _EXCHANGE_ON[(2, 0)])
+    eye = np.eye(8)
+    psi0 = np.broadcast_to(initial.amplitudes, (checks.n, 8))
+    reflected_1 = _apply(t_first - eye, psi0)
+    after_1 = _apply(t_first, psi0)
+    reflected_2 = _apply(t_second - eye, after_1)
+    after_2 = _apply(t_second, after_1)
+    measured, outcomes = _measure(after_2, 0, "both transmitted, impurity measured ",
+                                  initial.labels, _norm2(after_2))
+    tree = [("particle-1 reflected", reflected_1),
+            ("particle-1 transmitted, particle-2 reflected", reflected_2), *measured]
+    return _batch(psi0, initial.labels, tree, outcomes,
+                  _attempts(outcomes[0].probability), _describe(k=k, r=r))
+
+
+@_quiet
+def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eigenvalues_2,
+                         initial, mode) -> _Batch:
+    if mode not in ("first-order", "exact"):
+        checks.fail(f"mode must be 'first-order' or 'exact', got {mode!r}")
+    _check_initial(checks, initial, "particle and two impurities")
+    exact = mode == "exact"
+    if exact:
+        checks.add(~(np.isfinite(half_separation) & (half_separation > 0)),
+                   "half_separation must be positive")
+    _check_wave_number(checks, k)
+    _check_couplings(checks, r1, eigenvalues_1,
+                     "potential_left entries must be finite" if exact else "coupling must be finite")
+    _check_couplings(checks, r2, eigenvalues_2,
+                     "potential_right entries must be finite" if exact else "coupling must be finite")
+    checks.raise_first()
+
+    t1 = exchange_transmission(_channel_amplitudes(r1, k, eigenvalues_1), _EXCHANGE_ON[(2, 1)])
+    t2 = exchange_transmission(_channel_amplitudes(r2, k, eigenvalues_2), _EXCHANGE_ON[(2, 0)])
+    psi0 = np.broadcast_to(initial.amplitudes, (checks.n, 8))
+    if exact:
+        after_2, reflected = star_product(t1, t2, np.exp(2j * k * half_separation),
+                                          psi0[..., None])
+        after_2 = after_2[..., 0]
+        failures = [("reflected", reflected[..., 0])]
+        prefix = "transmitted, particle measured "
+    else:
+        # the star product without its p^2 R1 R2 term, each reflection resolved
+        eye = np.eye(8)
+        after_1 = _apply(t1, psi0)
+        after_2 = _apply(t2, after_1)
+        failures = [("reflected at impurity-1", _apply(t1 - eye, psi0)),
+                    ("transmitted impurity-1, reflected at impurity-2", _apply(t2 - eye, after_1))]
+        prefix = "both transmitted, particle measured "
+    measured, outcomes = _measure(after_2, 2, prefix, initial.labels, _norm2(after_2))
+    return _batch(psi0, initial.labels, [*failures, *measured], outcomes,
+                  _attempts(outcomes[0].probability),
+                  _describe(k=k, r1=r1, r2=r2, half_separation=half_separation))
+
+
+# ---------------------------------------------------------------------------
+# Single-call protocol functions (a batch of one)
+
+def _one(x, dtype=float):
+    return np.array([x], dtype=dtype)
 
 
 def concentrate_fixed(a, b, k: float, coupling: float, axis=(0.0, 0.0, 1.0)) -> ProtocolResult:
@@ -165,25 +470,9 @@ def concentrate_fixed(a, b, k: float, coupling: float, axis=(0.0, 0.0, 1.0)) -> 
     the reflected branch is recorded in the event tree.  Entropy and
     concurrence refer to the transmitted two-particle state.
     """
-    _check_pair(a, b)
-    amps = fixed_filter_operators(FixedImpurity(float(coupling), tuple(axis)), k)
-    psi0 = make_state([a, 0.0, 0.0, b], ("particle-2", "particle-1"))
-    transmit = apply(embed(amps.transmission, 2, (0,)), psi0)
-    reflect = apply(embed(amps.reflection, 2, (0,)), psi0)
-
-    prob = transmit.norm_squared
-    if prob > _NULL:
-        post = normalize(transmit)
-        outcome = ProtocolOutcome(
-            "transmitted", prob, prob, post,
-            von_neumann_entropy(partial_trace(post, {0})), concurrence(post),
-        )
-    else:
-        outcome = ProtocolOutcome("transmitted", 0.0, 0.0, None, None, None)
-
-    meta = _attempts({"coupling": float(coupling), "xi": 2.0 * float(coupling) / k}, prob)
-    tree = _tree(_branch("transmitted", transmit), _branch("reflected", reflect))
-    return ProtocolResult((outcome,), tree, meta)
+    axis = np.array([[float(x) for x in axis]])
+    return _result(_concentrate_fixed(_Checks(1), _one(a, complex), _one(b, complex),
+                                      _one(k), _one(coupling), axis))
 
 
 def optimal_coupling_fixed(a, b, k: float) -> float:
@@ -192,20 +481,10 @@ def optimal_coupling_fixed(a, b, k: float) -> float:
     Requires 0 < |a| < |b| (filtering can only damp the larger amplitude).
     The closed form is cross-checked against a numeric root-find in tests.
     """
-    if not (isinstance(k, (int, float)) and math.isfinite(k) and k > 0):
-        raise ValueError("k must be positive")
-    ma, mb = abs(a), abs(b)
-    if ma <= 0.0 or ma >= mb:
-        raise ValueError("optimal coupling requires 0 < |a| < |b|")
-    xi = math.sqrt((mb / ma) ** 2 - 1.0)
-    coupling = k * xi / 2.0
-    # verify the defining balance |S(2r)| = |a/b| before handing the value out
-    attained = abs(scalar_amplitudes(2.0 * coupling, k).transmission)
-    if abs(attained - ma / mb) > TOL.algebraic:
-        raise InternalFaultError(
-            f"optimal coupling balance residual {abs(attained - ma / mb):.3e} exceeds 1e-12"
-        )
-    return coupling
+    checks = _Checks(1)
+    coupling = _optimal_coupling(checks, _one(a, complex), _one(b, complex), _one(k))
+    checks.raise_first()
+    return float(coupling[0])
 
 
 def concentrate_kondo(a, b, k: float, impurity: KondoImpurity) -> ProtocolResult:
@@ -218,26 +497,8 @@ def concentrate_kondo(a, b, k: float, impurity: KondoImpurity) -> ProtocolResult
     |a S1| = |b (S_sym+S_anti)/2| makes the |0> branch maximally entangled;
     its residual is reported in metadata.
     """
-    _check_pair(a, b)
-    amps = kondo_operators(impurity, k)
-    psi0 = make_state([a, 0, 0, 0, 0, 0, b, 0], ("particle-2", "particle-1", "impurity-0"))
-    transmit = apply(embed(amps.transmission, 3, (1, 0)), psi0)
-    reflect = apply(embed(amps.reflection, 3, (1, 0)), psi0)
-
-    p_transmit = transmit.norm_squared
-    outcomes = []
-    measured = _measured_branches(transmit, 0, "transmitted, impurity measured ")
-    for label, bit, post in measured:
-        outcomes.append(_pair_outcome(label, post, 0, bit, p_transmit))
-
-    s1, _, s3, s4 = kondo_channel_amplitudes(impurity, k)
-    residual = abs(abs(a * s1) - abs(b * (s3 + s4) / 2.0))
-    meta = _attempts({"condition_residual": residual}, outcomes[0].branch_probability)
-    tree = _tree(
-        *[_branch(label, post) for label, _, post in measured],
-        _branch("reflected", reflect),
-    )
-    return ProtocolResult(tuple(outcomes), tree, meta)
+    return _result(_concentrate_kondo(_Checks(1), _one(a, complex), _one(b, complex), _one(k),
+                                      _one(impurity.coupling), impurity.eigenvalues))
 
 
 def entangle_particles(k: float, impurity: KondoImpurity, initial: SpinState | None = None) -> ProtocolResult:
@@ -251,33 +512,9 @@ def entangle_particles(k: float, impurity: KondoImpurity, initial: SpinState | N
     and sit in the event tree.
     """
     if initial is None:
-        initial = basis_state("001", ("particle-2", "particle-1", "impurity-0"))
-    if initial.num_qubits != 3:
-        raise ValueError("initial state must have 3 qubits (two particles and the impurity)")
-    if not initial.normalized:
-        raise ValueError("initial state must be normalized")
-    amps = kondo_operators(impurity, k)
-    t_first = embed(amps.transmission, 3, (1, 0))
-    r_first = embed(amps.reflection, 3, (1, 0))
-    t_second = embed(amps.transmission, 3, (2, 0))
-    r_second = embed(amps.reflection, 3, (2, 0))
-
-    reflected_1 = apply(r_first, initial)
-    after_1 = apply(t_first, initial)
-    reflected_2 = apply(r_second, after_1)
-    after_2 = apply(t_second, after_1)
-
-    p_both = after_2.norm_squared
-    measured = _measured_branches(after_2, 0, "both transmitted, impurity measured ")
-    outcomes = tuple(_pair_outcome(label, post, 0, bit, p_both) for label, bit, post in measured)
-
-    meta = _attempts({}, outcomes[0].branch_probability)
-    tree = _tree(
-        _branch("particle-1 reflected", reflected_1),
-        _branch("particle-1 transmitted, particle-2 reflected", reflected_2),
-        *[_branch(label, post) for label, _, post in measured],
-    )
-    return ProtocolResult(outcomes, tree, meta)
+        initial = basis_state("001", _PARTICLES_REGISTER)
+    return _result(_entangle_particles(_Checks(1), _one(k), _one(impurity.coupling),
+                                       impurity.eigenvalues, initial))
 
 
 def entangle_impurities(k: float, impurity_1: KondoImpurity, impurity_2: KondoImpurity,
@@ -291,148 +528,148 @@ def entangle_impurities(k: float, impurity_1: KondoImpurity, impurity_2: KondoIm
     each outcome is reported with the entropy and concurrence of the
     impurity pair.
 
-    mode "first-order" composes single-impurity transmissions (one pass, no
-    revisits) and resolves which impurity reflected; mode "exact" solves the
-    full two-impurity problem including all multiple-scattering orders, so
-    its tree has a single combined reflected branch.
+    mode "exact" composes the two impurities by the S-matrix (Redheffer star
+    product) rule, which includes every multiple-scattering order, so its
+    tree has a single combined reflected branch.  mode "first-order" is the
+    same composition truncated to one pass (transmission T2 T1, no
+    revisits) and resolves which impurity reflected.
     """
-    if mode not in ("first-order", "exact"):
-        raise ValueError(f"mode must be 'first-order' or 'exact', got {mode!r}")
     if initial is None:
-        initial = basis_state("100", ("particle-0", "impurity-1", "impurity-2"))
-    if initial.num_qubits != 3:
-        raise ValueError("initial state must have 3 qubits (particle and two impurities)")
-    if not initial.normalized:
-        raise ValueError("initial state must be normalized")
-
-    if mode == "first-order":
-        amps_1 = kondo_operators(impurity_1, k)
-        amps_2 = kondo_operators(impurity_2, k)
-        reflected_1 = apply(embed(amps_1.reflection, 3, (2, 1)), initial)
-        after_1 = apply(embed(amps_1.transmission, 3, (2, 1)), initial)
-        reflected_2 = apply(embed(amps_2.reflection, 3, (2, 0)), after_1)
-        after_2 = apply(embed(amps_2.transmission, 3, (2, 0)), after_1)
-        failure_branches = [
-            _branch("reflected at impurity-1", reflected_1),
-            _branch("transmitted impurity-1, reflected at impurity-2", reflected_2),
-        ]
-        success_prefix = "both transmitted, particle measured "
-    else:
-        geom = TwoImpurityGeometry(
-            half_separation, k,
-            embed(impurity_1.coupling * exchange_matrix(impurity_1.eigenvalues), 3, (2, 1)),
-            embed(impurity_2.coupling * exchange_matrix(impurity_2.eigenvalues), 3, (2, 0)),
-        )
-        exact = two_impurity_exact(geom, initial)
-        after_2 = exact.transmitted_spin
-        failure_branches = [_branch("reflected", exact.reflected_spin)]
-        success_prefix = "transmitted, particle measured "
-
-    p_pass = after_2.norm_squared
-    measured = _measured_branches(after_2, 2, success_prefix)
-    outcomes = tuple(_pair_outcome(label, post, 2, bit, p_pass) for label, bit, post in measured)
-
-    meta = _attempts({}, outcomes[0].branch_probability)
-    tree = _tree(*failure_branches, *[_branch(label, post) for label, _, post in measured])
-    return ProtocolResult(outcomes, tree, meta)
+        initial = basis_state("100", _IMPURITIES_REGISTER)
+    return _result(_entangle_impurities(
+        _Checks(1), _one(k), _one(impurity_1.coupling), _one(impurity_2.coupling),
+        _one(half_separation), impurity_1.eigenvalues, impurity_2.eigenvalues, initial, mode))
 
 
 # ---------------------------------------------------------------------------
 # Named-protocol dispatch (event trees, sweeps, CLI)
+#
+# Parsers read a flat parameter mapping whose numeric values are scalars or,
+# from sweep, one array entry per point, and return the protocol's batch.
 
-def _eigenvalues_param(p):
+_TEXT_PARAMS = ("mode", "initial", "eigenvalues", "axis")
+
+
+def _num(p, name, checks, default=None):
+    value = p.pop(name, default)
+    if isinstance(value, np.ndarray):
+        return np.broadcast_to(value.astype(float), (checks.n,))
+    try:
+        return np.full(checks.n, float(value))
+    except (TypeError, ValueError) as exc:
+        checks.fail(str(exc))
+
+
+def _eigenvalues_param(p, checks):
     ev = p.pop("eigenvalues", None)
     if ev is None:
         return DEFAULT_EXCHANGE_EIGENVALUES
     if isinstance(ev, str):
         if ev not in EXCHANGE_EIGENVALUE_PRESETS:
             known = ", ".join(sorted(EXCHANGE_EIGENVALUE_PRESETS))
-            raise ValueError(f"unknown eigenvalue preset {ev!r} (known: {known})")
+            checks.fail(f"unknown eigenvalue preset {ev!r} (known: {known})")
         return EXCHANGE_EIGENVALUE_PRESETS[ev]
-    return tuple(float(x) for x in ev)
+    try:
+        return tuple(float(x) for x in ev)
+    except (TypeError, ValueError) as exc:
+        checks.fail(str(exc))
 
 
-def _coeff_pair(p):
+def _kondo_couplings(checks, eigenvalues, *couplings):
+    """The checks of KondoImpurity(r, eigenvalues) for each coupling array, in turn."""
+    for r in couplings:
+        checks.add(~np.isfinite(r), "coupling must be finite")
+        try:
+            _check_eigenvalues(eigenvalues)
+        except ValueError as exc:
+            checks.fail(str(exc))
+
+
+def _coeff_pair(p, checks):
     if "a" not in p:
-        raise ValueError("missing parameter 'a' (magnitude of the |00> amplitude)")
-    ma = float(p.pop("a"))
-    if not (0.0 <= ma <= 1.0):
-        raise ValueError("parameter 'a' must lie in [0, 1]")
-    mb = float(p.pop("b")) if "b" in p else math.sqrt(max(0.0, 1.0 - ma * ma))
-    pa = float(p.pop("a_phase", 0.0))
-    pb = float(p.pop("b_phase", 0.0))
-    a = ma * complex(math.cos(pa), math.sin(pa))
-    b = mb * complex(math.cos(pb), math.sin(pb))
-    return a, b
+        checks.fail("missing parameter 'a' (magnitude of the |00> amplitude)")
+    ma = _num(p, "a", checks)
+    checks.add(~((0.0 <= ma) & (ma <= 1.0)), "parameter 'a' must lie in [0, 1]")
+    mb = _num(p, "b", checks) if "b" in p else np.sqrt(np.maximum(0.0, 1.0 - ma * ma))
+    pa = _num(p, "a_phase", checks, 0.0)
+    pb = _num(p, "b_phase", checks, 0.0)
+    return ma * (np.cos(pa) + 1j * np.sin(pa)), mb * (np.cos(pb) + 1j * np.sin(pb))
 
 
-def _axis_param(p):
-    theta = p.pop("axis_theta", None)
-    axis = p.pop("axis", None)
-    if theta is not None:
-        return (math.sin(float(theta)), 0.0, math.cos(float(theta)))
-    if axis is not None:
-        return tuple(float(x) for x in axis)
-    return (0.0, 0.0, 1.0)
+def _axis_param(p, checks):
+    if "axis_theta" in p:
+        p.pop("axis", None)
+        theta = _num(p, "axis_theta", checks)
+        return np.stack([np.sin(theta), np.zeros(checks.n), np.cos(theta)], axis=-1)
+    axis = p.pop("axis", (0.0, 0.0, 1.0))
+    return np.broadcast_to(np.array([float(x) for x in axis]), (checks.n, len(axis)))
 
 
-def _reject_unknown(p, protocol):
+def _reject_unknown(p, protocol, checks):
     if p:
-        raise ValueError(f"unknown parameter(s) for {protocol}: {', '.join(sorted(p))}")
+        checks.fail(f"unknown parameter(s) for {protocol}: {', '.join(sorted(p))}")
 
 
-def _initial_param(p, labels):
-    bits = p.pop("initial", None)
-    return None if bits is None else basis_state(str(bits), labels)
+def _initial_param(p, default, labels, checks):
+    try:
+        return basis_state(str(p.pop("initial", default)), labels)
+    except ValueError as exc:
+        checks.fail(str(exc))
 
 
-def _run_concentrate_fixed(p):
-    a, b = _coeff_pair(p)
-    k = float(p.pop("k", 1.0))
-    axis = _axis_param(p)
-    r = p.pop("r", None)
-    _reject_unknown(p, "concentrate")
+@_quiet
+def _run_concentrate_fixed(p, checks):
+    a, b = _coeff_pair(p, checks)
+    k = _num(p, "k", checks, 1.0)
+    axis = _axis_param(p, checks)
+    r = _num(p, "r", checks) if "r" in p else None
+    _reject_unknown(p, "concentrate", checks)
     if r is None:
-        r = optimal_coupling_fixed(a, b, k)
-    return concentrate_fixed(a, b, k, float(r), axis)
+        r = _optimal_coupling(checks, a, b, k)
+    return _concentrate_fixed(checks, a, b, k, r, axis)
 
 
-def _run_concentrate_kondo(p):
-    a, b = _coeff_pair(p)
-    k = float(p.pop("k", 1.0))
-    ev = _eigenvalues_param(p)
+@_quiet
+def _run_concentrate_kondo(p, checks):
+    a, b = _coeff_pair(p, checks)
+    k = _num(p, "k", checks, 1.0)
+    ev = _eigenvalues_param(p, checks)
     if "r" not in p:
-        raise ValueError("missing parameter 'r' (exchange coupling)")
-    r = float(p.pop("r"))
-    _reject_unknown(p, "concentrate-kondo")
-    return concentrate_kondo(a, b, k, KondoImpurity(r, ev))
+        checks.fail("missing parameter 'r' (exchange coupling)")
+    r = _num(p, "r", checks)
+    _reject_unknown(p, "concentrate-kondo", checks)
+    _kondo_couplings(checks, ev, r)
+    return _concentrate_kondo(checks, a, b, k, r, ev)
 
 
-def _run_entangle_particles(p):
-    k = float(p.pop("k", 1.0))
-    ev = _eigenvalues_param(p)
+@_quiet
+def _run_entangle_particles(p, checks):
+    k = _num(p, "k", checks, 1.0)
+    ev = _eigenvalues_param(p, checks)
     if "r" not in p:
-        raise ValueError("missing parameter 'r' (exchange coupling)")
-    r = float(p.pop("r"))
-    initial = _initial_param(p, ("particle-2", "particle-1", "impurity-0"))
-    _reject_unknown(p, "entangle-particles")
-    return entangle_particles(k, KondoImpurity(r, ev), initial)
+        checks.fail("missing parameter 'r' (exchange coupling)")
+    r = _num(p, "r", checks)
+    initial = _initial_param(p, "001", _PARTICLES_REGISTER, checks)
+    _reject_unknown(p, "entangle-particles", checks)
+    _kondo_couplings(checks, ev, r)
+    return _entangle_particles(checks, k, r, ev, initial)
 
 
-def _run_entangle_impurities(p):
-    k = float(p.pop("k", 1.0))
-    ev = _eigenvalues_param(p)
+@_quiet
+def _run_entangle_impurities(p, checks):
+    k = _num(p, "k", checks, 1.0)
+    ev = _eigenvalues_param(p, checks)
     common = p.pop("r", None)
-    r1 = float(p.pop("r1", common if common is not None else float("nan")))
-    r2 = float(p.pop("r2", common if common is not None else float("nan")))
-    if math.isnan(r1) or math.isnan(r2):
-        raise ValueError("missing parameter 'r1'/'r2' (or common 'r') for the two couplings")
-    half_separation = float(p.pop("half_separation", 1.0))
+    r1 = _num(p, "r1", checks, common if common is not None else float("nan"))
+    r2 = _num(p, "r2", checks, common if common is not None else float("nan"))
+    checks.add(np.isnan(r1) | np.isnan(r2),
+               "missing parameter 'r1'/'r2' (or common 'r') for the two couplings")
+    half_separation = _num(p, "half_separation", checks, 1.0)
     mode = str(p.pop("mode", "first-order"))
-    initial = _initial_param(p, ("particle-0", "impurity-1", "impurity-2"))
-    _reject_unknown(p, "entangle-impurities")
-    return entangle_impurities(k, KondoImpurity(r1, ev), KondoImpurity(r2, ev),
-                               half_separation, initial, mode)
+    initial = _initial_param(p, "100", _IMPURITIES_REGISTER, checks)
+    _reject_unknown(p, "entangle-impurities", checks)
+    _kondo_couplings(checks, ev, r1, r2)
+    return _entangle_impurities(checks, k, r1, r2, half_separation, ev, ev, initial, mode)
 
 
 _PROTOCOLS = {
@@ -443,13 +680,20 @@ _PROTOCOLS = {
 }
 
 
-def run_protocol(name: str, params=None) -> ProtocolResult:
-    """Run a protocol by name with a flat parameter mapping (CLI/sweep surface)."""
+def _protocol(name: str):
     key = str(name).strip().lower().replace("_", "-")
     if key not in _PROTOCOLS:
         raise ValueError(f"unknown protocol name: {name!r} (known: {', '.join(sorted(_PROTOCOLS))})")
-    flat = {str(k).replace("-", "_"): v for k, v in dict(params or {}).items()}
-    return _PROTOCOLS[key](flat)
+    return _PROTOCOLS[key]
+
+
+def _flat(params) -> dict:
+    return {str(k).replace("-", "_"): v for k, v in dict(params or {}).items()}
+
+
+def run_protocol(name: str, params=None) -> ProtocolResult:
+    """Run a protocol by name with a flat parameter mapping (CLI/sweep surface)."""
+    return _result(_protocol(name)(_flat(params), _Checks(1)))
 
 
 def event_tree(protocol: str, params=None) -> EventTree:
@@ -518,7 +762,9 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
     Metrics are taken from the protocol's designated success branch (the
     first outcome).  Null branches record entropy/concurrence as 0.0 so that
     every record holds finite values.  The argmax summary reports the first
-    grid point maximizing the requested objective.
+    grid point maximizing the requested objective.  The grid runs through
+    the batched kernel in blocks of _BLOCK points, and each record equals
+    the first outcome of run_protocol at its point.
     """
     grids = list(grids)
     if not grids:
@@ -528,22 +774,27 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
         raise ValueError("swept parameter names must be distinct")
     if objective not in _OBJECTIVES:
         raise ValueError("objective must be 'probability' or 'entropy'")
-    key = _OBJECTIVES[objective]
+    run = _protocol(protocol)
+    for name in names:
+        if name.replace("-", "_") in _TEXT_PARAMS:
+            raise ValueError(f"parameter {name!r} is not numeric and cannot be swept")
 
-    records = []
-    for combo in itertools.product(*(g.values() for g in grids)):
-        params = dict(fixed or {})
-        point = {g.name: float(v) for g, v in zip(grids, combo)}
-        params.update(point)
-        first = run_protocol(protocol, params).outcomes[0]
-        metrics = {
-            "probability": first.branch_probability,
-            "entropy_bits": first.entropy_bits if first.entropy_bits is not None else 0.0,
-            "concurrence": first.concurrence if first.concurrence is not None else 0.0,
-        }
-        records.append(SweepRecord(point, metrics))
+    columns = [m.reshape(-1) for m in np.meshgrid(*(g.values() for g in grids), indexing="ij")]
+    blocks = []
+    for lo in range(0, columns[0].size, _BLOCK):
+        params = _flat(fixed)
+        params.update({name.replace("-", "_"): column[lo:lo + _BLOCK]
+                       for name, column in zip(names, columns)})
+        first = run(params, _Checks(min(_BLOCK, columns[0].size - lo))).outcomes[0]
+        blocks.append(np.stack([first.probability,
+                                np.where(first.live, first.entropy, 0.0),
+                                np.where(first.live, first.concurrence, 0.0)], axis=1))
+    metrics = np.concatenate(blocks)
 
-    best = max(records, key=lambda rec: rec.metrics[key])
-    argmax = {"objective": objective, "value": best.metrics[key], **best.params}
-    fieldnames = tuple(g.name for g in grids) + _METRIC_NAMES
-    return SweepResult(tuple(records), argmax, fieldnames)
+    records = tuple(
+        SweepRecord(dict(zip(names, point)), dict(zip(_METRIC_NAMES, values)))
+        for point, values in zip(zip(*(c.tolist() for c in columns)), metrics.tolist())
+    )
+    best = records[int(np.argmax(metrics[:, _METRIC_NAMES.index(_OBJECTIVES[objective])]))]
+    argmax = {"objective": objective, "value": best.metrics[_OBJECTIVES[objective]], **best.params}
+    return SweepResult(records, argmax, tuple(names) + _METRIC_NAMES)

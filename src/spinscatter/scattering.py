@@ -17,6 +17,12 @@ then directly comparable to the plain product of single-impurity
 transmissions (first_order_composition), and reducing the exact solver to a
 single impurity at x = -+a reproduces the single-impurity T exactly while
 the reflection picks up the position phase e^{-+2ika}.
+
+Two impurities compose by the S-matrix (Redheffer star product) rule of
+star_product, which sums every back-and-forth order between them; the
+first-order composition is its truncation to a single pass.  The batched
+functions here act on stacks of operators along leading axes, and the
+single-operator functions are a stack of one.
 """
 
 import math
@@ -40,7 +46,7 @@ def _check_hermitian(m, name="potential"):
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} entries must be finite")
     if np.max(np.abs(m - m.conj().T)) > TOL.algebraic:
-        raise ValueError(f"{name} must be Hermitian (within 1e-12)")
+        raise ValueError(f"{name} must be Hermitian (within {TOL.algebraic:g})")
 
 
 @dataclass(frozen=True)
@@ -60,14 +66,22 @@ class ScalarAmplitudes:
             raise ValueError("reflection must equal transmission - 1")
 
 
+def barrier_transmission(coupling, k):
+    """Transmission S = 1/(1 + i coupling/k) of scalar delta barriers, elementwise.
+
+    coupling and k broadcast against each other; no validation (callers
+    check k > 0 and finite couplings at their boundary).
+    """
+    return 1.0 / (1.0 + 1j * (np.asarray(coupling, dtype=float) / k))
+
+
 def scalar_amplitudes(coupling: float, k: float) -> ScalarAmplitudes:
     """Plane-wave amplitudes for a scalar delta barrier of strength coupling."""
     _check_wave_number(k)
     if not math.isfinite(coupling):
         raise ValueError("coupling must be finite")
-    xi = coupling / k
-    s = 1.0 / (1.0 + 1j * xi)
-    return ScalarAmplitudes(s, s - 1.0, xi)
+    s = complex(barrier_transmission(coupling, k))
+    return ScalarAmplitudes(s, s - 1.0, coupling / k)
 
 
 @dataclass(frozen=True)
@@ -105,16 +119,24 @@ def matrix_amplitudes(potential, k: float) -> OperatorAmplitudes:
     _check_wave_number(k)
     m = np.asarray(potential, dtype=complex)
     _check_hermitian(m)
+    lhs, t = _barrier_solve(m, k)
     eye = np.eye(m.shape[0], dtype=complex)
-    lhs = eye + 1j * m / k
-    try:
-        t = np.linalg.solve(lhs, eye)
-    except np.linalg.LinAlgError as exc:  # unreachable for Hermitian input
-        raise InternalFaultError(f"delta-barrier solve failed: {exc}") from exc
     residual = float(np.max(np.abs(lhs @ t - eye)))
     if residual > TOL.solver_residual:
-        raise InternalFaultError(f"delta-barrier solve residual {residual:.3e} exceeds 1e-10")
+        raise InternalFaultError(
+            f"delta-barrier solve residual {residual:.3e} exceeds {TOL.solver_residual:g}"
+        )
     return OperatorAmplitudes(t, t - eye)
+
+
+def _barrier_solve(potentials, k):
+    """(I + iM/k) and its inverse T for a stack of Hermitian potentials M."""
+    eye = np.eye(potentials.shape[-1], dtype=complex)
+    lhs = eye + 1j * potentials / k
+    try:
+        return lhs, np.linalg.solve(lhs, eye)
+    except np.linalg.LinAlgError as exc:  # unreachable for Hermitian input
+        raise InternalFaultError(f"delta-barrier solve failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -162,52 +184,50 @@ class TwoImpurityAmplitudes:
     reflected_spin: SpinState | None = None
 
 
+def star_product(t1, t2, phase, incident):
+    """S-matrix (Redheffer star product) composition of two delta barriers.
+
+    t1 and t2 are the single-barrier transmissions of the scatterers at
+    x = -a and x = +a, stacked as (..., d, d); each reflects R_j = T_j - I.
+    phase is p = e^{2ika} (shape ...), incident holds incident spin columns
+    (..., d, m).  Returns the transmitted and reflected columns T chi, R chi:
+
+        C = (I - p^2 R1 R2)^-1 T1,   T = T2 C,   R = R1/p + p T1 R2 C
+
+    C sums every back-and-forth order between the barriers, so only d x d
+    systems are solved.  Dropping the p^2 R1 R2 term leaves the single pass
+    T2 T1 of first_order_composition, whose error is that term's O(xi^2).
+    """
+    eye = np.eye(t1.shape[-1])
+    r1, r2 = t1 - eye, t2 - eye
+    p = np.asarray(phase)[..., None, None]
+    try:
+        between = np.linalg.solve(eye - p * p * (r1 @ r2), t1 @ incident)
+    except np.linalg.LinAlgError as exc:
+        raise InternalFaultError(f"two-impurity composition is singular: {exc}") from exc
+    return t2 @ between, r1 @ incident / p + p * (t1 @ (r2 @ between))
+
+
 def two_impurity_exact(geom: TwoImpurityGeometry, incident_spin: SpinState | None = None) -> TwoImpurityAmplitudes:
     """Exact plane-wave solution for two matrix delta barriers.
 
-    The three regions carry spinor amplitudes
-
-        x < -a:      e^{ikx} chi + e^{-ikx} B
-        -a < x < a:  e^{ikx} C   + e^{-ikx} D
-        x > a:       e^{ikx} F
-
-    matched by continuity and the derivative jump 2 M_j psi(x_j) at both
-    impurities.  Solving the resulting 4d x 4d block system for all incident
-    spins chi at once gives T_total = F-map and R_total = B-map, containing
-    every back-and-forth multiple-scattering order.
+    Each barrier alone transmits T_j = (I + i M_j/k)^-1; star_product then
+    composes the pair, keeping every back-and-forth multiple-scattering
+    order.  Flux conservation T+T + R+R = I is checked on the result.
     """
     d = geom.dim
     k = geom.k
-    ik = 1j * k
-    p = complex(np.exp(1j * k * geom.half_separation))
-    pm = complex(np.exp(-1j * k * geom.half_separation))
     eye = np.eye(d, dtype=complex)
-    zero = np.zeros((d, d), dtype=complex)
-    m1 = geom.potential_left
-    m2 = geom.potential_right
-
-    # Unknown block vector [B; C; D; F]; rows are continuity/jump at x = -a
-    # then continuity/jump at x = +a.
-    system = np.block([
-        [-p * eye, pm * eye, p * eye, zero],
-        [ik * p * eye, ik * pm * eye - 2 * pm * m1, -ik * p * eye - 2 * p * m1, zero],
-        [zero, p * eye, pm * eye, -p * eye],
-        [zero, -ik * p * eye, ik * pm * eye, ik * p * eye - 2 * p * m2],
-    ])
-    rhs = np.concatenate([pm * eye, ik * pm * eye, zero, zero], axis=0)
-    try:
-        sol = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise InternalFaultError(f"two-impurity matching system is singular: {exc}") from exc
-
-    reflection = sol[0:d]
-    transmission = sol[3 * d : 4 * d]
+    _, (t1, t2) = _barrier_solve(np.stack([geom.potential_left, geom.potential_right]), k)
+    transmission, reflection = star_product(
+        t1, t2, np.exp(2j * k * geom.half_separation), eye)
     conservation = float(np.max(np.abs(
         transmission.conj().T @ transmission + reflection.conj().T @ reflection - eye
     )))
     if conservation > TOL.solver_residual:
         raise InternalFaultError(
-            f"two-impurity flux conservation violated by {conservation:.3e} (> 1e-10)"
+            f"two-impurity flux conservation violated by {conservation:.3e} "
+            f"(> {TOL.solver_residual:g})"
         )
 
     transmitted = reflected = None
@@ -221,14 +241,13 @@ def two_impurity_exact(geom: TwoImpurityGeometry, incident_spin: SpinState | Non
     return TwoImpurityAmplitudes(transmission, reflection, transmitted, reflected)
 
 
-def first_order_composition(ops, k: float | None = None, separation: float | None = None) -> np.ndarray:
+def first_order_composition(ops) -> np.ndarray:
     """Single-pass composition: product of transmissions, first scatterer first.
 
-    The inter-impurity propagation phase multiplies every spin component
-    equally and is dropped as a global phase; k and separation are accepted
-    for interface parity with the exact solver but do not enter the product.
-    The result agrees with the exact two-impurity transmission up to
-    O((coupling/k)^2) corrections from multiple scattering.
+    This is star_product without its multiple-scattering term: the
+    inter-impurity propagation phase then multiplies every spin component
+    equally and drops out as a global phase.  The result agrees with the
+    exact two-impurity transmission up to O((coupling/k)^2) corrections.
     """
     ops = list(ops)
     if not ops:

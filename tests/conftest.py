@@ -35,3 +35,35 @@ def run_cli(*args, env_extra=None):
     proc.stdout = proc.stdout.decode("utf-8")
     proc.stderr = proc.stderr.decode("utf-8")
     return proc
+
+
+def block_solve_two_impurity(geom):
+    """Oracle for two_impurity_exact: the 4d x 4d plane-wave matching solve.
+
+    The three regions carry spinor amplitudes
+
+        x < -a:      e^{ikx} chi + e^{-ikx} B
+        -a < x < a:  e^{ikx} C   + e^{-ikx} D
+        x > a:       e^{ikx} F
+
+    matched by continuity and the derivative jump 2 M_j psi(x_j) at both
+    impurities.  Solving for all incident spins chi at once gives the
+    transmission (F-map) and reflection (B-map).  Returns (T, R).
+    """
+    d = geom.dim
+    ik = 1j * geom.k
+    p = complex(np.exp(1j * geom.k * geom.half_separation))
+    pm = complex(np.exp(-1j * geom.k * geom.half_separation))
+    eye = np.eye(d, dtype=complex)
+    zero = np.zeros((d, d), dtype=complex)
+    m1, m2 = geom.potential_left, geom.potential_right
+    # unknown block vector [B; C; D; F]; rows: continuity, jump at -a, then at +a
+    system = np.block([
+        [-p * eye, pm * eye, p * eye, zero],
+        [ik * p * eye, ik * pm * eye - 2 * pm * m1, -ik * p * eye - 2 * p * m1, zero],
+        [zero, p * eye, pm * eye, -p * eye],
+        [zero, -ik * p * eye, ik * pm * eye, ik * p * eye - 2 * p * m2],
+    ])
+    rhs = np.concatenate([pm * eye, ik * pm * eye, zero, zero], axis=0)
+    sol = np.linalg.solve(system, rhs)
+    return sol[3 * d:4 * d], sol[0:d]

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from spinscatter import cli
+from spinscatter import cli, run_protocol
 from spinscatter.errors import InternalFaultError
 
 from conftest import run_cli
@@ -73,6 +73,18 @@ def test_entangle_impurities_exact_mode():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert abs(data["total_probability"] - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("r1, r2", [("1e8", "1e8"), ("1e10", "5")])
+def test_entangle_impurities_exact_mode_strong_coupling(r1, r2):
+    # the 4d x 4d matching solve lost flux conservation here and exited 2
+    proc = run_cli("entangle-impurities", "--k", "1", "--r1", r1, "--r2", r2,
+                   "--mode", "exact", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert abs(json.loads(proc.stdout)["total_probability"] - 1.0) <= 1e-10
+    tree = run_protocol("entangle-impurities",
+                        {"k": 1.0, "r1": float(r1), "r2": float(r2), "mode": "exact"}).tree
+    assert abs(tree.total_probability() - 1.0) <= 1e-10
 
 
 def test_selftest_passes():

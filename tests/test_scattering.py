@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import block_solve_two_impurity, random_hermitian
 from spinscatter import (
     InternalFaultError,
     OperatorAmplitudes,
@@ -170,7 +170,7 @@ def test_first_order_composition_order_and_reduction():
     # first scatterer listed first: the product is T_b @ T_a
     got = first_order_composition([a, b])
     assert np.max(np.abs(got - b.transmission @ a.transmission)) < 1e-14
-    alone = first_order_composition([a], k=1.3, separation=2.0)
+    alone = first_order_composition([a])
     assert np.max(np.abs(alone - a.transmission)) < 1e-15
     with pytest.raises(ValueError):
         first_order_composition([])
@@ -189,3 +189,20 @@ def test_first_order_approaches_exact_for_weak_coupling():
         matrix_amplitudes(g * m1, k), matrix_amplitudes(g * m2, k),
     ])
     assert np.linalg.norm(exact - first) < 5e-3
+
+
+def test_exact_solver_matches_block_solve_oracle():
+    """S-matrix composition against the 4d x 4d matching solve, 200 random draws."""
+    rng = np.random.default_rng(2005)
+    worst = 0.0
+    for i in range(200):
+        dim = (2, 4, 8)[i % 3]
+        geom = TwoImpurityGeometry(
+            float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.3, 4.0)),
+            random_hermitian(rng, dim), random_hermitian(rng, dim),
+        )
+        got = two_impurity_exact(geom)
+        t, r = block_solve_two_impurity(geom)
+        worst = max(worst, float(np.max(np.abs(got.transmission - t))),
+                    float(np.max(np.abs(got.reflection - r))))
+    assert worst <= 1e-12
