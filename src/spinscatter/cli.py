@@ -31,6 +31,7 @@ import os
 import sys
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -109,74 +110,96 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _columns(header, rows, indent="") -> list[str]:
-    cells = [list(header)] + [list(r) for r in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-    return [
-        (indent + "  ".join(c.ljust(w) for c, w in zip(row, widths))).rstrip()
-        for row in cells
-    ]
-
-
 # ---------------------------------------------------------------------------
-# Record emission (sweep tables and anything record-shaped)
+# Table emission (sweep tables and anything record-shaped)
+#
+# Tables are carried column by column.  In csv, a column of floats (a float
+# array or a sequence of floats) is formatted by one %-template pass over the
+# whole table, since '%.12g' % x equals format(x, '.12g') for every float;
+# every other cell is formatted on its own.
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return _f12(v)
-    return str(v)
+def _column(values) -> tuple[bool, list]:
+    """Whether every cell is a float, and the cells as a list."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return True, values.tolist()
+    cells = list(values)
+    return all(isinstance(v, float) for v in cells), cells
+
+
+def _csv_field(v, lone: bool) -> str:
+    """A cell as csv.writer writes it (default dialect, minimal quoting).
+
+    lone marks the only field of a row, which csv.writer quotes when empty.
+    """
+    text = "" if v is None else _f12(v) if isinstance(v, float) else str(v)
+    if any(c in text for c in ',"\r\n') or (lone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def emit_columns(columns, fmt: str) -> str:
+    """Serialize a table given as {fieldname: column} as csv, json or text.
+
+    Columns are equally long; each is a 1-d float array or a sequence of
+    cells (float, int, str or None), and the mapping's order is the column
+    order.  CSV is RFC-4180 with CRLF row endings and 12-significant-digit
+    floats; JSON is an array of flat objects with floats rounded to 12
+    significant digits; table keeps 6 decimal places and writes None as "-".
+    """
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown output format: {fmt!r}")
+    names = tuple(columns)
+    floats, cols = zip(*map(_column, columns.values())) if columns else ((), ())
+    if len(set(map(len, cols))) > 1:
+        raise ValueError("columns must be equally long")
+    rows = len(cols[0]) if cols else 0
+
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(names)
+        template = ",".join("%.12g" if f else "%s" for f in floats) + "\r\n"
+        cells = [c if f else [_csv_field(v, len(cols) == 1) for v in c]
+                 for c, f in zip(cols, floats)]
+        buf.write(template * rows % tuple(chain.from_iterable(zip(*cells))))
+        return buf.getvalue()
+    if fmt == "json":
+        values = [[_round12(v) if isinstance(v, float) else v for v in c] for c in cols]
+        return _json_text([dict(zip(names, row)) for row in zip(*values)])
+    texts = [[_f6(v) if isinstance(v, float) or v is None else str(v) for v in c] for c in cols]
+    template = "  ".join(f"%-{max([len(n), *map(len, t)])}s" for n, t in zip(names, texts))
+    return "".join((template % row).rstrip() + "\n" for row in chain([names], zip(*texts)))
 
 
 def emit_records(records, fmt: str, fieldnames=None) -> str:
-    """Serialize flat records as csv, json, or an aligned text table.
+    """Serialize flat records (mapping-like rows with identical keys).
 
-    records: mapping-like rows with identical keys.  fieldnames fixes the
-    column order (required when records is empty).  CSV is RFC-4180 with
-    CRLF row endings and 12-significant-digit floats; JSON is an array of
-    flat objects carrying the same keys; table keeps 6 decimal places.
+    fieldnames fixes the column order (required when records is empty).
+    The rows are regrouped by column and written by emit_columns.
     """
-    rows = [dict(r) for r in records]
+    rows = list(records)
     if fieldnames is None:
         if not rows:
             raise ValueError("fieldnames are required to emit an empty record list")
         fieldnames = tuple(rows[0].keys())
     fieldnames = tuple(fieldnames)
-    for row in rows:
-        if tuple(row.keys()) != fieldnames:
-            raise ValueError("records are not homogeneous with the given fieldnames")
-
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_csv_cell(row[name]) for name in fieldnames])
-        return buf.getvalue()
-    if fmt == "json":
-        out = []
-        for row in rows:
-            out.append({
-                name: (_round12(v) if isinstance(v, float) else v)
-                for name, v in ((n, row[n]) for n in fieldnames)
-            })
-        return _json_text(out)
-    if fmt == "table":
-        body = [
-            [_f6(row[n]) if isinstance(row[n], float) or row[n] is None else str(row[n])
-             for n in fieldnames]
-            for row in rows
-        ]
-        return "\n".join(_columns(fieldnames, body)) + "\n"
-    raise ValueError(f"unknown output format: {fmt!r}")
+    if any(tuple(row.keys()) != fieldnames for row in rows):
+        raise ValueError("records are not homogeneous with the given fieldnames")
+    return emit_columns({name: [row[name] for row in rows] for name in fieldnames}, fmt)
 
 
 # ---------------------------------------------------------------------------
 # Command handlers (params arrive typed and underscore-keyed)
 
+def _require_finite(values: dict):
+    """Refuse to print a non-finite figure: xi = coupling/k overflows when k is tiny."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} overflows to {value} (coupling/k exceeds the float range)")
+
+
 def _cmd_amplitudes(p, fmt):
     amps = scalar_amplitudes(p["r"], p["k"])
+    _require_finite({"xi": amps.xi})
     s, r = amps.transmission, amps.reflection
     values = (
         ("S", s), ("R", r),
@@ -192,8 +215,9 @@ def _cmd_amplitudes(p, fmt):
         row = {"S_re": s.real, "S_im": s.imag, "R_re": r.real, "R_im": r.imag,
                "abs_S2": abs(s) ** 2, "abs_R2": abs(r) ** 2, "xi": amps.xi}
         return emit_records([row], "csv", tuple(row.keys()))
-    rows = [(name, _c6(v) if isinstance(v, complex) else _f6(v)) for name, v in values]
-    return "\n".join(_columns(("name", "value"), rows)) + "\n"
+    return emit_columns({"name": [name for name, _ in values],
+                         "value": [_c6(v) if isinstance(v, complex) else _f6(v) for _, v in values]},
+                        "table")
 
 
 def _operator_text(ops, fmt, extra_json=None, channel=None):
@@ -266,6 +290,7 @@ def _outcome_rows(result):
 
 
 def _render_protocol(result, fmt) -> str:
+    _require_finite(result.metadata)
     rows = _outcome_rows(result)
     if fmt == "json":
         outcomes = []
@@ -287,8 +312,7 @@ def _render_protocol(result, fmt) -> str:
     if fmt == "csv":
         return emit_records(rows, "csv", _OUTCOME_FIELDS)
     lines = ["outcomes:"]
-    body = [[str(r["branch"])] + [_f6(r[n]) for n in _OUTCOME_FIELDS[1:]] for r in rows]
-    lines += _columns(_OUTCOME_FIELDS, body, indent="  ")
+    lines += ["  " + line for line in emit_records(rows, "table", _OUTCOME_FIELDS).splitlines()]
     lines.append("tree:")
     for b in result.tree.branches:
         lines.append(f"  {b.label}  {b.probability:.6f}")
@@ -329,12 +353,7 @@ def _cmd_entangle_impurities(p, fmt):
 
 def _cmd_sweep(p, fmt):
     result = sweep(p["protocol"], p["grid"], p.get("fixed"), p.get("objective", "entropy"))
-    rows = []
-    for rec in result.records:
-        row = {name: rec.params[name] for name in (g.name for g in p["grid"])}
-        row.update(rec.metrics)
-        rows.append(row)
-    text = emit_records(rows, fmt, result.fieldnames)
+    text = emit_columns(result.columns, fmt)
     argmax = "argmax: " + "  ".join(
         f"{k}={v if isinstance(v, str) else _f12(v)}" for k, v in result.argmax.items()
     )

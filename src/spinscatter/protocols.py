@@ -746,9 +746,27 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
-    records: tuple[SweepRecord, ...]
+    """A sweep held by column, in row-major grid order.
+
+    columns maps each fieldname (the swept parameters in grid order, then
+    the metrics) to a read-only 1-d float array.  records is a row view of
+    the same values, built on first read.
+    """
+
+    columns: dict[str, np.ndarray]
     argmax: dict
-    fieldnames: tuple[str, ...]
+
+    @property
+    def fieldnames(self) -> tuple[str, ...]:
+        return tuple(self.columns)
+
+    @functools.cached_property
+    def records(self) -> tuple[SweepRecord, ...]:
+        names = self.fieldnames[:-len(_METRIC_NAMES)]
+        params = zip(*(self.columns[name].tolist() for name in names))
+        metrics = zip(*(self.columns[name].tolist() for name in _METRIC_NAMES))
+        return tuple(SweepRecord(dict(zip(names, point)), dict(zip(_METRIC_NAMES, values)))
+                     for point, values in zip(params, metrics))
 
 
 _OBJECTIVES = {"probability": "probability", "entropy": "entropy_bits"}
@@ -761,10 +779,11 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
 
     Metrics are taken from the protocol's designated success branch (the
     first outcome).  Null branches record entropy/concurrence as 0.0 so that
-    every record holds finite values.  The argmax summary reports the first
+    every point holds finite values.  The argmax summary reports the first
     grid point maximizing the requested objective.  The grid runs through
-    the batched kernel in blocks of _BLOCK points, and each record equals
-    the first outcome of run_protocol at its point.
+    the batched kernel in blocks of _BLOCK points, and the result keeps the
+    grid values and metrics as the kernel's arrays (SweepResult.columns);
+    each row equals the first outcome of run_protocol at its point.
     """
     grids = list(grids)
     if not grids:
@@ -779,22 +798,22 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
         if name.replace("-", "_") in _TEXT_PARAMS:
             raise ValueError(f"parameter {name!r} is not numeric and cannot be swept")
 
-    columns = [m.reshape(-1) for m in np.meshgrid(*(g.values() for g in grids), indexing="ij")]
+    points = [m.reshape(-1) for m in np.meshgrid(*(g.values() for g in grids), indexing="ij")]
     blocks = []
-    for lo in range(0, columns[0].size, _BLOCK):
+    for lo in range(0, points[0].size, _BLOCK):
         params = _flat(fixed)
         params.update({name.replace("-", "_"): column[lo:lo + _BLOCK]
-                       for name, column in zip(names, columns)})
-        first = run(params, _Checks(min(_BLOCK, columns[0].size - lo))).outcomes[0]
-        blocks.append(np.stack([first.probability,
-                                np.where(first.live, first.entropy, 0.0),
-                                np.where(first.live, first.concurrence, 0.0)], axis=1))
-    metrics = np.concatenate(blocks)
+                       for name, column in zip(names, points)})
+        first = run(params, _Checks(min(_BLOCK, points[0].size - lo))).outcomes[0]
+        blocks.append((first.probability,
+                       np.where(first.live, first.entropy, 0.0),
+                       np.where(first.live, first.concurrence, 0.0)))
+    metrics = [np.concatenate(column) for column in zip(*blocks)]
 
-    records = tuple(
-        SweepRecord(dict(zip(names, point)), dict(zip(_METRIC_NAMES, values)))
-        for point, values in zip(zip(*(c.tolist() for c in columns)), metrics.tolist())
-    )
-    best = records[int(np.argmax(metrics[:, _METRIC_NAMES.index(_OBJECTIVES[objective])]))]
-    argmax = {"objective": objective, "value": best.metrics[_OBJECTIVES[objective]], **best.params}
-    return SweepResult(records, argmax, tuple(names) + _METRIC_NAMES)
+    columns = dict(zip(names + list(_METRIC_NAMES), points + metrics))
+    for column in columns.values():
+        column.setflags(write=False)
+    best = int(np.argmax(columns[_OBJECTIVES[objective]]))
+    argmax = {"objective": objective, "value": columns[_OBJECTIVES[objective]][best].item(),
+              **{name: columns[name][best].item() for name in names}}
+    return SweepResult(columns, argmax)

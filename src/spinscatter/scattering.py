@@ -70,9 +70,16 @@ def barrier_transmission(coupling, k):
     """Transmission S = 1/(1 + i coupling/k) of scalar delta barriers, elementwise.
 
     coupling and k broadcast against each other; no validation (callers
-    check k > 0 and finite couplings at their boundary).
+    check k > 0 and finite couplings at their boundary).  Where coupling/k
+    overflows to infinity, S is its limit 0.
     """
-    return 1.0 / (1.0 + 1j * (np.asarray(coupling, dtype=float) / k))
+    with np.errstate(over="ignore"):
+        xi = np.asarray(coupling, dtype=float) / k
+    s = np.ones(np.shape(xi), dtype=complex)
+    s.imag = xi  # 1 + i xi without the product 1j * inf, which is nan + inf i
+    np.divide(1.0, s, out=s)
+    s[np.isinf(xi)] = 0.0
+    return s
 
 
 def scalar_amplitudes(coupling: float, k: float) -> ScalarAmplitudes:
@@ -115,6 +122,14 @@ def matrix_amplitudes(potential, k: float) -> OperatorAmplitudes:
 
     Solves (I + i M/k) T = I by a direct dense solve; (I + i M/k) is
     invertible for every Hermitian M since its spectrum is 1 + i*real.
+    The solve is checked by its residual relative to the operands: a
+    backward-stable solve leaves max|(I + iM/k)T - I| of the order of the
+    machine epsilon times ||I + iM/k||·||T||, which grows with |M/k|, so
+    the bound is solver_residual times that product (infinity norms; the
+    product is at least 1, so the bound never falls below solver_residual).
+    A small residual does not make T accurate once |M/k| swamps the
+    identity (from about 1e155 on), so flux conservation T+T + R+R = I is
+    checked as well.
     """
     _check_wave_number(k)
     m = np.asarray(potential, dtype=complex)
@@ -122,11 +137,19 @@ def matrix_amplitudes(potential, k: float) -> OperatorAmplitudes:
     lhs, t = _barrier_solve(m, k)
     eye = np.eye(m.shape[0], dtype=complex)
     residual = float(np.max(np.abs(lhs @ t - eye)))
-    if residual > TOL.solver_residual:
+    scale = float(np.linalg.norm(lhs, np.inf) * np.linalg.norm(t, np.inf))
+    if not residual <= TOL.solver_residual * scale:
         raise InternalFaultError(
-            f"delta-barrier solve residual {residual:.3e} exceeds {TOL.solver_residual:g}"
+            f"delta-barrier solve residual {residual:.3e} exceeds "
+            f"{TOL.solver_residual:g} x |I + iM/k| |T| = {TOL.solver_residual * scale:.3e}"
         )
-    return OperatorAmplitudes(t, t - eye)
+    r = t - eye
+    flux = float(np.max(np.abs(t.conj().T @ t + r.conj().T @ r - eye)))
+    if not flux <= TOL.solver_residual:
+        raise InternalFaultError(
+            f"delta-barrier flux conservation violated by {flux:.3e} (> {TOL.solver_residual:g})"
+        )
+    return OperatorAmplitudes(t, r)
 
 
 def _barrier_solve(potentials, k):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     algebraic: float = 1e-12        # exact identities: Hermiticity, unitarity
-    solver_residual: float = 1e-10  # linear-solve and eigensolver reconstruction
+    solver_residual: float = 1e-10  # flux, eigensolver reconstruction; per unit operand norm for solves
     normalization: float = 1e-10    # |norm^2 - 1| for states treated as normalized
     eigenvalue_clip: float = 1e-12  # density-matrix eigenvalues in [-clip, 0) clip to 0
     zero_identity: float = 1e-15    # channel operators at zero coupling vs identity

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from spinscatter import cli, run_protocol
@@ -85,6 +86,33 @@ def test_entangle_impurities_exact_mode_strong_coupling(r1, r2):
     tree = run_protocol("entangle-impurities",
                         {"k": 1.0, "r1": float(r1), "r2": float(r2), "mode": "exact"}).tree
     assert abs(tree.total_probability() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("command", [
+    ("amplitudes", "--k", "1e-300", "--r", "1e10"),
+    ("concentrate", "--a-coeff", "0.5", "--k", "1e-300", "--r", "1e10"),
+])
+def test_overflowing_xi_is_a_one_line_error(command):
+    # r/k overflows to inf: S is its limit 0, but xi itself cannot be printed
+    for fmt in ("table", "csv", "json"):
+        proc = run_cli(*command, "--format", fmt)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: xi overflows to inf (coupling/k exceeds the float range)\n"
+
+
+def test_kondo_opaque_limit_when_coupling_over_k_overflows():
+    proc = run_cli("kondo", "--k", "1e-300", "--r", "1e10", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    data = json.loads(proc.stdout)
+    # channels with a nonzero eigenvalue are opaque; the default preset's
+    # zero-eigenvalue channel passes
+    assert data["channel_amplitudes"] == [{"re": 0.0, "im": 0.0}] * 3 + [{"re": 1.0, "im": 0.0}]
+    t = np.array([[z["re"] + 1j * z["im"] for z in row] for row in data["transmission"]])
+    r = np.array([[z["re"] + 1j * z["im"] for z in row] for row in data["reflection"]])
+    assert np.allclose(r, t - np.eye(4), atol=0.0)
+    assert np.max(np.abs(t.conj().T @ t + r.conj().T @ r - np.eye(4))) <= 1e-12
 
 
 def test_selftest_passes():

@@ -5,11 +5,14 @@ import pytest
 
 from conftest import block_solve_two_impurity, random_hermitian
 from spinscatter import (
+    DEFAULT_TOLERANCES,
     InternalFaultError,
     OperatorAmplitudes,
     ScalarAmplitudes,
     TwoImpurityGeometry,
     basis_state,
+    embed,
+    exchange_matrix,
     first_order_composition,
     make_state,
     matrix_amplitudes,
@@ -69,6 +72,32 @@ def test_matrix_amplitudes_flux_conservation():
             t, r = ops.transmission, ops.reflection
             flux = t.conj().T @ t + r.conj().T @ r
             assert np.max(np.abs(flux - np.eye(dim))) < 1e-11
+
+
+@pytest.mark.parametrize("coupling", [1e6, 1e8, 1e10])
+def test_matrix_amplitudes_strong_embedded_exchange(coupling):
+    # the residual max|(I + iM/k)T - I| grows with |M/k| (1.35e-10 at 1e6 and
+    # 5.0e-9 at 1e8 on this potential); an absolute 1e-10 bound raised here
+    potential = embed(coupling * exchange_matrix(), 3, (2, 1))
+    ops = matrix_amplitudes(potential, 1.0)
+    t, r = ops.transmission, ops.reflection
+    flux = t.conj().T @ t + r.conj().T @ r - np.eye(8)
+    assert np.max(np.abs(flux)) <= DEFAULT_TOLERANCES.solver_residual
+
+
+def test_matrix_amplitudes_refuses_a_swamped_identity():
+    # at |M/k| ~ 1e162 the solve's residual is small relative to the
+    # operands, but T no longer conserves flux
+    with pytest.raises(InternalFaultError, match="flux conservation"):
+        matrix_amplitudes(embed(1e162 * exchange_matrix(), 3, (2, 1)), 1.0)
+
+
+def test_scalar_amplitudes_opaque_limit():
+    # coupling/k overflows to infinity: the barrier transmits nothing
+    for coupling in (1e10, -1e10):
+        amps = scalar_amplitudes(coupling, 1e-300)
+        assert amps.transmission == 0j and amps.reflection == -1 + 0j
+        assert math.isinf(amps.xi)
 
 
 def test_matrix_amplitudes_rejects_bad_potentials():

@@ -1,14 +1,24 @@
 """Sweeps through the batched kernel against single calls and a stored snapshot."""
 
+import contextlib
+import csv
+import hashlib
+import io
+import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinscatter import GridSpec, InternalFaultError, run_protocol, sweep
+from spinscatter import GridSpec, InternalFaultError, SweepRecord, cli, run_protocol, sweep
 
-SNAPSHOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "parent_sweeps.npz")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+SNAPSHOT = os.path.join(DATA, "parent_sweeps.npz")
+with open(os.path.join(DATA, "sweep_digests.json"), encoding="utf-8") as _fh:
+    DIGESTS = json.load(_fh)
 METRICS = ("probability", "entropy_bits", "concurrence")
 
 
@@ -131,3 +141,112 @@ def test_sweep_raises_the_first_bad_point_message(protocol, grids, fixed, messag
 def test_sweep_rejects_text_parameters():
     with pytest.raises(ValueError, match="not numeric"):
         sweep("entangle-impurities", [GridSpec("mode", 0.0, 1.0, 2)], {"r": 1.0})
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_sweep_output_bytes_equal_the_stored_digests(name, fmt):
+    """The benchmark grids at seed 1, against the sha256 of the stdout the
+    per-row renderer wrote before sweeps were rendered by column."""
+    stored = DIGESTS[name]
+    code, out, err = _main(stored["argv"] + ["--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stored["stdout_sha256"][fmt]
+    if fmt == "table":
+        assert err == "" and out.endswith("\n" + stored["argmax"] + "\n")
+    else:
+        assert err == stored["argmax"] + "\n"
+
+
+def test_csv_sweep_builds_no_records(monkeypatch):
+    built = []
+    init = SweepRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SweepRecord, "__init__", counting_init)
+    code, out, _ = _main(DIGESTS["sweep_filter"]["argv"] + ["--format", "csv"])
+    assert code == 0 and out.count("\r\n") == 61 * 61 + 1
+    assert built == []
+    # the counter sees records when something reads them
+    assert len(sweep("concentrate", [GridSpec("a", 0.1, 0.6, 3)], {"r": 1.0}).records) == 3
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("protocol, grids, fixed", CASES[::4])
+def test_records_equal_the_columns_row_for_row(protocol, grids, fixed):
+    res = sweep(protocol, grids, fixed)
+    names = [g.name for g in grids]
+    assert res.fieldnames == tuple(names) + METRICS == tuple(res.columns)
+    assert len(res.records) == len(res.columns["probability"])
+    for i, rec in enumerate(res.records):
+        assert rec.params == {name: res.columns[name][i] for name in names}
+        assert rec.metrics == {m: res.columns[m][i] for m in METRICS}
+        assert all(type(v) is float for v in (*rec.params.values(), *rec.metrics.values()))
+    objective = res.columns["entropy_bits"]
+    best = int(np.argmax(objective))
+    assert res.argmax == {"objective": "entropy", "value": objective[best],
+                          **{name: res.columns[name][best] for name in names}}
+
+
+# ---------------------------------------------------------------------------
+# The columnar renderer against the per-row one it replaced
+
+def _reference_emit(names, rows, fmt):
+    """Row-by-row rendering: csv.writer with format(x, '.12g'), _round12 and
+    json.dumps, and _f6 with ljust-aligned columns."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n", quoting=csv.QUOTE_MINIMAL)
+        writer.writerow(names)
+        for row in rows:
+            writer.writerow(["" if v is None else format(v, ".12g") if isinstance(v, float)
+                             else str(v) for v in row])
+        return buf.getvalue()
+    if fmt == "json":
+        return json.dumps([{n: cli._round12(v) if isinstance(v, float) else v
+                            for n, v in zip(names, row)} for row in rows], indent=2) + "\n"
+    cells = [list(names)] + [[cli._f6(v) if isinstance(v, float) or v is None else str(v)
+                              for v in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(names))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                     for row in cells) + "\n"
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+CELLS = st.one_of(st.none(), FINITE, st.integers(), st.text(max_size=6))
+
+
+@st.composite
+def tables(draw):
+    """(fieldnames, columns) with float-array and mixed-cell columns."""
+    names = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=5, unique=True))
+    rows = draw(st.integers(0, 12))
+    columns = {}
+    for name in names:
+        if draw(st.booleans()):
+            columns[name] = np.array(draw(st.lists(FINITE, min_size=rows, max_size=rows)), dtype=float)
+        else:
+            columns[name] = draw(st.lists(CELLS, min_size=rows, max_size=rows))
+    return names, columns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tables(), st.sampled_from(["csv", "json", "table"]))
+def test_columnar_renderer_matches_per_row_reference(table, fmt):
+    names, columns = table
+    rows = [[c[i].item() if isinstance(c, np.ndarray) else c[i] for c in columns.values()]
+            for i in range(len(next(iter(columns.values()))))]
+    expected = _reference_emit(names, rows, fmt)
+    assert cli.emit_columns(columns, fmt) == expected
+    records = [dict(zip(names, row)) for row in rows]
+    assert cli.emit_records(records, fmt, names) == expected
