@@ -133,7 +133,15 @@ def filter_transmission(amplitude, sigma) -> np.ndarray:
     register.  The aligned component passes with amplitude exactly 1.
     """
     eye = np.eye(sigma.shape[-1])
-    return 0.5 * (eye + sigma) + np.asarray(amplitude)[..., None, None] * (0.5 * (eye - sigma))
+    # S (0.5 (I - sigma)) + 0.5 (I + sigma), in place where the operand
+    # order allows, so a stack holds two temporaries fewer
+    t = eye - sigma
+    t *= 0.5
+    t = np.asarray(amplitude)[..., None, None] * t
+    aligned = eye + sigma
+    aligned *= 0.5
+    t += aligned
+    return t
 
 
 def kondo_channel_amplitudes(spec: KondoImpurity, k: float) -> tuple[complex, ...]:

@@ -116,7 +116,8 @@ def _json_text(obj) -> str:
 # Tables are carried column by column.  In csv, a column of floats (a float
 # array or a sequence of floats) is formatted by one %-template pass over the
 # whole table, since '%.12g' % x equals format(x, '.12g') for every float;
-# every other cell is formatted on its own.
+# every other cell is formatted on its own.  In json, a table of finite
+# floats is rounded and written by %-template passes too (_json_table).
 
 def _column(values) -> tuple[bool, list]:
     """Whether every cell is a float, and the cells as a list."""
@@ -163,11 +164,28 @@ def emit_columns(columns, fmt: str) -> str:
         buf.write(template * rows % tuple(chain.from_iterable(zip(*cells))))
         return buf.getvalue()
     if fmt == "json":
-        values = [[_round12(v) if isinstance(v, float) else v for v in c] for c in cols]
-        return _json_text([dict(zip(names, row)) for row in zip(*values)])
+        return _json_table(names, cols, floats, rows)
     texts = [[_f6(v) if isinstance(v, float) or v is None else str(v) for v in c] for c in cols]
     template = "  ".join(f"%-{max([len(n), *map(len, t)])}s" for n, t in zip(names, texts))
     return "".join((template % row).rstrip() + "\n" for row in chain([names], zip(*texts)))
+
+
+def _json_table(names, cols, floats, rows) -> str:
+    """json.dumps(rows, indent=2) of a table, floats rounded to 12 digits.
+
+    A table of finite floats under text names is written by one %-template
+    pass with the same bytes: json writes a finite float as its repr.  Any
+    other table goes through json.dumps.
+    """
+    cells = tuple(chain.from_iterable(zip(*cols)))
+    if rows and all(floats) and all(isinstance(n, str) for n in names) \
+            and all(map(math.isfinite, cells)):
+        rounded = tuple(map(float, ("%.12g " * len(cells) % cells).split()))
+        row = "  {\n" + ",\n".join(f"    {json.dumps(n).replace('%', '%%')}: %r"
+                                    for n in names) + "\n  }"
+        return "[\n" + ",\n".join([row] * rows) % rounded + "\n]\n"
+    values = [[_round12(v) if isinstance(v, float) else v for v in c] for c in cols]
+    return _json_text([dict(zip(names, row)) for row in zip(*values)])
 
 
 def emit_records(records, fmt: str, fieldnames=None) -> str:

@@ -17,14 +17,20 @@ Four protocols, each returning a ProtocolResult:
   "first-order" is its truncation to a single pass.
 
 Evaluation: each protocol is one kernel over N stacked parameter points,
-with register states held as arrays of shape (N, 2^n).  The channel
-projectors are embedded in the register once, at import, so the operators
-of all N points come from one einsum.  sweep runs the kernel over its grid
-in blocks of _BLOCK points; the single-call functions and run_protocol are
-a batch of one whose row is wrapped in the ProtocolResult, EventTree and
-SpinState types.  Parameters are validated at those entry points for all
-points at once, and the error raised is the one a point-by-point loop would
-raise first.
+with register states held as arrays of shape (N, 2^n).  Exchange keeps the
+total S_z, so its operators are block-diagonal in the Hamming-weight
+sectors {0}, {1,2,4}, {3,5,6}, {7} of the three-qubit register.  The
+exchange protocols run each sector that the initial amplitudes occupy on
+its own: the channel projectors are embedded in the register and sliced to
+the sectors once, at import, the operators of all N points come from one
+einsum per sector as (N, d, d) blocks with d <= 3, and the results are
+scattered back into (N, 8) states.  The filter, whose tilted axis does not
+keep S_z, acts on the (N, 4, 4) pair operators.  sweep runs the kernel over
+its grid in blocks of _BLOCK (1024) points; the single-call functions and
+run_protocol are a batch of one whose row is wrapped in the
+ProtocolResult, EventTree and SpinState types.  Parameters are validated at
+those entry points for all points at once, and the error raised is the one
+a point-by-point loop would raise first.
 
 Probability bookkeeping: branch states carry raw (unnormalized) amplitudes
 descended from the normalized initial state, so a branch's squared norm is
@@ -65,16 +71,28 @@ _PAIR_REGISTER = ("particle-2", "particle-1")
 _PARTICLES_REGISTER = ("particle-2", "particle-1", "impurity-0")
 _IMPURITIES_REGISTER = ("particle-0", "impurity-1", "impurity-2")
 
-# Channel projectors embedded once per target pair of the three-qubit register.
-_EXCHANGE_ON = {
-    targets: np.stack([embed(proj, 3, targets) for proj in EXCHANGE_PROJECTORS])
-    for targets in ((1, 0), (2, 0), (2, 1))
-}
+# Hamming-weight sectors {0}, {1,2,4}, {3,5,6}, {7} of the three-qubit
+# register.  Exchange keeps the total S_z (its only spin flip is
+# |01> <-> |10>), so every exchange operator is block-diagonal in them.
+_SECTORS = ((0,), (1, 2, 4), (3, 5, 6), (7,))
+
+
+def _sector_projectors(targets):
+    """Channel projectors embedded on targets, one (4, d, d) block per sector."""
+    embedded = np.stack([embed(proj, 3, targets) for proj in EXCHANGE_PROJECTORS])
+    return tuple(np.ascontiguousarray(embedded[:, index][:, :, index]) for index in _SECTORS)
+
+
+# Channel projectors per target pair of the three-qubit register, sliced to
+# the sectors once.
+_EXCHANGE_ON = {targets: _sector_projectors(targets) for targets in ((1, 0), (2, 0), (2, 1))}
 # Pauli matrices on particle-1 of the filtered pair; the filter's n.sigma is
 # their combination with the axis components.
 _FILTER_PAULIS = np.stack([embed(sigma, 2, (0,)) for sigma in (PAULI_X, PAULI_Y, PAULI_Z)])
 
-_BLOCK = 256  # grid points per kernel call; bounds the (N, 8, 8) temporaries
+# grid points per kernel call; bounds the (N, 4, 4) filter operators and the
+# (N, d, d) sector blocks, d <= 3, of the exchange protocols
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -139,7 +157,10 @@ class _Checks:
 
     def add(self, bad, message, error=ValueError):
         """Record a check; message is text or a function of the point index."""
-        self._checks.append((np.broadcast_to(bad, (self.n,)), message, error))
+        bad = np.asarray(bad)
+        if bad.shape != (self.n,):
+            bad = np.broadcast_to(bad, (self.n,))
+        self._checks.append((bad, message, error))
 
     def fail(self, message):
         """A failure shared by every point, raised at once (after earlier checks at point 0)."""
@@ -206,6 +227,43 @@ def _apply(op, psi):
     return np.einsum("nij,nj->ni", op, psi)
 
 
+@functools.cache
+def _identity(d):
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
+def _transmit(t, psi):
+    """Transmitted T psi and reflected (T - I) psi amplitudes of one barrier."""
+    return _apply(t, psi), _apply(t - _identity(t.shape[-1]), psi)
+
+
+@functools.cache
+def _kept(n, qubit, bit):
+    """Indices of an n-qubit register whose qubit reads bit, ascending."""
+    keep = np.flatnonzero(((np.arange(2 ** n) >> qubit) & 1) == bit)
+    keep.setflags(write=False)
+    return keep
+
+
+def _by_sector(psi0, count, step):
+    """Run an exchange-only step on each S_z sector that psi0 occupies.
+
+    step(w, psi) gets the sector index w and the (N, d) amplitudes of psi0
+    in it, and returns count (N, d) arrays.  They are scattered into count
+    (N, 8) arrays; sectors where psi0 is zero at every point stay exactly
+    zero.
+    """
+    occupied = psi0.any(axis=0).tolist()
+    outs = [np.zeros(psi0.shape, dtype=complex) for _ in range(count)]
+    for w, index in enumerate(_SECTORS):
+        if any(occupied[i] for i in index):
+            for out, part in zip(outs, step(w, psi0.take(index, axis=1))):
+                out[:, index] = part
+    return outs
+
+
 def _outcome(label, pair_labels, amps, prob, parent=None) -> _Outcomes:
     """Figures of a branch whose undetected pair has raw amplitudes amps.
 
@@ -229,16 +287,16 @@ def _measure(state, qubit, prefix, register, parent):
     of the two bits; each outcome's pair drops the measured qubit.
     """
     n = len(register)
-    index = np.arange(2 ** n)
     pair_labels = tuple(label for i, label in enumerate(register) if i != n - 1 - qubit)
     branches, outcomes = [], []
     for bit in (0, 1):
-        keep = np.flatnonzero(((index >> qubit) & 1) == bit)
+        keep = _kept(n, qubit, bit)
+        amps = state.take(keep, axis=1)
         collapsed = np.zeros_like(state)
-        collapsed[:, keep] = state[:, keep]
+        collapsed[:, keep] = amps
         label = f"{prefix}|{bit}>"
         branches.append((label, collapsed))
-        outcomes.append(_outcome(label, pair_labels, state[:, keep], _norm2(collapsed), parent))
+        outcomes.append(_outcome(label, pair_labels, amps, _norm2(collapsed), parent))
     return branches, outcomes
 
 
@@ -345,8 +403,7 @@ def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
                             np.einsum("na,aij->nij", axis, _FILTER_PAULIS))
     psi0 = np.zeros((checks.n, 4), dtype=complex)
     psi0[:, 0], psi0[:, 3] = a, b
-    transmit = _apply(t, psi0)
-    reflect = _apply(t - np.eye(4), psi0)
+    transmit, reflect = _transmit(t, psi0)
     prob = _norm2(transmit)
     outcome = _outcome("transmitted", _PAIR_REGISTER, transmit, prob)
     meta = {"coupling": r, "xi": 2.0 * r / k, **_attempts(prob)}
@@ -378,11 +435,10 @@ def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
     checks.raise_first()
 
     s = _channel_amplitudes(r, k, eigenvalues)
-    t = exchange_transmission(s, _EXCHANGE_ON[(1, 0)])
     psi0 = np.zeros((checks.n, 8), dtype=complex)
     psi0[:, 0], psi0[:, 6] = a, b
-    transmit = _apply(t, psi0)
-    reflect = _apply(t - np.eye(8), psi0)
+    transmit, reflect = _by_sector(
+        psi0, 2, lambda w, psi: _transmit(exchange_transmission(s, _EXCHANGE_ON[(1, 0)][w]), psi))
     measured, outcomes = _measure(transmit, 0, "transmitted, impurity measured ",
                                   _PARTICLES_REGISTER, _norm2(transmit))
     residual = np.abs(_modulus(a * s[:, 0]) - _modulus(b * (s[:, 2] + s[:, 3]) / 2.0))
@@ -399,14 +455,14 @@ def _entangle_particles(checks, k, r, eigenvalues, initial) -> _Batch:
     checks.raise_first()
 
     s = _channel_amplitudes(r, k, eigenvalues)
-    t_first = exchange_transmission(s, _EXCHANGE_ON[(1, 0)])
-    t_second = exchange_transmission(s, _EXCHANGE_ON[(2, 0)])
-    eye = np.eye(8)
+
+    def step(w, psi):
+        after_1, reflected_1 = _transmit(exchange_transmission(s, _EXCHANGE_ON[(1, 0)][w]), psi)
+        after_2, reflected_2 = _transmit(exchange_transmission(s, _EXCHANGE_ON[(2, 0)][w]), after_1)
+        return reflected_1, reflected_2, after_2
+
     psi0 = np.broadcast_to(initial.amplitudes, (checks.n, 8))
-    reflected_1 = _apply(t_first - eye, psi0)
-    after_1 = _apply(t_first, psi0)
-    reflected_2 = _apply(t_second - eye, after_1)
-    after_2 = _apply(t_second, after_1)
+    reflected_1, reflected_2, after_2 = _by_sector(psi0, 3, step)
     measured, outcomes = _measure(after_2, 0, "both transmitted, impurity measured ",
                                   initial.labels, _norm2(after_2))
     tree = [("particle-1 reflected", reflected_1),
@@ -432,25 +488,30 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
                      "potential_right entries must be finite" if exact else "coupling must be finite")
     checks.raise_first()
 
-    t1 = exchange_transmission(_channel_amplitudes(r1, k, eigenvalues_1), _EXCHANGE_ON[(2, 1)])
-    t2 = exchange_transmission(_channel_amplitudes(r2, k, eigenvalues_2), _EXCHANGE_ON[(2, 0)])
-    psi0 = np.broadcast_to(initial.amplitudes, (checks.n, 8))
-    if exact:
-        after_2, reflected = star_product(t1, t2, np.exp(2j * k * half_separation),
-                                          psi0[..., None])
-        after_2 = after_2[..., 0]
-        failures = [("reflected", reflected[..., 0])]
-        prefix = "transmitted, particle measured "
-    else:
+    s1 = _channel_amplitudes(r1, k, eigenvalues_1)
+    s2 = _channel_amplitudes(r2, k, eigenvalues_2)
+    phase = np.exp(2j * k * half_separation)
+
+    def step(w, psi):
+        t1 = exchange_transmission(s1, _EXCHANGE_ON[(2, 1)][w])
+        t2 = exchange_transmission(s2, _EXCHANGE_ON[(2, 0)][w])
+        if exact:
+            after_2, reflected = star_product(t1, t2, phase, psi[..., None])
+            return reflected[..., 0], after_2[..., 0]
         # the star product without its p^2 R1 R2 term, each reflection resolved
-        eye = np.eye(8)
-        after_1 = _apply(t1, psi0)
-        after_2 = _apply(t2, after_1)
-        failures = [("reflected at impurity-1", _apply(t1 - eye, psi0)),
-                    ("transmitted impurity-1, reflected at impurity-2", _apply(t2 - eye, after_1))]
+        after_1, reflected_1 = _transmit(t1, psi)
+        after_2, reflected_2 = _transmit(t2, after_1)
+        return reflected_1, reflected_2, after_2
+
+    if exact:
+        failure_labels, prefix = ("reflected",), "transmitted, particle measured "
+    else:
+        failure_labels = ("reflected at impurity-1", "transmitted impurity-1, reflected at impurity-2")
         prefix = "both transmitted, particle measured "
+    psi0 = np.broadcast_to(initial.amplitudes, (checks.n, 8))
+    *failures, after_2 = _by_sector(psi0, len(failure_labels) + 1, step)
     measured, outcomes = _measure(after_2, 2, prefix, initial.labels, _norm2(after_2))
-    return _batch(psi0, initial.labels, [*failures, *measured], outcomes,
+    return _batch(psi0, initial.labels, [*zip(failure_labels, failures), *measured], outcomes,
                   _attempts(outcomes[0].probability),
                   _describe(k=k, r1=r1, r2=r2, half_separation=half_separation))
 

@@ -120,28 +120,30 @@ class OperatorAmplitudes:
 def matrix_amplitudes(potential, k: float) -> OperatorAmplitudes:
     """Transmission operator of a matrix-valued delta barrier M delta(x).
 
-    Solves (I + i M/k) T = I by a direct dense solve; (I + i M/k) is
-    invertible for every Hermitian M since its spectrum is 1 + i*real.
-    The solve is checked by its residual relative to the operands: a
-    backward-stable solve leaves max|(I + iM/k)T - I| of the order of the
-    machine epsilon times ||I + iM/k||·||T||, which grows with |M/k|, so
-    the bound is solver_residual times that product (infinity norms; the
-    product is at least 1, so the bound never falls below solver_residual).
-    A small residual does not make T accurate once |M/k| swamps the
-    identity (from about 1e155 on), so flux conservation T+T + R+R = I is
-    checked as well.
+    T = (I + i M/k)^-1, built from the eigendecomposition M = V diag(lambda) V+
+    as T = V diag(S) V+ with the scalar transmissions S = 1/(1 + i lambda/k);
+    (I + i M/k) is invertible for every Hermitian M since its spectrum is
+    1 + i*real, and S is 0 where lambda/k overflows.  T is checked by its
+    residual relative to the operands, taken on k(I + iM/k) = kI + iM so
+    that it stays finite where M/k overflows: an accurate T leaves
+    max|(kI + iM)T - kI| of the order of the machine epsilon times
+    ||kI + iM||·||T||, which grows with |M|, so the bound is solver_residual
+    times that product (infinity norms).  A small residual relative to a
+    huge |M/k| does not make T accurate, so flux conservation T+T + R+R = I
+    is checked as well.
     """
     _check_wave_number(k)
     m = np.asarray(potential, dtype=complex)
     _check_hermitian(m)
-    lhs, t = _barrier_solve(m, k)
+    t = _barrier_transmissions(m, k)
     eye = np.eye(m.shape[0], dtype=complex)
-    residual = float(np.max(np.abs(lhs @ t - eye)))
+    lhs = k * eye + 1j * m
+    residual = float(np.max(np.abs(lhs @ t - k * eye)))
     scale = float(np.linalg.norm(lhs, np.inf) * np.linalg.norm(t, np.inf))
     if not residual <= TOL.solver_residual * scale:
         raise InternalFaultError(
-            f"delta-barrier solve residual {residual:.3e} exceeds "
-            f"{TOL.solver_residual:g} x |I + iM/k| |T| = {TOL.solver_residual * scale:.3e}"
+            f"delta-barrier residual max|(kI + iM)T - kI| = {residual:.3e} exceeds "
+            f"{TOL.solver_residual:g} x |kI + iM| |T| = {TOL.solver_residual * scale:.3e}"
         )
     r = t - eye
     flux = float(np.max(np.abs(t.conj().T @ t + r.conj().T @ r - eye)))
@@ -152,14 +154,13 @@ def matrix_amplitudes(potential, k: float) -> OperatorAmplitudes:
     return OperatorAmplitudes(t, r)
 
 
-def _barrier_solve(potentials, k):
-    """(I + iM/k) and its inverse T for a stack of Hermitian potentials M."""
-    eye = np.eye(potentials.shape[-1], dtype=complex)
-    lhs = eye + 1j * potentials / k
+def _barrier_transmissions(potentials, k):
+    """T = V diag(S) V+ = (I + iM/k)^-1 for a stack of Hermitian potentials M."""
     try:
-        return lhs, np.linalg.solve(lhs, eye)
-    except np.linalg.LinAlgError as exc:  # unreachable for Hermitian input
-        raise InternalFaultError(f"delta-barrier solve failed: {exc}") from exc
+        lam, v = np.linalg.eigh(potentials)
+    except np.linalg.LinAlgError as exc:  # unreachable for finite Hermitian input
+        raise InternalFaultError(f"delta-barrier eigendecomposition failed: {exc}") from exc
+    return (v * barrier_transmission(lam, k)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -241,7 +242,7 @@ def two_impurity_exact(geom: TwoImpurityGeometry, incident_spin: SpinState | Non
     d = geom.dim
     k = geom.k
     eye = np.eye(d, dtype=complex)
-    _, (t1, t2) = _barrier_solve(np.stack([geom.potential_left, geom.potential_right]), k)
+    t1, t2 = _barrier_transmissions(np.stack([geom.potential_left, geom.potential_right]), k)
     transmission, reflection = star_product(
         t1, t2, np.exp(2j * k * geom.half_separation), eye)
     conservation = float(np.max(np.abs(

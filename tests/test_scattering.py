@@ -7,6 +7,7 @@ from conftest import block_solve_two_impurity, random_hermitian
 from spinscatter import (
     DEFAULT_TOLERANCES,
     InternalFaultError,
+    KondoImpurity,
     OperatorAmplitudes,
     ScalarAmplitudes,
     TwoImpurityGeometry,
@@ -14,9 +15,11 @@ from spinscatter import (
     embed,
     exchange_matrix,
     first_order_composition,
+    kondo_operators,
     make_state,
     matrix_amplitudes,
     scalar_amplitudes,
+    scattering,
     two_impurity_exact,
 )
 
@@ -85,9 +88,27 @@ def test_matrix_amplitudes_strong_embedded_exchange(coupling):
     assert np.max(np.abs(flux)) <= DEFAULT_TOLERANCES.solver_residual
 
 
-def test_matrix_amplitudes_refuses_a_swamped_identity():
-    # at |M/k| ~ 1e162 the solve's residual is small relative to the
-    # operands, but T no longer conserves flux
+@pytest.mark.parametrize("k", [1.0, 1e-3])
+@pytest.mark.parametrize("coupling", [1e156, 1e160, 1e200, 1e306])
+def test_matrix_amplitudes_past_the_swamped_identity(coupling, k):
+    # an LU solve of I + iM/k loses the identity from |M/k| ~ 1e155 on; the
+    # eigendecomposition keeps the channels that the potential leaves open,
+    # also where M/k overflows (1e306 at k = 1e-3)
+    potential = embed(coupling * exchange_matrix(), 3, (2, 1))
+    ops = matrix_amplitudes(potential, k)
+    t, r = ops.transmission, ops.reflection
+    flux = t.conj().T @ t + r.conj().T @ r - np.eye(8)
+    assert np.max(np.abs(flux)) <= DEFAULT_TOLERANCES.solver_residual
+    channels = embed(kondo_operators(KondoImpurity(coupling), k).transmission, 3, (2, 1))
+    assert np.max(np.abs(t - channels)) <= 1e-12
+
+
+def test_matrix_amplitudes_flux_check_catches_what_the_residual_misses(monkeypatch):
+    # at |M/k| ~ 1e162 the residual bound scales with ||kI + iM|| ~ 1e162, so
+    # a transmission off by a phase passes it; flux conservation refuses it
+    exact = scattering.barrier_transmission
+    monkeypatch.setattr(scattering, "barrier_transmission",
+                        lambda coupling, k: exact(coupling, k) * np.exp(0.1j))
     with pytest.raises(InternalFaultError, match="flux conservation"):
         matrix_amplitudes(embed(1e162 * exchange_matrix(), 3, (2, 1)), 1.0)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinscatter import GridSpec, InternalFaultError, SweepRecord, cli, run_protocol, sweep
+from spinscatter import GridSpec, InternalFaultError, SweepRecord, cli, protocols, run_protocol, sweep
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 SNAPSHOT = os.path.join(DATA, "parent_sweeps.npz")
@@ -34,10 +34,11 @@ def _assert_records_match_single_calls(protocol, grids, fixed):
     return res
 
 
-# Every numeric parameter of every protocol is swept at least once.  Grids
-# of more than 256 points cross kernel block boundaries; zero couplings,
-# product inputs and the aligned initial state 000 give null branches, and
-# log grids reach couplings of 1e10.
+# Every numeric parameter of every protocol is swept at least once.  Zero
+# couplings, product inputs and the aligned initial state 000 give null
+# branches, and log grids reach couplings of 1e10.  Each grid fits in one
+# kernel block (protocols._BLOCK points); the block-size test below runs
+# them across block boundaries.
 CASES = [
     ("concentrate", [GridSpec("a", 0.05, 1.0, 20), GridSpec("r", 0.0, 3.0, 15)], {"k": 1.3}),
     ("concentrate", [GridSpec("k", 0.2, 4.0, 7), GridSpec("axis_theta", 0.0, 3.0, 7)],
@@ -72,6 +73,15 @@ CASES = [
 @pytest.mark.parametrize("protocol, grids, fixed", CASES)
 def test_sweep_records_equal_single_calls(protocol, grids, fixed):
     _assert_records_match_single_calls(protocol, grids, fixed)
+
+
+def test_sweep_columns_do_not_depend_on_the_block(monkeypatch):
+    default = [sweep(protocol, grids, fixed).columns for protocol, grids, fixed in CASES]
+    monkeypatch.setattr(protocols, "_BLOCK", 7)
+    for (protocol, grids, fixed), expected in zip(CASES, default):
+        columns = sweep(protocol, grids, fixed).columns
+        assert list(columns) == list(expected)
+        assert all(np.array_equal(columns[name], expected[name]) for name in expected)
 
 
 def test_sweep_cases_include_null_branches():
