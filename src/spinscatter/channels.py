@@ -152,8 +152,9 @@ def kondo_channel_amplitudes(spec: KondoImpurity, k: float) -> tuple[complex, ..
 def kondo_operators(spec: KondoImpurity, k: float) -> OperatorAmplitudes:
     """Two-spin transmission/reflection operators of the exchange impurity.
 
-    Built channel by channel from the eigenbasis (a deliberately different
-    route from matrix_amplitudes' linear solve; the two must agree).
+    Built channel by channel from the known eigenbasis (a deliberately
+    different route from matrix_amplitudes, which diagonalizes the potential
+    numerically; the two must agree).
     """
     t = exchange_transmission(np.array(kondo_channel_amplitudes(spec, k)))
     return OperatorAmplitudes(t, t - np.eye(4))

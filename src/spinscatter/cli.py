@@ -116,8 +116,8 @@ def _json_text(obj) -> str:
 # Tables are carried column by column.  In csv, a column of floats (a float
 # array or a sequence of floats) is formatted by one %-template pass over the
 # whole table, since '%.12g' % x equals format(x, '.12g') for every float;
-# every other cell is formatted on its own.  In json, a table of finite
-# floats is rounded and written by %-template passes too (_json_table).
+# every other cell is formatted on its own.  JSON is written the same way
+# (_json_table).
 
 def _column(values) -> tuple[bool, list]:
     """Whether every cell is a float, and the cells as a list."""
@@ -173,19 +173,29 @@ def emit_columns(columns, fmt: str) -> str:
 def _json_table(names, cols, floats, rows) -> str:
     """json.dumps(rows, indent=2) of a table, floats rounded to 12 digits.
 
-    A table of finite floats under text names is written by one %-template
-    pass with the same bytes: json writes a finite float as its repr.  Any
-    other table goes through json.dumps.
+    Written by one %-template pass, as the csv is: a column of finite
+    floats is rounded by one '%.12g' pass and written with %r, which is how
+    json writes a finite float; every other cell, non-finite floats
+    included, is written by json.dumps on its own (_json_field).
     """
-    cells = tuple(chain.from_iterable(zip(*cols)))
-    if rows and all(floats) and all(isinstance(n, str) for n in names) \
-            and all(map(math.isfinite, cells)):
-        rounded = tuple(map(float, ("%.12g " * len(cells) % cells).split()))
-        row = "  {\n" + ",\n".join(f"    {json.dumps(n).replace('%', '%%')}: %r"
-                                    for n in names) + "\n  }"
-        return "[\n" + ",\n".join([row] * rows) % rounded + "\n]\n"
-    values = [[_round12(v) if isinstance(v, float) else v for v in c] for c in cols]
-    return _json_text([dict(zip(names, row)) for row in zip(*values)])
+    if not rows:
+        return "[]\n"
+    fields, cells = [], []
+    for c, f in zip(cols, floats):
+        if f and all(map(math.isfinite, c)):
+            fields.append("%r")
+            cells.append(map(float, ("%.12g " * rows % tuple(c)).split()))
+        else:
+            fields.append("%s")
+            cells.append(map(_json_field, c))
+    row = "  {\n" + ",\n".join(f"    {json.dumps(n).replace('%', '%%')}: {f}"
+                                for n, f in zip(names, fields)) + "\n  }"
+    return "[\n" + ",\n".join([row] * rows) % tuple(chain.from_iterable(zip(*cells))) + "\n]\n"
+
+
+def _json_field(v) -> str:
+    """A cell as json.dumps writes it, a float rounded to 12 digits."""
+    return json.dumps(_round12(v) if isinstance(v, float) else v)
 
 
 def emit_records(records, fmt: str, fieldnames=None) -> str:

@@ -91,9 +91,8 @@ def test_matrix_amplitudes_strong_embedded_exchange(coupling):
 @pytest.mark.parametrize("k", [1.0, 1e-3])
 @pytest.mark.parametrize("coupling", [1e156, 1e160, 1e200, 1e306])
 def test_matrix_amplitudes_past_the_swamped_identity(coupling, k):
-    # an LU solve of I + iM/k loses the identity from |M/k| ~ 1e155 on; the
-    # eigendecomposition keeps the channels that the potential leaves open,
-    # also where M/k overflows (1e306 at k = 1e-3)
+    # no fault and flux conserved, also where M/k overflows (1e306 at
+    # k = 1e-3), and T equal to the channel construction
     potential = embed(coupling * exchange_matrix(), 3, (2, 1))
     ops = matrix_amplitudes(potential, k)
     t, r = ops.transmission, ops.reflection
@@ -101,6 +100,17 @@ def test_matrix_amplitudes_past_the_swamped_identity(coupling, k):
     assert np.max(np.abs(flux)) <= DEFAULT_TOLERANCES.solver_residual
     channels = embed(kondo_operators(KondoImpurity(coupling), k).transmission, 3, (2, 1))
     assert np.max(np.abs(t - channels)) <= 1e-12
+
+
+@pytest.mark.parametrize("targets", [(2, 0), (2, 1)])
+@pytest.mark.parametrize("coupling", [1e6, 1e8, 1e10])
+def test_matrix_amplitudes_open_channel_beside_a_strong_one(coupling, targets):
+    # eigenvalue 0 in the block of a strong channel: T is accurate to about
+    # eps·||M||/k there (up to 0.52 of it on these cases)
+    eigenvalues = (1.0, 0.0, 0.0, 1.0)
+    t = matrix_amplitudes(embed(coupling * exchange_matrix(eigenvalues), 3, targets), 1.0).transmission
+    channels = embed(kondo_operators(KondoImpurity(coupling, eigenvalues), 1.0).transmission, 3, targets)
+    assert np.max(np.abs(t - channels)) <= np.finfo(float).eps * coupling
 
 
 def test_matrix_amplitudes_flux_check_catches_what_the_residual_misses(monkeypatch):

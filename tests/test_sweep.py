@@ -250,6 +250,15 @@ def tables(draw):
     return names, columns
 
 
+def test_json_renderer_writes_non_finite_and_boolean_cells_as_json_dumps():
+    columns = {"x": np.array([math.nan, math.inf, 1.0 / 3.0]), "y": [True, None, -math.inf],
+               'a "%s"': [0.1, 2, "%r"]}
+    rows = [[c[i].item() if isinstance(c, np.ndarray) else c[i] for c in columns.values()]
+            for i in range(3)]
+    assert cli.emit_columns(columns, "json") == _reference_emit(list(columns), rows, "json")
+    assert cli.emit_columns({"x": np.array([])}, "json") == cli.emit_columns({}, "json") == "[]\n"
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(tables(), st.sampled_from(["csv", "json", "table"]))
 def test_columnar_renderer_matches_per_row_reference(table, fmt):
