@@ -24,6 +24,7 @@ one-line "internal fault: ..." diagnostic on stderr.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -601,25 +602,45 @@ def _to_grid(name, value):
     return grids
 
 
-def _to_fixed(name, value):
-    if isinstance(value, dict):
-        return {str(k).replace("-", "_"): v for k, v in value.items()}
-    pairs = [value] if isinstance(value, str) else list(value)
-    out = {}
-    for text in pairs:
-        text = str(text)
-        if "=" not in text:
-            raise ValueError(f"--{name} {text!r}: expected name=value")
-        key, raw = text.split("=", 1)
-        try:
-            out[key.replace("-", "_")] = float(raw)
-        except ValueError:
-            out[key.replace("-", "_")] = raw
-    return out
-
-
 def _to_str(name, value):
     return str(value)
+
+
+# The protocols' text parameters (protocols._TEXT_PARAMS), each read as its
+# own flag reads it.
+_FIXED_TEXT = {"initial": _to_str, "mode": _to_str,
+               "eigenvalues": _to_eigenvalues, "axis": _to_axis}
+
+
+def _fixed_value(name, key, raw):
+    """A pinned value given as text: a text parameter as its own flag reads
+    it, any other parameter as a number where the text parses as one."""
+    if key not in _FIXED_TEXT:
+        try:
+            return float(raw)
+        except ValueError:
+            return raw
+    try:
+        return _FIXED_TEXT[key](key, raw)
+    except ValueError as exc:
+        raise ValueError(f"--{name} {f'{key}={raw}'!r}: {exc}") from None
+
+
+def _to_fixed(name, value):
+    if isinstance(value, dict):  # a config file's "fixed" object
+        pairs = list(value.items())
+    else:
+        pairs = []
+        for text in [value] if isinstance(value, str) else list(value):
+            text = str(text)
+            if "=" not in text:
+                raise ValueError(f"--{name} {text!r}: expected name=value")
+            pairs.append(text.split("=", 1))
+    out = {}
+    for key, raw in pairs:
+        key = str(key).replace("-", "_")
+        out[key] = _fixed_value(name, key, raw) if isinstance(raw, str) else raw
+    return out
 
 
 # Per-command parameter tables: flag name -> (converter, repeatable, help).
@@ -690,7 +711,14 @@ _REQUIRED = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree of every command, built on first use and then shared.
+
+    Parsing leaves the tree as it was: each parse_args call fills a new
+    Namespace and append actions copy their lists, so calls in one process
+    see no state from earlier calls.
+    """
     parser = _Parser(prog="spinscatter",
                      description="Delta-potential spin scattering and entanglement protocols.")
     subs = parser.add_subparsers(dest="command", metavar="command")

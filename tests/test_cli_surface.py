@@ -1,0 +1,237 @@
+"""The command line's fixed surface and its reuse within one process.
+
+The help texts, usage errors and exit statuses are pinned to the bytes the
+CLI wrote when it built a new argparse tree for every call
+(tests/data/cli_surface.json, taken with COLUMNS=80).  The tree is now built
+once per process; the tests below show that a long mixed stream of
+cli.main calls gives the same bytes as running each call with a new tree,
+and that no parser is built after the first call.
+"""
+
+import argparse
+import contextlib
+import csv
+import io
+import json
+import os
+import random
+
+import pytest
+
+from spinscatter import cli, protocols, run_protocol
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+with open(os.path.join(DATA, "cli_surface.json"), encoding="utf-8") as _fh:
+    SURFACE = json.load(_fh)
+
+# Holds an unknown key; "{config}" in an argv stands for its path.
+BAD_CONFIG = {"k": 1.0, "r": 1.0, "wavelength": 3}
+
+SURFACE_ARGV = {
+    "help": ["--help"],
+    **{f"help {command}": [command, "--help"] for command in cli._PARAMS},
+    "no command": [],
+    "unknown command": ["bogus"],
+    "unknown flag": ["amplitudes", "--k", "1", "--r", "1", "--wavelength", "2"],
+    "flag missing its value": ["amplitudes", "--k"],
+    "missing required parameter": ["concentrate", "--k", "1"],
+    "unparsable number": ["amplitudes", "--k", "fast", "--r", "1"],
+    "bad format": ["amplitudes", "--k", "1", "--r", "1", "--format", "yaml"],
+    "unknown config key": ["amplitudes", "--config", "{config}"],
+}
+
+
+def capture(argv, config_path=None):
+    """cli.main(argv) in process: (exit status, stdout, stderr)."""
+    argv = [config_path if arg == "{config}" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def bad_config(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(cli._FORMAT_ENV, raising=False)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_CONFIG))
+    return str(path)
+
+
+def test_surface_covers_every_command():
+    assert set(SURFACE) == set(SURFACE_ARGV)
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE_ARGV))
+def test_cli_surface_equals_the_stored_bytes(name, bad_config):
+    stored = SURFACE[name]
+    assert stored["argv"] == SURFACE_ARGV[name]
+    code, out, err = capture(stored["argv"], bad_config)
+    assert (code, out, err) == (stored["exit"], stored["stdout"], stored["stderr"])
+    # help goes to stdout with status 0; a usage error is one stderr line with status 1
+    if name.startswith("help"):
+        assert code == 0 and err == "" and out.startswith("usage: spinscatter")
+    else:
+        assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# One parser per process: repeated calls carry no state
+
+_FORMATS = (None, "table", "csv", "json")
+
+
+def _mixed_calls(rng, configs):
+    """A seeded list of (argv, SPINSCATTER_FORMAT or None) over every command."""
+    def draw(lo, hi):
+        return f"{rng.uniform(lo, hi):.6g}"
+
+    makers = [
+        lambda: ["amplitudes", "--k", draw(0.2, 3), "--r", draw(-2, 2)],
+        lambda: ["filter", "--k", draw(0.2, 3), "--r", draw(-2, 2), "--axis", "0.6,0,0.8"],
+        lambda: ["kondo", "--k", draw(0.2, 3), "--r", draw(-2, 2),
+                 "--eigenvalues", rng.choice(["default", "standard-pauli", "1,1,1,-3"])],
+        lambda: ["concentrate", "--a-coeff", draw(0.1, 0.7), "--k", draw(0.5, 2)],
+        lambda: ["concentrate", "--a-coeff", draw(0.1, 0.7), "--k", "1", "--r", draw(0, 2),
+                 "--impurity", "kondo", "--a-phase", draw(0, 3)],
+        lambda: ["entangle-particles", "--k", draw(0.5, 2), "--r", draw(0, 2),
+                 "--initial", rng.choice(["001", "011", "000"])],
+        lambda: ["entangle-impurities", "--k", draw(0.5, 2), "--r1", draw(0, 2),
+                 "--r2", draw(0, 2), "--mode", rng.choice(["first-order", "exact"])],
+        lambda: ["sweep", "--protocol", "concentrate", "--grid", "r:0:2:5",
+                 "--grid", f"a:0.1:{draw(0.3, 0.7)}:3", "--fixed", "k=1", "--fixed", "axis=0,0,1"],
+        lambda: ["sweep", "--protocol", "entangle-impurities", "--grid", "r1:0:2:4",
+                 "--fixed", "r2=0.5", "--fixed", "mode=exact", "--fixed", f"k={draw(0.5, 2)}",
+                 "--objective", rng.choice(["entropy", "probability"])],
+        lambda: ["sweep", "--protocol", "entangle-particles", "--grid", "r:0:1:3",
+                 "--grid", "k:0.5:2:2", "--fixed", "initial=011", "--fixed", "eigenvalues=1,1,-2,0"],
+        lambda: ["sweep", "--config", configs["sweep"], "--grid", "k:0.5:1.5:2"],
+        lambda: ["amplitudes", "--config", configs["amplitudes"], "--r", draw(-1, 1)],
+        lambda: ["sweep", "--protocol", "concentrate", "--grid", "r:2:0:5", "--fixed", "a=0.5"],
+        lambda: ["entangle-impurities", "--k", "1", "--r1", "1", "--r2", "1", "--mode", "bogus"],
+        lambda: ["sweep", "--protocol", "entangle-particles", "--grid", "r:0:1:2",
+                 "--fixed", "axis=1,2"],
+    ]
+    calls = []
+    for i in range(150):
+        argv = makers[i % len(makers)]()
+        if rng.random() < 0.5:
+            argv += ["--format", rng.choice(_FORMATS[1:])]
+        calls.append((argv, rng.choice(_FORMATS)))
+    calls += [(argv, rng.choice(_FORMATS)) for argv in [*SURFACE_ARGV.values(), ["selftest"]]]
+    rng.shuffle(calls)
+    return calls
+
+
+def test_repeated_calls_equal_calls_with_a_new_parser(tmp_path, bad_config, monkeypatch):
+    configs = {"sweep": str(tmp_path / "sweep.json"), "amplitudes": str(tmp_path / "amp.json")}
+    with open(configs["sweep"], "w", encoding="utf-8") as fh:
+        json.dump({"protocol": "entangle-particles", "grid": ["r:0:1:3"],
+                   "fixed": {"initial": "011", "eigenvalues": "1,1,-2,0"}, "format": "csv"}, fh)
+    with open(configs["amplitudes"], "w", encoding="utf-8") as fh:
+        json.dump({"k": 1.5, "r": 0.5}, fh)
+    calls = _mixed_calls(random.Random(20261018), configs)
+    commands = {argv[0] for argv, _ in calls if argv}
+    assert set(cli._PARAMS) | {"--help", "bogus"} <= commands
+
+    def run_all(order, fresh):
+        results = {}
+        cli._build_parser.cache_clear()
+        for i in order:
+            argv, fmt = calls[i]
+            if fresh:
+                cli._build_parser.cache_clear()
+            if fmt is None:
+                monkeypatch.delenv(cli._FORMAT_ENV, raising=False)
+            else:
+                monkeypatch.setenv(cli._FORMAT_ENV, fmt)
+            results[i] = capture(argv, bad_config)
+        return [results[i] for i in range(len(calls))]
+
+    # the reference pass runs in reverse order, so state kept anywhere else shows too
+    shared = run_all(range(len(calls)), fresh=False)
+    fresh = run_all(reversed(range(len(calls))), fresh=True)
+    for (argv, fmt), got, expected in zip(calls, shared, fresh):
+        assert got == expected, (argv, fmt)
+    codes = [code for code, _, _ in shared]
+    assert codes.count(0) > len(calls) // 2 and codes.count(1) > 10
+
+
+def test_no_parser_is_built_after_the_first_call(bad_config, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    assert capture(["amplitudes", "--k", "1", "--r", "1"])[0] == 0
+    assert len(built) == 1 + len(cli._PARAMS)  # the root parser and one per command
+    for argv in [*SURFACE_ARGV.values(),
+                 ["sweep", "--protocol", "concentrate", "--grid", "r:0:1:3", "--fixed", "a=0.5"],
+                 ["entangle-impurities", "--k", "1", "--r1", "1", "--r2", "1", "--format", "json"]]:
+        capture(argv, bad_config)
+    assert len(built) == 1 + len(cli._PARAMS)
+
+
+# ---------------------------------------------------------------------------
+# sweep --fixed reads each text parameter as its own flag does
+
+def test_fixed_text_converters_cover_the_text_parameters():
+    assert set(cli._FIXED_TEXT) == set(protocols._TEXT_PARAMS)
+
+
+FIXED_TEXT_CASES = [
+    ("entangle-particles", ["--grid", "r:0:1:2", "--fixed", "initial=011"], {"initial": "011"}),
+    ("entangle-particles", ["--grid", "r:0:1:2", "--fixed", "eigenvalues=1,1,-2,0"],
+     {"eigenvalues": (1.0, 1.0, -2.0, 0.0)}),
+    ("concentrate", ["--grid", "r:0:1:2", "--fixed", "a=0.6", "--fixed", "axis=0,0,1"],
+     {"a": 0.6, "axis": (0.0, 0.0, 1.0)}),
+    ("concentrate", ["--grid", "r:0:1:3", "--fixed", "a=0.6", "--fixed", "axis=0.6,0,0.8"],
+     {"a": 0.6, "axis": (0.6, 0.0, 0.8)}),
+    ("entangle-impurities", ["--grid", "r1:0:1:3", "--fixed", "r2=0.7", "--fixed", "initial=010",
+                             "--fixed", "mode=exact"], {"r2": 0.7, "initial": "010", "mode": "exact"}),
+]
+
+
+def _assert_rows_equal_single_calls(protocol, code, out, direct):
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows
+    for row in rows:
+        point = {name: float(value) for name, value in row.items()
+                 if name not in ("probability", "entropy_bits", "concurrence")}
+        first = run_protocol(protocol, {**direct, **point}).outcomes[0]
+        expect = (first.branch_probability, first.entropy_bits or 0.0, first.concurrence or 0.0)
+        assert [row["probability"], row["entropy_bits"], row["concurrence"]] == \
+            [format(x, ".12g") for x in expect]
+
+
+@pytest.mark.parametrize("protocol, args, direct", FIXED_TEXT_CASES)
+def test_sweep_fixed_text_parameters(protocol, args, direct):
+    code, out, err = capture(["sweep", "--protocol", protocol, *args, "--format", "csv"])
+    assert err.startswith("argmax:"), err
+    _assert_rows_equal_single_calls(protocol, code, out, direct)
+
+
+@pytest.mark.parametrize("protocol, args, direct", FIXED_TEXT_CASES)
+def test_config_fixed_text_parameters(protocol, args, direct, tmp_path):
+    fixed = dict(arg.split("=", 1) for arg in args[3::2])
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"protocol": protocol, "grid": [args[1]], "fixed": fixed}))
+    code, out, _ = capture(["sweep", "--config", str(path), "--format", "csv"])
+    _assert_rows_equal_single_calls(protocol, code, out, direct)
+
+
+@pytest.mark.parametrize("fixed, message", [
+    ("axis=1,2", "error: --fixed 'axis=1,2': --axis needs three comma-separated components\n"),
+    ("eigenvalues=1,2", "error: --fixed 'eigenvalues=1,2': --eigenvalues needs a preset name "
+                        "or four comma-separated numbers\n"),
+    ("axis=0,x,1", "error: --fixed 'axis=0,x,1': unparsable number for --axis: 'x'\n"),
+])
+def test_sweep_fixed_text_usage_errors(fixed, message):
+    argv = ["sweep", "--protocol", "concentrate", "--grid", "r:0:1:2", "--fixed", fixed]
+    assert capture(argv) == (1, "", message)
