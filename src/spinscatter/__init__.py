@@ -29,23 +29,14 @@ from .hilbert import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    DensityMatrix,
     SpinState,
-    apply,
     basis_state,
     concurrence,
-    drop_qubit,
     entropy_between,
-    hermitian_eigenvalues,
     make_state,
     normalize,
-    partial_trace,
     pauli_along,
-    project,
     pure_pair_figures,
-    schmidt_coefficients,
-    tensor,
-    von_neumann_entropy,
 )
 from .protocols import (
     EventBranch,
@@ -59,7 +50,6 @@ from .protocols import (
     concentrate_kondo,
     entangle_impurities,
     entangle_particles,
-    event_tree,
     optimal_coupling_fixed,
     run_protocol,
     sweep,
@@ -83,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_EXCHANGE_EIGENVALUES",
     "DEFAULT_TOLERANCES",
-    "DensityMatrix",
     "EXCHANGE_EIGENVALUE_PRESETS",
     "EventBranch",
     "EventTree",
@@ -104,38 +93,29 @@ __all__ = [
     "Tolerances",
     "TwoImpurityAmplitudes",
     "TwoImpurityGeometry",
-    "apply",
     "basis_state",
     "concentrate_fixed",
     "concentrate_kondo",
     "concurrence",
-    "drop_qubit",
     "embed",
     "entangle_impurities",
     "entangle_particles",
     "entropy_between",
-    "event_tree",
     "exchange_eigenbasis",
     "exchange_matrix",
     "first_order_composition",
     "fixed_filter_operators",
-    "hermitian_eigenvalues",
     "kondo_channel_amplitudes",
     "kondo_operators",
     "make_state",
     "matrix_amplitudes",
     "normalize",
     "optimal_coupling_fixed",
-    "partial_trace",
     "pauli_along",
-    "project",
     "pure_pair_figures",
     "run_protocol",
     "scalar_amplitudes",
-    "schmidt_coefficients",
     "star_product",
     "sweep",
-    "tensor",
     "two_impurity_exact",
-    "von_neumann_entropy",
 ]

@@ -354,19 +354,13 @@ def _render_protocol(result, fmt) -> str:
 
 
 def _cmd_concentrate(p, fmt):
-    kind = p.get("impurity", "fixed")
+    name = "concentrate" if p.get("impurity", "fixed") == "fixed" else "concentrate-kondo"
     args = {"a": p["a_coeff"], "k": p["k"]}
     for src, dst in (("b_coeff", "b"), ("a_phase", "a_phase"), ("b_phase", "b_phase"),
                      ("r", "r"), ("axis", "axis"), ("eigenvalues", "eigenvalues")):
         if src in p:
             args[dst] = p[src]
-    if kind == "fixed":
-        args.pop("eigenvalues", None)
-        result = run_protocol("concentrate", args)
-    else:
-        args.pop("axis", None)
-        result = run_protocol("concentrate-kondo", args)
-    return _render_protocol(result, fmt)
+    return _render_protocol(run_protocol(name, args), fmt)
 
 
 def _cmd_entangle_particles(p, fmt):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InternalFaultError
 from .tolerances import DEFAULT as TOL
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -104,117 +103,6 @@ def normalize(s: SpinState) -> SpinState:
     return SpinState(s.amplitudes / math.sqrt(n2), s.labels)
 
 
-def tensor(a: SpinState, b: SpinState) -> SpinState:
-    """Kronecker product a (x) b; a's qubits become the most significant."""
-    if a.num_qubits + b.num_qubits > 3:
-        raise ValueError("dimension overflow: combined state exceeds 3 qubits")
-    return SpinState(np.kron(a.amplitudes, b.amplitudes), a.labels + b.labels)
-
-
-def apply(op, s: SpinState) -> SpinState:
-    """Matrix-vector application preserving labels; norm may contract."""
-    mat = np.asarray(op, dtype=complex)
-    if mat.ndim != 2 or mat.shape != (s.amplitudes.size, s.amplitudes.size):
-        raise ValueError(
-            f"operator shape {mat.shape} does not match state dimension {s.amplitudes.size}"
-        )
-    return SpinState(mat @ s.amplitudes, s.labels)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, positive semidefinite (to tolerance), positive-trace matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if m.shape[0] not in _ALLOWED_LENGTHS:
-            raise ValueError(f"density matrix dimension must be 2, 4 or 8, got {m.shape[0]}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("density matrix entries must be finite")
-        if np.max(np.abs(m - m.conj().T)) > TOL.algebraic:
-            raise ValueError(f"density matrix must be Hermitian (within {TOL.algebraic:g})")
-        tr = complex(np.trace(m))
-        if abs(tr.imag) > TOL.algebraic or tr.real <= 0.0:
-            raise ValueError("density matrix trace must be real and positive")
-        if float(np.linalg.eigvalsh(m)[0]) < -TOL.eigenvalue_clip:
-            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-
-def _axes_for(qubits, n):
-    # tensor axis for qubit q is (n - 1 - q): axis 0 is the most significant bit
-    return [n - 1 - q for q in qubits]
-
-
-def _split_matrix(s: SpinState, part) -> np.ndarray:
-    """Reshape amplitudes to a (2^|part|, 2^rest) matrix, part qubits as rows."""
-    n = s.num_qubits
-    part = sorted({int(q) for q in part}, reverse=True)
-    if not part:
-        raise ValueError("qubit subset must be nonempty")
-    if any(q < 0 or q >= n for q in part):
-        raise ValueError(f"qubit index out of range for a {n}-qubit state")
-    if len(part) == n:
-        raise ValueError("qubit subset must be a proper subset")
-    rest = [q for q in range(n - 1, -1, -1) if q not in part]
-    t = s.amplitudes.reshape((2,) * n)
-    return t.transpose(_axes_for(part, n) + _axes_for(rest, n)).reshape(2 ** len(part), -1)
-
-
-def partial_trace(s: SpinState, keep) -> DensityMatrix:
-    """Reduced density matrix of the kept qubits; trace equals the state's norm^2.
-
-    Kept qubits retain their relative significance order (higher index more
-    significant in the reduced matrix).
-    """
-    psi = _split_matrix(s, keep)
-    return DensityMatrix(psi @ psi.conj().T)
-
-
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, with a reconstruction check."""
-    mat = m.matrix if isinstance(m, DensityMatrix) else np.asarray(m, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    if mat.shape[0] > 8:
-        raise ValueError("matrix dimension must be at most 8")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix entries must be finite")
-    if np.max(np.abs(mat - mat.conj().T)) > TOL.algebraic:
-        raise ValueError(f"matrix must be Hermitian (within {TOL.algebraic:g})")
-    w, q = np.linalg.eigh(mat)
-    residual = float(np.linalg.norm(mat - (q * w) @ q.conj().T))
-    if residual > TOL.solver_residual:
-        raise InternalFaultError(
-            f"eigendecomposition residual {residual:.3e} exceeds {TOL.solver_residual:g}"
-        )
-    return w
-
-
-def von_neumann_entropy(rho) -> float:
-    """Entropy -tr(rho log2 rho) in bits of a unit-trace density matrix."""
-    dm = rho if isinstance(rho, DensityMatrix) else DensityMatrix(np.asarray(rho, dtype=complex))
-    if abs(dm.trace - 1.0) > TOL.normalization:
-        raise ValueError(f"density matrix must have unit trace (within {TOL.normalization:g})")
-    w = hermitian_eigenvalues(dm)
-    w = np.clip(w, 0.0, None)  # [-clip, 0) noise clips to 0; worse already raised
-    ent = -sum(p * math.log2(p) for p in w if p > 0.0)
-    return float(ent) if ent > 0.0 else 0.0  # also folds -0.0 to 0.0
-
-
 def pure_pair_figures(pairs):
     """Entanglement entropy (bits) and concurrence of normalized two-qubit pure states.
 
@@ -242,76 +130,29 @@ def concurrence(s: SpinState) -> float:
     return float(pure_pair_figures(s.amplitudes)[1])
 
 
-def schmidt_coefficients(s: SpinState, bipartition) -> np.ndarray:
-    """Schmidt coefficients across the given qubit bipartition, descending.
-
-    Squares sum to 1 for a normalized state and equal the reduced density
-    matrix eigenvalues of either side.
-    """
-    if not s.normalized:
-        raise ValueError("Schmidt decomposition requires a normalized state")
-    return np.linalg.svd(_split_matrix(s, bipartition), compute_uv=False)
-
-
-def project(s: SpinState, qubit: int, axis=(0.0, 0.0, 1.0), outcome: int = +1):
-    """Project one qubit onto the +-1 eigenstate of n.sigma along the axis.
-
-    Returns (unnormalized post-measurement state, outcome probability relative
-    to the input state's norm).  On the z axis, outcome +1 selects |0>.
-    """
-    n = s.num_qubits
-    if not (0 <= int(qubit) < n):
-        raise ValueError(f"qubit index {qubit} out of range for a {n}-qubit state")
-    if outcome not in (+1, -1):
-        raise ValueError("outcome must be +1 or -1")
-    total = s.norm_squared
-    if total <= TOL.null_floor:
-        raise ValueError("cannot measure a zero state")
-    proj = 0.5 * (np.eye(2, dtype=complex) + outcome * pauli_along(axis))
-    full = np.kron(np.eye(2 ** (n - 1 - qubit)), np.kron(proj, np.eye(2**qubit)))
-    post = apply(full, s)
-    return post, post.norm_squared / total
-
-
-def drop_qubit(s: SpinState, qubit: int, bit: int) -> SpinState:
-    """Factor out a qubit known to sit in the computational basis state |bit>.
-
-    Used after a z-basis projection; raises if the discarded component is not
-    numerically null.
-    """
-    n = s.num_qubits
-    if n < 2:
-        raise ValueError("cannot drop the only qubit")
-    if not (0 <= int(qubit) < n):
-        raise ValueError(f"qubit index {qubit} out of range for a {n}-qubit state")
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    t = s.amplitudes.reshape((2,) * n)
-    axis = n - 1 - qubit
-    discarded = np.take(t, 1 - bit, axis=axis)
-    if float(np.max(np.abs(discarded))) > TOL.collapse:
-        raise ValueError("qubit is not collapsed onto the requested basis state")
-    kept = np.take(t, bit, axis=axis).reshape(-1)
-    labels = tuple(lb for i, lb in enumerate(s.labels) if i != n - 1 - qubit)
-    return SpinState(kept, labels)
-
-
 def entropy_between(s: SpinState, qubit_a: int, qubit_b: int):
     """Entanglement entropy (bits) between two qubits of a normalized pure state.
 
     Defined when the pair is itself pure (any third qubit unentangled with it);
     returns None when the pair is in a mixed state, since mixed-state
-    entanglement measures are out of scope.
+    entanglement measures are out of scope.  On three qubits the amplitudes
+    are reshaped to a 4x2 matrix, pair as rows: the pair's reduced state has
+    purity sum(sigma^4) over its singular values, and when it is pure the
+    pair is the leading left singular vector.
     """
     if not s.normalized:
         raise ValueError("entropy_between requires a normalized state")
-    if int(qubit_a) == int(qubit_b):
+    n = s.num_qubits
+    qubits = (int(qubit_a), int(qubit_b))
+    if qubits[0] == qubits[1]:
         raise ValueError("qubits must differ")
-    if s.num_qubits == 2:
+    if any(not 0 <= q < n for q in qubits):
+        raise ValueError(f"qubit index out of range for a {n}-qubit state")
+    if n == 2:
         return float(pure_pair_figures(s.amplitudes)[0])
-    dm = partial_trace(s, {qubit_a, qubit_b})
-    purity = float(np.trace(dm.matrix @ dm.matrix).real)
-    if abs(purity - 1.0) > TOL.normalization:
+    rest = 3 - sum(qubits)  # the third qubit; its tensor axis is 2 - rest
+    psi = np.moveaxis(s.amplitudes.reshape(2, 2, 2), 2 - rest, -1).reshape(4, 2)
+    u, sigma, _ = np.linalg.svd(psi, full_matrices=False)
+    if abs(float(np.sum(sigma**4)) - 1.0) > TOL.normalization:
         return None
-    _, vecs = np.linalg.eigh(dm.matrix)
-    return float(pure_pair_figures(vecs[:, -1])[0])
+    return float(pure_pair_figures(u[:, 0])[0])

@@ -40,9 +40,8 @@ a fresh particle") is reported as per-attempt probabilities and an expected
 attempt count 1/p, never simulated stochastically.
 
 Measurements here are in the z basis {|0>, |1>}, taken by slicing the
-amplitude array; arbitrary-axis measurement is available through
-hilbert.project for custom pipelines.  Entropy and concurrence in outcomes
-always refer to the two undetected qubits.
+amplitude array.  Entropy and concurrence in outcomes always refer to the
+two undetected qubits.
 """
 
 import functools
@@ -755,11 +754,6 @@ def _flat(params) -> dict:
 def run_protocol(name: str, params=None) -> ProtocolResult:
     """Run a protocol by name with a flat parameter mapping (CLI/sweep surface)."""
     return _result(_protocol(name)(_flat(params), _Checks(1)))
-
-
-def event_tree(protocol: str, params=None) -> EventTree:
-    """Complete branch enumeration of one protocol invocation."""
-    return run_protocol(protocol, params).tree
 
 
 # ---------------------------------------------------------------------------

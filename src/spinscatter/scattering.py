@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalFaultError
-from .hilbert import SpinState, apply
 from .tolerances import DEFAULT as TOL
 
 
@@ -206,14 +205,11 @@ class TwoImpurityAmplitudes:
 
     Unlike the single-barrier case, reflection != transmission - identity;
     instead flux conservation T+T + R+R = I holds and is checked at solve
-    time.  transmitted_spin/reflected_spin are filled when an incident spin
-    was supplied.
+    time.  An incident spin chi leaves as T @ chi and R @ chi.
     """
 
     transmission: np.ndarray
     reflection: np.ndarray
-    transmitted_spin: SpinState | None = None
-    reflected_spin: SpinState | None = None
 
 
 def star_product(t1, t2, phase, incident):
@@ -240,7 +236,7 @@ def star_product(t1, t2, phase, incident):
     return t2 @ between, r1 @ incident / p + p * (t1 @ (r2 @ between))
 
 
-def two_impurity_exact(geom: TwoImpurityGeometry, incident_spin: SpinState | None = None) -> TwoImpurityAmplitudes:
+def two_impurity_exact(geom: TwoImpurityGeometry) -> TwoImpurityAmplitudes:
     """Exact plane-wave solution for two matrix delta barriers.
 
     Each barrier alone transmits T_j = (I + i M_j/k)^-1, built as in
@@ -249,9 +245,8 @@ def two_impurity_exact(geom: TwoImpurityGeometry, incident_spin: SpinState | Non
     multiple-scattering order.  Flux conservation T+T + R+R = I is checked
     on the result.
     """
-    d = geom.dim
     k = geom.k
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(geom.dim, dtype=complex)
     t1, t2 = _barrier_transmissions(np.stack([geom.potential_left, geom.potential_right]), k)
     transmission, reflection = star_product(
         t1, t2, np.exp(2j * k * geom.half_separation), eye)
@@ -263,16 +258,7 @@ def two_impurity_exact(geom: TwoImpurityGeometry, incident_spin: SpinState | Non
             f"two-impurity flux conservation violated by {conservation:.3e} "
             f"(> {TOL.solver_residual:g})"
         )
-
-    transmitted = reflected = None
-    if incident_spin is not None:
-        if incident_spin.amplitudes.size != d:
-            raise ValueError(
-                f"incident spin dimension {incident_spin.amplitudes.size} does not match potentials ({d})"
-            )
-        transmitted = apply(transmission, incident_spin)
-        reflected = apply(reflection, incident_spin)
-    return TwoImpurityAmplitudes(transmission, reflection, transmitted, reflected)
+    return TwoImpurityAmplitudes(transmission, reflection)
 
 
 def first_order_composition(ops) -> np.ndarray:

@@ -13,10 +13,8 @@ class Tolerances:
     algebraic: float = 1e-12        # exact identities: Hermiticity, unitarity
     solver_residual: float = 1e-10  # flux, eigensolver reconstruction; per unit operand norm for solves
     normalization: float = 1e-10    # |norm^2 - 1| for states treated as normalized
-    eigenvalue_clip: float = 1e-12  # density-matrix eigenvalues in [-clip, 0) clip to 0
     zero_identity: float = 1e-15    # channel operators at zero coupling vs identity
     null_floor: float = 1e-28       # squared norms at or below this are exact arithmetic nulls
-    collapse: float = 1e-12         # largest amplitude a measured-away qubit may leave behind
 
 
 DEFAULT = Tolerances()

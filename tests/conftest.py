@@ -1,4 +1,4 @@
-"""Shared helpers: random draws and a subprocess runner for the CLI."""
+"""Shared helpers: random draws, a subprocess runner for the CLI, and oracles."""
 
 import os
 import subprocess
@@ -67,3 +67,18 @@ def block_solve_two_impurity(geom):
     rhs = np.concatenate([pm * eye, ik * pm * eye, zero, zero], axis=0)
     sol = np.linalg.solve(system, rhs)
     return sol[3 * d:4 * d], sol[0:d]
+
+
+def reduced_density(amplitudes, keep):
+    """Reduced density matrix of the kept qubits; qubit q is the amplitude bit of weight 2**q."""
+    n = amplitudes.size.bit_length() - 1
+    rows = [n - 1 - q for q in sorted(keep, reverse=True)]
+    psi = np.moveaxis(amplitudes.reshape((2,) * n), rows, range(len(rows))).reshape(2 ** len(rows), -1)
+    return psi @ psi.conj().T
+
+
+def von_neumann_entropy(rho):
+    """Oracle for the entanglement entropy: -tr(rho log2 rho) in bits, by eigvalsh."""
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > 0.0]
+    return float(-np.sum(w * np.log2(w)))

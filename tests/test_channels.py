@@ -8,7 +8,6 @@ from spinscatter import (
     EXCHANGE_EIGENVALUE_PRESETS,
     FixedImpurity,
     KondoImpurity,
-    apply,
     basis_state,
     embed,
     exchange_eigenbasis,
@@ -179,11 +178,11 @@ def test_embed_swapped_targets_transpose_the_operator_qubits():
 def test_embed_applies_like_direct_operator():
     # acting on |001>: target pair (q1, q0) holds (0, 1)
     t = kondo_operators(KondoImpurity(1.0), 1.0).transmission
-    out = apply(embed(t, 3, (1, 0)), basis_state("001"))
+    out = embed(t, 3, (1, 0)) @ basis_state("001").amplitudes
     direct = t @ np.array([0, 1, 0, 0], dtype=complex)
-    assert abs(out.amplitudes[0b001] - direct[0b01]) < 1e-15
-    assert abs(out.amplitudes[0b010] - direct[0b10]) < 1e-15
-    assert abs(out.amplitudes[0b100]) == 0.0
+    assert abs(out[0b001] - direct[0b01]) < 1e-15
+    assert abs(out[0b010] - direct[0b10]) < 1e-15
+    assert abs(out[0b100]) == 0.0
 
 
 def test_embed_validation():

@@ -152,6 +152,18 @@ def test_missing_required_parameter():
     assert "a-coeff" in proc.stderr
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--impurity", "kondo", "--r", "0.5", "--axis", "1,0,0"),
+     "unknown parameter(s) for concentrate-kondo: axis"),
+    (("--eigenvalues", "default"), "unknown parameter(s) for concentrate: eigenvalues"),
+])
+def test_concentrate_rejects_a_flag_its_impurity_does_not_take(flags, message, capsys):
+    assert cli.main(["concentrate", "--a-coeff", "0.5", "--k", "1", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_unparsable_number():
     proc = run_cli("amplitudes", "--k", "fast", "--r", "1")
     assert proc.returncode == 1

@@ -3,25 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_state_vector
+from conftest import random_state_vector, reduced_density, von_neumann_entropy
 from spinscatter import (
-    DensityMatrix,
-    InternalFaultError,
+    DEFAULT_TOLERANCES,
     SpinState,
-    apply,
     basis_state,
     concurrence,
-    drop_qubit,
     entropy_between,
-    hermitian_eigenvalues,
     make_state,
     normalize,
-    partial_trace,
     pauli_along,
-    project,
-    schmidt_coefficients,
-    tensor,
-    von_neumann_entropy,
 )
 
 RT2 = math.sqrt(0.5)
@@ -61,19 +52,6 @@ def test_normalized_flag_tracks_norm():
         normalize(make_state([0.0, 0.0]))
 
 
-def test_tensor_orders_first_factor_most_significant():
-    s = tensor(basis_state("1", ("a",)), basis_state("0", ("b",)))
-    assert s.amplitudes[0b10] == 1.0
-    assert s.labels == ("a", "b")
-    with pytest.raises(ValueError):
-        tensor(s, s)  # 4 qubits
-
-
-def test_apply_checks_dimensions():
-    with pytest.raises(ValueError):
-        apply(np.eye(4), basis_state("0"))
-
-
 def test_pauli_along_axes():
     assert np.allclose(pauli_along((0, 0, 1)), np.diag([1, -1]))
     assert np.allclose(pauli_along((1, 0, 0)), np.array([[0, 1], [1, 0]]))
@@ -81,12 +59,11 @@ def test_pauli_along_axes():
         pauli_along((1, 1, 0))  # not unit length
 
 
-def test_partial_trace_against_explicit_sum():
+def test_reduced_density_oracle_against_explicit_sum():
     """Reduced matrix entries are sums over the traced-out indices."""
     rng = np.random.default_rng(7)
     v = random_state_vector(rng, 3)
-    s = make_state(v)
-    rho = partial_trace(s, {2}).matrix  # keep the most significant qubit
+    rho = reduced_density(v, {2})  # keep the most significant qubit
     expect = np.zeros((2, 2), dtype=complex)
     for x in range(2):
         for xp in range(2):
@@ -95,72 +72,11 @@ def test_partial_trace_against_explicit_sum():
     assert np.max(np.abs(rho - expect)) < 1e-14
 
 
-def test_partial_trace_trace_equals_norm_squared():
-    s = make_state([1.0, 2.0, 0.5, -1.0])  # deliberately unnormalized
-    assert abs(partial_trace(s, {0}).trace - s.norm_squared) < 1e-12
-
-
-def test_partial_trace_rejects_improper_subsets():
-    s = basis_state("00")
-    with pytest.raises(ValueError):
-        partial_trace(s, set())
-    with pytest.raises(ValueError):
-        partial_trace(s, {0, 1})
-    with pytest.raises(ValueError):
-        partial_trace(s, {5})
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.0, -0.5]))  # negative eigenvalue
-    with pytest.raises(ValueError):
-        DensityMatrix(np.zeros((2, 2)))  # zero trace
-    dm = DensityMatrix(np.diag([0.25, 0.75]))
-    assert dm.dim == 2 and abs(dm.trace - 1.0) < 1e-15
-
-
-def _char_poly_coefficients(m):
-    # Faddeev-LeVerrier recursion: an eigenvalue oracle that never calls eig
-    n = m.shape[0]
-    coeffs = [1.0 + 0.0j]
-    mk = np.zeros_like(m)
-    for k in range(1, n + 1):
-        mk = m @ (mk + coeffs[-1] * np.eye(n))
-        coeffs.append(-np.trace(mk) / k)
-    return np.array(coeffs)
-
-
-def test_hermitian_eigenvalues_match_characteristic_polynomial():
-    rng = np.random.default_rng(11)
-    for dim in (2, 4, 8):
-        m = random_hermitian(rng, dim)
-        got = hermitian_eigenvalues(m)
-        roots = np.sort(np.roots(_char_poly_coefficients(m)).real)
-        assert np.max(np.abs(got - roots)) < 1e-8
-        assert np.all(np.diff(got) >= 0)  # ascending
-
-
-def test_hermitian_eigenvalues_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_entropy_of_known_spectra():
+def test_entropy_oracle_of_known_spectra():
     assert von_neumann_entropy(np.diag([0.5, 0.5])) == 1.0
     assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
     third = von_neumann_entropy(np.diag([1 / 3, 2 / 3]))
     assert abs(third - 0.9182958340544896) < 1e-14
-    with pytest.raises(ValueError):
-        von_neumann_entropy(np.diag([0.5, 0.25]))  # trace not 1
-
-
-def test_entropy_clips_rounding_noise_only():
-    rho = np.diag([1.0 + 5e-13, -5e-13])  # eigenvalue noise within the clip band
-    assert von_neumann_entropy(rho) == 0.0
-    with pytest.raises(ValueError):
-        von_neumann_entropy(np.diag([1.01, -0.01]))  # genuinely negative
 
 
 def test_concurrence_values():
@@ -176,53 +92,9 @@ def test_concurrence_values():
         concurrence(make_state([1.0, 1.0, 0.0, 0.0]))
 
 
-def test_schmidt_coefficients_square_to_reduced_spectrum():
-    rng = np.random.default_rng(23)
-    s = make_state(random_state_vector(rng, 3))
-    coeffs = schmidt_coefficients(s, {2})
-    assert abs(np.sum(coeffs**2) - 1.0) < 1e-12
-    reduced = np.sort(hermitian_eigenvalues(partial_trace(s, {2})))[::-1]
-    assert np.max(np.abs(coeffs**2 - reduced[: len(coeffs)])) < 1e-12
-    assert np.all(np.diff(coeffs) <= 0)  # descending
-
-
-def test_project_z_axis_outcomes():
-    s = make_state([RT2, 0, 0, RT2])
-    post, prob = project(s, 1, outcome=+1)  # +1 on z selects |0>
-    assert abs(prob - 0.5) < 1e-14
-    assert abs(post.amplitudes[0] - RT2) < 1e-14 and abs(post.amplitudes[3]) == 0.0
-    _, prob_down = project(s, 1, outcome=-1)
-    assert abs(prob + prob_down - 1.0) < 1e-14
-
-
-def test_project_x_axis():
-    plus = make_state([RT2, RT2])
-    _, prob = project(plus, 0, axis=(1, 0, 0), outcome=+1)
-    assert abs(prob - 1.0) < 1e-14
-
-
-def test_drop_qubit_inverts_tensor():
-    rng = np.random.default_rng(31)
-    pair = make_state(random_state_vector(rng, 2), ("x", "y"))
-    padded = tensor(pair, basis_state("0", ("z",)))
-    back = drop_qubit(padded, 0, 0)
-    assert np.max(np.abs(back.amplitudes - pair.amplitudes)) < 1e-15
-    assert back.labels == ("x", "y")
-
-
-def test_drop_qubit_requires_collapse():
-    with pytest.raises(ValueError):
-        drop_qubit(make_state([RT2, RT2]), 0, 0)  # |1> component present
-
-    # a fully collapsed qubit is removable from either end
-    s = basis_state("10", ("hi", "lo"))
-    assert drop_qubit(s, 1, 1).labels == ("lo",)
-    assert drop_qubit(s, 0, 0).labels == ("hi",)
-
-
 def test_entropy_between_pure_pair():
     bell = make_state([RT2, 0, 0, RT2])
-    spectator = tensor(basis_state("0", ("spec",)), bell)
+    spectator = make_state(np.kron(basis_state("0").amplitudes, bell.amplitudes))
     e = entropy_between(spectator, 1, 0)
     assert e is not None and abs(e - 1.0) < 1e-12
 
@@ -237,6 +109,54 @@ def test_entropy_between_validation():
         entropy_between(basis_state("00"), 0, 0)
     with pytest.raises(ValueError):
         entropy_between(make_state([1.0, 1.0, 0, 0]), 0, 1)
+
+
+@pytest.mark.parametrize("n, qubits", [(2, (0, 5)), (2, (-3, 7)), (2, (2, 0)),
+                                        (3, (0, 5)), (3, (-3, 7)), (3, (3, 0))])
+def test_entropy_between_rejects_out_of_range_qubits(n, qubits):
+    uniform = make_state(np.full(2**n, 2.0 ** (-n / 2)))
+    with pytest.raises(ValueError, match="qubit index out of range"):
+        entropy_between(uniform, *qubits)
+
+
+def _three_qubit_draws(rng, count):
+    """Random states, and near-product states whose pair purity straddles the tolerance."""
+    for _ in range(count):
+        yield random_state_vector(rng, 3)
+        pair = random_state_vector(rng, 2)
+        if rng.random() < 0.3:
+            pair = np.kron(random_state_vector(rng, 1), random_state_vector(rng, 1))
+        tensor = np.kron(pair, random_state_vector(rng, 1)).reshape(2, 2, 2)
+        tensor = np.moveaxis(tensor, 2, int(rng.integers(3)))  # the third qubit anywhere
+        noise = 10.0 ** rng.uniform(-9.0, -3.0) * random_state_vector(rng, 3)
+        v = tensor.reshape(8) + noise
+        yield v / np.linalg.norm(v)
+
+
+def test_entropy_between_two_qubits_matches_eigensolver_oracle():
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        v = random_state_vector(rng, 2)
+        oracle = von_neumann_entropy(reduced_density(v, [0]))
+        assert abs(entropy_between(make_state(v), 1, 0) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("pair", [(1, 0), (2, 0), (2, 1)])
+def test_entropy_between_matches_eigensolver_oracle(pair):
+    """None exactly where the pair's reduced state is mixed; else the pure pair's entropy."""
+    rng = np.random.default_rng(61)
+    nones = pure = 0
+    for v in _three_qubit_draws(rng, 400):
+        rho = reduced_density(v, pair)
+        got = entropy_between(make_state(v), *pair)
+        if abs(np.trace(rho @ rho).real - 1.0) > DEFAULT_TOLERANCES.normalization:
+            assert got is None
+            nones += 1
+            continue
+        _, vecs = np.linalg.eigh(rho)
+        assert abs(got - von_neumann_entropy(reduced_density(vecs[:, -1], [0]))) <= 1e-12
+        pure += 1
+    assert nones > 400 and pure > 100  # both answers are drawn often
 
 
 def test_spin_state_direct_construction_matches_make_state():

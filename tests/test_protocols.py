@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from conftest import reduced_density, von_neumann_entropy
 from spinscatter import (
     GridSpec,
     KondoImpurity,
@@ -12,16 +13,13 @@ from spinscatter import (
     concentrate_kondo,
     entangle_impurities,
     entangle_particles,
-    event_tree,
     kondo_channel_amplitudes,
     make_state,
     normalize,
     optimal_coupling_fixed,
     run_protocol,
     scalar_amplitudes,
-    schmidt_coefficients,
     sweep,
-    von_neumann_entropy,
 )
 
 A3 = math.sqrt(1.0 / 3.0)
@@ -39,8 +37,9 @@ def test_concentrate_fixed_at_the_optimum():
     assert abs(out.entropy_bits - 1.0) < 1e-9
     assert abs(out.concurrence - 1.0) < 1e-9
     assert out.post_state.normalized
-    coeffs = schmidt_coefficients(out.post_state, {0})
+    coeffs = np.sqrt(np.linalg.eigvalsh(reduced_density(out.post_state.amplitudes, [0])))
     assert np.max(np.abs(coeffs - math.sqrt(0.5))) < 1e-9
+    assert [b.label for b in res.tree.branches] == ["transmitted", "reflected"]
     assert abs(res.tree.total_probability() - 1.0) < 1e-12
     assert abs(res.metadata["xi"] - 1.0) < 1e-15
     assert abs(res.metadata["expected_attempts"] - 1.5) < 1e-12
@@ -367,12 +366,6 @@ def test_run_protocol_rejects_unknown_names_and_parameters():
 def test_run_protocol_concentrate_defaults_to_optimal_coupling():
     res = run_protocol("concentrate", {"a": A3, "k": 1.0})
     assert abs(res.metadata["coupling"] - 0.5) < 1e-10
-
-
-def test_event_tree_matches_protocol_tree():
-    tree = event_tree("concentrate", {"a": A3, "k": 1.0, "r": 0.5})
-    assert [b.label for b in tree.branches] == ["transmitted", "reflected"]
-    assert abs(tree.total_probability() - 1.0) < 1e-12
 
 
 def test_grid_spec_values_and_validation():

@@ -11,7 +11,6 @@ from spinscatter import (
     OperatorAmplitudes,
     ScalarAmplitudes,
     TwoImpurityGeometry,
-    basis_state,
     embed,
     exchange_matrix,
     first_order_composition,
@@ -195,20 +194,6 @@ def test_exact_solver_conservation_random():
         flux = res.transmission.conj().T @ res.transmission \
             + res.reflection.conj().T @ res.reflection
         assert np.max(np.abs(flux - np.eye(8))) < 1e-10
-
-
-def test_exact_solver_applies_incident_spin():
-    rng = np.random.default_rng(41)
-    geom = TwoImpurityGeometry(1.0, 1.5, random_hermitian(rng, 2), random_hermitian(rng, 2))
-    chi = basis_state("0")
-    res = two_impurity_exact(geom, chi)
-    assert np.max(np.abs(res.transmitted_spin.amplitudes - res.transmission[:, 0])) < 1e-14
-    assert np.max(np.abs(res.reflected_spin.amplitudes - res.reflection[:, 0])) < 1e-14
-    # transmitted + reflected flux of one incident spin adds to its norm
-    total = res.transmitted_spin.norm_squared + res.reflected_spin.norm_squared
-    assert abs(total - 1.0) < 1e-10
-    with pytest.raises(ValueError):
-        two_impurity_exact(geom, basis_state("00"))
 
 
 def test_geometry_validation():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reduced_density, von_neumann_entropy
 from spinscatter import (
     GridSpec,
     KondoImpurity,
@@ -27,11 +28,9 @@ from spinscatter import (
     exchange_matrix,
     make_state,
     matrix_amplitudes,
-    partial_trace,
     protocols,
     sweep,
     two_impurity_exact,
-    von_neumann_entropy,
 )
 from spinscatter.channels import EXCHANGE_EIGENVALUE_PRESETS, EXCHANGE_PROJECTORS
 from spinscatter.scattering import barrier_transmission
@@ -148,7 +147,7 @@ def _assert_matches_dense(result, failures, measured, qubit, labels, dense=0.0):
             # concurrence 2|ad - bc| and the entropy of the reduced state, by eigenvalues
             a, b, c, d = pair.amplitudes
             assert abs(out.concurrence - 2.0 * abs(a * d - b * c)) <= normed
-            assert abs(out.entropy_bits - von_neumann_entropy(partial_trace(pair, [0]))) <= normed
+            assert abs(out.entropy_bits - von_neumann_entropy(reduced_density(pair.amplitudes, [0]))) <= normed
 
 
 def _entangle_impurities_dense(k, r1, r2, ev1, ev2, half_separation, psi, mode):
