@@ -13,6 +13,7 @@ from spinscatter import (
     make_state,
     normalize,
     pauli_along,
+    pure_pair_figures,
 )
 
 RT2 = math.sqrt(0.5)
@@ -102,6 +103,32 @@ def test_entropy_between_pure_pair():
 def test_entropy_between_returns_none_for_mixed_pair():
     ghz = make_state([RT2, 0, 0, 0, 0, 0, 0, RT2])
     assert entropy_between(ghz, 1, 0) is None
+
+
+def test_entropy_between_follows_the_qubit_index_convention():
+    """Qubit q is the amplitude bit of weight 2**q: a Bell pair on qubits 2 and 0."""
+    amps = np.zeros(8, dtype=complex)
+    amps[0b010] = amps[0b111] = RT2  # qubit 1 is a |1> spectator
+    s = make_state(amps)
+    for pair in [(2, 0), (0, 2)]:
+        e = entropy_between(s, *pair)
+        assert e is not None and abs(e - 1.0) < 1e-12
+    assert entropy_between(s, 2, 1) is None  # half of the Bell pair with the spectator
+    assert entropy_between(s, 1, 0) is None
+
+
+def test_pure_pair_figures_fold_rounding_noise_only():
+    """C is clipped to 1 and the entropy floored at +0.0, on a batch of pairs."""
+    over = RT2 * (1.0 + 4e-16)  # 2|c00 c11| rounds above 1
+    pairs = np.array([[over, 0, 0, over], [1, 0, 0, 0], [0.6, 0.8, 0, 0],
+                      [math.sqrt(1 / 3), 0, 0, math.sqrt(2 / 3)]], dtype=complex)
+    ent, c = pure_pair_figures(pairs)
+    assert ent.shape == c.shape == (4,)
+    assert c[0] == 1.0 and ent[0] == 1.0
+    assert c[1] == ent[1] == 0.0 and math.copysign(1.0, ent[1]) == 1.0
+    assert c[2] == ent[2] == 0.0 and math.copysign(1.0, ent[2]) == 1.0
+    assert abs(c[3] - 2 * math.sqrt(2) / 3) < 1e-15
+    assert abs(ent[3] - 0.9182958340544896) < 1e-14  # h(1/3)
 
 
 def test_entropy_between_validation():

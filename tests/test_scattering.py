@@ -196,6 +196,20 @@ def test_exact_solver_conservation_random():
         assert np.max(np.abs(flux - np.eye(8))) < 1e-10
 
 
+def test_exact_solver_maps_one_incident_spin():
+    """T @ chi and R @ chi are the outgoing spinors; their flux adds to |chi|^2."""
+    rng = np.random.default_rng(41)
+    geom = TwoImpurityGeometry(1.0, 1.5, random_hermitian(rng, 2), random_hermitian(rng, 2))
+    res = two_impurity_exact(geom)
+    chi = np.array([0.6, 0.8j])
+    out_t, out_r = res.transmission @ chi, res.reflection @ chi
+    assert abs(np.vdot(out_t, out_t).real + np.vdot(out_r, out_r).real - 1.0) < 1e-10
+    up = np.array([1.0, 0.0])
+    assert np.array_equal(res.transmission @ up, res.transmission[:, 0])
+    with pytest.raises(TypeError):
+        two_impurity_exact(geom, chi)  # the incident spin is the caller's to apply
+
+
 def test_geometry_validation():
     m = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
