@@ -64,6 +64,15 @@ class SpinState:
             self, "normalized", bool(abs(self.norm_squared - 1.0) < TOL.normalization)
         )
 
+    @classmethod
+    def _trusted(cls, amplitudes, labels, normalized):
+        """A state whose checks its builder has made: amplitudes a finite,
+        read-only 1-d complex array of length 2, 4 or 8, labels a tuple of
+        one str per qubit, and normalized as __post_init__ would set it."""
+        state = object.__new__(cls)
+        state.__dict__.update(amplitudes=amplitudes, labels=labels, normalized=normalized)
+        return state
+
     @property
     def num_qubits(self) -> int:
         return self.amplitudes.size.bit_length() - 1
@@ -115,8 +124,8 @@ def pure_pair_figures(pairs):
     c = np.minimum(1.0, 2.0 * np.abs(pairs[..., 0] * pairs[..., 3] - pairs[..., 1] * pairs[..., 2]))
     # smaller eigenvalue (1 - sqrt(1 - C^2))/2, written without the cancellation
     low = c * c / (2.0 * (1.0 + np.sqrt(1.0 - c * c)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        low_term = np.where(low > 0.0, low * np.log2(low), 0.0)
+    # low log2(low), with log2 taken of 1 where low is 0 so that it stays quiet
+    low_term = low * np.log2(np.where(low > 0.0, low, 1.0))
     ent = -(low_term + (1.0 - low) * np.log1p(-low) / math.log(2.0))
     return np.where(ent > 0.0, ent, 0.0), c  # also folds -0.0 to 0.0
 

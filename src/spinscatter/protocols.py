@@ -63,17 +63,23 @@ from .channels import (
 )
 from .errors import InternalFaultError
 from .hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinState, basis_state, pure_pair_figures
-from .scattering import barrier_transmission, star_product
+from .scattering import _transmission, star_product
 from .tolerances import DEFAULT as TOL
 
 _PAIR_REGISTER = ("particle-2", "particle-1")
 _PARTICLES_REGISTER = ("particle-2", "particle-1", "impurity-0")
 _IMPURITIES_REGISTER = ("particle-0", "impurity-1", "impurity-2")
+# what each three-qubit register holds, for the message of a wrong initial state
+_PARTICLES_CONTENT = "two particles and the impurity"
+_IMPURITIES_CONTENT = "particle and two impurities"
 
 # Hamming-weight sectors {0}, {1,2,4}, {3,5,6}, {7} of the three-qubit
 # register.  Exchange keeps the total S_z (its only spin flip is
 # |01> <-> |10>), so every exchange operator is block-diagonal in them.
 _SECTORS = ((0,), (1, 2, 4), (3, 5, 6), (7,))
+_SECTOR_INDEX = tuple(np.array(index) for index in _SECTORS)
+# (4, 8) membership of the register indices in the sectors
+_SECTOR_MEMBERS = np.array([[i in index for i in range(8)] for index in _SECTORS])
 
 
 def _sector_projectors(targets):
@@ -92,6 +98,9 @@ _FILTER_PAULIS = np.stack([embed(sigma, 2, (0,)) for sigma in (PAULI_X, PAULI_Y,
 # grid points per kernel call; bounds the (N, 4, 4) filter operators and the
 # (N, d, d) sector blocks, d <= 3, of the exchange protocols
 _BLOCK = 1024
+
+# an optimal coupling below this has lost significant bits
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -145,76 +154,85 @@ class ProtocolResult:
 class _Checks:
     """Validation of N stacked points, reported as a point-by-point loop would.
 
-    Checks are recorded in the order a single evaluation makes them; the
+    Checks are recorded in the order a single evaluation makes them, each
+    as an (N,) boolean array that is True where the point fails;
+    raise_first stacks them into one (m, N) array and tests it once.  The
     error raised is that of the first failing check at the first failing
     point in row-major order.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._checks = []
+        self._bad = []
+        self._errors = []
 
     def add(self, bad, message, error=ValueError):
-        """Record a check; message is text or a function of the point index."""
-        bad = np.asarray(bad)
-        if bad.shape != (self.n,):
-            bad = np.broadcast_to(bad, (self.n,))
-        self._checks.append((bad, message, error))
+        """Record a check: bad is (N,) boolean, message text or a function of the point index."""
+        self._bad.append(bad)
+        self._errors.append((message, error))
 
     def fail(self, message):
         """A failure shared by every point, raised at once (after earlier checks at point 0)."""
-        self.add(True, message)
+        self.add(np.ones(self.n, dtype=bool), message)
         self.raise_first()
 
     def raise_first(self):
-        if not self._checks:
+        if not self._bad:
             return
-        bad = np.stack([b for b, _, _ in self._checks])
-        failing = bad.any(axis=0)
-        if failing.any():
-            point = int(np.argmax(failing))
-            _, message, error = self._checks[int(np.argmax(bad[:, point]))]
+        bad = np.array(self._bad)
+        if np.logical_or.reduce(bad, axis=None):
+            point = int(np.argmax(np.logical_or.reduce(bad, axis=0)))
+            message, error = self._errors[int(np.argmax(bad[:, point]))]
             raise error(message(point) if callable(message) else message)
-        self._checks.clear()
+        self._bad.clear()
+        self._errors.clear()
 
 
 class _Outcomes(NamedTuple):
-    """One designated branch at N points; rows where live is False are nulls."""
+    """The designated branches at N points, m per point along axis 1.
 
-    label: str
+    Entries where live is False are nulls.
+    """
+
+    labels: tuple[str, ...]
     pair_labels: tuple[str, ...]
-    probability: np.ndarray  # absolute, 0.0 for nulls
-    conditional: np.ndarray
-    pair: np.ndarray  # (N, 4) normalized pair amplitudes (meaningless for nulls)
-    entropy: np.ndarray
-    concurrence: np.ndarray
-    live: np.ndarray
+    probability: np.ndarray  # (N, m) absolute, 0.0 for nulls
+    conditional: np.ndarray  # (N, m)
+    pair: np.ndarray  # (N, m, 4) normalized pair amplitudes (meaningless for nulls)
+    entropy: np.ndarray  # (N, m)
+    concurrence: np.ndarray  # (N, m)
+    live: np.ndarray  # (N, m)
 
 
 class _Batch(NamedTuple):
     """One protocol's results at N stacked points."""
 
     register: tuple[str, ...]
-    tree: tuple[tuple[str, np.ndarray, np.ndarray], ...]  # (label, raw amplitudes, probability)
-    outcomes: tuple[_Outcomes, ...]
+    # (label, amplitudes, kept, probability) per branch: amplitudes are the
+    # (N, 2^n) register rows, or, where kept holds register indices, the
+    # amplitudes of a measured branch at those indices (zero elsewhere)
+    tree: tuple[tuple[str, np.ndarray, np.ndarray | None, np.ndarray], ...]
+    outcomes: _Outcomes
     metadata: dict[str, np.ndarray]  # NaN marks an entry absent at that point
 
 
 def _quiet(fn):
-    """Run a parser or kernel with floating-point warnings off.
+    """Run an entry point with floating-point warnings off.
 
     Overflow or an infinite input shows up as non-finite values, which the
-    checks reject with a one-line error instead of warnings on stderr.
+    checks reject with a one-line error instead of warnings on stderr.  The
+    single-call functions and the parsers that run_protocol and sweep call
+    enter it once; the kernels run inside it.
     """
     @functools.wraps(fn)
-    def quiet(*args):
+    def quiet(*args, **kwargs):
         with np.errstate(all="ignore"):
-            return fn(*args)
+            return fn(*args, **kwargs)
     return quiet
 
 
 def _norm2(amps):
-    return (amps.real ** 2 + amps.imag ** 2).sum(axis=-1)
+    return np.add.reduce(amps.real ** 2 + amps.imag ** 2, axis=-1)
 
 
 def _modulus(z):
@@ -239,94 +257,105 @@ def _transmit(t, psi):
 
 
 @functools.cache
-def _kept(n, qubit, bit):
-    """Indices of an n-qubit register whose qubit reads bit, ascending."""
-    keep = np.flatnonzero(((np.arange(2 ** n) >> qubit) & 1) == bit)
-    keep.setflags(write=False)
-    return keep
+def _split(n, qubit):
+    """(2, 2^(n-1)) indices of an n-qubit register whose qubit reads 0 (row 0) or 1 (row 1), ascending."""
+    index = np.arange(2 ** n)
+    split = np.array([index[((index >> qubit) & 1) == bit] for bit in (0, 1)])
+    split.setflags(write=False)
+    return split
 
 
 def _by_sector(psi0, count, step):
     """Run an exchange-only step on each S_z sector that psi0 occupies.
 
     step(w, psi) gets the sector index w and the (N, d) amplitudes of psi0
-    in it, and returns count (N, d) arrays.  They are scattered into count
-    (N, 8) arrays; sectors where psi0 is zero at every point stay exactly
-    zero.
+    in it, and returns count (N, d) arrays.  They are scattered into one
+    (N, count, 8) array; sectors where psi0 is zero at every point stay
+    exactly zero.
     """
-    occupied = psi0.any(axis=0).tolist()
-    outs = [np.zeros(psi0.shape, dtype=complex) for _ in range(count)]
-    for w, index in enumerate(_SECTORS):
-        if any(occupied[i] for i in index):
-            for out, part in zip(outs, step(w, psi0.take(index, axis=1))):
-                out[:, index] = part
-    return outs
+    occupied = (_SECTOR_MEMBERS @ np.logical_or.reduce(psi0, axis=0)).tolist()
+    out = np.zeros((len(psi0), count, 8), dtype=complex)
+    for w, index in enumerate(_SECTOR_INDEX):
+        if occupied[w]:
+            for j, part in enumerate(step(w, psi0[:, index])):
+                out[:, j, index] = part
+    return out
 
 
-def _outcome(label, pair_labels, amps, prob, parent=None) -> _Outcomes:
-    """Figures of a branch whose undetected pair has raw amplitudes amps.
+def _branches(labels, rows, prob):
+    """Tree branches of the first len(labels) rows, (N, ., 2^n), with probabilities prob."""
+    return [(label, rows[:, j], None, prob[:, j]) for j, label in enumerate(labels)]
 
-    prob is the branch's absolute probability; parent the probability of the
-    branch it is conditioned on (None: the branch is unconditional).
+
+def _outcomes(labels, pair_labels, amps, prob, parent=None) -> _Outcomes:
+    """Figures of branches whose undetected pairs have raw amplitudes amps (N, m, 4).
+
+    prob (N, m) holds the branches' absolute probabilities; parent (N,) the
+    probability of the branch they are conditioned on (None: they are
+    unconditional).
     """
     live = prob > TOL.null_floor
+    kept = np.where(live, prob, 0.0)
     if parent is None:
-        cond = np.where(live, prob, 0.0)
+        cond = kept
     else:
-        cond = np.where(parent > TOL.null_floor, prob / parent, 0.0)
-    pair = amps / np.sqrt(np.where(live, prob, 1.0))[:, None]
+        cond = np.where(parent[:, None] > TOL.null_floor, prob / parent[:, None], 0.0)
+    pair = amps / np.sqrt(np.where(live, prob, 1.0))[..., None]
     entropy, conc = pure_pair_figures(pair)
-    return _Outcomes(label, pair_labels, np.where(live, prob, 0.0), cond, pair, entropy, conc, live)
+    return _Outcomes(labels, pair_labels, kept, cond, pair, entropy, conc, live)
 
 
-def _measure(state, qubit, prefix, register, parent):
-    """z measurement of one qubit, by slicing.
+def _measure(state, norm, qubit, prefix, register):
+    """z measurement of one qubit of the three-qubit state (N, 8), by slicing.
 
-    Returns the tree branches (label, collapsed amplitudes) and the outcomes
-    of the two bits; each outcome's pair drops the measured qubit.
+    norm is the state's squared norm.  Returns the tree branches of the two
+    bits, as the four amplitudes each keeps, and their stacked outcomes;
+    each outcome's pair drops the measured qubit.
     """
-    n = len(register)
-    pair_labels = tuple(label for i, label in enumerate(register) if i != n - 1 - qubit)
-    branches, outcomes = [], []
-    for bit in (0, 1):
-        keep = _kept(n, qubit, bit)
-        amps = state.take(keep, axis=1)
-        collapsed = np.zeros_like(state)
-        collapsed[:, keep] = amps
-        label = f"{prefix}|{bit}>"
-        branches.append((label, collapsed))
-        outcomes.append(_outcome(label, pair_labels, amps, _norm2(collapsed), parent))
-    return branches, outcomes
+    split = _split(3, qubit)
+    pairs = state[:, split]
+    square = pairs.real ** 2 + pairs.imag ** 2
+    # a branch's probability as _norm2 sums its zero-padded row: pairwise,
+    # (k0 + k1) + (k2 + k3) over the kept entries
+    prob = (square[..., 0] + square[..., 1]) + (square[..., 2] + square[..., 3])
+    labels = (f"{prefix}|0>", f"{prefix}|1>")
+    branches = [(labels[bit], pairs[:, bit], split[bit], prob[:, bit]) for bit in (0, 1)]
+    pair_labels = register[:2 - qubit] + register[3 - qubit:]
+    return branches, _outcomes(labels, pair_labels, pairs, prob, norm)
 
 
 def _batch(psi0, register, tree, outcomes, metadata, point) -> _Batch:
     """Check the stacked results and bundle them.
 
-    point(i) describes parameter point i for error messages.  Checks: every
-    amplitude is finite, the branches of each point's tree add up to its
-    initial probability within the solver residual (flux conservation), and
-    every live post state is normalized.
+    point(i) describes parameter point i for error messages.  Checks, in
+    this order: every amplitude is finite, the branches of each point's tree
+    add up to its initial probability within the solver residual (flux
+    conservation), and every live post state is normalized.  A non-finite
+    amplitude makes its point's flux deviation non-finite, so amplitudes
+    are inspected only when the deviation check fails.
     """
-    finite = np.all([np.isfinite(amps).all(axis=-1) for _, amps in tree], axis=0)
-    if not finite.all():
-        raise ValueError(f"amplitudes must be finite (at {point(int(np.argmin(finite)))})")
-    probabilities = [_norm2(amps) for _, amps in tree]
-    deviation = np.abs(np.sum(probabilities, axis=0) - _norm2(psi0))
-    worst = int(np.argmax(deviation))
-    if deviation[worst] > TOL.solver_residual:
+    total = tree[0][3]
+    for branch in tree[1:]:
+        total = total + branch[3]
+    deviation = np.abs(total - _norm2(psi0))
+    if not np.maximum.reduce(deviation) <= TOL.solver_residual:
+        finite = np.all([np.isfinite(amps).all(axis=-1) for _, amps, _, _ in tree], axis=0)
+        if not finite.all():
+            raise ValueError(f"amplitudes must be finite (at {point(int(np.argmin(finite)))})")
+        worst = int(np.argmax(deviation))
         raise InternalFaultError(
             f"flux conservation violated by {deviation[worst]:.3e} "
             f"(> {TOL.solver_residual:g}) at {point(worst)}"
         )
-    for o in outcomes:
-        off = np.where(o.live, np.abs(_norm2(o.pair) - 1.0), 0.0)
-        worst = int(np.argmax(off))
-        if off[worst] >= TOL.normalization:
-            raise InternalFaultError(
-                f"post state of {o.label!r} off unit norm by {off[worst]:.3e} at {point(worst)}"
-            )
-    tree = tuple((label, amps, prob) for (label, amps), prob in zip(tree, probabilities))
-    return _Batch(register, tree, tuple(outcomes), metadata)
+    off = np.where(outcomes.live, np.abs(_norm2(outcomes.pair) - 1.0), 0.0)
+    if np.maximum.reduce(off, axis=None) >= TOL.normalization:
+        for j, label in enumerate(outcomes.labels):
+            worst = int(np.argmax(off[:, j]))
+            if off[worst, j] >= TOL.normalization:
+                raise InternalFaultError(
+                    f"post state of {label!r} off unit norm by {off[worst, j]:.3e} at {point(worst)}"
+                )
+    return _Batch(register, tuple(tree), outcomes, metadata)
 
 
 def _describe(**arrays):
@@ -336,21 +365,34 @@ def _describe(**arrays):
 
 
 def _result(batch: _Batch) -> ProtocolResult:
-    """Wrap the single point of a batch of one in the public result types."""
-    outcomes = tuple(
-        ProtocolOutcome(o.label, float(o.probability[0]), float(o.conditional[0]),
-                        SpinState(o.pair[0], o.pair_labels), float(o.entropy[0]),
-                        float(o.concurrence[0]))
-        if o.live[0] else
-        ProtocolOutcome(o.label, 0.0, float(o.conditional[0]), None, None, None)
-        for o in batch.outcomes
-    )
-    tree = EventTree(tuple(
-        EventBranch(label, float(prob[0]), SpinState(amps[0], batch.register))
-        for label, amps, prob in batch.tree if prob[0] > TOL.null_floor
-    ))
+    """Wrap the single point of a batch of one in the public result types.
+
+    The states hold the batch's checked rows, made read-only, without a
+    copy or a second check (SpinState._trusted); a measured branch's
+    zero-padded amplitudes are built here.
+    """
+    o = batch.outcomes
+    o.pair.setflags(write=False)
+    outcomes = tuple([
+        ProtocolOutcome(label, prob, cond, SpinState._trusted(pair, o.pair_labels, True), ent, conc)
+        if live else ProtocolOutcome(label, 0.0, cond, None, None, None)
+        for label, prob, cond, pair, ent, conc, live in zip(
+            o.labels, o.probability[0].tolist(), o.conditional[0].tolist(), o.pair[0],
+            o.entropy[0].tolist(), o.concurrence[0].tolist(), o.live[0].tolist())
+    ])
+    branches = []
+    for label, amps, kept, prob in batch.tree:
+        prob = float(prob[0])
+        if prob > TOL.null_floor:
+            row = amps[0]
+            if kept is not None:
+                row = np.zeros(2 * len(kept), dtype=complex)
+                row[kept] = amps[0]
+            row.setflags(write=False)
+            normalized = abs(prob - 1.0) < TOL.normalization
+            branches.append(EventBranch(label, prob, SpinState._trusted(row, batch.register, normalized)))
     meta = {name: float(v[0]) for name, v in batch.metadata.items() if not math.isnan(v[0])}
-    return ProtocolResult(outcomes, tree, meta)
+    return ProtocolResult(outcomes, EventTree(tuple(branches)), meta)
 
 
 def _attempts(success_probability) -> dict:
@@ -368,8 +410,11 @@ def _check_wave_number(checks, k):
     checks.add(~(np.isfinite(k) & (k > 0)), "k must be positive")
 
 
-def _check_couplings(checks, r, eigenvalues, message):
-    checks.add(~np.isfinite(np.multiply.outer(r, eigenvalues)).all(axis=-1), message)
+def _couplings(checks, r, eigenvalues, message):
+    """The (N, 4) channel couplings r lambda_c, checked finite."""
+    coupling = np.multiply.outer(r, eigenvalues)
+    checks.add(~np.logical_and.reduce(np.isfinite(coupling), axis=-1), message)
+    return coupling
 
 
 def _check_initial(checks, initial, content):
@@ -379,46 +424,49 @@ def _check_initial(checks, initial, content):
         checks.fail("initial state must be normalized")
 
 
-def _channel_amplitudes(r, k, eigenvalues):
-    """(N, 4) per-channel transmissions S_c = 1/(1 + i r lambda_c / k)."""
-    return barrier_transmission(np.multiply.outer(r, eigenvalues), k[:, None])
+def _initial_rows(initial, n):
+    psi0 = np.empty((n, 8), dtype=complex)
+    psi0[:] = initial.amplitudes
+    return psi0
 
 
-@_quiet
 def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
     _check_pair(checks, a, b)
     checks.add(~np.isfinite(r), "coupling must be finite")
     if axis.shape[-1] != 3:
         checks.fail("axis must be a finite 3-vector")
-    checks.add(~np.isfinite(axis).all(axis=-1), "axis must be a finite 3-vector")
-    checks.add(np.abs(np.sqrt(np.sum(axis * axis, axis=-1)) - 1.0) > TOL.normalization,
+    checks.add(~np.logical_and.reduce(np.isfinite(axis), axis=-1), "axis must be a finite 3-vector")
+    checks.add(np.abs(np.sqrt(np.add.reduce(axis * axis, axis=-1)) - 1.0) > TOL.normalization,
                f"axis must be a unit vector (within {TOL.normalization:g})")
     _check_wave_number(checks, k)
     checks.add(~np.isfinite(2.0 * r), "coupling must be finite")
     checks.raise_first()
 
     # anti-aligned component sees twice the bare coupling
-    t = filter_transmission(barrier_transmission(2.0 * r, k),
+    t = filter_transmission(_transmission(2.0 * r, k),
                             np.einsum("na,aij->nij", axis, _FILTER_PAULIS))
     psi0 = np.zeros((checks.n, 4), dtype=complex)
     psi0[:, 0], psi0[:, 3] = a, b
     transmit, reflect = _transmit(t, psi0)
     prob = _norm2(transmit)
-    outcome = _outcome("transmitted", _PAIR_REGISTER, transmit, prob)
+    outcomes = _outcomes(("transmitted",), _PAIR_REGISTER, transmit[:, None], prob[:, None])
     meta = {"coupling": r, "xi": 2.0 * r / k, **_attempts(prob)}
-    return _batch(psi0, _PAIR_REGISTER, [("transmitted", transmit), ("reflected", reflect)],
-                  [outcome], meta, _describe(a=a, b=b, k=k, r=r))
+    tree = [("transmitted", transmit, None, prob), ("reflected", reflect, None, _norm2(reflect))]
+    return _batch(psi0, _PAIR_REGISTER, tree, outcomes, meta, _describe(a=a, b=b, k=k, r=r))
 
 
 def _optimal_coupling(checks, a, b, k):
     _check_wave_number(checks, k)
     ma, mb = _modulus(a), _modulus(b)
     checks.add((ma <= 0.0) | (ma >= mb), "optimal coupling requires 0 < |a| < |b|")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coupling = k * np.sqrt((mb / ma) ** 2 - 1.0) / 2.0
-        checks.add(~np.isfinite(2.0 * coupling), "coupling must be finite")
-        # verify the defining balance |S(2r)| = |a/b| before handing the value out
-        residual = np.abs(_modulus(barrier_transmission(2.0 * coupling, k)) - ma / mb)
+    coupling = k * np.sqrt((mb / ma) ** 2 - 1.0) / 2.0
+    checks.add(~np.isfinite(2.0 * coupling), "coupling must be finite")
+    # a subnormal coupling keeps too few bits to meet the balance below
+    checks.add((coupling > 0.0) & (coupling < _SMALLEST_NORMAL),
+               lambda i: f"optimal coupling {coupling[i]:.3e} is subnormal "
+                         f"(k = {k[i]:.3e} is too small)")
+    # verify the defining balance |S(2r)| = |a/b| before handing the value out
+    residual = np.abs(_modulus(_transmission(2.0 * coupling, k)) - ma / mb)
     checks.add(residual > TOL.algebraic,
                lambda i: f"optimal coupling balance residual {residual[i]:.3e} "
                          f"exceeds {TOL.algebraic:g}",
@@ -426,69 +474,67 @@ def _optimal_coupling(checks, a, b, k):
     return coupling
 
 
-@_quiet
 def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
     _check_pair(checks, a, b)
     _check_wave_number(checks, k)
-    _check_couplings(checks, r, eigenvalues, "coupling must be finite")
+    coupling = _couplings(checks, r, eigenvalues, "coupling must be finite")
     checks.raise_first()
 
-    s = _channel_amplitudes(r, k, eigenvalues)
+    s = _transmission(coupling, k[:, None])
     psi0 = np.zeros((checks.n, 8), dtype=complex)
     psi0[:, 0], psi0[:, 6] = a, b
-    transmit, reflect = _by_sector(
+    rows = _by_sector(
         psi0, 2, lambda w, psi: _transmit(exchange_transmission(s, _EXCHANGE_ON[(1, 0)][w]), psi))
-    measured, outcomes = _measure(transmit, 0, "transmitted, impurity measured ",
-                                  _PARTICLES_REGISTER, _norm2(transmit))
+    prob = _norm2(rows)
+    measured, outcomes = _measure(rows[:, 0], prob[:, 0], 0, "transmitted, impurity measured ",
+                                  _PARTICLES_REGISTER)
     residual = np.abs(_modulus(a * s[:, 0]) - _modulus(b * (s[:, 2] + s[:, 3]) / 2.0))
-    meta = {"condition_residual": residual, **_attempts(outcomes[0].probability)}
-    return _batch(psi0, _PARTICLES_REGISTER, [*measured, ("reflected", reflect)],
+    meta = {"condition_residual": residual, **_attempts(outcomes.probability[:, 0])}
+    return _batch(psi0, _PARTICLES_REGISTER, [*measured, ("reflected", rows[:, 1], None, prob[:, 1])],
                   outcomes, meta, _describe(a=a, b=b, k=k, r=r))
 
 
-@_quiet
 def _entangle_particles(checks, k, r, eigenvalues, initial) -> _Batch:
-    _check_initial(checks, initial, "two particles and the impurity")
+    _check_initial(checks, initial, _PARTICLES_CONTENT)
     _check_wave_number(checks, k)
-    _check_couplings(checks, r, eigenvalues, "coupling must be finite")
+    coupling = _couplings(checks, r, eigenvalues, "coupling must be finite")
     checks.raise_first()
 
-    s = _channel_amplitudes(r, k, eigenvalues)
+    s = _transmission(coupling, k[:, None])
 
     def step(w, psi):
         after_1, reflected_1 = _transmit(exchange_transmission(s, _EXCHANGE_ON[(1, 0)][w]), psi)
         after_2, reflected_2 = _transmit(exchange_transmission(s, _EXCHANGE_ON[(2, 0)][w]), after_1)
         return reflected_1, reflected_2, after_2
 
-    psi0 = np.broadcast_to(initial.amplitudes, (checks.n, 8))
-    reflected_1, reflected_2, after_2 = _by_sector(psi0, 3, step)
-    measured, outcomes = _measure(after_2, 0, "both transmitted, impurity measured ",
-                                  initial.labels, _norm2(after_2))
-    tree = [("particle-1 reflected", reflected_1),
-            ("particle-1 transmitted, particle-2 reflected", reflected_2), *measured]
+    psi0 = _initial_rows(initial, checks.n)
+    rows = _by_sector(psi0, 3, step)
+    prob = _norm2(rows)
+    measured, outcomes = _measure(rows[:, 2], prob[:, 2], 0, "both transmitted, impurity measured ",
+                                  initial.labels)
+    tree = [*_branches(("particle-1 reflected", "particle-1 transmitted, particle-2 reflected"),
+                       rows, prob), *measured]
     return _batch(psi0, initial.labels, tree, outcomes,
-                  _attempts(outcomes[0].probability), _describe(k=k, r=r))
+                  _attempts(outcomes.probability[:, 0]), _describe(k=k, r=r))
 
 
-@_quiet
 def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eigenvalues_2,
                          initial, mode) -> _Batch:
     if mode not in ("first-order", "exact"):
         checks.fail(f"mode must be 'first-order' or 'exact', got {mode!r}")
-    _check_initial(checks, initial, "particle and two impurities")
+    _check_initial(checks, initial, _IMPURITIES_CONTENT)
     exact = mode == "exact"
     if exact:
         checks.add(~(np.isfinite(half_separation) & (half_separation > 0)),
                    "half_separation must be positive")
     _check_wave_number(checks, k)
-    _check_couplings(checks, r1, eigenvalues_1,
-                     "potential_left entries must be finite" if exact else "coupling must be finite")
-    _check_couplings(checks, r2, eigenvalues_2,
-                     "potential_right entries must be finite" if exact else "coupling must be finite")
+    coupling_1 = _couplings(checks, r1, eigenvalues_1,
+                            "potential_left entries must be finite" if exact else "coupling must be finite")
+    coupling_2 = _couplings(checks, r2, eigenvalues_2,
+                            "potential_right entries must be finite" if exact else "coupling must be finite")
     checks.raise_first()
 
-    s1 = _channel_amplitudes(r1, k, eigenvalues_1)
-    s2 = _channel_amplitudes(r2, k, eigenvalues_2)
+    s1, s2 = _transmission(np.array([coupling_1, coupling_2]), k[:, None])
     phase = np.exp(2j * k * half_separation)
 
     def step(w, psi):
@@ -507,11 +553,12 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
     else:
         failure_labels = ("reflected at impurity-1", "transmitted impurity-1, reflected at impurity-2")
         prefix = "both transmitted, particle measured "
-    psi0 = np.broadcast_to(initial.amplitudes, (checks.n, 8))
-    *failures, after_2 = _by_sector(psi0, len(failure_labels) + 1, step)
-    measured, outcomes = _measure(after_2, 2, prefix, initial.labels, _norm2(after_2))
-    return _batch(psi0, initial.labels, [*zip(failure_labels, failures), *measured], outcomes,
-                  _attempts(outcomes[0].probability),
+    psi0 = _initial_rows(initial, checks.n)
+    rows = _by_sector(psi0, len(failure_labels) + 1, step)
+    prob = _norm2(rows)
+    measured, outcomes = _measure(rows[:, -1], prob[:, -1], 2, prefix, initial.labels)
+    return _batch(psi0, initial.labels, [*_branches(failure_labels, rows, prob), *measured],
+                  outcomes, _attempts(outcomes.probability[:, 0]),
                   _describe(k=k, r1=r1, r2=r2, half_separation=half_separation))
 
 
@@ -522,6 +569,7 @@ def _one(x, dtype=float):
     return np.array([x], dtype=dtype)
 
 
+@_quiet
 def concentrate_fixed(a, b, k: float, coupling: float, axis=(0.0, 0.0, 1.0)) -> ProtocolResult:
     """Filter a|00> + b|11> by scattering particle 1 off a pinned-spin impurity.
 
@@ -535,11 +583,13 @@ def concentrate_fixed(a, b, k: float, coupling: float, axis=(0.0, 0.0, 1.0)) -> 
                                       _one(k), _one(coupling), axis))
 
 
+@_quiet
 def optimal_coupling_fixed(a, b, k: float) -> float:
     """Coupling that balances the filtered pair: |S| = |a/b|, so r = (k/2)sqrt(|b/a|^2 - 1).
 
-    Requires 0 < |a| < |b| (filtering can only damp the larger amplitude).
-    The closed form is cross-checked against a numeric root-find in tests.
+    Requires 0 < |a| < |b| (filtering can only damp the larger amplitude),
+    and a coupling in the normal float range.  The closed form is
+    cross-checked against a numeric root-find in tests.
     """
     checks = _Checks(1)
     coupling = _optimal_coupling(checks, _one(a, complex), _one(b, complex), _one(k))
@@ -547,6 +597,7 @@ def optimal_coupling_fixed(a, b, k: float) -> float:
     return float(coupling[0])
 
 
+@_quiet
 def concentrate_kondo(a, b, k: float, impurity: KondoImpurity) -> ProtocolResult:
     """Filter a|00> + b|11> by scattering particle 1 off a free-spin impurity.
 
@@ -561,6 +612,7 @@ def concentrate_kondo(a, b, k: float, impurity: KondoImpurity) -> ProtocolResult
                                       _one(impurity.coupling), impurity.eigenvalues))
 
 
+@_quiet
 def entangle_particles(k: float, impurity: KondoImpurity, initial: SpinState | None = None) -> ProtocolResult:
     """Entangle two flying particles through one free-spin impurity.
 
@@ -572,11 +624,12 @@ def entangle_particles(k: float, impurity: KondoImpurity, initial: SpinState | N
     and sit in the event tree.
     """
     if initial is None:
-        initial = basis_state("001", _PARTICLES_REGISTER)
+        initial = _basis_state("001", _PARTICLES_REGISTER)
     return _result(_entangle_particles(_Checks(1), _one(k), _one(impurity.coupling),
                                        impurity.eigenvalues, initial))
 
 
+@_quiet
 def entangle_impurities(k: float, impurity_1: KondoImpurity, impurity_2: KondoImpurity,
                         half_separation: float = 1.0, initial: SpinState | None = None,
                         mode: str = "first-order") -> ProtocolResult:
@@ -595,7 +648,7 @@ def entangle_impurities(k: float, impurity_1: KondoImpurity, impurity_2: KondoIm
     revisits) and resolves which impurity reflected.
     """
     if initial is None:
-        initial = basis_state("100", _IMPURITIES_REGISTER)
+        initial = _basis_state("100", _IMPURITIES_REGISTER)
     return _result(_entangle_impurities(
         _Checks(1), _one(k), _one(impurity_1.coupling), _one(impurity_2.coupling),
         _one(half_separation), impurity_1.eigenvalues, impurity_2.eigenvalues, initial, mode))
@@ -615,9 +668,12 @@ def _num(p, name, checks, default=None):
     if isinstance(value, np.ndarray):
         return np.broadcast_to(value.astype(float), (checks.n,))
     try:
-        return np.full(checks.n, float(value))
+        value = float(value)
     except (TypeError, ValueError) as exc:
         checks.fail(str(exc))
+    column = np.empty(checks.n)
+    column[:] = value
+    return column
 
 
 def _eigenvalues_param(p, checks):
@@ -636,13 +692,19 @@ def _eigenvalues_param(p, checks):
 
 
 def _kondo_couplings(checks, eigenvalues, *couplings):
-    """The checks of KondoImpurity(r, eigenvalues) for each coupling array, in turn."""
-    for r in couplings:
+    """The checks of KondoImpurity(r, eigenvalues) for each coupling array, in turn.
+
+    The eigenvalues are checked once, after the first coupling: a
+    point-by-point loop checks them again after each later one, where they
+    have already passed.
+    """
+    for i, r in enumerate(couplings):
         checks.add(~np.isfinite(r), "coupling must be finite")
-        try:
-            _check_eigenvalues(eigenvalues)
-        except ValueError as exc:
-            checks.fail(str(exc))
+        if i == 0:
+            try:
+                _check_eigenvalues(eigenvalues)
+            except ValueError as exc:
+                checks.fail(str(exc))
 
 
 def _coeff_pair(p, checks):
@@ -661,8 +723,10 @@ def _axis_param(p, checks):
         p.pop("axis", None)
         theta = _num(p, "axis_theta", checks)
         return np.stack([np.sin(theta), np.zeros(checks.n), np.cos(theta)], axis=-1)
-    axis = p.pop("axis", (0.0, 0.0, 1.0))
-    return np.broadcast_to(np.array([float(x) for x in axis]), (checks.n, len(axis)))
+    axis = [float(x) for x in p.pop("axis", (0.0, 0.0, 1.0))]
+    rows = np.empty((checks.n, len(axis)))
+    rows[:] = axis
+    return rows
 
 
 def _reject_unknown(p, protocol, checks):
@@ -670,11 +734,21 @@ def _reject_unknown(p, protocol, checks):
         checks.fail(f"unknown parameter(s) for {protocol}: {', '.join(sorted(p))}")
 
 
-def _initial_param(p, default, labels, checks):
+@functools.cache
+def _basis_state(bits, labels):
+    """basis_state(bits, labels), built once per argument pair; the state is frozen and read-only."""
+    return basis_state(bits, labels)
+
+
+def _initial_param(p, default, labels, content, checks):
+    """The initial basis state; its bits are checked first, then their count."""
+    bits = str(p.pop("initial", default))
     try:
-        return basis_state(str(p.pop("initial", default)), labels)
+        initial = _basis_state(bits, labels if len(bits) == len(labels) else None)
     except ValueError as exc:
         checks.fail(str(exc))
+    _check_initial(checks, initial, content)
+    return initial
 
 
 @_quiet
@@ -709,7 +783,7 @@ def _run_entangle_particles(p, checks):
     if "r" not in p:
         checks.fail("missing parameter 'r' (exchange coupling)")
     r = _num(p, "r", checks)
-    initial = _initial_param(p, "001", _PARTICLES_REGISTER, checks)
+    initial = _initial_param(p, "001", _PARTICLES_REGISTER, _PARTICLES_CONTENT, checks)
     _reject_unknown(p, "entangle-particles", checks)
     _kondo_couplings(checks, ev, r)
     return _entangle_particles(checks, k, r, ev, initial)
@@ -726,7 +800,7 @@ def _run_entangle_impurities(p, checks):
                "missing parameter 'r1'/'r2' (or common 'r') for the two couplings")
     half_separation = _num(p, "half_separation", checks, 1.0)
     mode = str(p.pop("mode", "first-order"))
-    initial = _initial_param(p, "100", _IMPURITIES_REGISTER, checks)
+    initial = _initial_param(p, "100", _IMPURITIES_REGISTER, _IMPURITIES_CONTENT, checks)
     _reject_unknown(p, "entangle-impurities", checks)
     _kondo_couplings(checks, ev, r1, r2)
     return _entangle_impurities(checks, k, r1, r2, half_separation, ev, ev, initial, mode)
@@ -859,10 +933,11 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
         params = _flat(fixed)
         params.update({name.replace("-", "_"): column[lo:lo + _BLOCK]
                        for name, column in zip(names, points)})
-        first = run(params, _Checks(min(_BLOCK, points[0].size - lo))).outcomes[0]
-        blocks.append((first.probability,
-                       np.where(first.live, first.entropy, 0.0),
-                       np.where(first.live, first.concurrence, 0.0)))
+        first = run(params, _Checks(min(_BLOCK, points[0].size - lo))).outcomes
+        live = first.live[:, 0]
+        blocks.append((first.probability[:, 0],
+                       np.where(live, first.entropy[:, 0], 0.0),
+                       np.where(live, first.concurrence[:, 0], 0.0)))
     metrics = [np.concatenate(column) for column in zip(*blocks)]
 
     columns = dict(zip(names + list(_METRIC_NAMES), points + metrics))

@@ -73,8 +73,14 @@ def barrier_transmission(coupling, k):
     overflows to infinity, S is its limit 0.
     """
     with np.errstate(over="ignore"):
-        xi = np.asarray(coupling, dtype=float) / k
-    s = np.ones(np.shape(xi), dtype=complex)
+        return _transmission(coupling, k)
+
+
+def _transmission(coupling, k):
+    """barrier_transmission for callers that already hold floating-point warnings off."""
+    xi = np.asarray(coupling, dtype=float) / k
+    s = np.empty(np.shape(xi), dtype=complex)
+    s.real = 1.0
     s.imag = xi  # 1 + i xi without the product 1j * inf, which is nan + inf i
     np.divide(1.0, s, out=s)
     s[np.isinf(xi)] = 0.0
