@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import make_state, pauli_along
-from .scattering import OperatorAmplitudes, scalar_amplitudes
+from .scattering import OperatorAmplitudes, _check_wave_number, barrier_transmission, scalar_amplitudes
 from .tolerances import DEFAULT as TOL
 
 EXCHANGE_EIGENVALUE_PRESETS: dict[str, tuple[float, float, float, float]] = {
@@ -145,8 +145,16 @@ def filter_transmission(amplitude, sigma) -> np.ndarray:
 
 
 def kondo_channel_amplitudes(spec: KondoImpurity, k: float) -> tuple[complex, ...]:
-    """Per-channel scalar transmissions S_c = 1/(1 + i r*lambda_c/k)."""
-    return tuple(scalar_amplitudes(spec.coupling * lam, k).transmission for lam in spec.eigenvalues)
+    """Per-channel scalar transmissions S_c = 1/(1 + i r*lambda_c/k).
+
+    One barrier_transmission over the four channel couplings, checked as
+    scalar_amplitudes checks each of them.
+    """
+    _check_wave_number(k)
+    couplings = [spec.coupling * lam for lam in spec.eigenvalues]
+    if not all(map(math.isfinite, couplings)):
+        raise ValueError("coupling must be finite")
+    return tuple(barrier_transmission(couplings, k).tolist())
 
 
 def kondo_operators(spec: KondoImpurity, k: float) -> OperatorAmplitudes:
@@ -156,7 +164,12 @@ def kondo_operators(spec: KondoImpurity, k: float) -> OperatorAmplitudes:
     different route from matrix_amplitudes, which diagonalizes the potential
     numerically; the two must agree).
     """
-    t = exchange_transmission(np.array(kondo_channel_amplitudes(spec, k)))
+    return _exchange_operators(kondo_channel_amplitudes(spec, k))
+
+
+def _exchange_operators(amplitudes) -> OperatorAmplitudes:
+    """The operators T = sum_c S_c P_c and T - I of the four channel amplitudes S_c."""
+    t = exchange_transmission(np.array(amplitudes))
     return OperatorAmplitudes(t, t - np.eye(4))
 
 

@@ -40,6 +40,7 @@ from .channels import (
     EXCHANGE_EIGENVALUE_PRESETS,
     FixedImpurity,
     KondoImpurity,
+    _exchange_operators,
     embed,
     exchange_matrix,
     fixed_filter_operators,
@@ -296,8 +297,8 @@ def _kondo_spec(p) -> KondoImpurity:
 
 def _cmd_kondo(p, fmt):
     spec = _kondo_spec(p)
-    ops = kondo_operators(spec, p["k"])
     channel = kondo_channel_amplitudes(spec, p["k"])
+    ops = _exchange_operators(channel)
     extra = {"k": _round12(p["k"]), "r": _round12(p["r"]),
              "eigenvalues": [_round12(x) for x in spec.eigenvalues]}
     return _operator_text(ops, fmt, extra, channel)
@@ -706,24 +707,26 @@ _REQUIRED = {
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The argparse tree of every command, built on first use and then shared.
 
-    Parsing leaves the tree as it was: each parse_args call fills a new
-    Namespace and append actions copy their lists, so calls in one process
-    see no state from earlier calls.
+    Returns the root parser and the subparser of each command.  Parsing
+    leaves the tree as it was: each parse_args call fills a new Namespace
+    and append actions copy their lists, so calls in one process see no
+    state from earlier calls.
     """
     parser = _Parser(prog="spinscatter",
                      description="Delta-potential spin scattering and entanglement protocols.")
     subs = parser.add_subparsers(dest="command", metavar="command")
+    commands = {}
     for command, table in _PARAMS.items():
-        sub = subs.add_parser(command, help=f"run the {command} command")
+        sub = commands[command] = subs.add_parser(command, help=f"run the {command} command")
         for flag, (_, repeatable, help_text) in table.items():
             sub.add_argument(f"--{flag}", dest=flag, default=None, help=help_text,
                              **({"action": "append"} if repeatable else {}))
         for flag, help_text in _COMMON.items():
             sub.add_argument(f"--{flag}", dest=f"common_{flag}", default=None, help=help_text)
-    return parser
+    return parser, commands
 
 
 def _load_config(parser, path):
@@ -745,11 +748,18 @@ def parse_args(argv=None) -> RunConfig:
     Exits with status 1 and a one-line "error: ..." diagnostic on any usage
     problem; --help exits with status 0.
     """
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command is None:
-        parser.error(f"missing command (one of: {', '.join(_PARAMS)})")
-    command = ns.command
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        # the root parser would hand every token after the command to its
+        # subparser unchanged; skip its own pass over them
+        command = argv[0]
+        ns = commands[command].parse_args(argv[1:])
+    else:
+        ns = parser.parse_args(argv)
+        if ns.command is None:
+            parser.error(f"missing command (one of: {', '.join(_PARAMS)})")
+        command = ns.command
     table = _PARAMS[command]
 
     file_values = {}

@@ -57,6 +57,7 @@ ERROR_CALLS = (
      "--mode", "exact"],
     ["amplitudes", "--k", "1e-310", "--r", "1"],
     ["kondo", "--k", "1", "--r", "1", "--eigenvalues", "bogus"],
+    ["kondo", "--k", "1", "--r", "1e308", "--eigenvalues", "1,1,1,3"],
 )
 
 
