@@ -58,8 +58,8 @@ EXCHANGE_PROJECTORS.setflags(write=False)
 
 
 def _check_eigenvalues(eigenvalues) -> tuple[float, float, float, float]:
-    ev = tuple(float(x) for x in eigenvalues)
-    if len(ev) != 4 or not all(math.isfinite(x) for x in ev):
+    ev = tuple([float(x) for x in eigenvalues])
+    if len(ev) != 4 or not all(map(math.isfinite, ev)):
         raise ValueError("eigenvalues must be four finite numbers")
     return ev
 

@@ -163,13 +163,11 @@ class _Checks:
 
     def __init__(self, n: int):
         self.n = n
-        self._bad = []
-        self._errors = []
+        self._checks = []
 
     def add(self, bad, message, error=ValueError):
         """Record a check: bad is (N,) boolean, message text or a function of the point index."""
-        self._bad.append(bad)
-        self._errors.append((message, error))
+        self._checks.append((bad, message, error))
 
     def fail(self, message):
         """A failure shared by every point, raised at once (after earlier checks at point 0)."""
@@ -177,15 +175,14 @@ class _Checks:
         self.raise_first()
 
     def raise_first(self):
-        if not self._bad:
+        if not self._checks:
             return
-        bad = np.array(self._bad)
+        bad = np.array([b for b, _, _ in self._checks])
         if np.logical_or.reduce(bad, axis=None):
             point = int(np.argmax(np.logical_or.reduce(bad, axis=0)))
-            message, error = self._errors[int(np.argmax(bad[:, point]))]
+            _, message, error = self._checks[int(np.argmax(bad[:, point]))]
             raise error(message(point) if callable(message) else message)
-        self._bad.clear()
-        self._errors.clear()
+        self._checks.clear()
 
 
 class _Outcomes(NamedTuple):
@@ -240,10 +237,6 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _apply(op, psi):
-    return np.einsum("nij,nj->ni", op, psi)
-
-
 @functools.cache
 def _identity(d):
     eye = np.eye(d)
@@ -252,8 +245,12 @@ def _identity(d):
 
 
 def _transmit(t, psi):
-    """Transmitted T psi and reflected (T - I) psi amplitudes of one barrier."""
-    return _apply(t, psi), _apply(t - _identity(t.shape[-1]), psi)
+    """Transmitted T psi and reflected (T - I) psi amplitudes of one barrier, by one einsum."""
+    both = np.empty((len(t), 2, *t.shape[1:]), dtype=complex)
+    both[:, 0] = t
+    np.subtract(t, _identity(t.shape[-1]), out=both[:, 1])
+    out = np.einsum("nkij,nj->nki", both, psi)
+    return out[:, 0], out[:, 1]
 
 
 @functools.cache
