@@ -99,7 +99,7 @@ _FILTER_PAULIS = np.stack([embed(sigma, 2, (0,)) for sigma in (PAULI_X, PAULI_Y,
 # (N, d, d) sector blocks, d <= 3, of the exchange protocols
 _BLOCK = 1024
 
-# an optimal coupling below this has lost significant bits
+# an optimal coupling below this has lost significant bits, or underflowed to 0
 _SMALLEST_NORMAL = np.finfo(float).tiny
 
 
@@ -458,10 +458,10 @@ def _optimal_coupling(checks, a, b, k):
     checks.add((ma <= 0.0) | (ma >= mb), "optimal coupling requires 0 < |a| < |b|")
     coupling = k * np.sqrt((mb / ma) ** 2 - 1.0) / 2.0
     checks.add(~np.isfinite(2.0 * coupling), "coupling must be finite")
-    # a subnormal coupling keeps too few bits to meet the balance below
-    checks.add((coupling > 0.0) & (coupling < _SMALLEST_NORMAL),
-               lambda i: f"optimal coupling {coupling[i]:.3e} is subnormal "
-                         f"(k = {k[i]:.3e} is too small)")
+    # a coupling that underflows keeps too few bits, if any, to meet the balance below
+    checks.add(coupling < _SMALLEST_NORMAL,
+               lambda i: f"optimal coupling {coupling[i]:.3e} is below the smallest normal "
+                         f"float (k = {k[i]:.3e} is too small)")
     # verify the defining balance |S(2r)| = |a/b| before handing the value out
     residual = np.abs(_modulus(_transmission(2.0 * coupling, k)) - ma / mb)
     checks.add(residual > TOL.algebraic,

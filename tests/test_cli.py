@@ -101,6 +101,28 @@ def test_overflowing_xi_is_a_one_line_error(command):
         assert proc.stderr == "error: xi overflows to inf (coupling/k exceeds the float range)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["concentrate", "--a-coeff", "0.5", "--k", "1e-320"],
+    ["sweep", "--protocol", "concentrate", "--grid", "k:1e-322:1e-300:5:log", "--fixed", "a=0.5"],
+])
+def test_subnormal_optimal_coupling_is_a_one_line_error(argv, capsys):
+    # valid input, but the optimal coupling k sqrt(|b/a|^2 - 1)/2 is subnormal
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: optimal coupling ") and err.count("\n") == 1
+    assert "is below the smallest normal float (k = " in err
+
+
+@pytest.mark.parametrize("command, content", [
+    (["entangle-particles", "--r", "1"], "two particles and the impurity"),
+    (["entangle-impurities", "--r1", "1", "--r2", "1"], "particle and two impurities"),
+])
+def test_initial_state_of_the_wrong_size_names_the_register(command, content, capsys):
+    assert cli.main([*command, "--k", "1", "--initial", "01"]) == 1
+    assert capsys.readouterr() == ("", f"error: initial state must have 3 qubits ({content})\n")
+
+
 def test_kondo_opaque_limit_when_coupling_over_k_overflows():
     proc = run_cli("kondo", "--k", "1e-300", "--r", "1e10", "--format", "json")
     assert proc.returncode == 0, proc.stderr

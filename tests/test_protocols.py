@@ -1,4 +1,7 @@
+import cProfile
 import math
+import pstats
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from conftest import reduced_density, von_neumann_entropy
 from spinscatter import (
     GridSpec,
     KondoImpurity,
+    SpinState,
     basis_state,
     concentrate_fixed,
     concentrate_kondo,
@@ -113,6 +117,20 @@ def test_optimal_coupling_rejects_degenerate_direction():
         optimal_coupling_fixed(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         optimal_coupling_fixed(A3, B3, -1.0)
+
+
+@pytest.mark.parametrize("k", [3e-308, 1e-320, 5e-324])
+def test_optimal_coupling_refuses_a_coupling_below_the_normal_range(k):
+    # r = k sqrt(|b/a|^2 - 1)/2 = k/sqrt(2) here: subnormal, or 0 for the
+    # smallest k, it keeps too few bits to meet the balance |S(2r)| = |a/b|
+    message = r"^optimal coupling \S+ is below the smallest normal float \(k = \S+ is too small\)$"
+    with pytest.raises(ValueError, match=message):
+        optimal_coupling_fixed(0.5, math.sqrt(0.75), k)
+    with pytest.raises(ValueError, match=message):
+        run_protocol("concentrate", {"a": 0.5, "k": k})
+    # just above the range the coupling is found and balanced
+    tiny = np.finfo(float).tiny
+    assert tiny <= optimal_coupling_fixed(0.5, math.sqrt(0.75), 1.01 * math.sqrt(2.0) * tiny)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +270,22 @@ def test_entangle_particles_input_validation():
                            make_state([1.0, 1.0, 0, 0, 0, 0, 0, 0]))
 
 
+@pytest.mark.parametrize("protocol, params, content", [
+    ("entangle-particles", {"r": 1.0}, "two particles and the impurity"),
+    ("entangle-impurities", {"r1": 1.0, "r2": 0.5}, "particle and two impurities"),
+    ("entangle-impurities", {"r1": 1.0, "r2": 0.5, "mode": "exact"}, "particle and two impurities"),
+])
+@pytest.mark.parametrize("bits", ["0", "01"])
+def test_run_protocol_reports_the_bit_count_of_the_initial_state(protocol, params, content, bits):
+    message = f"initial state must have 3 qubits ({content})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_protocol(protocol, {**params, "initial": bits})
+    # a string that is not bits is reported as such, whatever its length
+    for text in ("0012", "x1", ""):
+        with pytest.raises(ValueError, match="^bits must be a string"):
+            run_protocol(protocol, {**params, "initial": text})
+
+
 # ---------------------------------------------------------------------------
 # entangling two impurities with one particle
 
@@ -331,6 +365,72 @@ def test_every_outcome_state_is_normalized():
                 assert 0.0 <= out.branch_probability <= 1.0 + 1e-12
                 if out.post_state is not None:
                     assert out.post_state.normalized
+
+
+# ---------------------------------------------------------------------------
+# the batch-of-one result types
+
+# every protocol and mode, as run_protocol calls
+SINGLE_CALLS = {
+    "concentrate": ("concentrate", {"a": 0.5, "k": 1.2}),
+    "concentrate-given-r": ("concentrate", {"a": 0.5, "k": 1.2, "r": 0.7, "axis": (0.6, 0.0, 0.8)}),
+    "concentrate-kondo": ("concentrate-kondo", {"a": 0.5, "k": 1.2, "r": 0.7}),
+    "entangle-particles": ("entangle-particles", {"k": 1.2, "r": 0.7, "initial": "011"}),
+    "entangle-impurities": ("entangle-impurities", {"k": 1.2, "r1": 0.7, "r2": 0.4}),
+    "entangle-impurities-exact": ("entangle-impurities",
+                                  {"k": 1.2, "r1": 0.7, "r2": 0.4, "mode": "exact"}),
+}
+
+
+def _states(result):
+    for out in result.outcomes:
+        if out.post_state is not None:
+            yield out.post_state
+    for branch in result.tree.branches:
+        yield branch.state
+
+
+def test_result_states_equal_states_built_by_the_public_constructor():
+    # the kernel wraps its checked rows without SpinState's checks; each state
+    # must be the one SpinState(amplitudes, labels) builds from the same values
+    rng = np.random.default_rng(71)
+    presets = ["default", "standard-pauli", (1.0, -0.5, 2.0, 0.25)]
+    seen = 0
+    for i in range(240):
+        protocol, params = SINGLE_CALLS[list(SINGLE_CALLS)[i % len(SINGLE_CALLS)]]
+        params = dict(params, k=float(rng.uniform(0.2, 3.0)))
+        if protocol == "concentrate":
+            params["a"] = float(rng.uniform(0.05, 0.65))
+        elif protocol == "concentrate-kondo":
+            params.update(a=float(rng.uniform(0.0, 1.0)), r=float(rng.uniform(-3, 3)))
+        else:
+            bits = "".join(rng.choice(["0", "1"], 3))
+            params.update(initial=bits, eigenvalues=presets[i % 3],
+                          **{name: float(rng.uniform(-3, 3)) for name in ("r", "r1", "r2")
+                             if name in params})
+        for state in _states(run_protocol(protocol, params)):
+            public = SpinState(state.amplitudes, state.labels)
+            assert state.amplitudes.tobytes() == public.amplitudes.tobytes()
+            assert state.amplitudes.dtype == complex and state.amplitudes.ndim == 1
+            assert state.labels == public.labels and all(type(x) is str for x in state.labels)
+            assert state.normalized is public.normalized
+            assert not state.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 0.0
+            seen += 1
+    assert seen > 800
+
+
+@pytest.mark.parametrize("name", SINGLE_CALLS)
+def test_single_call_python_call_count(name):
+    # cProfile counts Python and builtin calls; ufunc arithmetic is not counted
+    protocol, params = SINGLE_CALLS[name]
+    for _ in range(3):
+        run_protocol(protocol, dict(params))
+    profile = cProfile.Profile()
+    profile.runcall(run_protocol, protocol, dict(params))
+    calls = pstats.Stats(profile).total_calls
+    assert calls <= 250, calls
 
 
 # ---------------------------------------------------------------------------
