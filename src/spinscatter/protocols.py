@@ -930,11 +930,11 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
         params = _flat(fixed)
         params.update({name.replace("-", "_"): column[lo:lo + _BLOCK]
                        for name, column in zip(names, points)})
-        first = run(params, _Checks(min(_BLOCK, points[0].size - lo))).outcomes
-        live = first.live[:, 0]
-        blocks.append((first.probability[:, 0],
-                       np.where(live, first.entropy[:, 0], 0.0),
-                       np.where(live, first.concurrence[:, 0], 0.0)))
+        outcomes = run(params, _Checks(min(_BLOCK, points[0].size - lo))).outcomes
+        live = outcomes.live[:, 0]  # the first outcome, the success branch
+        blocks.append((outcomes.probability[:, 0],
+                       np.where(live, outcomes.entropy[:, 0], 0.0),
+                       np.where(live, outcomes.concurrence[:, 0], 0.0)))
     metrics = [np.concatenate(column) for column in zip(*blocks)]
 
     columns = dict(zip(names + list(_METRIC_NAMES), points + metrics))

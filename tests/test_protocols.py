@@ -21,6 +21,7 @@ from spinscatter import (
     make_state,
     normalize,
     optimal_coupling_fixed,
+    protocols,
     run_protocol,
     scalar_amplitudes,
     sweep,
@@ -419,6 +420,22 @@ def test_result_states_equal_states_built_by_the_public_constructor():
                 state.amplitudes[0] = 0.0
             seen += 1
     assert seen > 800
+
+
+def test_measured_branch_probability_sums_as_its_zero_padded_row():
+    # the kernel sums each kept half of a measured state without building the
+    # zero-padded branch; the sum must be _norm2 of that branch bit for bit
+    rng = np.random.default_rng(83)
+    state = (rng.normal(size=(500, 8)) + 1j * rng.normal(size=(500, 8))) \
+        * 10.0 ** rng.integers(-8, 8, size=(500, 8))
+    for qubit in (0, 1, 2):
+        branches, outcomes = protocols._measure(state, protocols._norm2(state), qubit, "m ",
+                                                ("q2", "q1", "q0"))
+        assert outcomes.pair_labels == tuple(f"q{q}" for q in (2, 1, 0) if q != qubit)
+        for _, amps, kept, prob in branches:
+            padded = np.zeros_like(state)
+            padded[:, kept] = amps
+            assert np.array_equal(prob, protocols._norm2(padded))
 
 
 @pytest.mark.parametrize("name", SINGLE_CALLS)
