@@ -36,7 +36,7 @@ takes both bits by one precomputed index and computes their pair figures
 together; the tree is checked in one pass; and the result's states wrap the
 checked rows without a copy or a second check.  Floating-point warnings
 are switched off once per call, at the entry point.  A warm run_protocol
-call takes about 0.2-0.3 ms and fewer than 250 Python-level calls.
+call takes about 0.2-0.4 ms and fewer than 250 Python-level calls.
 
 Probability bookkeeping: branch states carry raw (unnormalized) amplitudes
 descended from the normalized initial state, so a branch's squared norm is
@@ -260,9 +260,9 @@ def _transmit(t, psi):
 
 
 @functools.cache
-def _split(n, qubit):
-    """(2, 2^(n-1)) indices of an n-qubit register whose qubit reads 0 (row 0) or 1 (row 1), ascending."""
-    index = np.arange(2 ** n)
+def _split(qubit):
+    """(2, 4) indices of the three-qubit register whose qubit reads 0 (row 0) or 1 (row 1), ascending."""
+    index = np.arange(8)
     split = np.array([index[((index >> qubit) & 1) == bit] for bit in (0, 1)])
     split.setflags(write=False)
     return split
@@ -316,7 +316,7 @@ def _measure(state, norm, qubit, prefix, register):
     bits, as the four amplitudes each keeps, and their stacked outcomes;
     each outcome's pair drops the measured qubit.
     """
-    split = _split(3, qubit)
+    split = _split(qubit)
     pairs = state[:, split]
     square = pairs.real ** 2 + pairs.imag ** 2
     # a branch's probability as _norm2 sums its zero-padded row: pairwise,
