@@ -12,10 +12,13 @@ produce byte-identical csv/json streams; nothing time- or host-dependent is
 written to them.  Sweep's argmax summary goes to stderr in csv/json modes
 so the data stream stays exactly the record table.
 
-Parameter precedence: command-line flag, then --config JSON file (same key
-names as the flags without the leading dashes), then built-in defaults; the
-default output format alone may also come from the SPINSCATTER_FORMAT
-environment variable (weaker than flag and config file).
+Parameters: the protocol commands' flags derive from protocols.PARAMS, as
+do run_protocol and sweep, and every flag, config and sweep --fixed value
+is read by its parameter's reader.  Precedence: command-line flag, then
+--config JSON file (same key names as the flags without the leading
+dashes), then built-in defaults; the default output format alone may also
+come from the SPINSCATTER_FORMAT environment variable (weaker than flag and
+config file).
 
 Exit status: 0 success; 1 input, usage, or I/O error with a one-line
 "error: ..." diagnostic on stderr; 2 internal invariant violation with a
@@ -37,6 +40,7 @@ from itertools import chain
 import numpy as np
 
 from .channels import (
+    DEFAULT_EXCHANGE_EIGENVALUES,
     EXCHANGE_EIGENVALUE_PRESETS,
     FixedImpurity,
     KondoImpurity,
@@ -49,7 +53,17 @@ from .channels import (
 )
 from .errors import InternalFaultError
 from .protocols import (
+    _BY_KEY,
+    PARAMS,
     GridSpec,
+    Param,
+    _read,
+    _to_axis,
+    _to_choice,
+    _to_eigenvalues,
+    _to_float,
+    _to_positive,
+    _to_str,
     concentrate_fixed,
     concentrate_kondo,
     entangle_impurities,
@@ -285,18 +299,8 @@ def _cmd_filter(p, fmt):
     return _operator_text(ops, fmt, extra)
 
 
-def _kondo_spec(p) -> KondoImpurity:
-    ev = p.get("eigenvalues", "default")
-    if isinstance(ev, str):
-        if ev not in EXCHANGE_EIGENVALUE_PRESETS:
-            known = ", ".join(sorted(EXCHANGE_EIGENVALUE_PRESETS))
-            raise ValueError(f"unknown eigenvalue preset {ev!r} (known: {known})")
-        ev = EXCHANGE_EIGENVALUE_PRESETS[ev]
-    return KondoImpurity(p["r"], ev)
-
-
 def _cmd_kondo(p, fmt):
-    spec = _kondo_spec(p)
+    spec = KondoImpurity(p["r"], p.get("eigenvalues", DEFAULT_EXCHANGE_EIGENVALUES))
     channel = kondo_channel_amplitudes(spec, p["k"])
     ops = _exchange_operators(channel)
     extra = {"k": _round12(p["k"]), "r": _round12(p["r"]),
@@ -354,25 +358,16 @@ def _render_protocol(result, fmt) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_concentrate(p, fmt):
-    name = "concentrate" if p.get("impurity", "fixed") == "fixed" else "concentrate-kondo"
-    args = {"a": p["a_coeff"], "k": p["k"]}
-    for src, dst in (("b_coeff", "b"), ("a_phase", "a_phase"), ("b_phase", "b_phase"),
-                     ("r", "r"), ("axis", "axis"), ("eigenvalues", "eigenvalues")):
-        if src in p:
-            args[dst] = p[src]
-    return _render_protocol(run_protocol(name, args), fmt)
+# The protocol commands, each named after the protocol it runs; concentrate
+# runs either concentrate protocol, chosen by --impurity.
+_IMPURITIES = {"fixed": "concentrate", "kondo": "concentrate-kondo"}
+_PROTOCOL_COMMANDS = {"concentrate": tuple(_IMPURITIES.values()),
+                      **{name: (name,) for name in PARAMS if name not in _IMPURITIES.values()}}
 
 
-def _cmd_entangle_particles(p, fmt):
-    args = {k: p[k] for k in ("k", "r", "eigenvalues", "initial") if k in p}
-    return _render_protocol(run_protocol("entangle-particles", args), fmt)
-
-
-def _cmd_entangle_impurities(p, fmt):
-    keys = ("k", "r1", "r2", "half_separation", "mode", "eigenvalues", "initial")
-    args = {k: p[k] for k in keys if k in p}
-    return _render_protocol(run_protocol("entangle-impurities", args), fmt)
+def _cmd_protocol(command, p, fmt):
+    protocol = _IMPURITIES[p.pop("impurity")] if "impurity" in p else command
+    return _render_protocol(run_protocol(protocol, p), fmt)
 
 
 def _cmd_sweep(p, fmt):
@@ -512,9 +507,7 @@ _HANDLERS = {
     "amplitudes": _cmd_amplitudes,
     "filter": _cmd_filter,
     "kondo": _cmd_kondo,
-    "concentrate": _cmd_concentrate,
-    "entangle-particles": _cmd_entangle_particles,
-    "entangle-impurities": _cmd_entangle_impurities,
+    **{command: functools.partial(_cmd_protocol, command) for command in _PROTOCOL_COMMANDS},
     "sweep": _cmd_sweep,
     "selftest": _cmd_selftest,
 }
@@ -531,54 +524,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _to_float(name, value):
-    if isinstance(value, bool):
-        raise ValueError(f"unparsable number for --{name}: {value!r}")
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"unparsable number for --{name}: {value!r}") from None
-    if not math.isfinite(x):
-        raise ValueError(f"--{name} must be finite, got {value!r}")
-    return x
-
-
-def _to_positive(name, value):
-    x = _to_float(name, value)
-    if x <= 0.0:
-        raise ValueError(f"{name.replace('-', ' ')} must be positive")
-    return x
-
-
-def _to_choice(options):
-    def convert(name, value):
-        v = str(value)
-        if v not in options:
-            raise ValueError(f"--{name} must be one of: {', '.join(options)} (got {v!r})")
-        return v
-    return convert
-
-
-def _to_axis(name, value):
-    parts = value.split(",") if isinstance(value, str) else list(value)
-    if len(parts) != 3:
-        raise ValueError(f"--{name} needs three comma-separated components")
-    return tuple(_to_float(name, part) for part in parts)
-
-
-def _to_eigenvalues(name, value):
-    if isinstance(value, str) and "," not in value:
-        return value  # preset name, validated downstream
-    parts = value.split(",") if isinstance(value, str) else list(value)
-    if len(parts) != 4:
-        raise ValueError(f"--{name} needs a preset name or four comma-separated numbers")
-    return tuple(_to_float(name, part) for part in parts)
-
-
 def _to_grid(name, value):
-    specs = [value] if isinstance(value, str) else list(value)
     grids = []
-    for text in specs:
+    for text in value if isinstance(value, list) else [value]:
         parts = str(text).split(":")
         if len(parts) not in (4, 5):
             raise ValueError(
@@ -597,113 +545,70 @@ def _to_grid(name, value):
     return grids
 
 
-def _to_str(name, value):
-    return str(value)
-
-
-# The protocols' text parameters (protocols._TEXT_PARAMS), each read as its
-# own flag reads it.
-_FIXED_TEXT = {"initial": _to_str, "mode": _to_str,
-               "eigenvalues": _to_eigenvalues, "axis": _to_axis}
-
-
-def _fixed_value(name, key, raw):
-    """A pinned value given as text: a text parameter as its own flag reads
-    it, any other parameter as a number where the text parses as one."""
-    if key not in _FIXED_TEXT:
-        try:
-            return float(raw)
-        except ValueError:
-            return raw
-    try:
-        return _FIXED_TEXT[key](key, raw)
-    except ValueError as exc:
-        raise ValueError(f"--{name} {f'{key}={raw}'!r}: {exc}") from None
-
-
 def _to_fixed(name, value):
-    if isinstance(value, dict):  # a config file's "fixed" object
-        pairs = list(value.items())
-    else:
-        pairs = []
-        for text in [value] if isinstance(value, str) else list(value):
-            text = str(text)
-            if "=" not in text:
-                raise ValueError(f"--{name} {text!r}: expected name=value")
-            pairs.append(text.split("=", 1))
-    out = {}
+    """Pinned parameters as name=value texts or a config file's "fixed"
+    object; each value is read as its own flag reads it."""
+    pairs = []
+    for item in value if isinstance(value, list) else [value]:
+        if isinstance(item, dict):
+            pairs += item.items()
+        elif isinstance(item, str) and "=" in item:
+            pairs.append(item.split("=", 1))
+        else:
+            raise ValueError(f"--{name} {str(item)!r}: expected name=value")
+    fixed = {}
     for key, raw in pairs:
         key = str(key).replace("-", "_")
-        out[key] = _fixed_value(name, key, raw) if isinstance(raw, str) else raw
-    return out
+        param = _BY_KEY.get(key)  # a key no protocol takes is refused by sweep
+        try:
+            fixed[key] = raw if param is None else _read(param, raw)
+        except ValueError as exc:
+            raise ValueError(f"--{name} {f'{key}={raw}'!r}: {exc}") from None
+    return fixed
 
 
-# Per-command parameter tables: flag name -> (converter, repeatable, help).
+def _protocol_flags(protocols):
+    """The flagged parameters of a command that runs these protocols: those
+    every protocol takes, --impurity where there are several, then the rest."""
+    entries = {}
+    for name in protocols:
+        for param in PARAMS[name]:
+            if param.help is not None:
+                entries.setdefault(param.flag, param)
+    shared = [param for param in entries.values()
+              if all(param.flag in {p.flag for p in PARAMS[name]} for name in protocols)]
+    if len(protocols) > 1:
+        shared.append(Param("impurity", _to_choice(tuple(_IMPURITIES)),
+                            help="impurity kind (default fixed)"))
+    return (*shared, *(param for param in entries.values() if param not in shared))
+
+
+# Flags of every command, and of each command its parameters in flag order;
+# RunConfig.params holds their values by key.
 _COMMON = {"config": "path of a JSON file holding the same keys as the flags",
            "format": "output format: table, csv, or json",
            "output": "write the result to this file instead of stdout"}
 
-_PARAMS = {
-    "amplitudes": {
-        "k": (_to_positive, False, "wave number (positive)"),
-        "r": (_to_float, False, "delta-barrier coupling strength"),
-    },
-    "filter": {
-        "k": (_to_positive, False, "wave number (positive)"),
-        "r": (_to_float, False, "bare filter coupling"),
-        "axis": (_to_axis, False, "impurity spin axis as x,y,z (default 0,0,1)"),
-    },
-    "kondo": {
-        "k": (_to_positive, False, "wave number (positive)"),
-        "r": (_to_float, False, "exchange coupling"),
-        "eigenvalues": (_to_eigenvalues, False,
-                        "channel eigenvalue preset name or four comma-separated values"),
-    },
-    "concentrate": {
-        "a-coeff": (_to_float, False, "magnitude of the |00> amplitude"),
-        "b-coeff": (_to_float, False, "magnitude of the |11> amplitude (default sqrt(1-a^2))"),
-        "a-phase": (_to_float, False, "phase of the |00> amplitude in radians"),
-        "b-phase": (_to_float, False, "phase of the |11> amplitude in radians"),
-        "k": (_to_positive, False, "wave number (positive)"),
-        "r": (_to_float, False, "coupling (fixed impurity default: the optimum)"),
-        "impurity": (_to_choice(("fixed", "kondo")), False, "impurity kind (default fixed)"),
-        "axis": (_to_axis, False, "fixed-impurity spin axis as x,y,z"),
-        "eigenvalues": (_to_eigenvalues, False, "kondo channel eigenvalues"),
-    },
-    "entangle-particles": {
-        "k": (_to_positive, False, "wave number (positive)"),
-        "r": (_to_float, False, "exchange coupling"),
-        "eigenvalues": (_to_eigenvalues, False, "channel eigenvalues"),
-        "initial": (_to_str, False, "initial bits, particle-2 particle-1 impurity-0 (default 001)"),
-    },
-    "entangle-impurities": {
-        "k": (_to_positive, False, "wave number (positive)"),
-        "r1": (_to_float, False, "first impurity exchange coupling"),
-        "r2": (_to_float, False, "second impurity exchange coupling"),
-        "half-separation": (_to_positive, False, "impurities sit at -+ this distance (default 1)"),
-        "mode": (_to_choice(("first-order", "exact")), False, "composition mode"),
-        "eigenvalues": (_to_eigenvalues, False, "channel eigenvalues"),
-        "initial": (_to_str, False, "initial bits, particle-0 impurity-1 impurity-2 (default 100)"),
-    },
-    "sweep": {
-        "protocol": (_to_str, False, "protocol name, e.g. concentrate or entangle-particles"),
-        "grid": (_to_grid, True, "swept parameter as name:start:stop:points[:scale]"),
-        "fixed": (_to_fixed, True, "pinned parameter as name=value"),
-        "objective": (_to_choice(("entropy", "probability")), False, "argmax objective"),
-    },
-    "selftest": {},
-}
-
-_REQUIRED = {
-    "amplitudes": ("k", "r"),
-    "filter": ("k", "r"),
-    "kondo": ("k", "r"),
-    "concentrate": ("a-coeff", "k"),
-    "entangle-particles": ("k", "r"),
-    "entangle-impurities": ("k", "r1", "r2"),
-    "sweep": ("protocol", "grid"),
+_K = Param("k", _to_positive, required=True, help="wave number (positive)")
+_COMMANDS = {
+    "amplitudes": (_K, Param("r", _to_float, required=True, help="delta-barrier coupling strength")),
+    "filter": (_K, Param("r", _to_float, required=True, help="bare filter coupling"),
+               Param("axis", _to_axis, help="impurity spin axis as x,y,z (default 0,0,1)")),
+    "kondo": (_K, Param("r", _to_float, required=True, help="exchange coupling"),
+              Param("eigenvalues", _to_eigenvalues,
+                    help="channel eigenvalue preset name or four comma-separated values")),
+    **{command: _protocol_flags(protocols) for command, protocols in _PROTOCOL_COMMANDS.items()},
+    "sweep": (
+        Param("protocol", _to_str, required=True,
+              help="protocol name, e.g. concentrate or entangle-particles"),
+        Param("grid", _to_grid, required=True, help="swept parameter as name:start:stop:points[:scale]"),
+        Param("fixed", _to_fixed, help="pinned parameter as name=value"),
+        Param("objective", _to_choice(("entropy", "probability")), help="argmax objective"),
+    ),
     "selftest": (),
 }
+# flags that may be given more than once; their readers take the list
+_REPEATED = (_to_grid, _to_fixed)
 
 
 @functools.cache
@@ -719,11 +624,11 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                      description="Delta-potential spin scattering and entanglement protocols.")
     subs = parser.add_subparsers(dest="command", metavar="command")
     commands = {}
-    for command, table in _PARAMS.items():
+    for command, table in _COMMANDS.items():
         sub = commands[command] = subs.add_parser(command, help=f"run the {command} command")
-        for flag, (_, repeatable, help_text) in table.items():
-            sub.add_argument(f"--{flag}", dest=flag, default=None, help=help_text,
-                             **({"action": "append"} if repeatable else {}))
+        for param in table:
+            sub.add_argument(f"--{param.flag}", dest=param.flag, default=None, help=param.help,
+                             **({"action": "append"} if param.read in _REPEATED else {}))
         for flag, help_text in _COMMON.items():
             sub.add_argument(f"--{flag}", dest=f"common_{flag}", default=None, help=help_text)
     return parser, commands
@@ -758,67 +663,48 @@ def parse_args(argv=None) -> RunConfig:
     else:
         ns = parser.parse_args(argv)
         if ns.command is None:
-            parser.error(f"missing command (one of: {', '.join(_PARAMS)})")
+            parser.error(f"missing command (one of: {', '.join(_COMMANDS)})")
         command = ns.command
-    table = _PARAMS[command]
+    table = _COMMANDS[command]
 
     file_values = {}
     if ns.common_config is not None:
         file_values = _load_config(parser, ns.common_config)
-        known = set(table) | set(_COMMON) - {"config"}
+        known = {param.flag for param in table} | set(_COMMON) - {"config"}
         for key in file_values:
             if key not in known:
                 parser.error(f"unknown config key {key!r} for command {command}")
 
     params = {}
     try:
-        for flag, (convert, repeatable, _) in table.items():
-            value = getattr(ns, flag)
+        for param in table:
+            value = getattr(ns, param.flag)
             if value is None:
-                value = file_values.get(flag)
-            if value is None:
-                continue
-            if repeatable:
-                merged = convert(flag, value) if not isinstance(value, list) \
-                    else [item for v in value for item in _as_items(convert(flag, v))]
-                params[flag.replace("-", "_")] = merged
-            else:
-                params[flag.replace("-", "_")] = convert(flag, value)
+                value = file_values.get(param.flag)
+            if value is not None:
+                params[param.key] = param.read(param.flag, value)
     except ValueError as exc:
         parser.error(str(exc))
 
-    for flag in _REQUIRED[command]:
-        if flag.replace("-", "_") not in params:
-            parser.error(f"missing required parameter --{flag}")
+    for param in table:
+        if param.required and param.key not in params:
+            parser.error(f"missing required parameter --{param.flag}")
 
     fmt = ns.common_format or file_values.get("format") \
         or os.environ.get(_FORMAT_ENV) or "table"
     if fmt not in _FORMATS:
         parser.error(f"--format must be one of: {', '.join(_FORMATS)} (got {fmt!r})")
     output = ns.common_output or file_values.get("output")
+    if output is not None and not isinstance(output, str):
+        parser.error(f"--output must be a path, got {output!r}")
     return RunConfig(command, params, fmt, output)
-
-
-def _as_items(converted):
-    # grid conversion yields a list per flag occurrence; fixed yields a dict
-    return converted if isinstance(converted, list) else [converted]
-
-
-def _merge_repeated(command, params):
-    # repeated --fixed flags each produce a dict; fold them into one mapping
-    if command == "sweep" and isinstance(params.get("fixed"), list):
-        folded = {}
-        for part in params["fixed"]:
-            folded.update(part)
-        params["fixed"] = folded
-    return params
 
 
 def run(config: RunConfig) -> int:
     """Execute a validated RunConfig; returns the process exit status."""
     try:
         handler = _HANDLERS[config.command]
-        text = handler(_merge_repeated(config.command, dict(config.params)), config.fmt)
+        text = handler(dict(config.params), config.fmt)
         if config.output:
             with open(config.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

@@ -52,6 +52,7 @@ two undetected qubits.
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -62,7 +63,6 @@ from .channels import (
     EXCHANGE_EIGENVALUE_PRESETS,
     EXCHANGE_PROJECTORS,
     KondoImpurity,
-    _check_eigenvalues,
     embed,
     exchange_transmission,
     filter_transmission,
@@ -653,83 +653,207 @@ def entangle_impurities(k: float, impurity_1: KondoImpurity, impurity_2: KondoIm
 
 
 # ---------------------------------------------------------------------------
+# Parameters: readers and the table of each protocol
+#
+# A reader takes a parameter's flag spelling and a text or JSON value, and
+# returns the value the protocol takes or raises a one-line ValueError.  The
+# command line reads every value with them, and run_protocol and sweep every
+# value but a float or a sweep column of a numeric parameter: those go to the
+# kernel's checks, which report the first bad point as a loop would.
+
+def _to_float(name, value):
+    if isinstance(value, bool):
+        raise ValueError(f"unparsable number for --{name}: {value!r}")
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"unparsable number for --{name}: {value!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"--{name} must be finite, got {value!r}")
+    return x
+
+
+def _to_positive(name, value):
+    x = _to_float(name, value)
+    if x <= 0.0:
+        raise ValueError(f"{name.replace('-', ' ')} must be positive")
+    return x
+
+
+def _to_choice(options):
+    def convert(name, value):
+        v = str(value)
+        if v not in options:
+            raise ValueError(f"--{name} must be one of: {', '.join(options)} (got {v!r})")
+        return v
+    return convert
+
+
+def _parts(value):
+    """The comma-separated parts of text, the items of a sequence, or the value alone."""
+    if isinstance(value, str):
+        return value.split(",")
+    return list(value) if isinstance(value, (list, tuple, np.ndarray)) else [value]
+
+
+def _to_axis(name, value):
+    parts = _parts(value)
+    if len(parts) != 3:
+        raise ValueError(f"--{name} needs three comma-separated components")
+    return tuple(_to_float(name, part) for part in parts)
+
+
+def _to_eigenvalues(name, value):
+    if isinstance(value, str) and "," not in value:
+        if value not in EXCHANGE_EIGENVALUE_PRESETS:
+            known = ", ".join(sorted(EXCHANGE_EIGENVALUE_PRESETS))
+            raise ValueError(f"unknown eigenvalue preset {value!r} (known: {known})")
+        return EXCHANGE_EIGENVALUE_PRESETS[value]
+    parts = _parts(value)
+    if len(parts) != 4:
+        raise ValueError(f"--{name} needs a preset name or four comma-separated numbers")
+    return tuple(_to_float(name, part) for part in parts)
+
+
+def _to_str(name, value):
+    return str(value)
+
+
+# default of a parameter that run_protocol cannot do without
+_NO_DEFAULT = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter, as run_protocol, sweep and the command line take it.
+
+    default is run_protocol's value for an absent key (None: the protocol
+    derives it; _NO_DEFAULT: the call is refused).  required marks a flag
+    the command line needs; an entry without help has no flag.  flag, the
+    key with '-' for '_' unless given, spells the flag and the reader's
+    messages.  numeric marks a parameter read as a number, which can be swept.
+    """
+
+    key: str
+    read: Callable
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    flag: str | None = None
+    numeric: bool = field(init=False)
+
+    def __post_init__(self):
+        if self.flag is None:
+            object.__setattr__(self, "flag", self.key.replace("_", "-"))
+        object.__setattr__(self, "numeric", self.read in (_to_float, _to_positive))
+
+
+_COEFFICIENTS = (
+    Param("a", _to_float, _NO_DEFAULT, True, "magnitude of the |00> amplitude", "a-coeff"),
+    Param("b", _to_float, None, False, "magnitude of the |11> amplitude (default sqrt(1-a^2))",
+          "b-coeff"),
+    Param("a_phase", _to_float, 0.0, False, "phase of the |00> amplitude in radians"),
+    Param("b_phase", _to_float, 0.0, False, "phase of the |11> amplitude in radians"),
+)
+# run_protocol and sweep default k to 1; every command requires --k
+_K = Param("k", _to_positive, 1.0, True, "wave number (positive)")
+_EIGENVALUES = Param("eigenvalues", _to_eigenvalues, DEFAULT_EXCHANGE_EIGENVALUES, False,
+                     "channel eigenvalues")
+
+# protocol name -> its parameters, in the order they are read and their
+# flags are listed
+PARAMS = {
+    "concentrate": (
+        *_COEFFICIENTS, _K,
+        Param("r", _to_float, None, False, "coupling (fixed impurity default: the optimum)"),
+        Param("axis", _to_axis, (0.0, 0.0, 1.0), False, "fixed-impurity spin axis as x,y,z"),
+        # the axis tilted from z toward x by this angle, in place of axis
+        Param("axis_theta", _to_float),
+    ),
+    "concentrate-kondo": (
+        *_COEFFICIENTS, _K,
+        Param("r", _to_float, _NO_DEFAULT, False, "exchange coupling"),
+        Param("eigenvalues", _to_eigenvalues, DEFAULT_EXCHANGE_EIGENVALUES, False,
+              "kondo channel eigenvalues"),
+    ),
+    "entangle-particles": (
+        _K,
+        Param("r", _to_float, _NO_DEFAULT, True, "exchange coupling"),
+        _EIGENVALUES,
+        Param("initial", _to_str, "001", False,
+              "initial bits, particle-2 particle-1 impurity-0 (default 001)"),
+    ),
+    "entangle-impurities": (
+        _K,
+        Param("r1", _to_float, None, True, "first impurity exchange coupling"),
+        Param("r2", _to_float, None, True, "second impurity exchange coupling"),
+        # the coupling of both impurities, where r1 or r2 is absent
+        Param("r", _to_float, math.nan),
+        Param("half_separation", _to_positive, 1.0, False,
+              "impurities sit at -+ this distance (default 1)"),
+        Param("mode", _to_choice(("first-order", "exact")), "first-order", False,
+              "composition mode"),
+        _EIGENVALUES,
+        Param("initial", _to_str, "100", False,
+              "initial bits, particle-0 impurity-1 impurity-2 (default 100)"),
+    ),
+}
+
+# a key is read alike by every protocol that takes it
+_BY_KEY = {param.key: param for params in PARAMS.values() for param in params}
+
+
+def _read(param, value):
+    """value as param's flag reads it; a float or an array given for a
+    numeric parameter goes to the kernel's checks unread."""
+    if param.numeric and isinstance(value, (float, np.ndarray)):
+        return value
+    return param.read(param.flag, value)
+
+
+# ---------------------------------------------------------------------------
 # Named-protocol dispatch (event trees, sweeps, CLI)
 #
-# Parsers read a flat parameter mapping whose numeric values are scalars or,
-# from sweep, one array entry per point, and return the protocol's batch.
+# Each runner takes the protocol's arguments, numeric ones as columns of one
+# entry per point, and returns the protocol's batch.
 
-_TEXT_PARAMS = ("mode", "initial", "eigenvalues", "axis")
+@_quiet
+def _run(protocol, p, checks):
+    """The batch of a protocol (a name of PARAMS) at the points of p, a flat mapping.
 
-
-def _num(p, name, checks, default=None):
-    value = p.pop(name, default)
-    if isinstance(value, np.ndarray):
-        return np.broadcast_to(value.astype(float), (checks.n,))
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        checks.fail(str(exc))
-    column = np.empty(checks.n)
-    column[:] = value
-    return column
-
-
-def _eigenvalues_param(p, checks):
-    ev = p.pop("eigenvalues", None)
-    if ev is None:
-        return DEFAULT_EXCHANGE_EIGENVALUES
-    if isinstance(ev, str):
-        if ev not in EXCHANGE_EIGENVALUE_PRESETS:
-            known = ", ".join(sorted(EXCHANGE_EIGENVALUE_PRESETS))
-            checks.fail(f"unknown eigenvalue preset {ev!r} (known: {known})")
-        return EXCHANGE_EIGENVALUE_PRESETS[ev]
-    try:
-        return tuple(float(x) for x in ev)
-    except (TypeError, ValueError) as exc:
-        checks.fail(str(exc))
-
-
-def _kondo_couplings(checks, eigenvalues, *couplings):
-    """The checks of KondoImpurity(r, eigenvalues) for each coupling array, in turn.
-
-    The eigenvalues are checked once, after the first coupling: a
-    point-by-point loop checks them again after each later one, where they
-    have already passed.
+    Each entry is read in table order (_read) or takes its default; numeric
+    values become (N,) columns.  Keys the protocol does not take are refused last.
     """
-    for i, r in enumerate(couplings):
-        checks.add(~np.isfinite(r), "coupling must be finite")
-        if i == 0:
-            try:
-                _check_eigenvalues(eigenvalues)
-            except ValueError as exc:
-                checks.fail(str(exc))
-
-
-def _coeff_pair(p, checks):
-    if "a" not in p:
-        checks.fail("missing parameter 'a' (magnitude of the |00> amplitude)")
-    ma = _num(p, "a", checks)
-    checks.add(~((0.0 <= ma) & (ma <= 1.0)), "parameter 'a' must lie in [0, 1]")
-    mb = _num(p, "b", checks) if "b" in p else np.sqrt(np.maximum(0.0, 1.0 - ma * ma))
-    pa = _num(p, "a_phase", checks, 0.0)
-    pb = _num(p, "b_phase", checks, 0.0)
-    return ma * (np.cos(pa) + 1j * np.sin(pa)), mb * (np.cos(pb) + 1j * np.sin(pb))
-
-
-def _axis_param(p, checks):
-    if "axis_theta" in p:
-        p.pop("axis", None)
-        theta = _num(p, "axis_theta", checks)
-        return np.stack([np.sin(theta), np.zeros(checks.n), np.cos(theta)], axis=-1)
-    axis = [float(x) for x in p.pop("axis", (0.0, 0.0, 1.0))]
-    rows = np.empty((checks.n, len(axis)))
-    rows[:] = axis
-    return rows
-
-
-def _reject_unknown(p, protocol, checks):
+    args = {}
+    for param in PARAMS[protocol]:
+        if param.key in p:
+            value = _read(param, p.pop(param.key))
+        else:
+            value = param.default
+            if value is _NO_DEFAULT:
+                checks.fail(f"missing parameter {param.key!r} ({param.help})")
+        if param.numeric and value is not None:
+            column = np.empty(checks.n)
+            column[:] = value
+            value = column
+        args[param.key] = value
     if p:
         checks.fail(f"unknown parameter(s) for {protocol}: {', '.join(sorted(p))}")
+    return _RUNNERS[protocol](checks, **args)
+
+
+def _check_couplings(checks, *couplings):
+    """KondoImpurity's coupling check for each coupling array, in turn; the
+    reader has checked the eigenvalues (_to_eigenvalues)."""
+    for r in couplings:
+        checks.add(~np.isfinite(r), "coupling must be finite")
+
+
+def _coeff_pair(checks, a, b, a_phase, b_phase):
+    checks.add(~((0.0 <= a) & (a <= 1.0)), "parameter 'a' must lie in [0, 1]")
+    if b is None:
+        b = np.sqrt(np.maximum(0.0, 1.0 - a * a))
+    return a * (np.cos(a_phase) + 1j * np.sin(a_phase)), b * (np.cos(b_phase) + 1j * np.sin(b_phase))
 
 
 @functools.cache
@@ -738,73 +862,49 @@ def _basis_state(bits, labels):
     return basis_state(bits, labels)
 
 
-def _initial_param(p, default, labels, content, checks):
-    """The initial basis state; its bits are checked first, then their count."""
-    bits = str(p.pop("initial", default))
+def _initial_state(bits, labels, checks):
+    """The initial basis state; the kernel checks the count of its bits."""
     try:
-        initial = _basis_state(bits, labels if len(bits) == len(labels) else None)
+        return _basis_state(bits, labels if len(bits) == len(labels) else None)
     except ValueError as exc:
         checks.fail(str(exc))
-    _check_initial(checks, initial, content)
-    return initial
 
 
-@_quiet
-def _run_concentrate_fixed(p, checks):
-    a, b = _coeff_pair(p, checks)
-    k = _num(p, "k", checks, 1.0)
-    axis = _axis_param(p, checks)
-    r = _num(p, "r", checks) if "r" in p else None
-    _reject_unknown(p, "concentrate", checks)
+def _run_concentrate_fixed(checks, a, b, a_phase, b_phase, k, r, axis, axis_theta):
+    a, b = _coeff_pair(checks, a, b, a_phase, b_phase)
+    if axis_theta is None:
+        rows = np.empty((checks.n, len(axis)))
+        rows[:] = axis
+    else:
+        rows = np.stack([np.sin(axis_theta), np.zeros(checks.n), np.cos(axis_theta)], axis=-1)
     if r is None:
         r = _optimal_coupling(checks, a, b, k)
-    return _concentrate_fixed(checks, a, b, k, r, axis)
+    return _concentrate_fixed(checks, a, b, k, r, rows)
 
 
-@_quiet
-def _run_concentrate_kondo(p, checks):
-    a, b = _coeff_pair(p, checks)
-    k = _num(p, "k", checks, 1.0)
-    ev = _eigenvalues_param(p, checks)
-    if "r" not in p:
-        checks.fail("missing parameter 'r' (exchange coupling)")
-    r = _num(p, "r", checks)
-    _reject_unknown(p, "concentrate-kondo", checks)
-    _kondo_couplings(checks, ev, r)
-    return _concentrate_kondo(checks, a, b, k, r, ev)
+def _run_concentrate_kondo(checks, a, b, a_phase, b_phase, k, r, eigenvalues):
+    a, b = _coeff_pair(checks, a, b, a_phase, b_phase)
+    _check_couplings(checks, r)
+    return _concentrate_kondo(checks, a, b, k, r, eigenvalues)
 
 
-@_quiet
-def _run_entangle_particles(p, checks):
-    k = _num(p, "k", checks, 1.0)
-    ev = _eigenvalues_param(p, checks)
-    if "r" not in p:
-        checks.fail("missing parameter 'r' (exchange coupling)")
-    r = _num(p, "r", checks)
-    initial = _initial_param(p, "001", _PARTICLES_REGISTER, _PARTICLES_CONTENT, checks)
-    _reject_unknown(p, "entangle-particles", checks)
-    _kondo_couplings(checks, ev, r)
-    return _entangle_particles(checks, k, r, ev, initial)
+def _run_entangle_particles(checks, k, r, eigenvalues, initial):
+    initial = _initial_state(initial, _PARTICLES_REGISTER, checks)
+    _check_couplings(checks, r)
+    return _entangle_particles(checks, k, r, eigenvalues, initial)
 
 
-@_quiet
-def _run_entangle_impurities(p, checks):
-    k = _num(p, "k", checks, 1.0)
-    ev = _eigenvalues_param(p, checks)
-    common = p.pop("r", None)
-    r1 = _num(p, "r1", checks, common if common is not None else float("nan"))
-    r2 = _num(p, "r2", checks, common if common is not None else float("nan"))
+def _run_entangle_impurities(checks, k, r1, r2, r, half_separation, mode, eigenvalues, initial):
+    r1, r2 = (r if x is None else x for x in (r1, r2))
     checks.add(np.isnan(r1) | np.isnan(r2),
                "missing parameter 'r1'/'r2' (or common 'r') for the two couplings")
-    half_separation = _num(p, "half_separation", checks, 1.0)
-    mode = str(p.pop("mode", "first-order"))
-    initial = _initial_param(p, "100", _IMPURITIES_REGISTER, _IMPURITIES_CONTENT, checks)
-    _reject_unknown(p, "entangle-impurities", checks)
-    _kondo_couplings(checks, ev, r1, r2)
-    return _entangle_impurities(checks, k, r1, r2, half_separation, ev, ev, initial, mode)
+    initial = _initial_state(initial, _IMPURITIES_REGISTER, checks)
+    _check_couplings(checks, r1, r2)
+    return _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues, eigenvalues,
+                                initial, mode)
 
 
-_PROTOCOLS = {
+_RUNNERS = {
     "concentrate": _run_concentrate_fixed,
     "concentrate-kondo": _run_concentrate_kondo,
     "entangle-particles": _run_entangle_particles,
@@ -812,11 +912,11 @@ _PROTOCOLS = {
 }
 
 
-def _protocol(name: str):
+def _protocol(name: str) -> str:
     key = str(name).strip().lower().replace("_", "-")
-    if key not in _PROTOCOLS:
-        raise ValueError(f"unknown protocol name: {name!r} (known: {', '.join(sorted(_PROTOCOLS))})")
-    return _PROTOCOLS[key]
+    if key not in PARAMS:
+        raise ValueError(f"unknown protocol name: {name!r} (known: {', '.join(sorted(PARAMS))})")
+    return key
 
 
 def _flat(params) -> dict:
@@ -824,8 +924,11 @@ def _flat(params) -> dict:
 
 
 def run_protocol(name: str, params=None) -> ProtocolResult:
-    """Run a protocol by name with a flat parameter mapping (CLI/sweep surface)."""
-    return _result(_protocol(name)(_flat(params), _Checks(1)))
+    """Run a protocol by name with a flat parameter mapping (CLI/sweep surface).
+
+    Each key is read as its entry in PARAMS reads it (_read).
+    """
+    return _result(_run(_protocol(name), _flat(params), _Checks(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -920,9 +1023,10 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
         raise ValueError("swept parameter names must be distinct")
     if objective not in _OBJECTIVES:
         raise ValueError("objective must be 'probability' or 'entropy'")
-    run = _protocol(protocol)
+    protocol = _protocol(protocol)
     for name in names:
-        if name.replace("-", "_") in _TEXT_PARAMS:
+        param = _BY_KEY.get(name.replace("-", "_"))
+        if param is not None and not param.numeric:
             raise ValueError(f"parameter {name!r} is not numeric and cannot be swept")
 
     points = [m.reshape(-1) for m in np.meshgrid(*(g.values() for g in grids), indexing="ij")]
@@ -931,7 +1035,7 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
         params = _flat(fixed)
         params.update({name.replace("-", "_"): column[lo:lo + _BLOCK]
                        for name, column in zip(names, points)})
-        outcomes = run(params, _Checks(min(_BLOCK, points[0].size - lo))).outcomes
+        outcomes = _run(protocol, params, _Checks(min(_BLOCK, points[0].size - lo))).outcomes
         live = outcomes.live[:, 0]  # the first outcome, the success branch
         blocks.append((outcomes.probability[:, 0],
                        np.where(live, outcomes.entropy[:, 0], 0.0),

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -214,6 +215,39 @@ def test_internal_fault_maps_to_exit_2(monkeypatch, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("internal fault:")
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("sweep", {"protocol": "concentrate", "grid": 5},
+     "--grid 5: expected name:start:stop:points[:scale]"),
+    ("sweep", {"protocol": "concentrate", "grid": [5]},
+     "--grid 5: expected name:start:stop:points[:scale]"),
+    ("sweep", {"protocol": "concentrate", "grid": ["r:0:1:2"], "fixed": 5},
+     "--fixed '5': expected name=value"),
+    ("sweep", {"protocol": "concentrate", "grid": ["r:0:1:2"], "fixed": {"axis": 5}},
+     "--fixed 'axis=5': --axis needs three comma-separated components"),
+    ("filter", {"k": 1, "r": 1, "axis": 5}, "--axis needs three comma-separated components"),
+    ("kondo", {"k": 1, "r": 1, "eigenvalues": 5},
+     "--eigenvalues needs a preset name or four comma-separated numbers"),
+])
+def test_config_value_of_the_wrong_type_is_a_one_line_error(command, config, message, tmp_path,
+                                                            capsys):
+    # each of these ended in a TypeError traceback
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("output", [2, 1, 0, True, 2.0, ["out.csv"], {}])
+def test_config_output_must_be_a_path(output, tmp_path, capsys):
+    # an integer output opened that file descriptor, wrote to it and closed it
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"k": 1, "r": 1, "output": output}))
+    assert cli.main(["amplitudes", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: --output must be a path, got {output!r}\n")
+    for fd in (0, 1, 2):
+        os.fstat(fd)
 
 
 def test_unwritable_output_path(tmp_path):

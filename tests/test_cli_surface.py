@@ -29,7 +29,7 @@ BAD_CONFIG = {"k": 1.0, "r": 1.0, "wavelength": 3}
 
 SURFACE_ARGV = {
     "help": ["--help"],
-    **{f"help {command}": [command, "--help"] for command in cli._PARAMS},
+    **{f"help {command}": [command, "--help"] for command in cli._COMMANDS},
     "no command": [],
     "unknown command": ["bogus"],
     "unknown flag": ["amplitudes", "--k", "1", "--r", "1", "--wavelength", "2"],
@@ -133,7 +133,7 @@ def test_repeated_calls_equal_calls_with_a_new_parser(tmp_path, bad_config, monk
         json.dump({"k": 1.5, "r": 0.5}, fh)
     calls = _mixed_calls(random.Random(20261018), configs)
     commands = {argv[0] for argv, _ in calls if argv}
-    assert set(cli._PARAMS) | {"--help", "bogus"} <= commands
+    assert set(cli._COMMANDS) | {"--help", "bogus"} <= commands
 
     def run_all(order, fresh):
         results = {}
@@ -169,19 +169,69 @@ def test_no_parser_is_built_after_the_first_call(bad_config, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._build_parser.cache_clear()
     assert capture(["amplitudes", "--k", "1", "--r", "1"])[0] == 0
-    assert len(built) == 1 + len(cli._PARAMS)  # the root parser and one per command
+    assert len(built) == 1 + len(cli._COMMANDS)  # the root parser and one per command
     for argv in [*SURFACE_ARGV.values(),
                  ["sweep", "--protocol", "concentrate", "--grid", "r:0:1:3", "--fixed", "a=0.5"],
                  ["entangle-impurities", "--k", "1", "--r1", "1", "--r2", "1", "--format", "json"]]:
         capture(argv, bad_config)
-    assert len(built) == 1 + len(cli._PARAMS)
+    assert len(built) == 1 + len(cli._COMMANDS)
 
 
 # ---------------------------------------------------------------------------
-# sweep --fixed reads each text parameter as its own flag does
+# sweep --grid, sweep --fixed and the protocol commands derive from
+# protocols.PARAMS, and --fixed reads each value as its own flag does
 
-def test_fixed_text_converters_cover_the_text_parameters():
-    assert set(cli._FIXED_TEXT) == set(protocols._TEXT_PARAMS)
+# a value each key takes, as text (0.5 where not listed)
+VALUES = {"b": "0.8", "axis": "0.6,0,0.8", "eigenvalues": "1,-0.5,2,0.25", "initial": "011",
+          "mode": "exact"}
+# the pins each protocol needs besides the key under test
+FIXED_BASES = {"concentrate": {"a": "0.6"}, "concentrate-kondo": {"a": "0.6", "r": "0.7"},
+               "entangle-particles": {"r": "0.7"}, "entangle-impurities": {"r": "0.7"}}
+
+
+def test_each_key_reads_alike_in_every_protocol():
+    # sweep --fixed reads a value before it knows the protocol (protocols._BY_KEY)
+    for params in protocols.PARAMS.values():
+        for param in params:
+            assert (param.read, param.flag) == (protocols._BY_KEY[param.key].read,
+                                                protocols._BY_KEY[param.key].flag)
+
+
+@pytest.mark.parametrize("protocol", protocols.PARAMS)
+def test_sweep_refuses_to_grid_each_non_numeric_key(protocol):
+    for param in protocols.PARAMS[protocol]:
+        if not param.numeric:
+            argv = ["sweep", "--protocol", protocol, "--grid", f"{param.key}:0:1:2"]
+            message = f"error: parameter {param.key!r} is not numeric and cannot be swept\n"
+            assert capture(argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("protocol", protocols.PARAMS)
+def test_sweep_fixed_takes_every_key_of_the_protocol(protocol):
+    for param in protocols.PARAMS[protocol]:
+        grid = "r:0.2:0.8:2" if param.key == "k" else "k:0.5:1.5:2"
+        direct = {**FIXED_BASES[protocol], param.key: VALUES.get(param.key, "0.5")}
+        argv = ["sweep", "--protocol", protocol, "--grid", grid, "--format", "csv",
+                *(f"--fixed={key}={value}" for key, value in direct.items())]
+        code, out, err = capture(argv)
+        assert err.startswith("argmax:"), (param.key, err)
+        _assert_rows_equal_single_calls(protocol, code, out, direct)
+
+
+def test_protocol_commands_take_the_flags_of_their_entries():
+    _, commands = cli._build_parser()
+    for command, names in cli._PROTOCOL_COMMANDS.items():
+        expected = {}
+        for name in names:
+            for param in protocols.PARAMS[name]:
+                if param.help is not None:
+                    expected.setdefault(param.flag, param.help)
+        if len(names) > 1:
+            expected["impurity"] = "impurity kind (default fixed)"
+        flags = {action.dest: action.help for action in commands[command]._actions
+                 if action.dest != "help" and not action.dest.startswith("common_")}
+        assert flags == expected
+        assert [param.flag for param in cli._COMMANDS[command]] == list(flags)
 
 
 FIXED_TEXT_CASES = [
@@ -226,12 +276,26 @@ def test_config_fixed_text_parameters(protocol, args, direct, tmp_path):
     _assert_rows_equal_single_calls(protocol, code, out, direct)
 
 
+# a --fixed text, or a config file's "fixed" object
 @pytest.mark.parametrize("fixed, message", [
     ("axis=1,2", "error: --fixed 'axis=1,2': --axis needs three comma-separated components\n"),
     ("eigenvalues=1,2", "error: --fixed 'eigenvalues=1,2': --eigenvalues needs a preset name "
                         "or four comma-separated numbers\n"),
     ("axis=0,x,1", "error: --fixed 'axis=0,x,1': unparsable number for --axis: 'x'\n"),
+    ("a=x", "error: --fixed 'a=x': unparsable number for --a-coeff: 'x'\n"),
+    ("a_phase=inf", "error: --fixed 'a_phase=inf': --a-phase must be finite, got 'inf'\n"),
+    ({"a": [0.5]}, "error: --fixed 'a=[0.5]': unparsable number for --a-coeff: [0.5]\n"),
+    ({"a": None}, "error: --fixed 'a=None': unparsable number for --a-coeff: None\n"),
+    ({"a": True}, "error: --fixed 'a=True': unparsable number for --a-coeff: True\n"),
+    ({"eigenvalues": 5}, "error: --fixed 'eigenvalues=5': --eigenvalues needs a preset name "
+                         "or four comma-separated numbers\n"),
 ])
-def test_sweep_fixed_text_usage_errors(fixed, message):
-    argv = ["sweep", "--protocol", "concentrate", "--grid", "r:0:1:2", "--fixed", fixed]
+def test_sweep_fixed_text_usage_errors(fixed, message, tmp_path):
+    argv = ["sweep", "--protocol", "concentrate", "--grid", "r:0:1:2"]
+    if isinstance(fixed, dict):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"fixed": fixed}))
+        argv += ["--config", str(path)]
+    else:
+        argv += ["--fixed", fixed]
     assert capture(argv) == (1, "", message)

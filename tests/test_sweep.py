@@ -138,7 +138,7 @@ def _first_point_error(protocol, grids, fixed):
     ("concentrate", [GridSpec("r", 0.0, 1.0, 3)], {"a": 0.5, "bogus": 1.0},
      "unknown parameter(s) for concentrate: bogus"),
     ("entangle-impurities", [GridSpec("r1", 0.0, 1.0, 3)], {"mode": "second-order", "r2": 1.0},
-     "mode must be 'first-order' or 'exact', got 'second-order'"),
+     "--mode must be one of: first-order, exact (got 'second-order')"),
 ])
 def test_sweep_raises_the_first_bad_point_message(protocol, grids, fixed, message):
     expected = _first_point_error(protocol, grids, fixed)
