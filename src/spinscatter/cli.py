@@ -14,11 +14,12 @@ so the data stream stays exactly the record table.
 
 Parameters: the protocol commands' flags derive from protocols.PARAMS, as
 do run_protocol and sweep, and every flag, config and sweep --fixed value
-is read by its parameter's reader.  Precedence: command-line flag, then
---config JSON file (same key names as the flags without the leading
-dashes), then built-in defaults; the default output format alone may also
-come from the SPINSCATTER_FORMAT environment variable (weaker than flag and
-config file).
+is read by its parameter's reader (a float in a config file's "fixed"
+object goes to the protocol's checks unread).  Precedence: command-line
+flag, then --config JSON file (same key names as the flags without the
+leading dashes), then built-in defaults; the default output format alone
+may also come from the SPINSCATTER_FORMAT environment variable (weaker than
+flag and config file).
 
 Exit status: 0 success; 1 input, usage, or I/O error with a one-line
 "error: ..." diagnostic on stderr; 2 internal invariant violation with a
