@@ -14,12 +14,12 @@ so the data stream stays exactly the record table.
 
 Parameters: the protocol commands' flags derive from protocols.PARAMS, as
 do run_protocol and sweep, and every flag, config and sweep --fixed value
-is read by its parameter's reader (a float in a config file's "fixed"
-object goes to the protocol's checks unread).  Precedence: command-line
-flag, then --config JSON file (same key names as the flags without the
-leading dashes), then built-in defaults; the default output format alone
-may also come from the SPINSCATTER_FORMAT environment variable (weaker than
-flag and config file).
+is read by its parameter's reader (a number in a config file's "fixed"
+object goes to the protocol's checks unread, an integer as its float).
+Precedence: command-line flag, then --config JSON file (same key names as
+the flags without the leading dashes), then built-in defaults; the default
+output format alone may also come from the SPINSCATTER_FORMAT environment
+variable (weaker than flag and config file).
 
 Exit status: 0 success; 1 input, usage, or I/O error with a one-line
 "error: ..." diagnostic on stderr; 2 internal invariant violation with a
@@ -133,8 +133,10 @@ def _json_text(obj) -> str:
 # Tables are carried column by column.  In csv, a column of floats (a float
 # array or a sequence of floats) is formatted by one %-template pass over the
 # whole table, since '%.12g' % x equals format(x, '.12g') for every float;
-# every other cell is formatted on its own.  JSON is written the same way
-# (_json_table).
+# every other cell is formatted on its own.  A float array that repeats its
+# values, at most half of them distinct (a sweep's grid columns), has each
+# distinct bit pattern formatted once and its texts gathered (_repeated_texts).
+# JSON is written by the same one-pass template (_json_table).
 
 def _column(values) -> tuple[bool, list]:
     """Whether every cell is a float, and the cells as a list."""
@@ -142,6 +144,20 @@ def _column(values) -> tuple[bool, list]:
         return True, values.tolist()
     cells = list(values)
     return all(isinstance(v, float) for v in cells), cells
+
+
+def _repeated_texts(values):
+    """The '%.12g' cells of a float array whose values repeat, or None.
+
+    Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep their
+    own texts.  None when more than half the values are distinct; those
+    columns, and every sequence of cells, take the direct '%.12g' pass.
+    """
+    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    if 2 * len(keys) > len(values):
+        return None
+    texts = np.array(["%.12g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def _csv_field(v, lone: bool) -> str:
@@ -175,9 +191,14 @@ def emit_columns(columns, fmt: str) -> str:
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\r\n").writerow(names)
-        template = ",".join("%.12g" if f else "%s" for f in floats) + "\r\n"
-        cells = [c if f else [_csv_field(v, len(cols) == 1) for v in c]
-                 for c, f in zip(cols, floats)]
+        fields, cells = [], []
+        for values, c, f in zip(columns.values(), cols, floats):
+            texts = _repeated_texts(values) if f and isinstance(values, np.ndarray) else None
+            if not f:
+                texts = [_csv_field(v, len(cols) == 1) for v in c]
+            fields.append("%.12g" if texts is None else "%s")
+            cells.append(c if texts is None else texts)
+        template = ",".join(fields) + "\r\n"
         buf.write(template * rows % tuple(chain.from_iterable(zip(*cells))))
         return buf.getvalue()
     if fmt == "json":

@@ -25,9 +25,10 @@ its own: the channel projectors are embedded in the register and sliced to
 the sectors once, at import, the operators of all N points come from one
 einsum per sector as (N, d, d) blocks with d <= 3, and the results are
 scattered back into (N, 8) states.  The filter, whose tilted axis does not
-keep S_z, acts on the (N, 4, 4) pair operators.  sweep runs the kernel over
-its grid in blocks of _BLOCK (1024) points; the single-call functions and
-run_protocol are a batch of one whose row is wrapped in the
+keep S_z, acts as its (N, 2, 2) operator on particle-1 alone, applied to
+the two coefficients of a|00> + b|11> by one einsum.  sweep runs the
+kernel over its grid in blocks of _BLOCK (1024) points; the single-call
+functions and run_protocol are a batch of one whose row is wrapped in the
 ProtocolResult, EventTree and SpinState types.  At N = 1 the kernel's cost
 is its count of numpy and Python calls, so its bookkeeping is stacked:
 parameter checks gather into one (m, N) array tested once, and the error
@@ -97,11 +98,10 @@ def _sector_projectors(targets):
 # Channel projectors per target pair of the three-qubit register, sliced to
 # the sectors once.
 _EXCHANGE_ON = {targets: _sector_projectors(targets) for targets in ((1, 0), (2, 0), (2, 1))}
-# Pauli matrices on particle-1 of the filtered pair; the filter's n.sigma is
-# their combination with the axis components.
-_FILTER_PAULIS = np.stack([embed(sigma, 2, (0,)) for sigma in (PAULI_X, PAULI_Y, PAULI_Z)])
+# the filter's n.sigma is the combination of these with the axis components
+_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
-# grid points per kernel call; bounds the (N, 4, 4) filter operators and the
+# grid points per kernel call; bounds the (N, 2, 2) filter operators and the
 # (N, d, d) sector blocks, d <= 3, of the exchange protocols
 _BLOCK = 1024
 
@@ -250,12 +250,17 @@ def _identity(d):
     return eye
 
 
-def _transmit(t, psi):
-    """Transmitted T psi and reflected (T - I) psi amplitudes of one barrier, by one einsum."""
+def _with_reflection(t):
+    """The (N, 2, D, D) stack of the transmission T and reflection T - I of one barrier."""
     both = np.empty((len(t), 2, *t.shape[1:]), dtype=complex)
     both[:, 0] = t
     np.subtract(t, _identity(t.shape[-1]), out=both[:, 1])
-    out = np.einsum("nkij,nj->nki", both, psi)
+    return both
+
+
+def _transmit(t, psi):
+    """Transmitted T psi and reflected (T - I) psi amplitudes of one barrier, by one einsum."""
+    out = np.einsum("nkij,nj->nki", _with_reflection(t), psi)
     return out[:, 0], out[:, 1]
 
 
@@ -444,12 +449,18 @@ def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
     checks.add(~np.isfinite(2.0 * r), "coupling must be finite")
     checks.raise_first()
 
-    # anti-aligned component sees twice the bare coupling
-    t = filter_transmission(_transmission(2.0 * r, k),
-                            np.einsum("na,aij->nij", axis, _FILTER_PAULIS))
+    # anti-aligned component sees twice the bare coupling; einsum would cast
+    # the real axis to complex through a buffer, at three times the cost of
+    # casting it first, for the same values
+    sigma = np.einsum("na,aij->nij", axis.astype(complex), _PAULIS)
+    t = filter_transmission(_transmission(2.0 * r, k), sigma)
     psi0 = np.zeros((checks.n, 4), dtype=complex)
     psi0[:, 0], psi0[:, 3] = a, b
-    transmit, reflect = _transmit(t, psi0)
+    # T acts on particle-1 alone and both particles of a|00> + b|11> hold the
+    # same bit q, so |q i> gets T[i, q] c_q; einsum's sum of one product
+    # rounds as the 4 x 4 product (I x T) psi0 does, which a plain multiply would not
+    out = np.einsum("nkiq,nq->nkqi", _with_reflection(t), psi0[:, ::3]).reshape(checks.n, 2, 4)
+    transmit, reflect = out[:, 0], out[:, 1]
     prob = _norm2(transmit)
     outcomes = _outcomes(("transmitted",), _PAIR_REGISTER, transmit[:, None], prob[:, None])
     meta = {"coupling": r, "xi": 2.0 * r / k, **_attempts(prob)}
@@ -658,8 +669,9 @@ def entangle_impurities(k: float, impurity_1: KondoImpurity, impurity_2: KondoIm
 # A reader takes a parameter's flag spelling and a text or JSON value, and
 # returns the value the protocol takes or raises a one-line ValueError.  The
 # command line reads every value with them, and run_protocol and sweep every
-# value but a float or a sweep column of a numeric parameter: those go to the
-# kernel's checks, which report the first bad point as a loop would.
+# value but a number (an int as its float) or a sweep column of a numeric
+# parameter: those go to the kernel's checks, which report the first bad
+# point as a loop would.
 
 def _to_float(name, value):
     if isinstance(value, bool):
@@ -805,7 +817,13 @@ _BY_KEY = {param.key: param for params in PARAMS.values() for param in params}
 
 def _read(param, value):
     """value as param's flag reads it; a float or an array given for a
-    numeric parameter goes to the kernel's checks unread."""
+    numeric parameter goes to the kernel's checks unread, and so does an
+    int (not a bool) as its float."""
+    if param.numeric and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"unparsable number for --{param.flag}: {value!r}") from None
     if param.numeric and isinstance(value, (float, np.ndarray)):
         return value
     return param.read(param.flag, value)
@@ -1029,7 +1047,11 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
         if param is not None and not param.numeric:
             raise ValueError(f"parameter {name!r} is not numeric and cannot be swept")
 
-    points = [m.reshape(-1) for m in np.meshgrid(*(g.values() for g in grids), indexing="ij")]
+    try:
+        points = [m.reshape(-1) for m in np.meshgrid(*(g.values() for g in grids), indexing="ij")]
+    except MemoryError:
+        raise ValueError(f"a grid of {math.prod(g.points for g in grids)} points "
+                         "does not fit in memory") from None
     blocks = []
     for lo in range(0, points[0].size, _BLOCK):
         params = _flat(fixed)

@@ -299,3 +299,50 @@ def test_sweep_fixed_text_usage_errors(fixed, message, tmp_path):
     else:
         argv += ["--fixed", fixed]
     assert capture(argv) == (1, "", message)
+
+
+def _sweep_with_config_fixed(protocol, grid, fixed, tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"fixed": fixed}))
+    return capture(["sweep", "--protocol", protocol, "--grid", grid, "--config", str(path),
+                    "--format", "csv"])
+
+
+# a JSON integer for a numeric key goes to the protocol's checks as its float
+@pytest.mark.parametrize("protocol, grid, integer, number", [
+    ("concentrate", "r:0:1:2", {"a": 0.5, "k": 0}, {"a": 0.5, "k": 0.0}),
+    ("concentrate", "r:0:1:2", {"a": 0, "k": -1}, {"a": 0.0, "k": -1.0}),
+    ("concentrate", "r:0:1:2", {"a": 2}, {"a": 2.0}),
+    ("concentrate", "k:0.5:1:2", {"a": 0.5, "r": 1, "axis_theta": 3},
+     {"a": 0.5, "r": 1.0, "axis_theta": 3.0}),
+    ("concentrate-kondo", "a:0:1:3", {"r": 2, "a_phase": 1}, {"r": 2.0, "a_phase": 1.0}),
+    ("entangle-particles", "r:0:1:2", {"k": 0}, {"k": 0.0}),
+    ("entangle-impurities", "r:0:1:2", {"half_separation": -1}, {"half_separation": -1.0}),
+    ("entangle-impurities", "r:0:1:2", {"half_separation": 0, "mode": "exact"},
+     {"half_separation": 0.0, "mode": "exact"}),
+    ("entangle-impurities", "r1:0:1:2", {"r2": 3, "k": 2}, {"r2": 3.0, "k": 2.0}),
+])
+def test_config_fixed_integer_reads_as_its_float(protocol, grid, integer, number, tmp_path):
+    assert _sweep_with_config_fixed(protocol, grid, integer, tmp_path) == \
+        _sweep_with_config_fixed(protocol, grid, number, tmp_path)
+    point = {grid.split(":")[0]: 0.5}
+    try:
+        expected = run_protocol(protocol, {**number, **point})
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            run_protocol(protocol, {**integer, **point})
+        assert str(got.value) == str(exc)
+    else:
+        got = run_protocol(protocol, {**integer, **point})
+        assert cli._render_protocol(got, "json") == cli._render_protocol(expected, "json")
+
+
+def test_config_fixed_integer_out_of_the_float_range_is_unparsable(tmp_path):
+    text = str(10 ** 400)
+    code, out, err = _sweep_with_config_fixed("concentrate", "r:0:1:2", {"a": 0.5, "k": 10 ** 400},
+                                              tmp_path)
+    assert (code, out) == (1, "")
+    assert err == f"error: --fixed 'k={text}': unparsable number for --k: {text}\n"
+    with pytest.raises(ValueError) as exc:
+        run_protocol("entangle-impurities", {"r": 1.0, "half_separation": -10 ** 400})
+    assert str(exc.value) == f"unparsable number for --half-separation: -{text}"

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import reduced_density, von_neumann_entropy
@@ -26,6 +28,9 @@ from spinscatter import (
     scalar_amplitudes,
     sweep,
 )
+from spinscatter.channels import embed, filter_transmission
+from spinscatter.hilbert import PAULI_X, PAULI_Y, PAULI_Z
+from spinscatter.scattering import _transmission
 
 A3 = math.sqrt(1.0 / 3.0)
 B3 = math.sqrt(2.0 / 3.0)
@@ -86,6 +91,62 @@ def test_concentrate_fixed_entropy_monotone_up_to_optimum():
     entropies = [concentrate_fixed(A3, B3, 1.0, float(r)).outcomes[0].entropy_bits
                  for r in rs]
     assert all(b - a > -1e-12 for a, b in zip(entropies, entropies[1:]))
+
+
+def _filter_on_the_pair(a, b, k, r, axis):
+    """Transmitted and reflected pair amplitudes as (I x T) psi0 on the
+    4 x 4 pair operators: the Paulis embedded on particle-1, then _transmit."""
+    paulis = np.stack([embed(sigma, 2, (0,)) for sigma in (PAULI_X, PAULI_Y, PAULI_Z)])
+    t = filter_transmission(_transmission(2.0 * r, k), np.einsum("na,aij->nij", axis, paulis))
+    psi0 = np.zeros((len(a), 4), dtype=complex)
+    psi0[:, 0], psi0[:, 3] = a, b
+    return protocols._transmit(t, psi0)
+
+
+_EXACT_AXES = [(s * (i == 0), s * (i == 1), s * (i == 2)) for i in range(3) for s in (1.0, -1.0)]
+
+
+@st.composite
+def _filter_points(draw):
+    """(a, b, k, r, axis) of one point: tilted and exact axes, |a| of 0 and 1,
+    phases of pi, couplings 0 and -0.0, and an opaque filter with S = 0."""
+    if draw(st.booleans()):
+        axis = draw(st.sampled_from(_EXACT_AXES))
+    else:
+        theta, phi = draw(st.floats(0.0, math.pi)), draw(st.floats(-math.pi, math.pi))
+        axis = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    magnitude = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    phase = st.sampled_from([0.0, math.pi, -math.pi]) | st.floats(-7.0, 7.0)
+    a_phase, b_phase = draw(phase), draw(phase)
+    a = magnitude * (math.cos(a_phase) + 1j * math.sin(a_phase))
+    b = math.sqrt(1.0 - magnitude * magnitude) * (math.cos(b_phase) + 1j * math.sin(b_phase))
+    k, r = draw(st.sampled_from([(1e-300, 1e300)])
+                | st.tuples(st.floats(1e-3, 1e3),
+                            st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6)))
+    return a, b, k, r, axis
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_filter_points(), min_size=1, max_size=12))
+# S = 0 exactly (2r/k overflows), beside a zero-coupling point with a = 0
+@example([(0.6, -0.8, 1e-300, 1e300, (0.0, -1.0, 0.0)), (0.0, -1.0, 0.5, -0.0, (0.6, 0.0, 0.8))])
+def test_filter_on_particle_1_equals_the_pair_operator_bit_for_bit(points):
+    a, b = (np.array(column, dtype=complex) for column in list(zip(*points))[:2])
+    k, r, axis = (np.array(column, dtype=float) for column in list(zip(*points))[2:])
+    with np.errstate(all="ignore"):
+        batch = protocols._concentrate_fixed(protocols._Checks(len(points)), a, b, k, r, axis)
+        transmit, reflect = _filter_on_the_pair(a, b, k, r, axis)
+        prob = protocols._norm2(transmit)
+        expected = protocols._outcomes(("transmitted",), protocols._PAIR_REGISTER,
+                                       transmit[:, None], prob[:, None])
+    (_, got_transmit, _, got_prob), (_, got_reflect, _, got_reflected_prob) = batch.tree
+    got = batch.outcomes
+    for x, y in ((got_transmit, transmit), (got_reflect, reflect), (got_prob, prob),
+                 (got_reflected_prob, protocols._norm2(reflect)), (got.probability, expected.probability),
+                 (got.pair, expected.pair), (got.entropy, expected.entropy),
+                 (got.concurrence, expected.concurrence)):
+        assert x.shape == y.shape
+        assert np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
 
 
 def test_optimal_coupling_closed_form_values():

@@ -192,6 +192,35 @@ def test_csv_sweep_builds_no_records(monkeypatch):
     assert len(built) == 3
 
 
+def test_only_float_array_columns_look_for_repeated_values(monkeypatch):
+    """Single-call tables are lists and take the direct '%.12g' pass; a
+    sweep's float arrays are checked for repeated values."""
+    calls = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    for argv in (["concentrate", "--a-coeff", "0.6", "--k", "1.0"],
+                 ["concentrate", "--impurity", "kondo", "--a-coeff", "0.6", "--k", "1.0", "--r", "0.4"],
+                 ["kondo", "--k", "1.0", "--r", "0.4"]):
+        code, out, _ = _main(argv + ["--format", "csv"])
+        assert code == 0 and out
+    assert calls == []
+    code, _, _ = _main(DIGESTS["sweep_filter"]["argv"] + ["--format", "csv"])
+    assert code == 0 and len(calls) == 5
+
+
+def test_a_grid_too_large_for_memory_is_a_one_line_error():
+    # one axis of 10^15 points: its allocation fails at once, before anything is filled
+    code, out, err = _main(["sweep", "--protocol", "concentrate", "--grid", "r:0:1:1000000000000000",
+                            "--fixed", "a=0.5"])
+    assert (code, out) == (1, "")
+    assert err == "error: a grid of 1000000000000000 points does not fit in memory\n"
+
+
 @pytest.mark.parametrize("protocol, grids, fixed", CASES[::4])
 def test_records_equal_the_columns_row_for_row(protocol, grids, fixed):
     res = sweep(protocol, grids, fixed)
@@ -234,19 +263,25 @@ def _reference_emit(names, rows, fmt):
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 CELLS = st.one_of(st.none(), FINITE, st.integers(), st.text(max_size=6))
+# a few values that repeat, as a sweep's grid columns do: zeros of both
+# signs, subnormals and the ends of the float range among them
+POOL = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, 1.0 / 3.0, -7.25])
 
 
 @st.composite
 def tables(draw):
-    """(fieldnames, columns) with float-array and mixed-cell columns."""
+    """(fieldnames, columns) with float-array and mixed-cell columns; float
+    arrays hold any values or values drawn from a small pool."""
     names = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=5, unique=True))
-    rows = draw(st.integers(0, 12))
+    rows = draw(st.integers(0, 12) | st.integers(13, 100))
     columns = {}
     for name in names:
-        if draw(st.booleans()):
-            columns[name] = np.array(draw(st.lists(FINITE, min_size=rows, max_size=rows)), dtype=float)
-        else:
+        kind = draw(st.sampled_from(["floats", "pool", "cells"]))
+        if kind == "cells":
             columns[name] = draw(st.lists(CELLS, min_size=rows, max_size=rows))
+        else:
+            values = FINITE if kind == "floats" else POOL
+            columns[name] = np.array(draw(st.lists(values, min_size=rows, max_size=rows)), dtype=float)
     return names, columns
 
 
