@@ -37,6 +37,7 @@ import sys
 
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -97,11 +98,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Number formatting (the byte-exact part of the output contract)
 
-def _round12(x: float) -> float:
-    """Round to 12 significant digits; the value JSON serializes."""
-    return float(format(float(x), ".12g"))
-
-
 def _f12(x: float) -> str:
     """12-significant-digit text for CSV cells."""
     return format(float(x), ".12g")
@@ -115,16 +111,45 @@ def _c6(z: complex) -> str:
     return f"{z.real:.6f}{z.imag:+.6f}i"
 
 
-def _cobj(z: complex) -> dict:
-    return {"re": _round12(z.real), "im": _round12(z.imag)}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _cmatrix(m: np.ndarray) -> list:
-    return [[_cobj(z) for z in row] for row in np.asarray(m)]
+def _json_float(x: float) -> str:
+    """x rounded to 12 significant digits, written as json writes a float."""
+    text = "%.12g" % x
+    if "." in text and "e" not in text:
+        return text  # already the repr of the rounded float
+    return _NON_FINITE.get(text) or repr(float(text))
+
+
+def _json(v, nl: str = "\n") -> str:
+    """json.dumps(v, indent=2) at the line break nl, floats rounded to 12
+    significant digits, a complex number as its {"re", "im"} object and an
+    array as its nested lists.
+
+    Written directly: with indent, json.dumps runs the pure-Python encoder.
+    Dict keys are strings; tuples are written as lists.
+    """
+    if isinstance(v, float):
+        return _json_float(v)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    inner = nl + "  "
+    if isinstance(v, complex):
+        return f'{{{inner}"re": {_json_float(v.real)},{inner}"im": {_json_float(v.imag)}{nl}}}'
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(x, inner)}" for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if isinstance(v, (list, tuple)):
+        items = [_json(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+    return json.dumps(v)  # None, bool, int
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return _json(obj) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +161,9 @@ def _json_text(obj) -> str:
 # every other cell is formatted on its own.  A float array that repeats its
 # values, at most half of them distinct (a sweep's grid columns), has each
 # distinct bit pattern formatted once and its texts gathered (_repeated_texts).
-# JSON is written by the same one-pass template (_json_table).
+# JSON is written by the same one-pass template (_json_table), its other
+# cells by the single-call writer _json.  The single-call commands pass
+# their small tables as lists, which skip the repeated-value search.
 
 def _column(values) -> tuple[bool, list]:
     """Whether every cell is a float, and the cells as a list."""
@@ -150,10 +177,16 @@ def _repeated_texts(values):
     """The '%.12g' cells of a float array whose values repeat, or None.
 
     Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep their
-    own texts.  None when more than half the values are distinct; those
-    columns, and every sequence of cells, take the direct '%.12g' pass.
+    own texts.  None when more than half the values are distinct, or when
+    the first value does not recur, which spares the sort of a column that
+    is all but surely distinct (every swept column of a grid of two or more
+    axes repeats its first value); those columns, and every sequence of
+    cells, take the direct '%.12g' pass, which writes the same text.
     """
-    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    bits = values.view(np.uint64)
+    if not (bits[1:] == bits[:1]).any():
+        return None
+    keys, inverse = np.unique(bits, return_inverse=True)
     if 2 * len(keys) > len(values):
         return None
     texts = np.array(["%.12g" % x for x in keys.view(np.float64).tolist()], dtype=object)
@@ -214,7 +247,7 @@ def _json_table(names, cols, floats, rows) -> str:
     Written by one %-template pass, as the csv is: a column of finite
     floats is rounded by one '%.12g' pass and written with %r, which is how
     json writes a finite float; every other cell, non-finite floats
-    included, is written by json.dumps on its own (_json_field).
+    included, is written on its own by _json.
     """
     if not rows:
         return "[]\n"
@@ -225,15 +258,10 @@ def _json_table(names, cols, floats, rows) -> str:
             cells.append(map(float, ("%.12g " * rows % tuple(c)).split()))
         else:
             fields.append("%s")
-            cells.append(map(_json_field, c))
-    row = "  {\n" + ",\n".join(f"    {json.dumps(n).replace('%', '%%')}: {f}"
+            cells.append(map(_json, c))
+    row = "  {\n" + ",\n".join(f"    {_json(n).replace('%', '%%')}: {f}"
                                 for n, f in zip(names, fields)) + "\n  }"
     return "[\n" + ",\n".join([row] * rows) % tuple(chain.from_iterable(zip(*cells))) + "\n]\n"
-
-
-def _json_field(v) -> str:
-    """A cell as json.dumps writes it, a float rounded to 12 digits."""
-    return json.dumps(_round12(v) if isinstance(v, float) else v)
 
 
 def emit_records(records, fmt: str, fieldnames=None) -> str:
@@ -272,11 +300,7 @@ def _cmd_amplitudes(p, fmt):
         ("abs_S2", abs(s) ** 2), ("abs_R2", abs(r) ** 2), ("xi", amps.xi),
     )
     if fmt == "json":
-        return _json_text({
-            "S": _cobj(s), "R": _cobj(r),
-            "abs_S2": _round12(abs(s) ** 2), "abs_R2": _round12(abs(r) ** 2),
-            "xi": _round12(amps.xi),
-        })
+        return _json_text(dict(values))
     if fmt == "csv":
         row = {"S_re": s.real, "S_im": s.imag, "R_re": r.real, "R_im": r.imag,
                "abs_S2": abs(s) ** 2, "abs_R2": abs(r) ** 2, "xi": amps.xi}
@@ -289,24 +313,21 @@ def _cmd_amplitudes(p, fmt):
 def _operator_text(ops, fmt, extra_json=None, channel=None):
     t, r = ops.transmission, ops.reflection
     if fmt == "json":
-        obj = dict(extra_json or {})
-        obj["transmission"] = _cmatrix(t)
-        obj["reflection"] = _cmatrix(r)
+        obj = {**(extra_json or {}), "transmission": t, "reflection": r}
         if channel is not None:
-            obj["channel_amplitudes"] = [_cobj(s) for s in channel]
+            obj["channel_amplitudes"] = channel
         return _json_text(obj)
     if fmt == "csv":
-        rows = [
-            {"row": i, "col": j,
-             "T_re": t[i, j].real, "T_im": t[i, j].imag,
-             "R_re": r[i, j].real, "R_im": r[i, j].imag}
-            for i in range(t.shape[0]) for j in range(t.shape[1])
-        ]
-        return emit_records(rows, "csv", ("row", "col", "T_re", "T_im", "R_re", "R_im"))
+        n, m = t.shape
+        return emit_columns({
+            "row": [i for i in range(n) for _ in range(m)], "col": [*range(m)] * n,
+            "T_re": t.real.ravel().tolist(), "T_im": t.imag.ravel().tolist(),
+            "R_re": r.real.ravel().tolist(), "R_im": r.imag.ravel().tolist(),
+        }, "csv")
     lines = ["transmission:"]
-    lines += ["  " + "  ".join(_c6(z) for z in row) for row in t]
+    lines += ["  " + "  ".join(map(_c6, row)) for row in t.tolist()]
     lines.append("reflection:")
-    lines += ["  " + "  ".join(_c6(z) for z in row) for row in r]
+    lines += ["  " + "  ".join(map(_c6, row)) for row in r.tolist()]
     if channel is not None:
         lines.append("channel amplitudes:")
         lines.append("  " + "  ".join(_c6(s) for s in channel))
@@ -316,18 +337,15 @@ def _operator_text(ops, fmt, extra_json=None, channel=None):
 def _cmd_filter(p, fmt):
     spec = FixedImpurity(p["r"], p.get("axis", (0.0, 0.0, 1.0)))
     ops = fixed_filter_operators(spec, p["k"])
-    extra = {"k": _round12(p["k"]), "r": _round12(p["r"]),
-             "axis": [_round12(x) for x in spec.axis]}
-    return _operator_text(ops, fmt, extra)
+    return _operator_text(ops, fmt, {"k": p["k"], "r": p["r"], "axis": spec.axis})
 
 
 def _cmd_kondo(p, fmt):
     spec = KondoImpurity(p["r"], p.get("eigenvalues", DEFAULT_EXCHANGE_EIGENVALUES))
     channel = kondo_channel_amplitudes(spec, p["k"])
     ops = _exchange_operators(channel)
-    extra = {"k": _round12(p["k"]), "r": _round12(p["r"]),
-             "eigenvalues": [_round12(x) for x in spec.eigenvalues]}
-    return _operator_text(ops, fmt, extra, channel)
+    return _operator_text(ops, fmt, {"k": p["k"], "r": p["r"], "eigenvalues": spec.eigenvalues},
+                          channel)
 
 
 _OUTCOME_FIELDS = ("branch", "probability", "conditional_probability",
@@ -349,22 +367,15 @@ def _render_protocol(result, fmt) -> str:
     _require_finite(result.metadata)
     rows = _outcome_rows(result)
     if fmt == "json":
-        outcomes = []
         for o, row in zip(result.outcomes, rows):
-            entry = {k: (_round12(v) if isinstance(v, float) else v) for k, v in row.items()}
-            entry["state"] = None if o.post_state is None else {
-                "labels": list(o.post_state.labels),
-                "amplitudes": [_cobj(z) for z in o.post_state.amplitudes],
-            }
-            outcomes.append(entry)
-        obj = {
-            "outcomes": outcomes,
-            "tree": [{"branch": b.label, "probability": _round12(b.probability)}
-                     for b in result.tree.branches],
-            "total_probability": _round12(result.tree.total_probability()),
-            "metadata": {k: _round12(v) for k, v in result.metadata.items()},
-        }
-        return _json_text(obj)
+            row["state"] = None if o.post_state is None else {
+                "labels": o.post_state.labels, "amplitudes": o.post_state.amplitudes}
+        return _json_text({
+            "outcomes": rows,
+            "tree": [{"branch": b.label, "probability": b.probability} for b in result.tree.branches],
+            "total_probability": result.tree.total_probability(),
+            "metadata": result.metadata,
+        })
     if fmt == "csv":
         return emit_records(rows, "csv", _OUTCOME_FIELDS)
     lines = ["outcomes:"]
