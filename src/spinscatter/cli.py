@@ -179,9 +179,10 @@ def _repeated_texts(values):
     Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep their
     own texts.  None when more than half the values are distinct, or when
     the first value does not recur, which spares the sort of a column that
-    is all but surely distinct (every swept column of a grid of two or more
-    axes repeats its first value); those columns, and every sequence of
-    cells, take the direct '%.12g' pass, which writes the same text.
+    is all but surely distinct (a swept column repeats its first value
+    whenever another axis has two or more points); those columns, and every
+    sequence of cells, take the direct '%.12g' pass, which writes the same
+    text.
     """
     bits = values.view(np.uint64)
     if not (bits[1:] == bits[:1]).any():

@@ -98,11 +98,8 @@ def test_writer_edge_values():
 
 def _old_render_json(result) -> str:
     outcomes = []
-    for o in result.outcomes:
-        entry = {"branch": o.branch_label}
-        for name in ("branch_probability", "conditional_probability", "entropy_bits", "concurrence"):
-            v = getattr(o, name)
-            entry[name.replace("branch_", "")] = _round12(v) if isinstance(v, float) else v
+    for o, row in zip(result.outcomes, cli._outcome_rows(result)):
+        entry = {k: (_round12(v) if isinstance(v, float) else v) for k, v in row.items()}
         entry["state"] = None if o.post_state is None else {
             "labels": list(o.post_state.labels),
             "amplitudes": [_cobj(z) for z in o.post_state.amplitudes],
