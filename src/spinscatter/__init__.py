@@ -18,7 +18,6 @@ from .channels import (
     FixedImpurity,
     KondoImpurity,
     embed,
-    exchange_eigenbasis,
     exchange_matrix,
     fixed_filter_operators,
     kondo_channel_amplitudes,
@@ -101,7 +100,6 @@ __all__ = [
     "entangle_impurities",
     "entangle_particles",
     "entropy_between",
-    "exchange_eigenbasis",
     "exchange_matrix",
     "first_order_composition",
     "fixed_filter_operators",

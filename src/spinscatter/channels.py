@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import make_state, pauli_along
+from .hilbert import pauli_along
 from .scattering import OperatorAmplitudes, _check_wave_number, barrier_transmission, scalar_amplitudes
 from .tolerances import DEFAULT as TOL
 
@@ -93,17 +93,6 @@ class KondoImpurity:
         if not math.isfinite(self.coupling):
             raise ValueError("coupling must be finite")
         object.__setattr__(self, "eigenvalues", _check_eigenvalues(self.eigenvalues))
-
-
-def exchange_eigenbasis(eigenvalues=DEFAULT_EXCHANGE_EIGENVALUES):
-    """Orthonormal two-spin channel states paired with their eigenvalues.
-
-    Order: aligned-up |00>, aligned-down |11>, symmetric (|01>+|10>)/sqrt(2),
-    antisymmetric (|01>-|10>)/sqrt(2).  Labels mark the flying particle as
-    the most significant qubit.
-    """
-    ev = _check_eigenvalues(eigenvalues)
-    return [(make_state(ket, ("particle", "impurity")), lam) for ket, lam in zip(_CHANNEL_KETS, ev)]
 
 
 def exchange_matrix(eigenvalues=DEFAULT_EXCHANGE_EIGENVALUES) -> np.ndarray:

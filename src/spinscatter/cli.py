@@ -76,10 +76,12 @@ from .protocols import (
 )
 from .scattering import (
     TwoImpurityGeometry,
+    _flux_deviation,
     matrix_amplitudes,
     scalar_amplitudes,
     two_impurity_exact,
 )
+from .tolerances import DEFAULT as TOL
 
 _FORMATS = ("table", "csv", "json")
 _FORMAT_ENV = "SPINSCATTER_FORMAT"
@@ -158,12 +160,13 @@ def _json_text(obj) -> str:
 # Tables are carried column by column.  In csv, a column of floats (a float
 # array or a sequence of floats) is formatted by one %-template pass over the
 # whole table, since '%.12g' % x equals format(x, '.12g') for every float;
-# every other cell is formatted on its own.  A float array that repeats its
-# values, at most half of them distinct (a sweep's grid columns), has each
-# distinct bit pattern formatted once and its texts gathered (_repeated_texts).
-# JSON is written by the same one-pass template (_json_table), its other
-# cells by the single-call writer _json.  The single-call commands pass
-# their small tables as lists, which skip the repeated-value search.
+# every other cell is formatted on its own.  JSON writes each float by the
+# single-call rule (_json_float) and every other cell by the single-call
+# writer _json, and fills one row template per table (_json_table).  In
+# both, a float array that repeats its values, at most half of them distinct
+# (a sweep's grid columns), has each distinct bit pattern written once and
+# its texts gathered (_repeated_texts).  The single-call commands pass their
+# small tables as lists, which skip the repeated-value search.
 
 def _column(values) -> tuple[bool, list]:
     """Whether every cell is a float, and the cells as a list."""
@@ -173,24 +176,25 @@ def _column(values) -> tuple[bool, list]:
     return all(isinstance(v, float) for v in cells), cells
 
 
-def _repeated_texts(values):
-    """The '%.12g' cells of a float array whose values repeat, or None.
+def _repeated_texts(values, text):
+    """The cells text(x) of a float column whose values repeat, or None.
 
-    Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep their
+    Each distinct bit pattern is written once, so -0.0 and 0.0 keep their
     own texts.  None when more than half the values are distinct, or when
     the first value does not recur, which spares the sort of a column that
     is all but surely distinct (a swept column repeats its first value
     whenever another axis has two or more points); those columns, and every
-    sequence of cells, take the direct '%.12g' pass, which writes the same
-    text.
+    sequence of cells, take the direct pass, which writes the same text.
     """
+    if not isinstance(values, np.ndarray):
+        return None
     bits = values.view(np.uint64)
     if not (bits[1:] == bits[:1]).any():
         return None
     keys, inverse = np.unique(bits, return_inverse=True)
     if 2 * len(keys) > len(values):
         return None
-    texts = np.array(["%.12g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    texts = np.array([text(x) for x in keys.view(np.float64).tolist()], dtype=object)
     return texts[inverse].tolist()
 
 
@@ -227,41 +231,34 @@ def emit_columns(columns, fmt: str) -> str:
         csv.writer(buf, lineterminator="\r\n").writerow(names)
         fields, cells = [], []
         for values, c, f in zip(columns.values(), cols, floats):
-            texts = _repeated_texts(values) if f and isinstance(values, np.ndarray) else None
-            if not f:
-                texts = [_csv_field(v, len(cols) == 1) for v in c]
+            texts = _repeated_texts(values, "%.12g".__mod__) if f else [
+                _csv_field(v, len(cols) == 1) for v in c]
             fields.append("%.12g" if texts is None else "%s")
             cells.append(c if texts is None else texts)
         template = ",".join(fields) + "\r\n"
         buf.write(template * rows % tuple(chain.from_iterable(zip(*cells))))
         return buf.getvalue()
     if fmt == "json":
-        return _json_table(names, cols, floats, rows)
+        return _json_table(names, columns.values(), cols, floats, rows)
     texts = [[_f6(v) if isinstance(v, float) or v is None else str(v) for v in c] for c in cols]
     template = "  ".join(f"%-{max([len(n), *map(len, t)])}s" for n, t in zip(names, texts))
     return "".join((template % row).rstrip() + "\n" for row in chain([names], zip(*texts)))
 
 
-def _json_table(names, cols, floats, rows) -> str:
+def _json_table(names, columns, cols, floats, rows) -> str:
     """json.dumps(rows, indent=2) of a table, floats rounded to 12 digits.
 
-    Written by one %-template pass, as the csv is: a column of finite
-    floats is rounded by one '%.12g' pass and written with %r, which is how
-    json writes a finite float; every other cell, non-finite floats
-    included, is written on its own by _json.
+    Each cell's text fills one %-template pass, as the csv does: a float is
+    written by _json_float, once per distinct value where its array repeats
+    them, and every other cell by _json.
     """
     if not rows:
         return "[]\n"
-    fields, cells = [], []
-    for c, f in zip(cols, floats):
-        if f and all(map(math.isfinite, c)):
-            fields.append("%r")
-            cells.append(map(float, ("%.12g " * rows % tuple(c)).split()))
-        else:
-            fields.append("%s")
-            cells.append(map(_json, c))
-    row = "  {\n" + ",\n".join(f"    {_json(n).replace('%', '%%')}: {f}"
-                                for n, f in zip(names, fields)) + "\n  }"
+    cells = []
+    for values, c, f in zip(columns, cols, floats):
+        texts = _repeated_texts(values, _json_float) if f else None
+        cells.append(map(_json_float if f else _json, c) if texts is None else texts)
+    row = "  {\n" + ",\n".join(f"    {_json(n).replace('%', '%%')}: %s" for n in names) + "\n  }"
     return "[\n" + ",\n".join([row] * rows) % tuple(chain.from_iterable(zip(*cells))) + "\n]\n"
 
 
@@ -417,14 +414,14 @@ def _cmd_sweep(p, fmt):
 
 
 # ---------------------------------------------------------------------------
-# Selftest: deterministic invariant checks, exit 2 on any violation
+# Selftest: deterministic invariant checks, exit 2 on any violation.  Each
+# check returns its worst deviation, which must stay below the Tolerances
+# budget its row in _SELFTEST_CHECKS names.
 
 def _check_scalar_unitarity():
-    dev = 0.0
-    for xi in np.linspace(-10.0, 10.0, 401):
-        amps = scalar_amplitudes(float(xi), 1.0)
-        dev = max(dev, abs(abs(amps.transmission) ** 2 + abs(amps.reflection) ** 2 - 1.0))
-    return dev, 1e-12
+    amps = [scalar_amplitudes(float(xi), 1.0) for xi in np.linspace(-10.0, 10.0, 401)]
+    s = np.array([(a.transmission, a.reflection) for a in amps])
+    return _flux_deviation(s[:, :1, None], s[:, 1:, None])  # as 1x1 operators
 
 
 def _check_matrix_flux():
@@ -433,23 +430,15 @@ def _check_matrix_flux():
     for i in range(30):
         d = (2, 4, 8)[i % 3]
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        m = (m + m.conj().T) / 2.0
-        ops = matrix_amplitudes(m, float(rng.uniform(0.5, 5.0)))
-        t, r = ops.transmission, ops.reflection
-        dev = max(dev, float(np.max(np.abs(
-            t.conj().T @ t + r.conj().T @ r - np.eye(d)
-        ))))
-    return dev, 1e-11
+        ops = matrix_amplitudes((m + m.conj().T) / 2.0, float(rng.uniform(0.5, 5.0)))
+        dev = max(dev, _flux_deviation(ops.transmission, ops.reflection))
+    return dev
 
 
 def _check_zero_coupling_identity():
-    dev = 0.0
-    for ev in EXCHANGE_EIGENVALUE_PRESETS.values():
-        t = kondo_operators(KondoImpurity(0.0, ev), 1.7).transmission
-        dev = max(dev, float(np.max(np.abs(t - np.eye(4)))))
-    t = fixed_filter_operators(FixedImpurity(0.0), 2.3).transmission
-    dev = max(dev, float(np.max(np.abs(t - np.eye(2)))))
-    return dev, 1e-15
+    ops = [kondo_operators(KondoImpurity(0.0, ev), 1.7) for ev in EXCHANGE_EIGENVALUE_PRESETS.values()]
+    ops.append(fixed_filter_operators(FixedImpurity(0.0), 2.3))
+    return max(float(np.max(np.abs(op.transmission - np.eye(op.dim)))) for op in ops)
 
 
 def _check_channel_construction():
@@ -462,45 +451,36 @@ def _check_channel_construction():
             direct = kondo_operators(KondoImpurity(r, ev), k).transmission
             solved = matrix_amplitudes(r * exchange_matrix(ev), k).transmission
             dev = max(dev, float(np.max(np.abs(direct - solved))))
-    return dev, 1e-12
+    return dev
 
 
 def _check_two_impurity_conservation():
     rng = np.random.default_rng(99)
-    geoms = []
-    for _ in range(10):
-        m1 = embed(float(rng.uniform(-1.5, 1.5)) * exchange_matrix(), 3, (2, 1))
-        m2 = embed(float(rng.uniform(-1.5, 1.5)) * exchange_matrix(), 3, (2, 0))
-        geoms.append(TwoImpurityGeometry(float(rng.uniform(0.3, 3.0)),
-                                         float(rng.uniform(0.5, 4.0)), m1, m2))
-    for coupling in (1e8, 1e10):  # strong coupling: (I + iM/k) has condition number ~coupling
-        geoms.append(TwoImpurityGeometry(1.0, 1.0, embed(coupling * exchange_matrix(), 3, (2, 1)),
-                                         embed(coupling * exchange_matrix(), 3, (2, 0))))
-    dev = 0.0
-    for geom in geoms:
-        res = two_impurity_exact(geom)
-        t, r = res.transmission, res.reflection
-        dev = max(dev, float(np.max(np.abs(
-            t.conj().T @ t + r.conj().T @ r - np.eye(8)
-        ))))
-    return dev, 1e-10
+    # (r1, r2, half_separation, k); the strong couplings give (I + iM/k) a
+    # condition number of about the coupling
+    draws = [rng.uniform([-1.5, -1.5, 0.3, 0.5], [1.5, 1.5, 3.0, 4.0]).tolist() for _ in range(10)]
+    draws += [[coupling, coupling, 1.0, 1.0] for coupling in (1e8, 1e10)]
+    res = [two_impurity_exact(TwoImpurityGeometry(a, k, embed(r1 * exchange_matrix(), 3, (2, 1)),
+                                                  embed(r2 * exchange_matrix(), 3, (2, 0))))
+           for r1, r2, a, k in draws]
+    return _flux_deviation(np.array([x.transmission for x in res]),
+                           np.array([x.reflection for x in res]))
 
 
 def _check_concentration_optimum():
     a, b = math.sqrt(1.0 / 3.0), math.sqrt(2.0 / 3.0)
     r = optimal_coupling_fixed(a, b, 1.0)
     res = concentrate_fixed(a, b, 1.0, r)
-    return max(abs(r - 0.5), abs(res.outcomes[0].entropy_bits - 1.0)), 1e-9
+    return max(abs(r - 0.5), abs(res.outcomes[0].entropy_bits - 1.0))
 
 
 def _check_tree_completeness():
     rng = np.random.default_rng(4242)
     dev = 0.0
     for i in range(12):
-        a = math.sqrt(float(rng.uniform(0.05, 0.5)))
+        a2, k, r = rng.uniform([0.05, 0.5, 0.1], [0.5, 3.0, 2.0]).tolist()
+        a = math.sqrt(a2)
         b = math.sqrt(1.0 - a * a)
-        k = float(rng.uniform(0.5, 3.0))
-        r = float(rng.uniform(0.1, 2.0))
         results = (
             concentrate_fixed(a, b, k, r),
             concentrate_kondo(a, b, k, KondoImpurity(r)),
@@ -510,24 +490,25 @@ def _check_tree_completeness():
         )
         for res in results:
             dev = max(dev, abs(res.tree.total_probability() - 1.0))
-    return dev, 1e-10
+    return dev
 
 
+# (name, Tolerances field holding the bound, check)
 _SELFTEST_CHECKS = (
-    ("scalar unitarity", _check_scalar_unitarity),
-    ("matrix barrier flux", _check_matrix_flux),
-    ("zero-coupling identity", _check_zero_coupling_identity),
-    ("channel construction cross-check", _check_channel_construction),
-    ("two-impurity conservation", _check_two_impurity_conservation),
-    ("concentration optimum", _check_concentration_optimum),
-    ("event-tree completeness", _check_tree_completeness),
+    ("scalar unitarity", "algebraic", _check_scalar_unitarity),
+    ("matrix barrier flux", "algebraic", _check_matrix_flux),
+    ("zero-coupling identity", "zero_identity", _check_zero_coupling_identity),
+    ("channel construction cross-check", "algebraic", _check_channel_construction),
+    ("two-impurity conservation", "solver_residual", _check_two_impurity_conservation),
+    ("concentration optimum", "algebraic", _check_concentration_optimum),
+    ("event-tree completeness", "solver_residual", _check_tree_completeness),
 )
 
 
 def _cmd_selftest(p, fmt):
     lines = []
-    for name, check in _SELFTEST_CHECKS:
-        dev, bound = check()
+    for name, field, check in _SELFTEST_CHECKS:
+        dev, bound = check(), getattr(TOL, field)
         if not math.isfinite(dev) or dev >= bound:
             raise InternalFaultError(
                 f"selftest {name}: deviation {dev:.3e} not below {bound:.0e}"

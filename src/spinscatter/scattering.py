@@ -39,6 +39,13 @@ def _check_wave_number(k):
         raise ValueError("k must be positive")
 
 
+def _flux_deviation(t, r) -> float:
+    """max|T+T + R+R - I| over a stack of (..., d, d) operator pairs T, R:
+    zero where the scattering conserves flux."""
+    flux = t.conj().swapaxes(-1, -2) @ t + r.conj().swapaxes(-1, -2) @ r
+    return float(np.max(np.abs(flux - np.eye(t.shape[-1]))))
+
+
 def _check_hermitian(m, name="potential"):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
@@ -159,7 +166,7 @@ def matrix_amplitudes(potential, k: float) -> OperatorAmplitudes:
             f"{TOL.solver_residual:g} x |kI + iM| |T| = {TOL.solver_residual * scale:.3e}"
         )
     r = t - eye
-    flux = float(np.max(np.abs(t.conj().T @ t + r.conj().T @ r - eye)))
+    flux = _flux_deviation(t, r)
     if not flux <= TOL.solver_residual:
         raise InternalFaultError(
             f"delta-barrier flux conservation violated by {flux:.3e} (> {TOL.solver_residual:g})"
@@ -256,9 +263,7 @@ def two_impurity_exact(geom: TwoImpurityGeometry) -> TwoImpurityAmplitudes:
     t1, t2 = _barrier_transmissions(np.stack([geom.potential_left, geom.potential_right]), k)
     transmission, reflection = star_product(
         t1, t2, np.exp(2j * k * geom.half_separation), eye)
-    conservation = float(np.max(np.abs(
-        transmission.conj().T @ transmission + reflection.conj().T @ reflection - eye
-    )))
+    conservation = _flux_deviation(transmission, reflection)
     if conservation > TOL.solver_residual:
         raise InternalFaultError(
             f"two-impurity flux conservation violated by {conservation:.3e} "

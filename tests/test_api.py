@@ -10,7 +10,7 @@ PUBLIC = [
     "SweepResult", "Tolerances", "TwoImpurityAmplitudes", "TwoImpurityGeometry",
     "basis_state", "concentrate_fixed", "concentrate_kondo", "concurrence", "embed",
     "entangle_impurities", "entangle_particles", "entropy_between",
-    "exchange_eigenbasis", "exchange_matrix", "first_order_composition",
+    "exchange_matrix", "first_order_composition",
     "fixed_filter_operators", "kondo_channel_amplitudes", "kondo_operators",
     "make_state", "matrix_amplitudes", "normalize", "optimal_coupling_fixed",
     "pauli_along", "pure_pair_figures", "run_protocol", "scalar_amplitudes",

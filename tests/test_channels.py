@@ -10,7 +10,6 @@ from spinscatter import (
     KondoImpurity,
     basis_state,
     embed,
-    exchange_eigenbasis,
     exchange_matrix,
     fixed_filter_operators,
     kondo_channel_amplitudes,
@@ -19,8 +18,7 @@ from spinscatter import (
     matrix_amplitudes,
     scalar_amplitudes,
 )
-
-RT2 = math.sqrt(0.5)
+from spinscatter.channels import EXCHANGE_PROJECTORS
 
 
 def test_presets():
@@ -29,17 +27,16 @@ def test_presets():
     assert DEFAULT_EXCHANGE_EIGENVALUES == (1.0, 1.0, -2.0, 0.0)
 
 
-def test_exchange_eigenbasis_is_orthonormal():
-    states = [s for s, _ in exchange_eigenbasis()]
-    for i, si in enumerate(states):
-        for j, sj in enumerate(states):
-            overlap = np.vdot(si.amplitudes, sj.amplitudes)
-            assert abs(overlap - (1.0 if i == j else 0.0)) < 1e-15
-    # ordering: aligned-up, aligned-down, symmetric, antisymmetric
-    assert states[0].amplitudes[0] == 1.0
-    assert states[1].amplitudes[3] == 1.0
-    assert abs(states[2].amplitudes[1] - RT2) < 1e-15
-    assert abs(states[3].amplitudes[2] + RT2) < 1e-15
+def test_exchange_projectors_are_orthogonal_and_in_channel_order():
+    p = EXCHANGE_PROJECTORS
+    for c in range(4):
+        for d in range(4):
+            expect = p[c] if c == d else np.zeros((4, 4))
+            assert np.max(np.abs(p[c] @ p[d] - expect)) < 1e-15
+    # ordering: aligned-up |00>, aligned-down |11>, symmetric, antisymmetric
+    diagonals = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0.5, 0.5, 0], [0, 0.5, 0.5, 0]]
+    assert np.max(np.abs(np.einsum("cii->ci", p) - diagonals)) < 1e-15
+    assert abs(p[2, 1, 2] - 0.5) < 1e-15 and abs(p[3, 1, 2] + 0.5) < 1e-15
 
 
 def test_exchange_matrix_standard_pauli_is_swap_combination():

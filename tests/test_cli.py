@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from spinscatter import cli, run_protocol
+from spinscatter import DEFAULT_TOLERANCES, Tolerances, cli, run_protocol
 from spinscatter.errors import InternalFaultError
 
 from conftest import run_cli
@@ -144,6 +145,25 @@ def test_selftest_passes():
     assert proc.stdout.count("PASS") == 7
     assert "selftest: 7 checks passed" in proc.stdout
 
+
+
+def test_selftest_bounds_are_the_tolerance_budgets(capsys):
+    fields = {f.name for f in dataclasses.fields(Tolerances)}
+    assert cli.main(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(cli._SELFTEST_CHECKS) + 1
+    for (name, field, _), line in zip(cli._SELFTEST_CHECKS, lines):
+        assert field in fields
+        assert line.startswith(f"PASS {name} (max deviation ")
+        assert float(line[line.rindex("< ") + 2:-1]) == getattr(DEFAULT_TOLERANCES, field)
+
+
+def test_selftest_fails_on_a_zero_budget(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "TOL", Tolerances(algebraic=0.0))
+    assert cli.main(["selftest"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal fault: selftest scalar unitarity:")
 
 def test_help_exits_zero():
     proc = run_cli("--help")

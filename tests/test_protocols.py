@@ -11,7 +11,9 @@ from scipy.optimize import brentq
 
 from conftest import reduced_density, von_neumann_entropy
 from spinscatter import (
+    DEFAULT_TOLERANCES,
     GridSpec,
+    InternalFaultError,
     KondoImpurity,
     SpinState,
     basis_state,
@@ -409,6 +411,29 @@ def test_entangle_impurities_mode_validation():
         entangle_impurities(1.0, KondoImpurity(1.0), KondoImpurity(1.0),
                             half_separation=-1.0, mode="exact")
 
+
+
+# Inputs on which exact mode fails today: close, nearly opaque barriers
+# (flux off by 7.8e-8), and k = 5e-324, where the channel amplitudes are not
+# finite or the composition is singular.  First-order mode answers all three.
+EXACT_MODE_DEFECTS = [
+    {"k": 1.5968375361207577e-07, "r1": 0.10099984732649511, "r2": 0.705775586659697,
+     "half_separation": 7.320449548807124e-06},
+    {"k": 5e-324, "r1": 1.0, "r2": 1.0, "half_separation": 1.0, "initial": "000"},
+    {"k": 5e-324, "r1": 64096778983.88762, "r2": 1.1802785064156804, "half_separation": 1e-320,
+     "eigenvalues": "standard-pauli", "initial": "000"},
+]
+
+
+@pytest.mark.parametrize("mode", [
+    "first-order",
+    pytest.param("exact", marks=pytest.mark.xfail(strict=True,
+                                                  raises=(InternalFaultError, ValueError))),
+])
+@pytest.mark.parametrize("params", EXACT_MODE_DEFECTS)
+def test_entangle_impurities_answers_close_opaque_and_tiny_k_inputs(params, mode):
+    tree = run_protocol("entangle-impurities", {**params, "mode": mode}).tree
+    assert abs(tree.total_probability() - 1.0) <= DEFAULT_TOLERANCES.solver_residual
 
 def test_every_outcome_state_is_normalized():
     rng = np.random.default_rng(61)

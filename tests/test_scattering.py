@@ -122,6 +122,18 @@ def test_matrix_amplitudes_flux_check_catches_what_the_residual_misses(monkeypat
         matrix_amplitudes(embed(1e162 * exchange_matrix(), 3, (2, 1)), 1.0)
 
 
+
+def test_flux_deviation_of_a_stack_is_the_worst_of_its_operators():
+    rng = np.random.default_rng(17)
+    t = np.stack([matrix_amplitudes(random_hermitian(rng, 4), 1.0).transmission for _ in range(5)])
+    t[2] *= 1.001  # one pair that does not conserve flux
+    r = t - np.eye(4)
+    each = [float(np.max(np.abs(a.conj().T @ a + b.conj().T @ b - np.eye(4)))) for a, b in zip(t, r)]
+    assert max(each) > 1e-3 > sorted(each)[-2]
+    assert scattering._flux_deviation(t, r) == max(each)
+    assert scattering._flux_deviation(t.reshape(5, 1, 4, 4), r.reshape(5, 1, 4, 4)) == max(each)
+    assert [scattering._flux_deviation(a, b) for a, b in zip(t, r)] == each
+
 def test_scalar_amplitudes_opaque_limit():
     # coupling/k overflows to infinity: the barrier transmits nothing
     for coupling in (1e10, -1e10):

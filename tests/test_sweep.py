@@ -193,10 +193,10 @@ def test_csv_sweep_builds_no_records(monkeypatch):
 
 
 def test_only_float_array_columns_look_for_repeated_values(monkeypatch):
-    """Single-call tables are lists and take the direct '%.12g' pass; of a
-    sweep's float arrays, only the two swept columns of each benchmark grid
-    are sorted for their distinct values (the metric columns do not repeat
-    their first value)."""
+    """Single-call tables are lists and take the direct pass; of a sweep's
+    float arrays, in csv and in json, only the two swept columns of each
+    benchmark grid are sorted for their distinct values (the metric columns
+    do not repeat their first value)."""
     calls = []
     unique = np.unique
 
@@ -212,9 +212,10 @@ def test_only_float_array_columns_look_for_repeated_values(monkeypatch):
         assert code == 0 and out
     assert calls == []
     for name in ("sweep_exact", "sweep_filter"):
-        code, _, _ = _main(DIGESTS[name]["argv"] + ["--format", "csv"])
-        assert code == 0 and len(calls) == 2
-        calls.clear()
+        for fmt in ("csv", "json"):
+            code, _, _ = _main(DIGESTS[name]["argv"] + ["--format", fmt])
+            assert code == 0 and len(calls) == 2
+            calls.clear()
 
 
 def test_a_grid_too_large_for_memory_is_a_one_line_error():
@@ -269,8 +270,10 @@ def _reference_emit(names, rows, fmt):
 FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 CELLS = st.one_of(st.none(), FINITE, st.integers(), st.text(max_size=6))
 # a few values that repeat, as a sweep's grid columns do: zeros of both
-# signs, subnormals and the ends of the float range among them
-POOL = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, 1.0 / 3.0, -7.25])
+# signs, subnormals, the ends of the float range and non-finite values
+# among them
+POOL = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, 1.0 / 3.0, -7.25,
+                        math.nan, math.inf, -math.inf])
 
 
 @st.composite
