@@ -24,11 +24,14 @@ Eigenvalue presets: "default" = (1, 1, -2, 0); "standard-pauli" =
 sigma.sigma (triplet +1, singlet -3).  Any custom 4-tuple is accepted.
 
 Both operators are linear in fixed projectors: T = sum_c S_c P_c for the
-exchange channels and T = P+ + S P- for the filter.  exchange_transmission
-and filter_transmission take stacks of amplitudes (leading axes) and
-projectors of any register size, so protocols embed the projectors once and
-build the operators of many parameter points in one step; the single-impurity
-functions below are the same construction for one point.
+exchange channels and T = P+ + S P- for the filter.  EXCHANGE_PROJECTORS
+holds the exchange projectors with their exact entries 0, +-1/2 and 1, so
+they sum to the identity exactly and S_c - 1 are the exact coefficients of
+T - I.  The protocols embed them once and apply each exchange barrier
+through them without forming T (scattering._channel_pass and
+star_product); exchange_transmission and filter_transmission build the
+operators themselves, for stacks of amplitudes (leading axes), and the
+single-impurity functions below are that construction for one point.
 """
 
 import math
@@ -46,13 +49,14 @@ EXCHANGE_EIGENVALUE_PRESETS: dict[str, tuple[float, float, float, float]] = {
 }
 DEFAULT_EXCHANGE_EIGENVALUES = EXCHANGE_EIGENVALUE_PRESETS["default"]
 
-_RT = math.sqrt(0.5)
-# channel kets on (particle, impurity): aligned up, aligned down, symmetric,
-# antisymmetric -- the order of every eigenvalue 4-tuple
-_CHANNEL_KETS = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, _RT, _RT, 0], [0, _RT, -_RT, 0]], dtype=complex
-)
-EXCHANGE_PROJECTORS = np.einsum("ci,cj->cij", _CHANNEL_KETS, _CHANNEL_KETS.conj())
+# channel kets on (particle, impurity), unnormalized: aligned up, aligned
+# down, symmetric, antisymmetric -- the order of every eigenvalue 4-tuple.
+# |u><u| / <u|u> of these integer kets has the exact entries 0, +-1/2 and 1,
+# so the projectors sum to the identity exactly.
+_CHANNEL_KETS = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0]])
+EXCHANGE_PROJECTORS = (np.einsum("ci,cj->cij", _CHANNEL_KETS, _CHANNEL_KETS)
+                       / np.einsum("ci,ci->c", _CHANNEL_KETS, _CHANNEL_KETS)[:, None, None]
+                       ).astype(complex)
 """Channel projectors |c><c|, shape (4, 4, 4), in eigenvalue order."""
 EXCHANGE_PROJECTORS.setflags(write=False)
 
@@ -105,11 +109,13 @@ def exchange_matrix(eigenvalues=DEFAULT_EXCHANGE_EIGENVALUES) -> np.ndarray:
 
 
 def exchange_transmission(amplitudes, projectors=EXCHANGE_PROJECTORS) -> np.ndarray:
-    """Exchange-impurity transmission T = sum_c S_c P_c for stacked amplitudes.
+    """Exchange-impurity transmission operator T = sum_c S_c P_c for stacked amplitudes.
 
     amplitudes has shape (..., 4) in channel order; projectors (4, D, D) are
     the channel projectors, possibly embedded in a larger register.  Returns
-    shape (..., D, D).
+    shape (..., D, D).  The operator route of kondo_operators; the protocols
+    apply T to their states from the projector tables instead, without
+    building it.
     """
     return np.einsum("...c,cij->...ij", amplitudes, projectors)
 

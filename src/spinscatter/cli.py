@@ -181,15 +181,17 @@ def _repeated_texts(values, text):
 
     Each distinct bit pattern is written once, so -0.0 and 0.0 keep their
     own texts.  None when more than half the values are distinct, or when
-    the first value does not recur, which spares the sort of a column that
-    is all but surely distinct (a swept column repeats its first value
-    whenever another axis has two or more points); those columns, and every
-    sequence of cells, take the direct pass, which writes the same text.
+    the first or the middle value does not recur, which spares the sort of
+    a column that is all but surely mostly distinct (a swept column repeats
+    every value whenever another axis has two or more points, while a
+    metric column may repeat only the values of one edge of the grid, such
+    as r = 0); those columns, and every sequence of cells, take the direct
+    pass, which writes the same text.
     """
     if not isinstance(values, np.ndarray):
         return None
     bits = values.view(np.uint64)
-    if not (bits[1:] == bits[:1]).any():
+    if not (bits[1:] == bits[:1]).any() or np.count_nonzero(bits == bits[len(bits) // 2]) < 2:
         return None
     keys, inverse = np.unique(bits, return_inverse=True)
     if 2 * len(keys) > len(values):

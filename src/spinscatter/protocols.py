@@ -21,10 +21,16 @@ with register states held as arrays of shape (N, 2^n).  Exchange keeps the
 total S_z, so its operators are block-diagonal in the Hamming-weight
 sectors {0}, {1,2,4}, {3,5,6}, {7} of the three-qubit register.  The
 exchange protocols run each sector that the initial amplitudes occupy on
-its own: the channel projectors are embedded in the register and sliced to
-the sectors once, at import, the operators of all N points come from one
-einsum per sector as (N, d, d) blocks with d <= 3, and the results are
-scattered back into (N, 8) states.  The filter, whose tilted axis does not
+its own: the channel projectors, whose entries are exactly 0, +-1/2 and 1,
+are embedded in the register and sliced to the sectors once, at import,
+with d <= 3 states each, together with their product tables.  A barrier
+T = sum_c S_c P_c is never built as an operator: T psi and (T - I) psi of
+all N points are one product of the channel coefficients S_c and S_c - 1
+times psi against the table (scattering._channel_pass), and exact mode's
+star product composes the two barriers from the same tables, its R1 R2
+one product against the table of the projector pairs, so the only
+(N, d, d) stack is the matrix it solves.  The results are scattered back
+into (N, 8) states.  The filter, whose tilted axis does not
 keep S_z, acts as its (N, 2, 2) operator on particle-1 alone, applied to
 the two coefficients of a|00> + b|11> by one einsum.  sweep runs the
 kernel over its grid in blocks of _BLOCK (1024) points; the single-call
@@ -65,12 +71,11 @@ from .channels import (
     EXCHANGE_PROJECTORS,
     KondoImpurity,
     embed,
-    exchange_transmission,
     filter_transmission,
 )
 from .errors import InternalFaultError
 from .hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinState, basis_state, pure_pair_figures
-from .scattering import _transmission, star_product
+from .scattering import _channel_pass, _pass_table, _transmission, star_product
 from .tolerances import DEFAULT as TOL
 
 _PAIR_REGISTER = ("particle-2", "particle-1")
@@ -96,13 +101,15 @@ def _sector_projectors(targets):
 
 
 # Channel projectors per target pair of the three-qubit register, sliced to
-# the sectors once.
-_EXCHANGE_ON = {targets: _sector_projectors(targets) for targets in ((1, 0), (2, 0), (2, 1))}
+# the sectors once, and their _channel_pass tables.  The entries are exactly
+# 0, +-1/2 and 1, as in EXCHANGE_PROJECTORS, since embedding only copies them.
+_PROJECTORS = {targets: _sector_projectors(targets) for targets in ((1, 0), (2, 0), (2, 1))}
+_TABLES = {targets: tuple(map(_pass_table, blocks)) for targets, blocks in _PROJECTORS.items()}
 # the filter's n.sigma is the combination of these with the axis components
 _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 # grid points per kernel call; bounds the (N, 2, 2) filter operators and the
-# (N, d, d) sector blocks, d <= 3, of the exchange protocols
+# (4, d, 2, N) channel terms, d <= 3, of the exchange protocols
 _BLOCK = 1024
 
 # an optimal coupling below this has lost significant bits, or underflowed to 0
@@ -256,12 +263,6 @@ def _with_reflection(t):
     both[:, 0] = t
     np.subtract(t, _identity(t.shape[-1]), out=both[:, 1])
     return both
-
-
-def _transmit(t, psi):
-    """Transmitted T psi and reflected (T - I) psi amplitudes of one barrier, by one einsum."""
-    out = np.einsum("nkij,nj->nki", _with_reflection(t), psi)
-    return out[:, 0], out[:, 1]
 
 
 @functools.cache
@@ -423,11 +424,13 @@ def _channel_amplitudes(checks, r, k, eigenvalues, message):
     """(N, 4) per-channel transmissions S_c = 1/(1 + i r lambda_c / k).
 
     The couplings r lambda_c are checked finite; the amplitudes mean
-    something once the checks have passed.
+    something once the checks have passed.  The result is the transpose of
+    a C-ordered (4, N) array, the layout in which _channel_pass and
+    star_product take them as whole point rows.
     """
-    coupling = np.multiply.outer(r, eigenvalues)
-    checks.add(~np.logical_and.reduce(np.isfinite(coupling), axis=-1), message)
-    return _transmission(coupling, k[:, None])
+    coupling = np.multiply.outer(eigenvalues, r)
+    checks.add(~np.logical_and.reduce(np.isfinite(coupling), axis=0), message)
+    return _transmission(coupling, k).T
 
 
 def _check_initial(checks, initial, content):
@@ -495,8 +498,7 @@ def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
 
     psi0 = np.zeros((checks.n, 8), dtype=complex)
     psi0[:, 0], psi0[:, 6] = a, b
-    rows = _by_sector(
-        psi0, checks.n, 2, lambda w, psi: _transmit(exchange_transmission(s, _EXCHANGE_ON[(1, 0)][w]), psi))
+    rows = _by_sector(psi0, checks.n, 2, lambda w, psi: _channel_pass(s, _TABLES[(1, 0)][w], psi))
     prob = _norm2(rows)
     measured, outcomes = _measure(rows[:, 0], prob[:, 0], 0, "transmitted, impurity measured ",
                                   _PARTICLES_REGISTER)
@@ -513,8 +515,8 @@ def _entangle_particles(checks, k, r, eigenvalues, initial) -> _Batch:
     checks.raise_first()
 
     def step(w, psi):
-        after_1, reflected_1 = _transmit(exchange_transmission(s, _EXCHANGE_ON[(1, 0)][w]), psi)
-        after_2, reflected_2 = _transmit(exchange_transmission(s, _EXCHANGE_ON[(2, 0)][w]), after_1)
+        after_1, reflected_1 = _channel_pass(s, _TABLES[(1, 0)][w], psi)
+        after_2, reflected_2 = _channel_pass(s, _TABLES[(2, 0)][w], after_1)
         return reflected_1, reflected_2, after_2
 
     psi0 = initial.amplitudes[None]  # the same at every point
@@ -547,14 +549,13 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
     phase = np.exp(2j * k * half_separation)
 
     def step(w, psi):
-        t1 = exchange_transmission(s1, _EXCHANGE_ON[(2, 1)][w])
-        t2 = exchange_transmission(s2, _EXCHANGE_ON[(2, 0)][w])
         if exact:
-            after_2, reflected = star_product(t1, t2, phase, psi[..., None])
-            return reflected[..., 0], after_2[..., 0]
+            after_2, reflected = star_product(s1, _PROJECTORS[(2, 1)][w], s2, _PROJECTORS[(2, 0)][w],
+                                              phase, psi)
+            return reflected, after_2
         # the star product without its p^2 R1 R2 term, each reflection resolved
-        after_1, reflected_1 = _transmit(t1, psi)
-        after_2, reflected_2 = _transmit(t2, after_1)
+        after_1, reflected_1 = _channel_pass(s1, _TABLES[(2, 1)][w], psi)
+        after_2, reflected_2 = _channel_pass(s2, _TABLES[(2, 0)][w], after_1)
         return reflected_1, reflected_2, after_2
 
     if exact:

@@ -20,8 +20,10 @@ the reflection picks up the position phase e^{-+2ika}.
 
 Two impurities compose by the S-matrix (Redheffer star product) rule of
 star_product, which sums every back-and-forth order between them; the
-first-order composition is its truncation to a single pass.  The batched
-functions here act on stacks of operators along leading axes, and the
+first-order composition is its truncation to a single pass.  star_product
+takes each barrier as its channel decomposition T = sum_c S_c P_c, stacked
+amplitudes and a constant projector table, and never forms T; the other
+batched functions act on stacks of operators along leading axes, and the
 single-operator functions are a stack of one.
 """
 
@@ -155,7 +157,8 @@ def matrix_amplitudes(potential, k: float) -> OperatorAmplitudes:
     _check_wave_number(k)
     m = np.asarray(potential, dtype=complex)
     _check_hermitian(m)
-    t = _barrier_transmissions(m, k)
+    s, v = _barrier_channels(m, k)
+    t = (v * s) @ v.conj().T
     eye = np.eye(m.shape[0], dtype=complex)
     lhs = k * eye + 1j * m
     residual = float(np.max(np.abs(lhs @ t - k * eye)))
@@ -174,13 +177,14 @@ def matrix_amplitudes(potential, k: float) -> OperatorAmplitudes:
     return OperatorAmplitudes(t, r)
 
 
-def _barrier_transmissions(potentials, k):
-    """T = V diag(S) V+ = (I + iM/k)^-1 for a stack of Hermitian potentials M."""
+def _barrier_channels(potentials, k):
+    """Channel decomposition of (I + iM/k)^-1 for a stack of Hermitian potentials M:
+    the transmissions S = 1/(1 + i lambda/k) of the eigenvalues, and the eigenvectors V."""
     try:
         lam, v = np.linalg.eigh(potentials)
     except np.linalg.LinAlgError as exc:  # unreachable for finite Hermitian input
         raise InternalFaultError(f"delta-barrier eigendecomposition failed: {exc}") from exc
-    return (v * barrier_transmission(lam, k)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return barrier_transmission(lam, k), v
 
 
 @dataclass(frozen=True)
@@ -225,44 +229,105 @@ class TwoImpurityAmplitudes:
     reflection: np.ndarray
 
 
-def star_product(t1, t2, phase, incident):
+def _pass_table(projectors) -> np.ndarray:
+    """The (d, c*d) table of channel projectors (c, d, d) that _pass multiplies:
+    column c*d + j holds column j of P_c.  A barrier's table is made once and
+    reused by every pass through it."""
+    return projectors.transpose(1, 0, 2).reshape(projectors.shape[-1], -1)
+
+
+def _pass(coefficients, table, x):
+    """sum_c coefficients[c, m] P_c x of a barrier's _pass_table, by one product.
+
+    The point axis is last: coefficients (c, m, n), x spin vectors (d, n),
+    and a length-1 point axis is shared by every point.  The terms
+    coefficients[c] x_j are formed along whole point axes, as one
+    C-ordered (c*d, m*n) array, and the table multiplies them in one 2-d
+    product, so no (n, d, d) operator is formed.  A vector shared by every
+    point is projected first, P_c x, and its images weighted by the
+    coefficients in one product.  Returns (d, m, n).
+    """
+    d = len(table)
+    if x.shape[-1] == 1:
+        images = (table.reshape(d, -1, d) @ x)[..., 0]
+        return (images @ coefficients.reshape(len(coefficients), -1)).reshape(d, *coefficients.shape[1:])
+    terms = np.multiply(coefficients[:, None], x[None, :, None], order="C")
+    return (table @ terms.reshape(len(table[0]), -1)).reshape(d, *terms.shape[2:])
+
+
+# channel coefficients S_c - 0 and S_c - 1 of T and T - I, along their own axis
+_PASS_SHIFTS = np.array([[0.0], [1.0]])
+
+
+def _channel_pass(amplitudes, table, psi):
+    """T psi and (T - I) psi of the barrier T = sum_c S_c P_c, by one product.
+
+    amplitudes S (n, c) in channel order, table the barrier's _pass_table,
+    psi spin vectors (n, d), where a lone row is shared by every point.
+    T - I takes the coefficients S_c - 1, exact where the projectors sum to
+    I exactly.  Returns the pair (T psi, (T - I) psi), each (n, d).
+    """
+    out = _pass(amplitudes.T[:, None] - _PASS_SHIFTS, table, psi.T)
+    return out[:, 0].T, out[:, 1].T
+
+
+def star_product(s1, projectors1, s2, projectors2, phase, incident):
     """S-matrix (Redheffer star product) composition of two delta barriers.
 
-    t1 and t2 are the single-barrier transmissions of the scatterers at
-    x = -a and x = +a, stacked as (..., d, d); each reflects R_j = T_j - I.
-    phase is p = e^{2ika} (shape ...), incident holds incident spin columns
-    (..., d, m).  Returns the transmitted and reflected columns T chi, R chi:
+    Barrier j, at x = -a (j = 1) or x = +a (j = 2), is given by its channel
+    decomposition T_j = sum_c S_c P_c: amplitudes sj (n, c) and Hermitian
+    projectors (c, d, d) that sum to I; it reflects R_j = T_j - I.  phase
+    is p = e^{2ika} (shape (n,) or scalar), incident holds incident spin
+    vectors (n, d); a lone row of amplitudes or of incident vectors is
+    shared by every point.  Returns the transmitted and reflected vectors
+    T chi, R chi, each (n, d):
 
         C = (I - p^2 R1 R2)^-1 T1,   T = T2 C,   R = R1/p + p T1 R2 C
 
     C sums every back-and-forth order between the barriers, so only d x d
-    systems are solved.  Dropping the p^2 R1 R2 term leaves the single pass
-    T2 T1 of first_order_composition, whose error is that term's O(xi^2).
+    systems are solved, by pivoted LU.  Each product with a barrier is one
+    product of its channel coefficients against its projector table
+    (_pass), and R1 R2 = sum_ce (S1_c - 1)(S2_e - 1) P1_c P2_e is one
+    product against the table of the projector pairs, so the only
+    (n, d, d) stack formed is the matrix solved.  Dropping the p^2 R1 R2
+    term leaves the single pass T2 T1 of first_order_composition, whose
+    error is that term's O(xi^2).
     """
-    eye = np.eye(t1.shape[-1])
-    r1, r2 = t1 - eye, t2 - eye
-    p = np.asarray(phase)[..., None, None]
+    d = projectors1.shape[-1]
+    table1, table2 = _pass_table(projectors1), _pass_table(projectors2)
+    # points last: coefficients [S_c, S_c - 1] (c, 2, n), vectors (d, n)
+    c1, c2 = s1.T[:, None] - _PASS_SHIFTS, s2.T[:, None] - _PASS_SHIFTS
+    pairs = (projectors1[:, None] @ projectors2).transpose(2, 3, 0, 1).reshape(d * d, -1)
+    r1r2 = pairs @ (c1[:, None, 1] * c2[None, :, 1]).reshape(len(pairs[0]), -1)
+    p = np.asarray(phase)
+    system = np.eye(d).reshape(d * d, 1) - p * p * r1r2
+    after_1 = _pass(c1, table1, incident.T)
     try:
-        between = np.linalg.solve(eye - p * p * (r1 @ r2), t1 @ incident)
+        between = np.linalg.solve(system.T.reshape(-1, d, d), after_1[:, 0].T[..., None])[..., 0].T
     except np.linalg.LinAlgError as exc:
         raise InternalFaultError(f"two-impurity composition is singular: {exc}") from exc
-    return t2 @ between, r1 @ incident / p + p * (t1 @ (r2 @ between))
+    after_2 = _pass(c2, table2, between)
+    back = _pass(c1[:, :1], table1, after_2[:, 1])[:, 0]
+    return after_2[:, 0].T, (after_1[:, 1] / p + p * back).T
 
 
 def two_impurity_exact(geom: TwoImpurityGeometry) -> TwoImpurityAmplitudes:
     """Exact plane-wave solution for two matrix delta barriers.
 
-    Each barrier alone transmits T_j = (I + i M_j/k)^-1, built as in
-    matrix_amplitudes and accurate to about eps·||M_j||/k·max_c |S_c|^2;
-    star_product then composes the pair, keeping every back-and-forth
-    multiple-scattering order.  Flux conservation T+T + R+R = I is checked
-    on the result.
+    Each barrier alone transmits T_j = (I + i M_j/k)^-1 = sum_c S_c v_c v_c+
+    over the eigenpairs of M_j, as in matrix_amplitudes, and is accurate to
+    about eps·||M_j||/k·max_c |S_c|^2; star_product then composes the pair
+    from these rank-one channel decompositions, keeping every
+    back-and-forth multiple-scattering order.  Flux conservation
+    T+T + R+R = I is checked on the result.
     """
     k = geom.k
-    eye = np.eye(geom.dim, dtype=complex)
-    t1, t2 = _barrier_transmissions(np.stack([geom.potential_left, geom.potential_right]), k)
-    transmission, reflection = star_product(
-        t1, t2, np.exp(2j * k * geom.half_separation), eye)
+    s, v = _barrier_channels(np.stack([geom.potential_left, geom.potential_right]), k)
+    p1, p2 = np.einsum("jic,jkc->jcik", v, v.conj())
+    # row i of the results is the image of the incident basis vector e_i
+    transmitted, reflected = star_product(
+        s[:1], p1, s[1:], p2, np.exp(2j * k * geom.half_separation), np.eye(geom.dim, dtype=complex))
+    transmission, reflection = transmitted.T, reflected.T
     conservation = _flux_deviation(transmission, reflection)
     if conservation > TOL.solver_residual:
         raise InternalFaultError(

@@ -97,12 +97,13 @@ def test_concentrate_fixed_entropy_monotone_up_to_optimum():
 
 def _filter_on_the_pair(a, b, k, r, axis):
     """Transmitted and reflected pair amplitudes as (I x T) psi0 on the
-    4 x 4 pair operators: the Paulis embedded on particle-1, then _transmit."""
+    4 x 4 pair operators: the Paulis embedded on particle-1, then one einsum."""
     paulis = np.stack([embed(sigma, 2, (0,)) for sigma in (PAULI_X, PAULI_Y, PAULI_Z)])
     t = filter_transmission(_transmission(2.0 * r, k), np.einsum("na,aij->nij", axis, paulis))
     psi0 = np.zeros((len(a), 4), dtype=complex)
     psi0[:, 0], psi0[:, 3] = a, b
-    return protocols._transmit(t, psi0)
+    out = np.einsum("nkij,nj->nki", protocols._with_reflection(t), psi0)
+    return out[:, 0], out[:, 1]
 
 
 _EXACT_AXES = [(s * (i == 0), s * (i == 1), s * (i == 2)) for i in range(3) for s in (1.0, -1.0)]
@@ -434,6 +435,42 @@ EXACT_MODE_DEFECTS = [
 def test_entangle_impurities_answers_close_opaque_and_tiny_k_inputs(params, mode):
     tree = run_protocol("entangle-impurities", {**params, "mode": mode}).tree
     assert abs(tree.total_probability() - 1.0) <= DEFAULT_TOLERANCES.solver_residual
+
+
+def _defect_region_draws(n, seed):
+    """Seeded exact-mode inputs over the region of the close-opaque defect:
+    k log-uniform in [1e-9, 1e3], couplings +-10^[-6, 10], k*a in
+    [1e-16, 1] on every other draw and in [1, 1e3] on the rest, both
+    presets, random initial bits."""
+    rng = np.random.default_rng(seed)
+    k = 10.0 ** rng.uniform(-9.0, 3.0, n)
+    r1, r2 = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-6.0, 10.0, (2, n))
+    ka = np.where(np.arange(n) % 2 == 0, 10.0 ** rng.uniform(-16.0, 0.0, n),
+                  10.0 ** rng.uniform(0.0, 3.0, n))
+    preset = rng.choice(["default", "standard-pauli"], n)
+    bits = rng.integers(0, 8, n)
+    for i in range(n):
+        yield {"k": k[i], "r1": r1[i], "r2": r2[i], "half_separation": ka[i] / k[i],
+               "eigenvalues": str(preset[i]), "initial": format(int(bits[i]), "03b"),
+               "mode": "exact"}
+
+
+# Internal faults on _defect_region_draws(2000, 1) at commit c714339, whose
+# exact mode composed 3x3 operator blocks built from projectors with
+# sqrt(1/2)-rounded entries; their flux deviations run from 1.0e-10 to 2.6e-2.
+PARENT_DEFECT_FAULTS = 44
+
+
+def test_exact_mode_faults_no_more_often_than_before_in_the_defect_region():
+    # the defect itself stays (the strict xfails above); a change of the
+    # composition must not make it more frequent
+    faults = 0
+    for params in _defect_region_draws(2000, 1):
+        try:
+            run_protocol("entangle-impurities", params)
+        except InternalFaultError:
+            faults += 1
+    assert faults <= PARENT_DEFECT_FAULTS
 
 def test_every_outcome_state_is_normalized():
     rng = np.random.default_rng(61)

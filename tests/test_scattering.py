@@ -277,3 +277,34 @@ def test_exact_solver_matches_block_solve_oracle():
         worst = max(worst, float(np.max(np.abs(got.transmission - t))),
                     float(np.max(np.abs(got.reflection - r))))
     assert worst <= 1e-12
+
+
+def _rank_one_projectors(rng, d):
+    q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    return np.einsum("ic,jc->cij", q, q.conj())
+
+
+def test_star_product_of_channel_decompositions_is_the_redheffer_formula():
+    # random rank-one channel decompositions at n points, against the
+    # formula written out on the operators T_j = sum_c S_c P_c
+    rng = np.random.default_rng(5)
+    n, d = 7, 3
+    p1, p2 = _rank_one_projectors(rng, d), _rank_one_projectors(rng, d)
+    s1, s2 = (scattering.barrier_transmission(rng.normal(size=(n, d)) * 3.0, 1.0) for _ in range(2))
+    phase = np.exp(2j * rng.uniform(0.0, 3.0, n))
+    incident = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    eye = np.eye(d)
+    t1, t2 = np.einsum("nc,cij->nij", s1, p1), np.einsum("nc,cij->nij", s2, p2)
+    p = phase[:, None, None]
+    between = np.linalg.solve(eye - p * p * ((t1 - eye) @ (t2 - eye)), t1 @ incident[..., None])
+    expect_t = (t2 @ between)[..., 0]
+    expect_r = ((t1 - eye) @ incident[..., None] / p + p * (t1 @ ((t2 - eye) @ between)))[..., 0]
+    got_t, got_r = scattering.star_product(s1, p1, s2, p2, phase, incident)
+    assert got_t.shape == got_r.shape == (n, d)
+    assert np.max(np.abs(got_t - expect_t)) <= 1e-13
+    assert np.max(np.abs(got_r - expect_r)) <= 1e-13
+    # a lone incident row is shared by every point
+    shared = scattering.star_product(s1, p1, s2, p2, phase, incident[:1])
+    repeated = scattering.star_product(s1, p1, s2, p2, phase, np.repeat(incident[:1], n, axis=0))
+    for x, y in zip(shared, repeated):
+        assert x.shape == (n, d) and np.max(np.abs(x - y)) <= 1e-14

@@ -1,7 +1,8 @@
 """The exchange protocols' S_z-sector kernel against the dense 8x8 path.
 
 Exchange conserves the total S_z, so the protocols run each Hamming-weight
-sector of the three-qubit register on its own (N, d, d) blocks, d <= 3.
+sector of the three-qubit register on its own, through channel tables of
+d <= 3 states.
 Here every tree branch and every outcome of a protocol is rebuilt from full
 8x8 operators: two_impurity_exact on embedded potentials for exact mode,
 and products of matrix_amplitudes transmissions for the single-pass
@@ -29,6 +30,7 @@ from spinscatter import (
     make_state,
     matrix_amplitudes,
     protocols,
+    run_protocol,
     sweep,
     two_impurity_exact,
 )
@@ -53,15 +55,25 @@ def test_embedded_exchange_projectors_are_block_diagonal_in_the_sectors():
 
 
 def test_exchange_protocols_build_no_register_sized_operators(monkeypatch):
-    widths = {"exchange_transmission": [], "star_product": []}
+    # the kernel applies each barrier by _channel_pass or star_product: every
+    # table, projector and spin vector it hands them is at most 3 wide, and
+    # no operand or result is a stack of per-point operators -- the only
+    # 3-d operands are the constant (4, d, d) sector projectors
+    widths = {"_channel_pass": [], "star_product": []}
+    stacked = []
+    # the width d of each operand: a pass table is (d, 4d), the amplitudes
+    # (N, 4) and the phase (N,) have none, everything else ends in d
+    dims = {"_channel_pass": lambda s, table, psi: (len(table), psi.shape[-1]),
+            "star_product": lambda s1, p1, s2, p2, phase, incident: (
+                p1.shape[-1], p2.shape[-1], incident.shape[-1])}
 
     def recording(name):
         fn = getattr(protocols, name)
 
         def wrapped(*args):
             out = fn(*args)
-            operands = (*args, *(out if isinstance(out, tuple) else (out,)))
-            widths[name].extend(x.shape[-2] for x in operands if np.ndim(x) >= 3)
+            widths[name].extend((*dims[name](*args), *(x.shape[-1] for x in out)))
+            stacked.extend(x.shape for x in (*args, *out) if np.ndim(x) >= 3 and len(x) != 4)
             return out
         return wrapped
 
@@ -74,8 +86,9 @@ def test_exchange_protocols_build_no_register_sized_operators(monkeypatch):
                             make_state(np.arange(1.0, 9.0) / math.sqrt(204.0), IMPURITIES), mode)
     sweep("entangle-particles", [GridSpec("r", -2.0, 2.0, 50)], {"initial": "011"})
     sweep("concentrate-kondo", [GridSpec("a", 0.1, 0.9, 50)], {"r": 0.7})
-    assert widths["star_product"] and widths["exchange_transmission"]
-    assert max(widths["star_product"] + widths["exchange_transmission"]) <= 3
+    assert widths["star_product"] and widths["_channel_pass"]
+    assert max(widths["star_product"] + widths["_channel_pass"]) <= 3
+    assert not stacked
 
 
 def _dense_transmission(coupling, eigenvalues, k, targets):
@@ -230,3 +243,32 @@ def test_concentrate_kondo_sectors_match_the_dense_path(a, r, k, eigenvalues):
     transmitted = _dense_transmission(r, eigenvalues, k, (1, 0)) @ psi
     measured = _z_split("transmitted, impurity measured ", transmitted, 0)
     _assert_matches_dense(result, {"reflected": transmitted - psi}, measured, 0, PARTICLES)
+
+
+@pytest.mark.parametrize("mode", ["exact", "first-order"])
+@pytest.mark.parametrize("eigenvalues", [EXCHANGE_EIGENVALUE_PRESETS["default"],
+                                         EXCHANGE_EIGENVALUE_PRESETS["standard-pauli"],
+                                         (0.5, -1.5, 2.0, 0.0)])
+def test_entangle_impurities_match_the_dense_path_on_well_conditioned_draws(eigenvalues, mode):
+    # k*a in [1e-3, 10] and |r|/k up to 1e4, every basis state and a state
+    # in all four sectors: the channel tables agree with the dense 8x8 route
+    # within BOUND (1e-12) in every amplitude, probability and figure
+    rng = np.random.default_rng(1210)
+    spanning = np.arange(1.0, 9.0) * np.exp(1j * np.arange(8.0)) / math.sqrt(204.0)
+    for bits in [format(i, "03b") for i in range(8)] + [None]:
+        psi = spanning if bits is None else basis_state(bits, IMPURITIES).amplitudes
+        for _ in range(3):
+            k = 10.0 ** rng.uniform(-1.0, 1.0)
+            half = 10.0 ** rng.uniform(-3.0, 1.0) / k
+            r1, r2 = k * rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3.0, 4.0, 2)
+            if bits is None:  # run_protocol takes basis states only
+                result = entangle_impurities(k, KondoImpurity(r1, eigenvalues),
+                                             KondoImpurity(r2, eigenvalues), half,
+                                             make_state(psi, IMPURITIES), mode)
+            else:
+                result = run_protocol("entangle-impurities", {
+                    "k": k, "r1": r1, "r2": r2, "half_separation": half,
+                    "eigenvalues": eigenvalues, "initial": bits, "mode": mode})
+            failures, measured = _entangle_impurities_dense(k, r1, r2, eigenvalues, eigenvalues,
+                                                            half, psi, mode)
+            _assert_matches_dense(result, failures, measured, 2, IMPURITIES)

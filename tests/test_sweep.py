@@ -195,8 +195,9 @@ def test_csv_sweep_builds_no_records(monkeypatch):
 def test_only_float_array_columns_look_for_repeated_values(monkeypatch):
     """Single-call tables are lists and take the direct pass; of a sweep's
     float arrays, in csv and in json, only the two swept columns of each
-    benchmark grid are sorted for their distinct values (the metric columns
-    do not repeat their first value)."""
+    benchmark grid are sorted for their distinct values, also on the
+    unshifted grids, where r starts at 0 and a metric column repeats its
+    first value (but not its middle one)."""
     calls = []
     unique = np.unique
 
@@ -211,10 +212,15 @@ def test_only_float_array_columns_look_for_repeated_values(monkeypatch):
         code, out, _ = _main(argv + ["--format", "csv"])
         assert code == 0 and out
     assert calls == []
-    for name in ("sweep_exact", "sweep_filter"):
+    unshifted = (["sweep", "--protocol", "entangle-impurities", "--fixed", "mode=exact",
+                  "--fixed", "k=1.0", "--fixed", "half_separation=1.0",
+                  "--grid", "r1:0:2:41", "--grid", "r2:0:2:41"],
+                 ["sweep", "--protocol", "concentrate", "--fixed", "k=1.0",
+                  "--grid", "a:0.05:0.7:61", "--grid", "r:0:3:61"])
+    for argv in (DIGESTS["sweep_exact"]["argv"], DIGESTS["sweep_filter"]["argv"], *unshifted):
         for fmt in ("csv", "json"):
-            code, _, _ = _main(DIGESTS[name]["argv"] + ["--format", fmt])
-            assert code == 0 and len(calls) == 2
+            code, _, _ = _main(argv + ["--format", fmt])
+            assert code == 0 and len(calls) == 2, (argv, fmt, len(calls))
             calls.clear()
 
 
