@@ -29,8 +29,8 @@ holds the exchange projectors with their exact entries 0, +-1/2 and 1, so
 they sum to the identity exactly and S_c - 1 are the exact coefficients of
 T - I.  The protocols embed them once and apply each exchange barrier
 through them without forming T (scattering._channel_pass and
-star_product); exchange_transmission and filter_transmission build the
-operators themselves, for stacks of amplitudes (leading axes), and the
+star_product).  exchange_transmission and filter_transmission build the
+operators themselves, for stacks of amplitudes (leading axes); the
 single-impurity functions below are that construction for one point.
 """
 
@@ -108,16 +108,15 @@ def exchange_matrix(eigenvalues=DEFAULT_EXCHANGE_EIGENVALUES) -> np.ndarray:
     return np.einsum("c,cij->ij", _check_eigenvalues(eigenvalues), EXCHANGE_PROJECTORS)
 
 
-def exchange_transmission(amplitudes, projectors=EXCHANGE_PROJECTORS) -> np.ndarray:
-    """Exchange-impurity transmission operator T = sum_c S_c P_c for stacked amplitudes.
+def exchange_transmission(amplitudes) -> np.ndarray:
+    """Exchange-impurity transmission operator T = sum_c S_c P_c on the two-spin space.
 
-    amplitudes has shape (..., 4) in channel order; projectors (4, D, D) are
-    the channel projectors, possibly embedded in a larger register.  Returns
-    shape (..., D, D).  The operator route of kondo_operators; the protocols
-    apply T to their states from the projector tables instead, without
-    building it.
+    amplitudes has shape (..., 4) in channel order; returns (..., 4, 4).
+    kondo_operators builds its operator with it; the protocols apply T to
+    their states from per-sector projector tables instead, without forming
+    it.
     """
-    return np.einsum("...c,cij->...ij", amplitudes, projectors)
+    return np.einsum("...c,cij->...ij", amplitudes, EXCHANGE_PROJECTORS)
 
 
 def filter_transmission(amplitude, sigma) -> np.ndarray:

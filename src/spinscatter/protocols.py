@@ -27,9 +27,9 @@ with d <= 3 states each, together with their product tables.  A barrier
 T = sum_c S_c P_c is never built as an operator: T psi and (T - I) psi of
 all N points are one product of the channel coefficients S_c and S_c - 1
 times psi against the table (scattering._channel_pass), and exact mode's
-star product composes the two barriers from the same tables, its R1 R2
-one product against the table of the projector pairs, so the only
-(N, d, d) stack is the matrix it solves.  The results are scattered back
+star product composes the two barriers from the same tables
+(scattering._compose), its R1 R2 one product against the table of the
+projector pairs, so the only (N, d, d) stack is the matrix it solves.  The results are scattered back
 into (N, 8) states.  The filter, whose tilted axis does not
 keep S_z, acts as its (N, 2, 2) operator on particle-1 alone, applied to
 the two coefficients of a|00> + b|11> by one einsum.  sweep runs the
@@ -75,7 +75,7 @@ from .channels import (
 )
 from .errors import InternalFaultError
 from .hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinState, basis_state, pure_pair_figures
-from .scattering import _channel_pass, _pass_table, _transmission, star_product
+from .scattering import _channel_pass, _compose, _pair_table, _pass_table, _transmission
 from .tolerances import DEFAULT as TOL
 
 _PAIR_REGISTER = ("particle-2", "particle-1")
@@ -100,11 +100,14 @@ def _sector_projectors(targets):
     return tuple(np.ascontiguousarray(embedded[:, index][:, :, index]) for index in _SECTORS)
 
 
-# Channel projectors per target pair of the three-qubit register, sliced to
-# the sectors once, and their _channel_pass tables.  The entries are exactly
-# 0, +-1/2 and 1, as in EXCHANGE_PROJECTORS, since embedding only copies them.
+# The tables of the channel projectors per target pair of the three-qubit
+# register and per sector, made once: the _channel_pass table of each, and
+# the pair table of exact mode's two impurities, on (2, 1) and (2, 0).  The
+# projector entries are exactly 0, +-1/2 and 1, as in EXCHANGE_PROJECTORS,
+# since embedding only copies them.
 _PROJECTORS = {targets: _sector_projectors(targets) for targets in ((1, 0), (2, 0), (2, 1))}
 _TABLES = {targets: tuple(map(_pass_table, blocks)) for targets, blocks in _PROJECTORS.items()}
+_IMPURITY_PAIRS = tuple(map(_pair_table, _PROJECTORS[(2, 1)], _PROJECTORS[(2, 0)]))
 # the filter's n.sigma is the combination of these with the axis components
 _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
@@ -426,7 +429,7 @@ def _channel_amplitudes(checks, r, k, eigenvalues, message):
     The couplings r lambda_c are checked finite; the amplitudes mean
     something once the checks have passed.  The result is the transpose of
     a C-ordered (4, N) array, the layout in which _channel_pass and
-    star_product take them as whole point rows.
+    _compose take them as whole point rows.
     """
     coupling = np.multiply.outer(eigenvalues, r)
     checks.add(~np.logical_and.reduce(np.isfinite(coupling), axis=0), message)
@@ -549,9 +552,9 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
     phase = np.exp(2j * k * half_separation)
 
     def step(w, psi):
-        if exact:
-            after_2, reflected = star_product(s1, _PROJECTORS[(2, 1)][w], s2, _PROJECTORS[(2, 0)][w],
-                                              phase, psi)
+        if exact:  # star_product on the tables
+            after_2, reflected = _compose(s1, _TABLES[(2, 1)][w], s2, _TABLES[(2, 0)][w],
+                                          _IMPURITY_PAIRS[w], phase, psi)
             return reflected, after_2
         # the star product without its p^2 R1 R2 term, each reflection resolved
         after_1, reflected_1 = _channel_pass(s1, _TABLES[(2, 1)][w], psi)

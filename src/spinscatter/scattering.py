@@ -288,16 +288,26 @@ def star_product(s1, projectors1, s2, projectors2, phase, incident):
     systems are solved, by pivoted LU.  Each product with a barrier is one
     product of its channel coefficients against its projector table
     (_pass), and R1 R2 = sum_ce (S1_c - 1)(S2_e - 1) P1_c P2_e is one
-    product against the table of the projector pairs, so the only
-    (n, d, d) stack formed is the matrix solved.  Dropping the p^2 R1 R2
-    term leaves the single pass T2 T1 of first_order_composition, whose
-    error is that term's O(xi^2).
+    product against the table of the projector pairs (_pair_table), so the
+    only (n, d, d) stack formed is the matrix solved.  Dropping the
+    p^2 R1 R2 term leaves the single pass T2 T1 of first_order_composition,
+    whose error is that term's O(xi^2).
     """
+    return _compose(s1, _pass_table(projectors1), s2, _pass_table(projectors2),
+                    _pair_table(projectors1, projectors2), phase, incident)
+
+
+def _pair_table(projectors1, projectors2) -> np.ndarray:
+    """The (d*d, c*e) table of the projector products P1_c P2_e, flattened by column."""
     d = projectors1.shape[-1]
-    table1, table2 = _pass_table(projectors1), _pass_table(projectors2)
+    return (projectors1[:, None] @ projectors2).transpose(2, 3, 0, 1).reshape(d * d, -1)
+
+
+def _compose(s1, table1, s2, table2, pairs, phase, incident):
+    """star_product of two barriers given by their tables, made beforehand."""
+    d = len(table1)
     # points last: coefficients [S_c, S_c - 1] (c, 2, n), vectors (d, n)
     c1, c2 = s1.T[:, None] - _PASS_SHIFTS, s2.T[:, None] - _PASS_SHIFTS
-    pairs = (projectors1[:, None] @ projectors2).transpose(2, 3, 0, 1).reshape(d * d, -1)
     r1r2 = pairs @ (c1[:, None, 1] * c2[None, :, 1]).reshape(len(pairs[0]), -1)
     p = np.asarray(phase)
     system = np.eye(d).reshape(d * d, 1) - p * p * r1r2

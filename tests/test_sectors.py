@@ -55,17 +55,17 @@ def test_embedded_exchange_projectors_are_block_diagonal_in_the_sectors():
 
 
 def test_exchange_protocols_build_no_register_sized_operators(monkeypatch):
-    # the kernel applies each barrier by _channel_pass or star_product: every
-    # table, projector and spin vector it hands them is at most 3 wide, and
-    # no operand or result is a stack of per-point operators -- the only
-    # 3-d operands are the constant (4, d, d) sector projectors
-    widths = {"_channel_pass": [], "star_product": []}
+    # the kernel applies each barrier by _channel_pass, or by _compose (the
+    # star product on tables): every table and spin vector it hands them is
+    # at most 3 wide, and no operand or result is a stack of operators
+    widths = {"_channel_pass": [], "_compose": []}
     stacked = []
-    # the width d of each operand: a pass table is (d, 4d), the amplitudes
-    # (N, 4) and the phase (N,) have none, everything else ends in d
+    # the width d of each operand: a pass table is (d, 4d) and a pair table
+    # (d*d, 16); the amplitudes (N, 4) and the phase (N,) have none, and the
+    # spin vectors end in d
     dims = {"_channel_pass": lambda s, table, psi: (len(table), psi.shape[-1]),
-            "star_product": lambda s1, p1, s2, p2, phase, incident: (
-                p1.shape[-1], p2.shape[-1], incident.shape[-1])}
+            "_compose": lambda s1, table1, s2, table2, pairs, phase, incident: (
+                len(table1), len(table2), math.isqrt(len(pairs)), incident.shape[-1])}
 
     def recording(name):
         fn = getattr(protocols, name)
@@ -73,7 +73,7 @@ def test_exchange_protocols_build_no_register_sized_operators(monkeypatch):
         def wrapped(*args):
             out = fn(*args)
             widths[name].extend((*dims[name](*args), *(x.shape[-1] for x in out)))
-            stacked.extend(x.shape for x in (*args, *out) if np.ndim(x) >= 3 and len(x) != 4)
+            stacked.extend(x.shape for x in (*args, *out) if np.ndim(x) >= 3)
             return out
         return wrapped
 
@@ -86,8 +86,8 @@ def test_exchange_protocols_build_no_register_sized_operators(monkeypatch):
                             make_state(np.arange(1.0, 9.0) / math.sqrt(204.0), IMPURITIES), mode)
     sweep("entangle-particles", [GridSpec("r", -2.0, 2.0, 50)], {"initial": "011"})
     sweep("concentrate-kondo", [GridSpec("a", 0.1, 0.9, 50)], {"r": 0.7})
-    assert widths["star_product"] and widths["_channel_pass"]
-    assert max(widths["star_product"] + widths["_channel_pass"]) <= 3
+    assert widths["_compose"] and widths["_channel_pass"]
+    assert max(widths["_compose"] + widths["_channel_pass"]) <= 3
     assert not stacked
 
 
