@@ -28,10 +28,11 @@ exchange channels and T = P+ + S P- for the filter.  EXCHANGE_PROJECTORS
 holds the exchange projectors with their exact entries 0, +-1/2 and 1, so
 they sum to the identity exactly and S_c - 1 are the exact coefficients of
 T - I.  The protocols embed them once and apply each exchange barrier
-through them without forming T (scattering._channel_pass and
-star_product).  exchange_transmission and filter_transmission build the
-operators themselves, for stacks of amplitudes (leading axes); the
-single-impurity functions below are that construction for one point.
+through their tables without forming T (scattering._channel_pass, and
+scattering._compose for the star product).  exchange_transmission and
+filter_transmission build the operators themselves, for stacks of
+amplitudes (leading axes); the single-impurity functions below are that
+construction for one point.
 """
 
 import math
