@@ -28,23 +28,22 @@ T = sum_c S_c P_c is never built as an operator: T psi and (T - I) psi of
 all N points are one product of the channel coefficients S_c and S_c - 1
 times psi against the table (scattering._channel_pass), and exact mode's
 star product composes the two barriers from the same tables
-(scattering._compose), its R1 R2 one product against the table of the
-projector pairs, so the only (N, d, d) stack is the matrix it solves.  The
-results are scattered back into (N, 8) states.  The filter, whose tilted
-axis does not keep S_z, acts as its (N, 2, 2) operator on particle-1
-alone, applied to the two coefficients of a|00> + b|11> by one einsum.
-sweep runs the kernel over its grid in blocks of _BLOCK (1024) points; the
-single-call functions and run_protocol are a batch of one whose row is
-wrapped in the ProtocolResult, EventTree and SpinState types.  At N = 1
-the kernel's cost is its count of numpy and Python calls, so its
-bookkeeping is stacked: parameter checks gather into one (m, N) array
-tested once, and the error raised is the one a point-by-point loop would
-raise first; a measurement takes both bits by one precomputed index and
-computes their pair figures together; the tree is checked in one pass; and
-the result's states wrap the checked rows without a copy or a second
-check.  Floating-point warnings are switched off once per call, at the
-entry point.  A warm run_protocol call takes about 0.2-0.4 ms and fewer
-than 250 Python-level calls.
+(scattering._compose), with R1 R2 one product against the pair table, so
+the only (N, d, d) stack is the matrix it solves, and the results are
+scattered back into (N, 8) states.  The filter, whose tilted axis does not
+keep S_z, acts as its (N, 2, 2) operator on particle-1 alone, applied to
+the two coefficients of a|00> + b|11> by one einsum.  sweep runs the
+kernel over its grid in blocks of _BLOCK (1024) points; the single-call
+functions and run_protocol are a batch of one whose row is wrapped in the
+ProtocolResult, EventTree and SpinState types.  At N = 1 the kernel's cost
+is its count of numpy and Python calls, so its bookkeeping is stacked:
+parameter checks gather into one (m, N) array tested once, and the error
+raised is the one a point-by-point loop would raise first; a measurement
+takes both bits by one precomputed index and computes their pair figures
+together; the tree is checked in one pass; and the result's states wrap the
+checked rows without a copy or a second check.  Floating-point warnings
+are switched off once per call, at the entry point.  A warm run_protocol
+call takes about 0.2-0.4 ms and fewer than 250 Python-level calls.
 
 Probability bookkeeping: branch states carry raw (unnormalized) amplitudes
 descended from the normalized initial state, so a branch's squared norm is
