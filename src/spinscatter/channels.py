@@ -27,11 +27,12 @@ Both operators are linear in fixed projectors: T = sum_c S_c P_c for the
 exchange channels and T = P+ + S P- for the filter.  EXCHANGE_PROJECTORS
 holds the exchange projectors with their exact entries 0, +-1/2 and 1, so
 they sum to the identity exactly and S_c - 1 are the exact coefficients of
-T - I.  The protocols embed them once and apply each exchange barrier
-through their tables without forming T (scattering._channel_pass, and
-scattering._compose for the star product).  exchange_transmission and
-filter_transmission build the operators themselves, for stacks of
-amplitudes (leading axes); the single-impurity functions below are that
+T - I.  The protocols embed them once and apply every exchange barrier
+through their tables without forming T: scattering._compose makes one
+pass through the barriers a particle meets, or composes two of them by
+the star product.  kondo_operators builds the exchange operator itself,
+for one point; filter_transmission builds the filter's for stacks of
+amplitudes (leading axes), and fixed_filter_operators is that
 construction for one point.
 """
 
@@ -109,17 +110,6 @@ def exchange_matrix(eigenvalues=DEFAULT_EXCHANGE_EIGENVALUES) -> np.ndarray:
     return np.einsum("c,cij->ij", _check_eigenvalues(eigenvalues), EXCHANGE_PROJECTORS)
 
 
-def exchange_transmission(amplitudes) -> np.ndarray:
-    """Exchange-impurity transmission operator T = sum_c S_c P_c on the two-spin space.
-
-    amplitudes has shape (..., 4) in channel order; returns (..., 4, 4).
-    kondo_operators builds its operator with it; the protocols apply T to
-    their states from per-sector projector tables instead, without forming
-    it.
-    """
-    return np.einsum("...c,cij->...ij", amplitudes, EXCHANGE_PROJECTORS)
-
-
 def filter_transmission(amplitude, sigma) -> np.ndarray:
     """Pinned-spin filter transmission T = P+ + S P-, P+- = (I +- n.sigma)/2.
 
@@ -164,7 +154,7 @@ def kondo_operators(spec: KondoImpurity, k: float) -> OperatorAmplitudes:
 
 def _exchange_operators(amplitudes) -> OperatorAmplitudes:
     """The operators T = sum_c S_c P_c and T - I of the four channel amplitudes S_c."""
-    t = exchange_transmission(np.array(amplitudes))
+    t = np.einsum("c,cij->ij", np.array(amplitudes), EXCHANGE_PROJECTORS)
     return OperatorAmplitudes(t, t - np.eye(4))
 
 

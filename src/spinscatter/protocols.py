@@ -26,9 +26,9 @@ are embedded in the register and sliced to the sectors once, at import,
 with d <= 3 states each, and laid out as product tables.  A barrier
 T = sum_c S_c P_c is never built as an operator: T psi and (T - I) psi of
 all N points are one product of the channel coefficients S_c and S_c - 1
-times psi against the table (scattering._channel_pass), and exact mode's
-star product composes the two barriers from the same tables
-(scattering._compose), with R1 R2 one product against the pair table, so
+times psi against the table, in one pass of scattering._compose through
+the barriers in the order they are met.  Exact mode's star product is the
+same routine, with R1 R2 one product against the pair table, so
 the only (N, d, d) stack is the matrix it solves, and the results are
 scattered back into (N, 8) states.  The filter, whose tilted axis does not
 keep S_z, acts as its (N, 2, 2) operator on particle-1 alone, applied to
@@ -75,7 +75,7 @@ from .channels import (
 )
 from .errors import InternalFaultError
 from .hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinState, basis_state, pure_pair_figures
-from .scattering import _channel_pass, _compose, _pair_table, _pass_table, _transmission
+from .scattering import _compose, _pair_table, _pass_table, _transmission
 from .tolerances import DEFAULT as TOL
 
 _PAIR_REGISTER = ("particle-2", "particle-1")
@@ -100,16 +100,19 @@ def _sector_projectors(targets):
     return tuple(np.ascontiguousarray(embedded[:, index][:, :, index]) for index in _SECTORS)
 
 
-# The tables of the channel projectors per target pair of the three-qubit
-# register and per sector, made once: the _channel_pass table of each, and
-# the pair table of exact mode's two impurities, on (2, 1) and (2, 0).  The
-# projector entries are exactly 0, +-1/2 and 1, as in EXCHANGE_PROJECTORS,
-# since embedding only copies them.
+# The tables of the channel projectors per sector, made once: the
+# _pass_tables of the barriers the particles meet, in order, on the target
+# pairs of the three-qubit register (particle-1 then particle-2 at the
+# impurity, or the particle at impurity-1 then impurity-2), and the pair
+# table of the two impurities.  The projector entries are exactly 0, +-1/2
+# and 1, as in EXCHANGE_PROJECTORS, since embedding only copies them.
 _PROJECTORS = {targets: _sector_projectors(targets) for targets in ((1, 0), (2, 0), (2, 1))}
-_TABLES = {targets: tuple(map(_pass_table, blocks)) for targets, blocks in _PROJECTORS.items()}
+_PARTICLE_BARRIERS = tuple(zip(*(map(_pass_table, _PROJECTORS[t]) for t in ((1, 0), (2, 0)))))
+_IMPURITY_BARRIERS = tuple(zip(*(map(_pass_table, _PROJECTORS[t]) for t in ((2, 1), (2, 0)))))
 _IMPURITY_PAIRS = tuple(map(_pair_table, _PROJECTORS[(2, 1)], _PROJECTORS[(2, 0)]))
 # the filter's n.sigma is the combination of these with the axis components
 _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+_EYE = np.eye(2)  # the filter reflects T - I
 
 # grid points per kernel call; bounds the (N, 2, 2) filter operators and the
 # (4, d, 2, N) channel terms, d <= 3, of the exchange protocols
@@ -254,21 +257,6 @@ def _modulus(z):
 
 
 @functools.cache
-def _identity(d):
-    eye = np.eye(d)
-    eye.setflags(write=False)
-    return eye
-
-
-def _with_reflection(t):
-    """The (N, 2, D, D) stack of the transmission T and reflection T - I of one barrier."""
-    both = np.empty((len(t), 2, *t.shape[1:]), dtype=complex)
-    both[:, 0] = t
-    np.subtract(t, _identity(t.shape[-1]), out=both[:, 1])
-    return both
-
-
-@functools.cache
 def _split(qubit):
     """(2, 4) indices of the three-qubit register whose qubit reads 0 (row 0) or 1 (row 1), ascending."""
     index = np.arange(8)
@@ -277,27 +265,28 @@ def _split(qubit):
     return split
 
 
-def _by_sector(psi0, n, count, step):
-    """Run an exchange-only step on each S_z sector that psi0 occupies.
+def _exchange(psi0, n, amplitudes, tables, pairs=None, phase=None):
+    """_compose on each S_z sector that psi0 occupies, with the sector's tables.
 
     psi0 holds the initial amplitudes at the n points, (n, 8), or (1, 8)
-    for one state at every point.  step(w, psi) gets the sector index w and
-    the amplitudes of psi0 in it, and returns count (n, d) arrays.  They are
-    scattered into one (n, count, 8) array; sectors where psi0 is zero at
-    every point stay exactly zero.
+    for one state at every point; tables and pairs hold _compose's tables
+    per sector.  The results are scattered into one (n, count, 8) array;
+    sectors where psi0 is zero at every point stay exactly zero.
     """
     occupied = (_SECTOR_MEMBERS @ np.logical_or.reduce(psi0, axis=0)).tolist()
-    out = np.zeros((n, count, 8), dtype=complex)
+    out = np.zeros((n, len(amplitudes) + 1 if pairs is None else 2, 8), dtype=complex)
     for w, index in enumerate(_SECTOR_INDEX):
         if occupied[w]:
-            for j, part in enumerate(step(w, psi0[:, index])):
+            parts = _compose(amplitudes, tables[w], psi0[:, index],
+                             None if pairs is None else pairs[w], phase)
+            for j, part in enumerate(parts):
                 out[:, j, index] = part
     return out
 
 
 def _branches(labels, rows, prob):
-    """Tree branches of the first len(labels) rows, (N, ., 2^n), with probabilities prob."""
-    return [(label, rows[:, j], None, prob[:, j]) for j, label in enumerate(labels)]
+    """Tree branches of the reflected rows 1, 2, ... of (N, ., 2^n), with probabilities prob."""
+    return [(label, rows[:, j], None, prob[:, j]) for j, label in enumerate(labels, 1)]
 
 
 def _outcomes(labels, pair_labels, amps, prob, parent=None) -> _Outcomes:
@@ -428,8 +417,8 @@ def _channel_amplitudes(checks, r, k, eigenvalues, message):
 
     The couplings r lambda_c are checked finite; the amplitudes mean
     something once the checks have passed.  The result is the transpose of
-    a C-ordered (4, N) array, the layout in which _channel_pass and
-    _compose take them as whole point rows.
+    a C-ordered (4, N) array, the layout in which _compose takes them as
+    whole point rows.
     """
     coupling = np.multiply.outer(eigenvalues, r)
     checks.add(~np.logical_and.reduce(np.isfinite(coupling), axis=0), message)
@@ -465,7 +454,10 @@ def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
     # T acts on particle-1 alone and both particles of a|00> + b|11> hold the
     # same bit q, so |q i> gets T[i, q] c_q; einsum's sum of one product
     # rounds as the 4 x 4 product (I x T) psi0 does, which a plain multiply would not
-    out = np.einsum("nkiq,nq->nkqi", _with_reflection(t), psi0[:, ::3]).reshape(checks.n, 2, 4)
+    both = np.empty((checks.n, 2, 2, 2), dtype=complex)
+    both[:, 0] = t
+    np.subtract(t, _EYE, out=both[:, 1])
+    out = np.einsum("nkiq,nq->nkqi", both, psi0[:, ::3]).reshape(checks.n, 2, 4)
     transmit, reflect = out[:, 0], out[:, 1]
     prob = _norm2(transmit)
     outcomes = _outcomes(("transmitted",), _PAIR_REGISTER, transmit[:, None], prob[:, None])
@@ -501,7 +493,7 @@ def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
 
     psi0 = np.zeros((checks.n, 8), dtype=complex)
     psi0[:, 0], psi0[:, 6] = a, b
-    rows = _by_sector(psi0, checks.n, 2, lambda w, psi: _channel_pass(s, _TABLES[(1, 0)][w], psi))
+    rows = _exchange(psi0, checks.n, (s,), _PARTICLE_BARRIERS)  # particle-1's barrier alone
     prob = _norm2(rows)
     measured, outcomes = _measure(rows[:, 0], prob[:, 0], 0, "transmitted, impurity measured ",
                                   _PARTICLES_REGISTER)
@@ -517,15 +509,10 @@ def _entangle_particles(checks, k, r, eigenvalues, initial) -> _Batch:
     s = _channel_amplitudes(checks, r, k, eigenvalues, "coupling must be finite")
     checks.raise_first()
 
-    def step(w, psi):
-        after_1, reflected_1 = _channel_pass(s, _TABLES[(1, 0)][w], psi)
-        after_2, reflected_2 = _channel_pass(s, _TABLES[(2, 0)][w], after_1)
-        return reflected_1, reflected_2, after_2
-
     psi0 = initial.amplitudes[None]  # the same at every point
-    rows = _by_sector(psi0, checks.n, 3, step)
+    rows = _exchange(psi0, checks.n, (s, s), _PARTICLE_BARRIERS)
     prob = _norm2(rows)
-    measured, outcomes = _measure(rows[:, 2], prob[:, 2], 0, "both transmitted, impurity measured ",
+    measured, outcomes = _measure(rows[:, 0], prob[:, 0], 0, "both transmitted, impurity measured ",
                                   initial.labels)
     tree = [*_branches(("particle-1 reflected", "particle-1 transmitted, particle-2 reflected"),
                        rows, prob), *measured]
@@ -549,27 +536,17 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
                              "potential_right entries must be finite" if exact else "coupling must be finite")
     checks.raise_first()
 
-    phase = np.exp(2j * k * half_separation)
-
-    def step(w, psi):
-        if exact:  # star_product on the tables
-            after_2, reflected = _compose(s1, _TABLES[(2, 1)][w], s2, _TABLES[(2, 0)][w],
-                                          _IMPURITY_PAIRS[w], phase, psi)
-            return reflected, after_2
-        # the star product without its p^2 R1 R2 term, each reflection resolved
-        after_1, reflected_1 = _channel_pass(s1, _TABLES[(2, 1)][w], psi)
-        after_2, reflected_2 = _channel_pass(s2, _TABLES[(2, 0)][w], after_1)
-        return reflected_1, reflected_2, after_2
-
-    if exact:
+    psi0 = initial.amplitudes[None]  # the same at every point
+    if exact:  # star_product on the tables
+        rows = _exchange(psi0, checks.n, (s1, s2), _IMPURITY_BARRIERS, _IMPURITY_PAIRS,
+                         np.exp(2j * k * half_separation))
         failure_labels, prefix = ("reflected",), "transmitted, particle measured "
-    else:
+    else:  # the star product without its p^2 R1 R2 term, each reflection resolved
+        rows = _exchange(psi0, checks.n, (s1, s2), _IMPURITY_BARRIERS)
         failure_labels = ("reflected at impurity-1", "transmitted impurity-1, reflected at impurity-2")
         prefix = "both transmitted, particle measured "
-    psi0 = initial.amplitudes[None]  # the same at every point
-    rows = _by_sector(psi0, checks.n, len(failure_labels) + 1, step)
     prob = _norm2(rows)
-    measured, outcomes = _measure(rows[:, -1], prob[:, -1], 2, prefix, initial.labels)
+    measured, outcomes = _measure(rows[:, 0], prob[:, 0], 2, prefix, initial.labels)
     return _batch(psi0, initial.labels, [*_branches(failure_labels, rows, prob), *measured],
                   outcomes, _attempts(outcomes.probability[:, 0]),
                   _describe(k=k, r1=r1, r2=r2, half_separation=half_separation))
@@ -1031,7 +1008,8 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
 
     Metrics are taken from the protocol's designated success branch (the
     first outcome).  Null branches record entropy/concurrence as 0.0 so that
-    every point holds finite values.  The argmax summary reports the first
+    every point holds finite values, and a parameter is swept or pinned in
+    fixed, not both.  The argmax summary reports the first
     grid point maximizing the requested objective.  The grid runs through
     the batched kernel in blocks of _BLOCK points, and the result keeps the
     grid values and metrics as the kernel's arrays (SweepResult.columns);
@@ -1046,10 +1024,14 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
     if objective not in _OBJECTIVES:
         raise ValueError("objective must be 'probability' or 'entropy'")
     protocol = _protocol(protocol)
+    pinned = _flat(fixed)
     for name in names:
-        param = _BY_KEY.get(name.replace("-", "_"))
+        key = name.replace("-", "_")
+        param = _BY_KEY.get(key)
         if param is not None and not param.numeric:
             raise ValueError(f"parameter {name!r} is not numeric and cannot be swept")
+        if key in pinned:
+            raise ValueError(f"parameter {key!r} is both swept and pinned")
 
     try:
         points = [m.reshape(-1) for m in np.meshgrid(*(g.values() for g in grids), indexing="ij")]
@@ -1058,7 +1040,7 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
                          "does not fit in memory") from None
     blocks = []
     for lo in range(0, points[0].size, _BLOCK):
-        params = _flat(fixed)
+        params = dict(pinned)
         params.update({name.replace("-", "_"): column[lo:lo + _BLOCK]
                        for name, column in zip(names, points)})
         outcomes = _run(protocol, params, _Checks(min(_BLOCK, points[0].size - lo))).outcomes

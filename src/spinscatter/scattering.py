@@ -259,18 +259,6 @@ def _pass(coefficients, table, x):
 _PASS_SHIFTS = np.array([[0.0], [1.0]])
 
 
-def _channel_pass(amplitudes, table, psi):
-    """T psi and (T - I) psi of the barrier T = sum_c S_c P_c, by one product.
-
-    amplitudes S (n, c) in channel order, table the barrier's _pass_table,
-    psi spin vectors (n, d), where a lone row is shared by every point.
-    T - I takes the coefficients S_c - 1, exact where the projectors sum to
-    I exactly.  Returns the pair (T psi, (T - I) psi), each (n, d).
-    """
-    out = _pass(amplitudes.T[:, None] - _PASS_SHIFTS, table, psi.T)
-    return out[:, 0].T, out[:, 1].T
-
-
 def star_product(s1, projectors1, s2, projectors2, phase, incident):
     """S-matrix (Redheffer star product) composition of two delta barriers.
 
@@ -293,8 +281,8 @@ def star_product(s1, projectors1, s2, projectors2, phase, incident):
     p^2 R1 R2 term leaves the single pass T2 T1 of first_order_composition,
     whose error is that term's O(xi^2).
     """
-    return _compose(s1, _pass_table(projectors1), s2, _pass_table(projectors2),
-                    _pair_table(projectors1, projectors2), phase, incident)
+    return _compose((s1, s2), (_pass_table(projectors1), _pass_table(projectors2)), incident,
+                    _pair_table(projectors1, projectors2), phase)
 
 
 def _pair_table(projectors1, projectors2) -> np.ndarray:
@@ -303,22 +291,33 @@ def _pair_table(projectors1, projectors2) -> np.ndarray:
     return (projectors1[:, None] @ projectors2).transpose(2, 3, 0, 1).reshape(d * d, -1)
 
 
-def _compose(s1, table1, s2, table2, pairs, phase, incident):
-    """star_product of two barriers given by their tables, made beforehand."""
-    d = len(table1)
-    # points last: coefficients [S_c, S_c - 1] (c, 2, n), vectors (d, n)
-    c1, c2 = s1.T[:, None] - _PASS_SHIFTS, s2.T[:, None] - _PASS_SHIFTS
-    r1r2 = pairs @ (c1[:, None, 1] * c2[None, :, 1]).reshape(len(pairs[0]), -1)
-    p = np.asarray(phase)
-    system = np.eye(d).reshape(d * d, 1) - p * p * r1r2
-    after_1 = _pass(c1, table1, incident.T)
-    try:
-        between = np.linalg.solve(system.T.reshape(-1, d, d), after_1[:, 0].T[..., None])[..., 0].T
-    except np.linalg.LinAlgError as exc:
-        raise InternalFaultError(f"two-impurity composition is singular: {exc}") from exc
-    after_2 = _pass(c2, table2, between)
-    back = _pass(c1[:, :1], table1, after_2[:, 1])[:, 0]
-    return after_2[:, 0].T, (after_1[:, 1] / p + p * back).T
+def _compose(amplitudes, tables, incident, pairs=None, phase=None):
+    """Scatter spin vectors chi through the barriers a particle meets, in that order.
+
+    Barrier j is amplitudes[j] (n, c) and its _pass_table, tables[j], for
+    each j of amplitudes.  Without pairs, one pass: returns T_m...T_1 chi,
+    then the reflection at each barrier, R_1 chi, R_2 T_1 chi, ....  With
+    the _pair_table of two barriers and the phase, their star_product
+    (T chi, R chi).
+    """
+    coefficients = [s.T[:, None] - _PASS_SHIFTS for s in amplitudes]
+    x, reflected = incident.T, []  # points last: vectors (d, n), coefficients (c, 2, n)
+    for c, table in zip(coefficients, tables):
+        if reflected and pairs is not None:
+            d, p = len(table), np.asarray(phase)
+            r1r2 = pairs @ (coefficients[0][:, None, 1] * c[None, :, 1]).reshape(len(pairs[0]), -1)
+            system = np.eye(d).reshape(d * d, 1) - p * p * r1r2
+            try:
+                x = np.linalg.solve(system.T.reshape(-1, d, d), x.T[..., None])[..., 0].T
+            except np.linalg.LinAlgError as exc:
+                raise InternalFaultError(f"two-impurity composition is singular: {exc}") from exc
+        out = _pass(c, table, x)
+        x = out[:, 0]
+        reflected.append(out[:, 1].T)
+    if pairs is None:
+        return x.T, *reflected
+    back = _pass(coefficients[0][:, :1], tables[0], reflected[1].T)[:, 0]
+    return x.T, (reflected[0].T / p + p * back).T
 
 
 def two_impurity_exact(geom: TwoImpurityGeometry) -> TwoImpurityAmplitudes:

@@ -1,6 +1,12 @@
 """The package's public surface, pinned so that any change to it shows as a diff here."""
 
+import math
+
+import numpy as np
+import pytest
+
 import spinscatter
+from spinscatter.cli import emit_columns, emit_records
 
 PUBLIC = [
     "DEFAULT_EXCHANGE_EIGENVALUES", "DEFAULT_TOLERANCES", "EXCHANGE_EIGENVALUE_PRESETS",
@@ -23,3 +29,40 @@ def test_public_surface_is_pinned():
     for name in spinscatter.__all__:
         assert getattr(spinscatter, name, None) is not None, name
     assert spinscatter.__all__ == PUBLIC
+
+
+# validation errors of the public surface that no other test reaches, each
+# with the one-line message it raises
+VALIDATION_ERRORS = {
+    "fixed-impurity-nan-axis": (lambda: spinscatter.FixedImpurity(1.0, axis=(math.nan, 0.0, 1.0)),
+                                "axis must be a finite 3-vector"),
+    "pauli-along-inf-axis": (lambda: spinscatter.pauli_along((math.inf, 0.0, 0.0)),
+                             "axis must be a finite 3-vector"),
+    "concentrate-two-component-axis": (
+        lambda: spinscatter.concentrate_fixed(0.6, 0.8, 1.0, 0.5, axis=(0.0, 1.0)),
+        "axis must be a finite 3-vector"),
+    "matrix-amplitudes-non-square": (lambda: spinscatter.matrix_amplitudes(np.ones((2, 3)), 1.0),
+                                     "potential must be a square matrix"),
+    "operator-amplitudes-unequal-shapes": (
+        lambda: spinscatter.OperatorAmplitudes(np.eye(2), np.zeros((3, 3))),
+        "transmission and reflection must be equal square matrices"),
+    "operator-amplitudes-nan": (
+        lambda: spinscatter.OperatorAmplitudes(np.full((2, 2), np.nan), np.full((2, 2), np.nan)),
+        "operator entries must be finite"),
+    "embed-nan-operator": (lambda: spinscatter.embed(np.full((2, 2), np.nan), 2, [0]),
+                           "operator entries must be finite"),
+    "grid-infinite-bound": (lambda: spinscatter.GridSpec("r", 0.0, math.inf, 3),
+                            "grid bounds must be finite"),
+    "emit-columns-unequal": (lambda: emit_columns({"a": np.zeros(2), "b": np.zeros(3)}, "csv"),
+                             "columns must be equally long"),
+    "emit-records-empty-without-fieldnames": (
+        lambda: emit_records([], "csv"), "fieldnames are required to emit an empty record list"),
+}
+
+
+@pytest.mark.parametrize("name", VALIDATION_ERRORS)
+def test_validation_error_messages(name):
+    call, message = VALIDATION_ERRORS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -206,11 +206,25 @@ def test_sweep_refuses_to_grid_each_non_numeric_key(protocol):
             assert capture(argv) == (1, "", message)
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["--protocol", "concentrate", "--grid", "r:0:1:2", "--fixed", "r=0.5", "--fixed", "a=0.5"], "r"),
+    (["--protocol", "entangle-impurities", "--grid", "half-separation:0.5:1:2",
+      "--fixed", "r=0.5", "--fixed", "half_separation=2"], "half_separation"),
+    (["--protocol", "entangle-impurities", "--grid", "r1:0:1:2", "--fixed", "r=0.5",
+      "--fixed", "r1=0.2"], "r1"),
+])
+def test_sweep_refuses_a_key_both_swept_and_pinned(argv, key):
+    message = f"error: parameter {key!r} is both swept and pinned\n"
+    assert capture(["sweep", *argv]) == (1, "", message)
+
+
 @pytest.mark.parametrize("protocol", protocols.PARAMS)
 def test_sweep_fixed_takes_every_key_of_the_protocol(protocol):
     for param in protocols.PARAMS[protocol]:
         grid = "r:0.2:0.8:2" if param.key == "k" else "k:0.5:1.5:2"
         direct = {**FIXED_BASES[protocol], param.key: VALUES.get(param.key, "0.5")}
+        if param.key == "k":
+            direct.pop("r", None)  # swept, so not pinned as well
         argv = ["sweep", "--protocol", protocol, "--grid", grid, "--format", "csv",
                 *(f"--fixed={key}={value}" for key, value in direct.items())]
         code, out, err = capture(argv)

@@ -1,6 +1,5 @@
 import cProfile
 import math
-import pstats
 import re
 
 import numpy as np
@@ -102,7 +101,7 @@ def _filter_on_the_pair(a, b, k, r, axis):
     t = filter_transmission(_transmission(2.0 * r, k), np.einsum("na,aij->nij", axis, paulis))
     psi0 = np.zeros((len(a), 4), dtype=complex)
     psi0[:, 0], psi0[:, 3] = a, b
-    out = np.einsum("nkij,nj->nki", protocols._with_reflection(t), psi0)
+    out = np.einsum("nkij,nj->nki", np.stack([t, t - np.eye(4)], axis=1), psi0)
     return out[:, 0], out[:, 1]
 
 
@@ -569,7 +568,8 @@ def test_single_call_python_call_count(name):
         run_protocol(protocol, dict(params))
     profile = cProfile.Profile()
     profile.runcall(run_protocol, protocol, dict(params))
-    calls = pstats.Stats(profile).total_calls
+    # pstats keys every dataclass __init__ alike, so its total_calls drops some
+    calls = sum(entry.callcount for entry in profile.getstats())
     assert calls <= 250, calls
 
 

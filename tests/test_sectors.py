@@ -55,30 +55,27 @@ def test_embedded_exchange_projectors_are_block_diagonal_in_the_sectors():
 
 
 def test_exchange_protocols_build_no_register_sized_operators(monkeypatch):
-    # the kernel applies each barrier by _channel_pass, or by _compose (the
-    # star product on tables): every table and spin vector it hands them is
-    # at most 3 wide, and no operand or result is a stack of operators
-    widths = {"_channel_pass": [], "_compose": []}
+    # the kernel applies every exchange barrier by _compose, in one pass or
+    # as the star product on tables: every table and spin vector it hands
+    # it is at most 3 wide, and no operand or result is a stack of operators
+    widths = {"pass": [], "star": []}
     stacked = []
-    # the width d of each operand: a pass table is (d, 4d) and a pair table
-    # (d*d, 16); the amplitudes (N, 4) and the phase (N,) have none, and the
-    # spin vectors end in d
-    dims = {"_channel_pass": lambda s, table, psi: (len(table), psi.shape[-1]),
-            "_compose": lambda s1, table1, s2, table2, pairs, phase, incident: (
-                len(table1), len(table2), math.isqrt(len(pairs)), incident.shape[-1])}
+    compose = protocols._compose
 
-    def recording(name):
-        fn = getattr(protocols, name)
+    def recording(amplitudes, tables, incident, pairs=None, phase=None):
+        out = compose(amplitudes, tables, incident, pairs, phase)
+        # the width d of each operand: a pass table is (d, 4d) and a pair
+        # table (d*d, 16); the amplitudes (N, 4) and the phase (N,) have
+        # none, and the spin vectors end in d
+        dims = [*map(len, tables), incident.shape[-1], *(x.shape[-1] for x in out)]
+        if pairs is not None:
+            dims.append(math.isqrt(len(pairs)))
+        widths["pass" if pairs is None else "star"].extend(dims)
+        operands = (*amplitudes, *tables, incident, pairs, phase, *out)
+        stacked.extend(np.shape(x) for x in operands if np.ndim(x) >= 3)
+        return out
 
-        def wrapped(*args):
-            out = fn(*args)
-            widths[name].extend((*dims[name](*args), *(x.shape[-1] for x in out)))
-            stacked.extend(x.shape for x in (*args, *out) if np.ndim(x) >= 3)
-            return out
-        return wrapped
-
-    for name in widths:
-        monkeypatch.setattr(protocols, name, recording(name))
+    monkeypatch.setattr(protocols, "_compose", recording)
     grid = [GridSpec("r1", 0.0, 2.0, 41), GridSpec("r2", 0.0, 2.0, 41)]
     for mode in ("exact", "first-order"):
         sweep("entangle-impurities", grid, {"mode": mode, "initial": "101"})
@@ -86,8 +83,8 @@ def test_exchange_protocols_build_no_register_sized_operators(monkeypatch):
                             make_state(np.arange(1.0, 9.0) / math.sqrt(204.0), IMPURITIES), mode)
     sweep("entangle-particles", [GridSpec("r", -2.0, 2.0, 50)], {"initial": "011"})
     sweep("concentrate-kondo", [GridSpec("a", 0.1, 0.9, 50)], {"r": 0.7})
-    assert widths["_compose"] and widths["_channel_pass"]
-    assert max(widths["_compose"] + widths["_channel_pass"]) <= 3
+    assert widths["star"] and widths["pass"]
+    assert max(widths["star"] + widths["pass"]) <= 3
     assert not stacked
 
 

@@ -1,4 +1,5 @@
-"""Every numeric threshold of the package comes from tolerances.py."""
+"""Source checks on the package: every numeric threshold comes from
+tolerances.py, and every private module-level name is read somewhere."""
 
 import ast
 import pathlib
@@ -19,3 +20,34 @@ def test_no_module_but_tolerances_writes_a_tiny_float_literal():
              if isinstance(node, ast.Constant) and type(node.value) is float
              and 0 < abs(node.value) < 1e-6]
     assert found == []
+
+
+def _module_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (name.id for name in ast.walk(target) if isinstance(name, ast.Name))
+
+
+def test_every_private_module_level_name_is_read():
+    # a private helper or constant that loses its last reader fails here
+    # instead of lingering: each must be loaded by name, read as an
+    # attribute or imported somewhere in the package
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unread = [f"{module}: {name}" for module, tree in trees.items()
+              for name in _module_level_names(tree)
+              if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert len(trees) > 5
+    assert unread == []
