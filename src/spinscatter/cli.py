@@ -19,7 +19,9 @@ object goes to the protocol's checks unread, an integer as its float).
 Precedence: command-line flag, then --config JSON file (same key names as
 the flags without the leading dashes), then built-in defaults; the default
 output format alone may also come from the SPINSCATTER_FORMAT environment
-variable (weaker than flag and config file).
+variable (weaker than flag and config file).  A call that spells out each
+flag with its value is read straight from the flag table that the argparse
+tree is built from; argparse handles help, abbreviations and usage errors.
 
 Exit status: 0 success; 1 input, usage, or I/O error with a one-line
 "error: ..." diagnostic on stderr; 2 internal invariant violation with a
@@ -651,6 +653,36 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, commands
 
 
+# each command's flags as its subparser spells them: (dest, whether repeated)
+_FLAGS = {command: {**{f"--{param.flag}": (param.flag, param.read in _REPEATED) for param in table},
+                    **{f"--{flag}": (f"common_{flag}", False) for flag in _COMMON}}
+          for command, table in _COMMANDS.items()}
+
+
+def _scan(command, tokens):
+    """The namespace the command's subparser makes of tokens, as a dict, or
+    None unless every token is --<flag>=<value>, or --<flag> and then a value
+    that does not start with '-', for an exact flag and a value other than
+    '--' (which argparse drops).
+
+    argparse reads such tokens one flag at a time: the last value wins, and
+    a repeated flag appends.  Every other token list (help, abbreviations,
+    usage errors) is left to argparse.
+    """
+    flags = _FLAGS[command]
+    ns = dict.fromkeys(dest for dest, _ in flags.values())
+    tokens = iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "-")
+        if flag not in flags or value == "--" or (not eq and value.startswith("-")):
+            return None
+        dest, repeated = flags[flag]
+        ns[dest] = [*(ns[dest] or ()), value] if repeated else value
+    return ns
+
+
 def _load_config(parser, path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -674,19 +706,22 @@ def parse_args(argv=None) -> RunConfig:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in commands:
         # the root parser would hand every token after the command to its
-        # subparser unchanged; skip its own pass over them
+        # subparser unchanged; skip its own pass over them, and the
+        # subparser's where the flag table reads the tokens alone
         command = argv[0]
-        ns = commands[command].parse_args(argv[1:])
+        ns = _scan(command, argv[1:])
+        if ns is None:
+            ns = vars(commands[command].parse_args(argv[1:]))
     else:
-        ns = parser.parse_args(argv)
-        if ns.command is None:
+        ns = vars(parser.parse_args(argv))
+        if ns["command"] is None:
             parser.error(f"missing command (one of: {', '.join(_COMMANDS)})")
-        command = ns.command
+        command = ns["command"]
     table = _COMMANDS[command]
 
     file_values = {}
-    if ns.common_config is not None:
-        file_values = _load_config(parser, ns.common_config)
+    if ns["common_config"] is not None:
+        file_values = _load_config(parser, ns["common_config"])
         known = {param.flag for param in table} | set(_COMMON) - {"config"}
         for key in file_values:
             if key not in known:
@@ -695,7 +730,7 @@ def parse_args(argv=None) -> RunConfig:
     params = {}
     try:
         for param in table:
-            value = getattr(ns, param.flag)
+            value = ns[param.flag]
             if value is None:
                 value = file_values.get(param.flag)
             if value is not None:
@@ -707,11 +742,11 @@ def parse_args(argv=None) -> RunConfig:
         if param.required and param.key not in params:
             parser.error(f"missing required parameter --{param.flag}")
 
-    fmt = ns.common_format or file_values.get("format") \
+    fmt = ns["common_format"] or file_values.get("format") \
         or os.environ.get(_FORMAT_ENV) or "table"
     if fmt not in _FORMATS:
         parser.error(f"--format must be one of: {', '.join(_FORMATS)} (got {fmt!r})")
-    output = ns.common_output or file_values.get("output")
+    output = ns["common_output"] or file_values.get("output")
     if output is not None and not isinstance(output, str):
         parser.error(f"--output must be a path, got {output!r}")
     return RunConfig(command, params, fmt, output)

@@ -759,7 +759,8 @@ PARAMS = {
     "concentrate": (
         *_COEFFICIENTS, _K,
         Param("r", _to_float, None, False, "coupling (fixed impurity default: the optimum)"),
-        Param("axis", _to_axis, (0.0, 0.0, 1.0), False, "fixed-impurity spin axis as x,y,z"),
+        # default z, unless axis_theta gives the axis
+        Param("axis", _to_axis, None, False, "fixed-impurity spin axis as x,y,z"),
         # the axis tilted from z toward x by this angle, in place of axis
         Param("axis_theta", _to_float),
     ),
@@ -872,8 +873,11 @@ def _initial_state(bits, labels, checks):
 def _run_concentrate_fixed(checks, a, b, a_phase, b_phase, k, r, axis, axis_theta):
     a, b = _coeff_pair(checks, a, b, a_phase, b_phase)
     if axis_theta is None:
+        axis = (0.0, 0.0, 1.0) if axis is None else axis
         rows = np.empty((checks.n, len(axis)))
         rows[:] = axis
+    elif axis is not None:
+        checks.fail("parameters 'axis' and 'axis_theta' exclude each other")
     else:
         rows = np.stack([np.sin(axis_theta), np.zeros(checks.n), np.cos(axis_theta)], axis=-1)
     if r is None:
@@ -1035,7 +1039,7 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
 
     try:
         points = [m.reshape(-1) for m in np.meshgrid(*(g.values() for g in grids), indexing="ij")]
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy refuses sizes beyond its index range
         raise ValueError(f"a grid of {math.prod(g.points for g in grids)} points "
                          "does not fit in memory") from None
     blocks = []

@@ -334,6 +334,18 @@ def test_entangle_particles_input_validation():
                            make_state([1.0, 1.0, 0, 0, 0, 0, 0, 0]))
 
 
+def test_concentrate_takes_axis_or_axis_theta_not_both():
+    base = {"a": 0.5, "r": 1.0}
+    # each alone tilts the filter its own way
+    assert run_protocol("concentrate", {**base, "axis": (1, 0, 0)}).outcomes[0].branch_probability \
+        == pytest.approx(0.6)
+    assert run_protocol("concentrate", {**base, "axis_theta": 0.0}).outcomes[0].branch_probability \
+        == pytest.approx(0.4)
+    message = "parameters 'axis' and 'axis_theta' exclude each other"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_protocol("concentrate", {**base, "axis": (1, 0, 0), "axis_theta": 0.0})
+
+
 @pytest.mark.parametrize("protocol, params, content", [
     ("entangle-particles", {"r": 1.0}, "two particles and the impurity"),
     ("entangle-impurities", {"r1": 1.0, "r2": 0.5}, "particle and two impurities"),

@@ -139,6 +139,8 @@ def _first_point_error(protocol, grids, fixed):
      "unknown parameter(s) for concentrate: bogus"),
     ("entangle-impurities", [GridSpec("r1", 0.0, 1.0, 3)], {"mode": "second-order", "r2": 1.0},
      "--mode must be one of: first-order, exact (got 'second-order')"),
+    ("concentrate", [GridSpec("axis_theta", 0.0, 1.0, 3)], {"a": 0.5, "axis": "1,0,0"},
+     "parameters 'axis' and 'axis_theta' exclude each other"),
 ])
 def test_sweep_raises_the_first_bad_point_message(protocol, grids, fixed, message):
     expected = _first_point_error(protocol, grids, fixed)
@@ -225,11 +227,13 @@ def test_only_float_array_columns_look_for_repeated_values(monkeypatch):
 
 
 def test_a_grid_too_large_for_memory_is_a_one_line_error():
-    # one axis of 10^15 points: its allocation fails at once, before anything is filled
-    code, out, err = _main(["sweep", "--protocol", "concentrate", "--grid", "r:0:1:1000000000000000",
-                            "--fixed", "a=0.5"])
-    assert (code, out) == (1, "")
-    assert err == "error: a grid of 1000000000000000 points does not fit in memory\n"
+    # one axis of 10^15 points: its allocation fails at once, before anything
+    # is filled; numpy refuses 10^20 points, beyond its index range, by size
+    for points in ("1000000000000000", "100000000000000000000"):
+        code, out, err = _main(["sweep", "--protocol", "concentrate", "--grid", f"r:0:1:{points}",
+                                "--fixed", "a=0.5"])
+        assert (code, out) == (1, "")
+        assert err == f"error: a grid of {points} points does not fit in memory\n"
 
 
 @pytest.mark.parametrize("protocol, grids, fixed", CASES[::4])
