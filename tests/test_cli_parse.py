@@ -50,8 +50,10 @@ def command_lines(draw):
                      draw(st.tuples(other, values, st.sampled_from(["=", "separate", "none"]))))
     tokens = []
     for name, value, form in items:
-        tokens += [f"{name}={value}"] if form == "=" else [name, value] if form == "separate" \
-            else [name]
+        if form == "=":
+            tokens.append(f"{name}={value}")
+        else:
+            tokens += [name, value] if form == "separate" else [name]
     return command, tokens
 
 
