@@ -43,7 +43,6 @@ import numpy as np
 
 from .hilbert import pauli_along
 from .scattering import OperatorAmplitudes, _check_wave_number, barrier_transmission, scalar_amplitudes
-from .tolerances import DEFAULT as TOL
 
 EXCHANGE_EIGENVALUE_PRESETS: dict[str, tuple[float, float, float, float]] = {
     "default": (1.0, 1.0, -2.0, 0.0),
@@ -81,10 +80,7 @@ class FixedImpurity:
         if not math.isfinite(self.coupling):
             raise ValueError("coupling must be finite")
         ax = tuple(float(x) for x in self.axis)
-        if len(ax) != 3 or not all(math.isfinite(x) for x in ax):
-            raise ValueError("axis must be a finite 3-vector")
-        if abs(math.sqrt(sum(x * x for x in ax)) - 1.0) > TOL.normalization:
-            raise ValueError(f"axis must be a unit vector (within {TOL.normalization:g})")
+        pauli_along(ax)  # refuses all but a finite unit 3-vector
         object.__setattr__(self, "axis", ax)
 
 
@@ -135,7 +131,7 @@ def kondo_channel_amplitudes(spec: KondoImpurity, k: float) -> tuple[complex, ..
     One barrier_transmission over the four channel couplings, checked as
     scalar_amplitudes checks each of them.
     """
-    _check_wave_number(k)
+    k = _check_wave_number(k)
     couplings = [spec.coupling * lam for lam in spec.eigenvalues]
     if not all(map(math.isfinite, couplings)):
         raise ValueError("coupling must be finite")

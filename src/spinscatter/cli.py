@@ -102,11 +102,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Number formatting (the byte-exact part of the output contract)
 
-def _f12(x: float) -> str:
-    """12-significant-digit text for CSV cells."""
-    return format(float(x), ".12g")
-
-
 def _f6(x) -> str:
     return "-" if x is None else f"{float(x):.6f}"
 
@@ -207,7 +202,7 @@ def _csv_field(v, lone: bool) -> str:
 
     lone marks the only field of a row, which csv.writer quotes when empty.
     """
-    text = "" if v is None else _f12(v) if isinstance(v, float) else str(v)
+    text = "" if v is None else "%.12g" % v if isinstance(v, float) else str(v)
     if any(c in text for c in ',"\r\n') or (lone and not text):
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -409,7 +404,7 @@ def _cmd_sweep(p, fmt):
     result = sweep(p["protocol"], p["grid"], p.get("fixed"), p.get("objective", "entropy"))
     text = emit_columns(result.columns, fmt)
     argmax = "argmax: " + "  ".join(
-        f"{k}={v if isinstance(v, str) else _f12(v)}" for k, v in result.argmax.items()
+        f"{k}={v if isinstance(v, str) else '%.12g' % v}" for k, v in result.argmax.items()
     )
     if fmt == "table":
         return text + argmax + "\n"
@@ -718,6 +713,11 @@ def parse_args(argv=None) -> RunConfig:
             parser.error(f"missing command (one of: {', '.join(_COMMANDS)})")
         command = ns["command"]
     table = _COMMANDS[command]
+    # argparse drops a value '--' given as --flag=--, and leaves [] in its place
+    for flag, (dest, repeated) in _FLAGS[command].items():
+        value = ns[dest]
+        if value == [] or repeated and value and [] in value:
+            parser.error(f"argument {flag}: expected one argument")
 
     file_values = {}
     if ns["common_config"] is not None:

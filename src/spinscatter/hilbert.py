@@ -31,7 +31,7 @@ def pauli_along(axis) -> np.ndarray:
     ax = np.asarray(axis, dtype=float)
     if ax.shape != (3,) or not np.all(np.isfinite(ax)):
         raise ValueError("axis must be a finite 3-vector")
-    if abs(float(np.linalg.norm(ax)) - 1.0) > TOL.normalization:
+    if not abs(float(np.linalg.norm(ax)) - 1.0) <= TOL.normalization:
         raise ValueError(f"axis must be a unit vector (within {TOL.normalization:g})")
     return ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
 

@@ -75,7 +75,7 @@ from .channels import (
 )
 from .errors import InternalFaultError
 from .hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinState, basis_state, pure_pair_figures
-from .scattering import _compose, _pair_table, _pass_table, _transmission
+from .scattering import _check_flux, _compose, _pair_table, _pass_table, _transmission
 from .tolerances import DEFAULT as TOL
 
 _PAIR_REGISTER = ("particle-2", "particle-1")
@@ -345,15 +345,12 @@ def _batch(psi0, register, tree, outcomes, metadata, point) -> _Batch:
         if not finite.all():
             raise ValueError(f"amplitudes must be finite (at {point(int(np.argmin(finite)))})")
         worst = int(np.argmax(deviation))
-        raise InternalFaultError(
-            f"flux conservation violated by {deviation[worst]:.3e} "
-            f"(> {TOL.solver_residual:g}) at {point(worst)}"
-        )
+        _check_flux(deviation[worst], "", f" at {point(worst)}")
     off = np.where(outcomes.live, np.abs(_norm2(outcomes.pair) - 1.0), 0.0)
-    if np.maximum.reduce(off, axis=None) >= TOL.normalization:
+    if not np.maximum.reduce(off, axis=None) < TOL.normalization:
         for j, label in enumerate(outcomes.labels):
             worst = int(np.argmax(off[:, j]))
-            if off[worst, j] >= TOL.normalization:
+            if not off[worst, j] < TOL.normalization:
                 raise InternalFaultError(
                     f"post state of {label!r} off unit norm by {off[worst, j]:.3e} at {point(worst)}"
                 )
@@ -412,16 +409,17 @@ def _check_wave_number(checks, k):
     checks.add(~(np.isfinite(k) & (k > 0)), "k must be positive")
 
 
-def _channel_amplitudes(checks, r, k, eigenvalues, message):
+def _channel_amplitudes(checks, r, k, eigenvalues):
     """(N, 4) per-channel transmissions S_c = 1/(1 + i r lambda_c / k).
 
-    The couplings r lambda_c are checked finite; the amplitudes mean
+    The couplings r lambda_c are checked finite, the one check of a
+    coupling r that reaches the kernel unread; the amplitudes mean
     something once the checks have passed.  The result is the transpose of
     a C-ordered (4, N) array, the layout in which _compose takes them as
     whole point rows.
     """
     coupling = np.multiply.outer(eigenvalues, r)
-    checks.add(~np.logical_and.reduce(np.isfinite(coupling), axis=0), message)
+    checks.add(~np.logical_and.reduce(np.isfinite(coupling), axis=0), "coupling must be finite")
     return _transmission(coupling, k).T
 
 
@@ -434,7 +432,6 @@ def _check_initial(checks, initial, content):
 
 def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
     _check_pair(checks, a, b)
-    checks.add(~np.isfinite(r), "coupling must be finite")
     if axis.shape[-1] != 3:
         checks.fail("axis must be a finite 3-vector")
     checks.add(~np.logical_and.reduce(np.isfinite(axis), axis=-1), "axis must be a finite 3-vector")
@@ -488,7 +485,7 @@ def _optimal_coupling(checks, a, b, k):
 def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
     _check_pair(checks, a, b)
     _check_wave_number(checks, k)
-    s = _channel_amplitudes(checks, r, k, eigenvalues, "coupling must be finite")
+    s = _channel_amplitudes(checks, r, k, eigenvalues)
     checks.raise_first()
 
     psi0 = np.zeros((checks.n, 8), dtype=complex)
@@ -506,7 +503,7 @@ def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
 def _entangle_particles(checks, k, r, eigenvalues, initial) -> _Batch:
     _check_initial(checks, initial, _PARTICLES_CONTENT)
     _check_wave_number(checks, k)
-    s = _channel_amplitudes(checks, r, k, eigenvalues, "coupling must be finite")
+    s = _channel_amplitudes(checks, r, k, eigenvalues)
     checks.raise_first()
 
     psi0 = initial.amplitudes[None]  # the same at every point
@@ -530,10 +527,8 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
         checks.add(~(np.isfinite(half_separation) & (half_separation > 0)),
                    "half_separation must be positive")
     _check_wave_number(checks, k)
-    s1 = _channel_amplitudes(checks, r1, k, eigenvalues_1,
-                             "potential_left entries must be finite" if exact else "coupling must be finite")
-    s2 = _channel_amplitudes(checks, r2, k, eigenvalues_2,
-                             "potential_right entries must be finite" if exact else "coupling must be finite")
+    s1 = _channel_amplitudes(checks, r1, k, eigenvalues_1)
+    s2 = _channel_amplitudes(checks, r2, k, eigenvalues_2)
     checks.raise_first()
 
     psi0 = initial.amplitudes[None]  # the same at every point
@@ -782,7 +777,7 @@ PARAMS = {
         Param("r1", _to_float, None, True, "first impurity exchange coupling"),
         Param("r2", _to_float, None, True, "second impurity exchange coupling"),
         # the coupling of both impurities, where r1 or r2 is absent
-        Param("r", _to_float, math.nan),
+        Param("r", _to_float),
         Param("half_separation", _to_positive, 1.0, False,
               "impurities sit at -+ this distance (default 1)"),
         Param("mode", _to_choice(("first-order", "exact")), "first-order", False,
@@ -842,13 +837,6 @@ def _run(protocol, p, checks):
     return _RUNNERS[protocol](checks, **args)
 
 
-def _check_couplings(checks, *couplings):
-    """KondoImpurity's coupling check for each coupling array, in turn; the
-    reader has checked the eigenvalues (_to_eigenvalues)."""
-    for r in couplings:
-        checks.add(~np.isfinite(r), "coupling must be finite")
-
-
 def _coeff_pair(checks, a, b, a_phase, b_phase):
     checks.add(~((0.0 <= a) & (a <= 1.0)), "parameter 'a' must lie in [0, 1]")
     if b is None:
@@ -887,22 +875,19 @@ def _run_concentrate_fixed(checks, a, b, a_phase, b_phase, k, r, axis, axis_thet
 
 def _run_concentrate_kondo(checks, a, b, a_phase, b_phase, k, r, eigenvalues):
     a, b = _coeff_pair(checks, a, b, a_phase, b_phase)
-    _check_couplings(checks, r)
     return _concentrate_kondo(checks, a, b, k, r, eigenvalues)
 
 
 def _run_entangle_particles(checks, k, r, eigenvalues, initial):
     initial = _initial_state(initial, _PARTICLES_REGISTER, checks)
-    _check_couplings(checks, r)
     return _entangle_particles(checks, k, r, eigenvalues, initial)
 
 
 def _run_entangle_impurities(checks, k, r1, r2, r, half_separation, mode, eigenvalues, initial):
     r1, r2 = (r if x is None else x for x in (r1, r2))
-    checks.add(np.isnan(r1) | np.isnan(r2),
-               "missing parameter 'r1'/'r2' (or common 'r') for the two couplings")
+    if r1 is None or r2 is None:
+        checks.fail("missing parameter 'r1'/'r2' (or common 'r') for the two couplings")
     initial = _initial_state(initial, _IMPURITIES_REGISTER, checks)
-    _check_couplings(checks, r1, r2)
     return _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues, eigenvalues,
                                 initial, mode)
 

@@ -28,6 +28,7 @@ single-operator functions are a stack of one.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,11 @@ from .errors import InternalFaultError
 from .tolerances import DEFAULT as TOL
 
 
-def _check_wave_number(k):
-    if not isinstance(k, (int, float)) or not math.isfinite(k) or k <= 0:
+def _check_wave_number(k) -> float:
+    """k as a float: any real number that is finite and positive."""
+    if not isinstance(k, numbers.Real) or not math.isfinite(k) or k <= 0:
         raise ValueError("k must be positive")
+    return float(k)
 
 
 def _flux_deviation(t, r) -> float:
@@ -48,12 +51,20 @@ def _flux_deviation(t, r) -> float:
     return float(np.max(np.abs(flux - np.eye(t.shape[-1]))))
 
 
+def _check_flux(deviation, what, where=""):
+    """Raise the flux fault, its message framed by what and where, unless
+    deviation <= solver_residual: a NaN deviation fails."""
+    if not deviation <= TOL.solver_residual:
+        raise InternalFaultError(
+            f"{what}flux conservation violated by {deviation:.3e} (> {TOL.solver_residual:g}){where}")
+
+
 def _check_hermitian(m, name="potential"):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} entries must be finite")
-    if np.max(np.abs(m - m.conj().T)) > TOL.algebraic:
+    if not np.max(np.abs(m - m.conj().T)) <= TOL.algebraic:
         raise ValueError(f"{name} must be Hermitian (within {TOL.algebraic:g})")
 
 
@@ -98,7 +109,7 @@ def _transmission(coupling, k):
 
 def scalar_amplitudes(coupling: float, k: float) -> ScalarAmplitudes:
     """Plane-wave amplitudes for a scalar delta barrier of strength coupling."""
-    _check_wave_number(k)
+    k = _check_wave_number(k)
     if not math.isfinite(coupling):
         raise ValueError("coupling must be finite")
     s = complex(barrier_transmission(coupling, k))
@@ -154,7 +165,7 @@ def matrix_amplitudes(potential, k: float) -> OperatorAmplitudes:
     M of relative size eps; no backward-stable method does better on
     general M.
     """
-    _check_wave_number(k)
+    k = _check_wave_number(k)
     m = np.asarray(potential, dtype=complex)
     _check_hermitian(m)
     s, v = _barrier_channels(m, k)
@@ -169,11 +180,7 @@ def matrix_amplitudes(potential, k: float) -> OperatorAmplitudes:
             f"{TOL.solver_residual:g} x |kI + iM| |T| = {TOL.solver_residual * scale:.3e}"
         )
     r = t - eye
-    flux = _flux_deviation(t, r)
-    if not flux <= TOL.solver_residual:
-        raise InternalFaultError(
-            f"delta-barrier flux conservation violated by {flux:.3e} (> {TOL.solver_residual:g})"
-        )
+    _check_flux(_flux_deviation(t, r), "delta-barrier ")
     return OperatorAmplitudes(t, r)
 
 
@@ -199,7 +206,7 @@ class TwoImpurityGeometry:
     def __post_init__(self):
         if not math.isfinite(self.half_separation) or self.half_separation <= 0:
             raise ValueError("half_separation must be positive")
-        _check_wave_number(self.k)
+        object.__setattr__(self, "k", _check_wave_number(self.k))
         left = np.array(self.potential_left, dtype=complex)
         right = np.array(self.potential_right, dtype=complex)
         _check_hermitian(left, "potential_left")
@@ -328,7 +335,9 @@ def two_impurity_exact(geom: TwoImpurityGeometry) -> TwoImpurityAmplitudes:
     about eps·||M_j||/k·max_c |S_c|^2; star_product then composes the pair
     from these rank-one channel decompositions, keeping every
     back-and-forth multiple-scattering order.  Flux conservation
-    T+T + R+R = I is checked on the result.
+    T+T + R+R = I is checked on the result: where it fails, by more than
+    solver_residual or with a non-finite deviation, InternalFaultError is
+    raised.
     """
     k = geom.k
     s, v = _barrier_channels(np.stack([geom.potential_left, geom.potential_right]), k)
@@ -337,12 +346,7 @@ def two_impurity_exact(geom: TwoImpurityGeometry) -> TwoImpurityAmplitudes:
     transmitted, reflected = star_product(
         s[:1], p1, s[1:], p2, np.exp(2j * k * geom.half_separation), np.eye(geom.dim, dtype=complex))
     transmission, reflection = transmitted.T, reflected.T
-    conservation = _flux_deviation(transmission, reflection)
-    if conservation > TOL.solver_residual:
-        raise InternalFaultError(
-            f"two-impurity flux conservation violated by {conservation:.3e} "
-            f"(> {TOL.solver_residual:g})"
-        )
+    _check_flux(_flux_deviation(transmission, reflection), "two-impurity ")
     return TwoImpurityAmplitudes(transmission, reflection)
 
 

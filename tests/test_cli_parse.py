@@ -133,3 +133,20 @@ def test_help_abbreviations_and_usage_errors_reach_argparse(argv, parses):
             contextlib.suppress(SystemExit):
         cli.parse_args(argv)
     assert parses == [argv[1:]]
+
+
+# ---------------------------------------------------------------------------
+# A value that argparse drops
+
+@pytest.mark.parametrize("argv", [
+    ["amplitudes", "--k=1", "--r=1", "--config=--"],
+    ["amplitudes", "--k=1", "--r=1", "--format=--"],
+    ["amplitudes", "--k=1", "--r=1", "--output=--"],
+    ["sweep", "--protocol=concentrate", "--fixed=a=0.5", "--grid=--"],
+    ["sweep", "--protocol=concentrate", "--fixed=a=0.5", "--grid=r:0:1:2", "--grid=--"],
+])
+def test_a_flag_given_the_value_dashdash_is_a_usage_error(argv, capsys):
+    # argparse drops '--' from --flag=--, which leaves the flag no value
+    assert cli.main(argv) == 1
+    flag = argv[-1].split("=")[0]
+    assert capsys.readouterr() == ("", f"error: argument {flag}: expected one argument\n")

@@ -362,6 +362,29 @@ def test_run_protocol_reports_the_bit_count_of_the_initial_state(protocol, param
             run_protocol(protocol, {**params, "initial": text})
 
 
+# every protocol and mode, with the names of its couplings
+COUPLED_CALLS = [
+    ("concentrate", {"a": 0.5, "k": 1.0}, ("r",)),
+    ("concentrate-kondo", {"a": 0.5, "k": 1.0}, ("r",)),
+    ("entangle-particles", {"k": 1.0}, ("r",)),
+    ("entangle-impurities", {"k": 1.0}, ("r1", "r2")),
+    ("entangle-impurities", {"k": 1.0, "mode": "exact"}, ("r1", "r2")),
+]
+
+
+@pytest.mark.parametrize("protocol, params, couplings", COUPLED_CALLS)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e308])
+def test_a_coupling_that_is_or_becomes_non_finite_is_refused_once(protocol, params, couplings, bad):
+    # run_protocol hands a float coupling to the kernel unread, which checks
+    # it where it builds that barrier's channel amplitudes; 1e308 overflows
+    # as twice the filter coupling or times the eigenvalue -2
+    for name in couplings:
+        call = {**params, **dict.fromkeys(couplings, 0.5), name: bad}
+        with pytest.raises(ValueError) as exc:
+            run_protocol(protocol, call)
+        assert str(exc.value) == "coupling must be finite"
+
+
 # ---------------------------------------------------------------------------
 # entangling two impurities with one particle
 

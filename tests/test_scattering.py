@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from spinscatter import (
     embed,
     exchange_matrix,
     first_order_composition,
+    kondo_channel_amplitudes,
     kondo_operators,
     make_state,
     matrix_amplitudes,
@@ -48,6 +50,39 @@ def test_scalar_amplitudes_input_validation():
         scalar_amplitudes(1.0, -2.0)
     with pytest.raises(ValueError):
         scalar_amplitudes(math.inf, 1.0)
+
+
+# each public entry point that reads k, called at that k
+K_ENTRY_POINTS = {
+    "scalar_amplitudes": lambda k: scalar_amplitudes(0.7, k),
+    "matrix_amplitudes": lambda k: matrix_amplitudes(0.7 * exchange_matrix(), k),
+    "kondo_channel_amplitudes": lambda k: kondo_channel_amplitudes(KondoImpurity(0.7), k),
+    "TwoImpurityGeometry": lambda k: two_impurity_exact(TwoImpurityGeometry(
+        1.3, k, 0.7 * exchange_matrix(), -0.4 * exchange_matrix())),
+}
+
+
+def _fields(result):
+    return [np.asarray(v) for v in (dataclasses.astuple(result) if dataclasses.is_dataclass(result)
+                                    else result)]
+
+
+@pytest.mark.parametrize("entry", K_ENTRY_POINTS)
+def test_k_may_be_any_positive_real_number(entry):
+    call = K_ENTRY_POINTS[entry]
+    for k in (np.int64(2), np.int32(3), np.float32(1.7), np.float64(0.4), 2, 0.4):
+        got, expected = _fields(call(k)), _fields(call(float(k)))
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    for k in ("1", None, math.nan, np.float32(math.nan), math.inf, 0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            call(k)
+
+
+def test_geometry_holds_k_as_a_float():
+    geom = TwoImpurityGeometry(1.0, np.int64(2), np.eye(2), np.eye(2))
+    assert type(geom.k) is float and geom.k == 2.0
 
 
 def test_scalar_pair_identity_is_exact():
@@ -121,6 +156,29 @@ def test_matrix_amplitudes_flux_check_catches_what_the_residual_misses(monkeypat
     with pytest.raises(InternalFaultError, match="flux conservation"):
         matrix_amplitudes(embed(1e162 * exchange_matrix(), 3, (2, 1)), 1.0)
 
+
+
+@pytest.mark.parametrize("deviation", [math.nan, math.inf, np.float64(math.nan), 1.0000001e-10])
+def test_the_flux_fault_is_raised_past_the_bound_and_on_nan(deviation):
+    with pytest.raises(InternalFaultError) as exc:
+        scattering._check_flux(deviation, "two-impurity ", " at k=1")
+    assert str(exc.value) == (f"two-impurity flux conservation violated by {deviation:.3e} "
+                              f"(> {DEFAULT_TOLERANCES.solver_residual:g}) at k=1")
+
+
+def test_the_flux_fault_passes_up_to_the_bound():
+    for deviation in (0.0, DEFAULT_TOLERANCES.solver_residual, np.float64(1e-12)):
+        scattering._check_flux(deviation, "")
+
+
+def test_exact_solver_refuses_non_finite_amplitudes():
+    # at k = 5e-324 the composition gives non-finite T and R, so the flux
+    # deviation is NaN, which the flux check must not let through
+    geom = TwoImpurityGeometry(1.0, 5e-324, embed(exchange_matrix(), 3, (2, 1)),
+                               embed(exchange_matrix(), 3, (2, 0)))
+    with pytest.raises(InternalFaultError) as exc:
+        two_impurity_exact(geom)
+    assert str(exc.value) == "two-impurity flux conservation violated by nan (> 1e-10)"
 
 
 def test_flux_deviation_of_a_stack_is_the_worst_of_its_operators():

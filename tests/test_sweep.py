@@ -162,6 +162,25 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@pytest.mark.parametrize("protocol, fixed, couplings", [
+    ("concentrate", {"a": 0.5}, ("r",)),
+    ("concentrate-kondo", {"a": 0.5}, ("r",)),
+    ("entangle-particles", {}, ("r",)),
+    ("entangle-impurities", {}, ("r1", "r2")),
+    ("entangle-impurities", {"mode": "exact"}, ("r1", "r2")),
+])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_coupling_in_a_config_fixed_object_is_one_line(protocol, fixed, couplings, bad,
+                                                                    tmp_path):
+    # json writes and reads these as Infinity, -Infinity and NaN, floats
+    # that reach the kernel unread
+    for name in couplings:
+        pinned = {**fixed, **dict.fromkeys(couplings, 0.5), name: bad}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"protocol": protocol, "grid": ["k:0.5:1:2"], "fixed": pinned}))
+        assert _main(["sweep", "--config", str(path)]) == (1, "", "error: coupling must be finite\n")
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
 def test_sweep_output_bytes_equal_the_stored_digests(name, fmt):

@@ -1,5 +1,6 @@
 """Source checks on the package: every numeric threshold comes from
-tolerances.py, and every private module-level name is read somewhere."""
+tolerances.py, a bound check that raises lets no NaN through, and every
+private module-level name is read somewhere."""
 
 import ast
 import pathlib
@@ -19,6 +20,62 @@ def test_no_module_but_tolerances_writes_a_tiny_float_literal():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Constant) and type(node.value) is float
              and 0 < abs(node.value) < 1e-6]
+    assert found == []
+
+
+def _reads_tol(node):
+    return any(isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "TOL"
+               for n in ast.walk(node))
+
+
+def _nan_passing_bounds(source):
+    """Line numbers of each if that raises and whose test holds x > TOL.<field>,
+    x >= TOL.<field> or the mirrored TOL.<field> < x, TOL.<field> <= x: a NaN x
+    makes every comparison false, so it passes the bound."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.If)
+                and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))):
+            continue
+        for compare in ast.walk(node.test):
+            if not isinstance(compare, ast.Compare):
+                continue
+            operands = [compare.left, *compare.comparators]
+            for op, left, right in zip(compare.ops, operands, operands[1:]):
+                if (isinstance(op, (ast.Gt, ast.GtE)) and _reads_tol(right)
+                        or isinstance(op, (ast.Lt, ast.LtE)) and _reads_tol(left)):
+                    found.append(compare.lineno)
+    return found
+
+
+def test_the_nan_check_flags_a_bound_that_nan_passes():
+    flagged = """
+if x > TOL.a:
+    raise ValueError
+if y >= 2.0 * TOL.b or z:
+    for _ in w:
+        raise ValueError
+if TOL.c < x:
+    raise ValueError
+"""
+    assert _nan_passing_bounds(flagged) == [2, 4, 7]
+    safe = """
+if not x <= TOL.a:
+    raise ValueError
+if not y < 2.0 * TOL.b:
+    raise ValueError
+if x > TOL.a:
+    return None
+if x > bound:
+    raise ValueError
+"""
+    assert _nan_passing_bounds(safe) == []
+
+
+def test_no_bound_check_that_raises_lets_nan_through():
+    # written `if not x <= TOL.<field>: raise`, a NaN x fails the check
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _nan_passing_bounds(path.read_text(encoding="utf-8"))]
     assert found == []
 
 
