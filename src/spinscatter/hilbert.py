@@ -26,13 +26,30 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _ALLOWED_LENGTHS = (2, 4, 8)
 
 
+_NOT_A_3_VECTOR = "axis must be a finite 3-vector"
+
+
+def _axis_faults(axes):
+    """The axis rule over a stack of axes (N, d): a (bad, message) pair per
+    check, in the order they are made, where bad is (N,) and True at the
+    axes that fail.  Axes of d != 3 components fail the first at every point."""
+    if axes.shape[-1] != 3:
+        return ((np.ones(len(axes), dtype=bool), _NOT_A_3_VECTOR),)
+    return ((~np.logical_and.reduce(np.isfinite(axes), axis=-1), _NOT_A_3_VECTOR),
+            (np.abs(np.sqrt(np.add.reduce(axes * axes, axis=-1)) - 1.0) > TOL.normalization,
+             f"axis must be a unit vector (within {TOL.normalization:g})"))
+
+
 def pauli_along(axis) -> np.ndarray:
     """Spin projection operator n.sigma for a unit 3-vector n."""
     ax = np.asarray(axis, dtype=float)
-    if ax.shape != (3,) or not np.all(np.isfinite(ax)):
-        raise ValueError("axis must be a finite 3-vector")
-    if not abs(float(np.linalg.norm(ax)) - 1.0) <= TOL.normalization:
-        raise ValueError(f"axis must be a unit vector (within {TOL.normalization:g})")
+    # a stack of one axis; an array of any shape but (3,) is one of no
+    # components.  Components too large to square are refused, not warned of
+    with np.errstate(all="ignore"):
+        faults = _axis_faults(ax[None] if ax.ndim == 1 else np.empty((1, 0)))
+    for bad, message in faults:
+        if bad[0]:
+            raise ValueError(message)
     return ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
 
 

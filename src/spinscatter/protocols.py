@@ -32,7 +32,12 @@ same routine, with R1 R2 one product against the pair table, so
 the only (N, d, d) stack is the matrix it solves, and the results are
 scattered back into (N, 8) states.  The filter, whose tilted axis does not
 keep S_z, acts as its (N, 2, 2) operator on particle-1 alone, applied to
-the two coefficients of a|00> + b|11> by one einsum.  sweep runs the
+the two coefficients of a|00> + b|11> by one einsum.  A parameter pinned
+for every point stays one entry, a (1,) column or a (1, 3) axis row, and
+the kernels broadcast it against the swept (N,) columns, so work on pinned
+values alone (the filter's n.sigma of a pinned axis, say) is done once;
+a check of pinned values alone is repeated to N where it is stacked, and
+the error messages read a pinned column at any point.  sweep runs the
 kernel over its grid in blocks of _BLOCK (1024) points; the single-call
 functions and run_protocol are a batch of one whose row is wrapped in the
 ProtocolResult, EventTree and SpinState types.  At N = 1 the kernel's cost
@@ -74,7 +79,7 @@ from .channels import (
     filter_transmission,
 )
 from .errors import InternalFaultError
-from .hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinState, basis_state, pure_pair_figures
+from .hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinState, _axis_faults, basis_state, pure_pair_figures
 from .scattering import _check_flux, _compose, _pair_table, _pass_table, _transmission
 from .tolerances import DEFAULT as TOL
 
@@ -185,7 +190,10 @@ class _Checks:
         self._checks = []
 
     def add(self, bad, message, error=ValueError):
-        """Record a check: bad is (N,) boolean, message text or a function of the point index."""
+        """Record a check: bad is (N,) boolean, or (1,) for a check of pinned
+        values; message text or a function of the point index."""
+        if len(bad) != self.n:
+            bad = bad.repeat(self.n)
         self._checks.append((bad, message, error))
 
     def fail(self, message):
@@ -357,9 +365,14 @@ def _batch(psi0, register, tree, outcomes, metadata, point) -> _Batch:
     return _Batch(register, tuple(tree), outcomes, metadata)
 
 
-def _describe(**arrays):
+def _at(column, i):
+    """Entry i of a column of one entry per point, or of a pinned value's one entry."""
+    return column[i if len(column) > 1 else 0]
+
+
+def _describe(**columns):
     def point(i):
-        return ", ".join(f"{name}={np.asarray(v)[i]:.12g}" for name, v in arrays.items())
+        return ", ".join(f"{name}={_at(v, i):.12g}" for name, v in columns.items())
     return point
 
 
@@ -402,7 +415,7 @@ def _attempts(success_probability) -> dict:
 def _check_pair(checks, a, b):
     total = _modulus(a) ** 2 + _modulus(b) ** 2
     checks.add(np.abs(total - 1.0) > TOL.normalization,
-               lambda i: f"|a|^2 + |b|^2 must equal 1 (got {total[i]:.12g})")
+               lambda i: f"|a|^2 + |b|^2 must equal 1 (got {_at(total, i):.12g})")
 
 
 def _check_wave_number(checks, k):
@@ -432,11 +445,8 @@ def _check_initial(checks, initial, content):
 
 def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
     _check_pair(checks, a, b)
-    if axis.shape[-1] != 3:
-        checks.fail("axis must be a finite 3-vector")
-    checks.add(~np.logical_and.reduce(np.isfinite(axis), axis=-1), "axis must be a finite 3-vector")
-    checks.add(np.abs(np.sqrt(np.add.reduce(axis * axis, axis=-1)) - 1.0) > TOL.normalization,
-               f"axis must be a unit vector (within {TOL.normalization:g})")
+    for bad, message in _axis_faults(axis):
+        checks.add(bad, message)
     _check_wave_number(checks, k)
     checks.add(~np.isfinite(2.0 * r), "coupling must be finite")
     checks.raise_first()
@@ -471,12 +481,12 @@ def _optimal_coupling(checks, a, b, k):
     checks.add(~np.isfinite(2.0 * coupling), "coupling must be finite")
     # a coupling that underflows keeps too few bits, if any, to meet the balance below
     checks.add(coupling < _SMALLEST_NORMAL,
-               lambda i: f"optimal coupling {coupling[i]:.3e} is below the smallest normal "
-                         f"float (k = {k[i]:.3e} is too small)")
+               lambda i: f"optimal coupling {_at(coupling, i):.3e} is below the smallest normal "
+                         f"float (k = {_at(k, i):.3e} is too small)")
     # verify the defining balance |S(2r)| = |a/b| before handing the value out
     residual = np.abs(_modulus(_transmission(2.0 * coupling, k)) - ma / mb)
     checks.add(residual > TOL.algebraic,
-               lambda i: f"optimal coupling balance residual {residual[i]:.3e} "
+               lambda i: f"optimal coupling balance residual {_at(residual, i):.3e} "
                          f"exceeds {TOL.algebraic:g}",
                InternalFaultError)
     return coupling
@@ -816,8 +826,10 @@ def _read(param, value):
 def _run(protocol, p, checks):
     """The batch of a protocol (a name of PARAMS) at the points of p, a flat mapping.
 
-    Each entry is read in table order (_read) or takes its default; numeric
-    values become (N,) columns.  Keys the protocol does not take are refused last.
+    Each entry is read in table order (_read) or takes its default; a
+    numeric value becomes a column, (N,) where it is swept and (1,) where it
+    is pinned, which the kernels broadcast.  Keys the protocol does not take
+    are refused last.
     """
     args = {}
     for param in PARAMS[protocol]:
@@ -828,8 +840,10 @@ def _run(protocol, p, checks):
             if value is _NO_DEFAULT:
                 checks.fail(f"missing parameter {param.key!r} ({param.help})")
         if param.numeric and value is not None:
-            column = np.empty(checks.n)
-            column[:] = value
+            column = np.array(value, dtype=float, ndmin=1, copy=None)
+            if column.shape != (1,) and column.shape != (checks.n,):
+                column = np.empty(checks.n)
+                column[:] = value  # numpy's broadcast, or its one-line refusal
             value = column
         args[param.key] = value
     if p:
@@ -860,14 +874,12 @@ def _initial_state(bits, labels, checks):
 
 def _run_concentrate_fixed(checks, a, b, a_phase, b_phase, k, r, axis, axis_theta):
     a, b = _coeff_pair(checks, a, b, a_phase, b_phase)
-    if axis_theta is None:
-        axis = (0.0, 0.0, 1.0) if axis is None else axis
-        rows = np.empty((checks.n, len(axis)))
-        rows[:] = axis
+    if axis_theta is None:  # one row shared by every point
+        rows = np.array([(0.0, 0.0, 1.0) if axis is None else axis])
     elif axis is not None:
         checks.fail("parameters 'axis' and 'axis_theta' exclude each other")
     else:
-        rows = np.stack([np.sin(axis_theta), np.zeros(checks.n), np.cos(axis_theta)], axis=-1)
+        rows = np.stack([np.sin(axis_theta), np.zeros_like(axis_theta), np.cos(axis_theta)], axis=-1)
     if r is None:
         r = _optimal_coupling(checks, a, b, k)
     return _concentrate_fixed(checks, a, b, k, r, rows)

@@ -38,10 +38,14 @@ from .tolerances import DEFAULT as TOL
 
 
 def _check_wave_number(k) -> float:
-    """k as a float: any real number that is finite and positive."""
-    if not isinstance(k, numbers.Real) or not math.isfinite(k) or k <= 0:
+    """k as a float: any real number whose float is finite and positive."""
+    try:
+        x = float(k) if isinstance(k, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not (math.isfinite(x) and x > 0.0):
         raise ValueError("k must be positive")
-    return float(k)
+    return x
 
 
 def _flux_deviation(t, r) -> float:

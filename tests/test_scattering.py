@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import math
 
 import numpy as np
@@ -78,6 +79,14 @@ def test_k_may_be_any_positive_real_number(entry):
     for k in ("1", None, math.nan, np.float32(math.nan), math.inf, 0, -1, np.int64(0)):
         with pytest.raises(ValueError, match="^k must be positive$"):
             call(k)
+
+
+@pytest.mark.parametrize("entry", K_ENTRY_POINTS)
+def test_k_is_refused_where_its_float_is_not_finite_and_positive(entry):
+    # an int beyond the float range, and a positive fraction whose float is 0
+    for k in (10**400, -10**400, fractions.Fraction(1, 10**400)):
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            K_ENTRY_POINTS[entry](k)
 
 
 def test_geometry_holds_k_as_a_float():

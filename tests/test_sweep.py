@@ -213,6 +213,17 @@ def test_csv_sweep_builds_no_records(monkeypatch):
     assert len(built) == 3
 
 
+# the benchmark grids unshifted: r starts at 0, where the metric columns
+# repeat a value and take exact values 0 and 1
+UNSHIFTED = {
+    "sweep_exact": ["sweep", "--protocol", "entangle-impurities", "--fixed", "mode=exact",
+                    "--fixed", "k=1.0", "--fixed", "half_separation=1.0",
+                    "--grid", "r1:0:2:41", "--grid", "r2:0:2:41"],
+    "sweep_filter": ["sweep", "--protocol", "concentrate", "--fixed", "k=1.0",
+                     "--grid", "a:0.05:0.7:61", "--grid", "r:0:3:61"],
+}
+
+
 def test_only_float_array_columns_look_for_repeated_values(monkeypatch):
     """Single-call tables are lists and take the direct pass; of a sweep's
     float arrays, in csv and in json, only the two swept columns of each
@@ -233,16 +244,73 @@ def test_only_float_array_columns_look_for_repeated_values(monkeypatch):
         code, out, _ = _main(argv + ["--format", "csv"])
         assert code == 0 and out
     assert calls == []
-    unshifted = (["sweep", "--protocol", "entangle-impurities", "--fixed", "mode=exact",
-                  "--fixed", "k=1.0", "--fixed", "half_separation=1.0",
-                  "--grid", "r1:0:2:41", "--grid", "r2:0:2:41"],
-                 ["sweep", "--protocol", "concentrate", "--fixed", "k=1.0",
-                  "--grid", "a:0.05:0.7:61", "--grid", "r:0:3:61"])
-    for argv in (DIGESTS["sweep_exact"]["argv"], DIGESTS["sweep_filter"]["argv"], *unshifted):
+    for argv in (DIGESTS["sweep_exact"]["argv"], DIGESTS["sweep_filter"]["argv"], *UNSHIFTED.values()):
         for fmt in ("csv", "json"):
             code, _, _ = _main(argv + ["--format", fmt])
             assert code == 0 and len(calls) == 2, (argv, fmt, len(calls))
             calls.clear()
+
+
+@pytest.mark.parametrize("name, swept", [("sweep_exact", 41 + 41), ("sweep_filter", 61 + 61)])
+def test_json_sweeps_write_their_metric_columns_as_digits(name, swept, monkeypatch):
+    """_json_float writes each distinct swept value and no metric value of
+    the benchmark grids: their metric columns take the digit path.  On the
+    unshifted grids it also writes the metric values that the digit path
+    leaves, fewer than 5% of them (exact 0s and 1s among them)."""
+    calls = []
+    json_float = cli._json_float
+
+    def counting_json_float(x):
+        calls.append(x)
+        return json_float(x)
+
+    monkeypatch.setattr(cli, "_json_float", counting_json_float)
+    assert _main(DIGESTS[name]["argv"] + ["--format", "json"])[0] == 0
+    assert len(calls) == swept
+    calls.clear()
+    assert _main(UNSHIFTED[name] + ["--format", "json"])[0] == 0
+    metrics = 3 * (swept // 2) ** 2
+    assert swept < len(calls) < swept + 0.05 * metrics
+
+
+def test_the_digit_writer_writes_each_value_as_its_text(monkeypatch):
+    """head + '%d' % digit against '%.12g' % x and _json_float(x), on 200,000
+    seeded values in and out of the digit path's range 1e-4 <= |x| < 1."""
+    monkeypatch.setattr(cli, "_DIGIT_SHARE", 0.0)  # no value too many for the digit path
+    rng = np.random.default_rng(1606)
+    bits = rng.integers(0, 2**63, 21_000, dtype=np.int64).view(np.float64)
+    values = np.concatenate([
+        rng.uniform(0.0, 1.0, 60_000), -rng.uniform(0.0, 1.0, 20_000),
+        10.0 ** rng.uniform(-6.0, 1.0, 30_000) * rng.choice([-1.0, 1.0], 30_000),
+        np.arange(8192) / 8192,  # ties at 12 significant digits below 1e-3
+        rng.integers(1, 10**6, 20_000) / 1e6, rng.integers(1, 10**12, 20_000) / 1e12,
+        rng.integers(1, 10**13, 21_808) / 1e13,  # of 13 digits, some of them ties
+        bits[np.isfinite(bits)][:20_000], [0.0, -0.0, 1.0, -1.0]])
+    assert len(values) >= 200_000
+    for text in ("%.12g".__mod__, cli._json_float):
+        heads, digits = cli._digit_cells(values, text)
+        wrong = [x for head, digit, x in zip(heads, digits, values.tolist()) if head + "%d" % digit != text(x)]
+        assert wrong == []
+    assert cli._digit_cells(np.array([0.5, math.nan]), cli._json_float) is None
+
+
+def test_an_error_at_a_later_point_reads_a_pinned_value():
+    # the optimal coupling underflows at the last point alone, where k is pinned
+    code, out, err = _main(["sweep", "--protocol", "concentrate", "--grid", "a:0.5:0.70710678:5",
+                            "--fixed", "k=1e-305"])
+    assert (code, out) == (1, "")
+    assert err == ("error: optimal coupling 4.096e-310 is below the smallest normal float "
+                   "(k = 1.000e-305 is too small)\n")
+
+
+def test_a_flux_fault_at_a_later_point_names_a_pinned_k():
+    psi0 = np.array([[1.0, 0.0, 0.0, 0.0]])
+    probability = np.array([1.0, 1.0, 0.5])  # point 2 keeps half its flux
+    tree = [("transmitted", np.zeros((3, 4)), None, probability)]
+    point = protocols._describe(k=np.array([1.5]), r=np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(InternalFaultError) as exc:
+        protocols._batch(psi0, ("particle-2", "particle-1"), tree, None, {}, point)
+    assert str(exc.value) == "flux conservation violated by 5.000e-01 (> 1e-10) at k=1.5, r=0.3"
 
 
 def test_a_grid_too_large_for_memory_is_a_one_line_error():
@@ -303,19 +371,33 @@ CELLS = st.one_of(st.none(), FINITE, st.integers(), st.text(max_size=6))
 # among them
 POOL = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, 1.0 / 3.0, -7.25,
                         math.nan, math.inf, -math.inf])
+# values at the edges of the digit path, which a sweep's metric columns
+# meet: exact 0.0, -0.0 and 1.0, ties k/8192 at 12 significant digits, the
+# decades 1e-4 .. 1 and their neighbours, and values that round up a decade
+EDGES = st.sampled_from([0.0, -0.0, 1.0, *(x for decade in (1e-4, 1e-3, 0.01, 0.1, 1.0)
+                                          for x in (np.nextafter(decade, 0.0), decade,
+                                                    np.nextafter(decade, 2.0))),
+                         0.09999999999995, 0.099999999999996, 0.00099999999999996,
+                         0.99999999999996, 9.9999999999996e-05]) | st.integers(1, 8191).map(lambda k: k / 8192)
 
 
 @st.composite
 def tables(draw):
     """(fieldnames, columns) with float-array and mixed-cell columns; float
-    arrays hold any values or values drawn from a small pool."""
+    arrays hold any values, values drawn from a small pool, or a sweep's
+    metric values: dense in [1e-4, 1) with up to one in twenty at an edge."""
     names = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=5, unique=True))
     rows = draw(st.integers(0, 12) | st.integers(13, 100))
     columns = {}
     for name in names:
-        kind = draw(st.sampled_from(["floats", "pool", "cells"]))
+        kind = draw(st.sampled_from(["floats", "pool", "cells", "metrics"]))
         if kind == "cells":
             columns[name] = draw(st.lists(CELLS, min_size=rows, max_size=rows))
+        elif kind == "metrics":
+            values = draw(st.lists(st.floats(1e-4, 1.0, exclude_max=True), min_size=rows, max_size=rows))
+            for i in draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=rows // 20)):
+                values[i] = draw(EDGES)
+            columns[name] = np.array(values)
         else:
             values = FINITE if kind == "floats" else POOL
             columns[name] = np.array(draw(st.lists(values, min_size=rows, max_size=rows)), dtype=float)
