@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import pauli_along
+from .hilbert import _sigma_along, pauli_along
 from .scattering import OperatorAmplitudes, _check_wave_number, barrier_transmission, scalar_amplitudes
 
 EXCHANGE_EIGENVALUE_PRESETS: dict[str, tuple[float, float, float, float]] = {
@@ -158,7 +158,7 @@ def fixed_filter_operators(spec: FixedImpurity, k: float) -> OperatorAmplitudes:
     """Single-spin transmission/reflection operators of the pinned-spin filter."""
     # anti-aligned component sees twice the bare coupling
     s = scalar_amplitudes(2.0 * spec.coupling, k).transmission
-    t = filter_transmission(s, pauli_along(spec.axis))
+    t = filter_transmission(s, _sigma_along(spec.axis))  # checked in FixedImpurity
     return OperatorAmplitudes(t, t - np.eye(2))
 
 

@@ -50,6 +50,11 @@ def pauli_along(axis) -> np.ndarray:
     for bad, message in faults:
         if bad[0]:
             raise ValueError(message)
+    return _sigma_along(ax)
+
+
+def _sigma_along(ax) -> np.ndarray:
+    """n.sigma of an axis that has already passed the axis rule."""
     return ax[0] * PAULI_X + ax[1] * PAULI_Y + ax[2] * PAULI_Z
 
 

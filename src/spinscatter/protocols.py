@@ -32,12 +32,7 @@ same routine, with R1 R2 one product against the pair table, so
 the only (N, d, d) stack is the matrix it solves, and the results are
 scattered back into (N, 8) states.  The filter, whose tilted axis does not
 keep S_z, acts as its (N, 2, 2) operator on particle-1 alone, applied to
-the two coefficients of a|00> + b|11> by one einsum.  A parameter pinned
-for every point stays one entry, a (1,) column or a (1, 3) axis row, and
-the kernels broadcast it against the swept (N,) columns, so work on pinned
-values alone (the filter's n.sigma of a pinned axis, say) is done once;
-a check of pinned values alone is repeated to N where it is stacked, and
-the error messages read a pinned column at any point.  sweep runs the
+the two coefficients of a|00> + b|11> by one einsum.  sweep runs the
 kernel over its grid in blocks of _BLOCK (1024) points; the single-call
 functions and run_protocol are a batch of one whose row is wrapped in the
 ProtocolResult, EventTree and SpinState types.  At N = 1 the kernel's cost
@@ -48,7 +43,11 @@ takes both bits by one precomputed index and computes their pair figures
 together; the tree is checked in one pass; and the result's states wrap the
 checked rows without a copy or a second check.  Floating-point warnings
 are switched off once per call, at the entry point.  A warm run_protocol
-call takes about 0.2-0.4 ms and fewer than 250 Python-level calls.
+call takes about 0.2-0.4 ms and fewer than 250 Python-level calls.  A
+pinned filter axis stays one (1, 3) row that the kernel broadcasts against
+the (N,) columns, so its n.sigma and its axis rule are computed once per
+block; the rule's (1,) verdicts are repeated to N where the checks are
+stacked.
 
 Probability bookkeeping: branch states carry raw (unnormalized) amplitudes
 descended from the normalized initial state, so a branch's squared norm is
@@ -190,8 +189,8 @@ class _Checks:
         self._checks = []
 
     def add(self, bad, message, error=ValueError):
-        """Record a check: bad is (N,) boolean, or (1,) for a check of pinned
-        values; message text or a function of the point index."""
+        """Record a check: bad is (N,) boolean, or (1,) for a check of a
+        pinned axis row; message text or a function of the point index."""
         if len(bad) != self.n:
             bad = bad.repeat(self.n)
         self._checks.append((bad, message, error))
@@ -365,14 +364,9 @@ def _batch(psi0, register, tree, outcomes, metadata, point) -> _Batch:
     return _Batch(register, tuple(tree), outcomes, metadata)
 
 
-def _at(column, i):
-    """Entry i of a column of one entry per point, or of a pinned value's one entry."""
-    return column[i if len(column) > 1 else 0]
-
-
-def _describe(**columns):
+def _describe(**arrays):
     def point(i):
-        return ", ".join(f"{name}={_at(v, i):.12g}" for name, v in columns.items())
+        return ", ".join(f"{name}={np.asarray(v)[i]:.12g}" for name, v in arrays.items())
     return point
 
 
@@ -415,7 +409,7 @@ def _attempts(success_probability) -> dict:
 def _check_pair(checks, a, b):
     total = _modulus(a) ** 2 + _modulus(b) ** 2
     checks.add(np.abs(total - 1.0) > TOL.normalization,
-               lambda i: f"|a|^2 + |b|^2 must equal 1 (got {_at(total, i):.12g})")
+               lambda i: f"|a|^2 + |b|^2 must equal 1 (got {total[i]:.12g})")
 
 
 def _check_wave_number(checks, k):
@@ -481,12 +475,12 @@ def _optimal_coupling(checks, a, b, k):
     checks.add(~np.isfinite(2.0 * coupling), "coupling must be finite")
     # a coupling that underflows keeps too few bits, if any, to meet the balance below
     checks.add(coupling < _SMALLEST_NORMAL,
-               lambda i: f"optimal coupling {_at(coupling, i):.3e} is below the smallest normal "
-                         f"float (k = {_at(k, i):.3e} is too small)")
+               lambda i: f"optimal coupling {coupling[i]:.3e} is below the smallest normal "
+                         f"float (k = {k[i]:.3e} is too small)")
     # verify the defining balance |S(2r)| = |a/b| before handing the value out
     residual = np.abs(_modulus(_transmission(2.0 * coupling, k)) - ma / mb)
     checks.add(residual > TOL.algebraic,
-               lambda i: f"optimal coupling balance residual {_at(residual, i):.3e} "
+               lambda i: f"optimal coupling balance residual {residual[i]:.3e} "
                          f"exceeds {TOL.algebraic:g}",
                InternalFaultError)
     return coupling
@@ -826,10 +820,8 @@ def _read(param, value):
 def _run(protocol, p, checks):
     """The batch of a protocol (a name of PARAMS) at the points of p, a flat mapping.
 
-    Each entry is read in table order (_read) or takes its default; a
-    numeric value becomes a column, (N,) where it is swept and (1,) where it
-    is pinned, which the kernels broadcast.  Keys the protocol does not take
-    are refused last.
+    Each entry is read in table order (_read) or takes its default; numeric
+    values become (N,) columns.  Keys the protocol does not take are refused last.
     """
     args = {}
     for param in PARAMS[protocol]:
@@ -840,10 +832,8 @@ def _run(protocol, p, checks):
             if value is _NO_DEFAULT:
                 checks.fail(f"missing parameter {param.key!r} ({param.help})")
         if param.numeric and value is not None:
-            column = np.array(value, dtype=float, ndmin=1, copy=None)
-            if column.shape != (1,) and column.shape != (checks.n,):
-                column = np.empty(checks.n)
-                column[:] = value  # numpy's broadcast, or its one-line refusal
+            column = np.empty(checks.n)
+            column[:] = value
             value = column
         args[param.key] = value
     if p:
