@@ -21,7 +21,9 @@ the flags without the leading dashes), then built-in defaults; the default
 output format alone may also come from the SPINSCATTER_FORMAT environment
 variable (weaker than flag and config file).  A call that spells out each
 flag with its value is read straight from the flag table that the argparse
-tree is built from; argparse handles help, abbreviations and usage errors.
+tree is built from, and builds no tree; argparse handles help,
+abbreviations and the usage errors the flag table cannot read, with the
+tree built once per process.
 
 Exit status: 0 success; 1 input, usage, or I/O error with a one-line
 "error: ..." diagnostic on stderr; 2 internal invariant violation with a
@@ -154,21 +156,25 @@ def _json_text(obj) -> str:
 # ---------------------------------------------------------------------------
 # Table emission (sweep tables and anything record-shaped)
 #
-# Tables are carried column by column.  In csv, a column of floats (a float
-# array or a sequence of floats) is formatted by one %-template pass over the
-# whole table, since '%.12g' % x equals format(x, '.12g') for every float;
-# every other cell is formatted on its own.  JSON writes each float by the
-# single-call rule (_json_float) and every other cell by the single-call
-# writer _json, and fills one row template per table (_json_table).  In
-# both, a float array that repeats its values, at most half of them distinct
-# (a sweep's grid columns), has each distinct bit pattern written once and
-# its texts gathered (_repeated_texts).  Any other finite float array whose
-# values lie almost all in 1e-4 <= |x| < 1 (a sweep's metric columns) is
-# written as exact decimal digits: numpy finds each value's 12 significant
-# digits as an integer, and the template writes it by a '%s%d' field after
-# its head, such as '0.0' (_digit_cells), which costs less than a '%.12g'
-# field.  The single-call commands pass their small tables as lists, which
-# take the direct pass.
+# Tables are carried column by column.  A table whose columns are all float
+# arrays (a sweep's) is written as bytes, in csv and in json: each column
+# becomes a (rows, width) uint8 block, one row per cell and NUL wherever a
+# cell's text is shorter than the block is wide, and the blocks and the
+# separators between them are copied into one buffer in row order, whose
+# NULs one bytes.translate call deletes (_plane_rows).  A float array that
+# repeats its values, at most half of them distinct (a sweep's grid
+# columns), has each distinct bit pattern written once and its bytes
+# gathered (_repeated_block).  Any other finite float array whose values lie
+# almost all in 1e-4 <= |x| < 1 (a sweep's metric columns) is written from
+# exact decimal digits, with no string per value: numpy finds each value's
+# 12 significant digits as an integer and looks up their bytes four digits
+# at a time (_digit_block).  Every other float array takes one fixed-width
+# %-pass (_text_block).  A table with any other column (the single-call
+# commands pass their small tables as lists) fills one %-template pass
+# instead: csv writes a float by a '%.12g' field, since '%.12g' % x equals
+# format(x, '.12g') for every float, and every other cell on its own; JSON
+# writes a float by the single-call rule (_json_float) and every other cell
+# by the single-call writer _json.
 
 def _column(values) -> tuple[bool, list | np.ndarray]:
     """Whether every cell is a float, and the cells: a float array as it is,
@@ -179,8 +185,15 @@ def _column(values) -> tuple[bool, list | np.ndarray]:
     return all(isinstance(v, float) for v in cells), cells
 
 
-def _repeated_texts(values, text):
-    """The cells text(x) of a float column whose values repeat, or None.
+def _text_bytes(texts) -> np.ndarray:
+    """ASCII texts as a (len(texts), width) block, NUL past each text's end."""
+    cells = np.array(texts, dtype="S")
+    return cells.view(np.uint8).reshape(-1, cells.itemsize)
+
+
+def _repeated_block(values, text):
+    """The block of a float column whose values repeat, each value x written
+    as text(x), or None.
 
     Each distinct bit pattern is written once, so -0.0 and 0.0 keep their
     own texts.  None when more than half the values are distinct, or when
@@ -188,8 +201,7 @@ def _repeated_texts(values, text):
     a column that is all but surely mostly distinct (a swept column repeats
     every value whenever another axis has two or more points, while a
     metric column may repeat only the values of one edge of the grid, such
-    as r = 0); those columns, and every sequence of cells, take the direct
-    pass, which writes the same text.
+    as r = 0).
     """
     bits = values.view(np.uint64)
     if not (bits[1:] == bits[:1]).any() or np.count_nonzero(bits == bits[len(bits) // 2]) < 2:
@@ -197,8 +209,7 @@ def _repeated_texts(values, text):
     keys, inverse = np.unique(bits, return_inverse=True)
     if 2 * len(keys) > len(values):
         return None
-    texts = np.array([text(x) for x in keys.view(np.float64).tolist()], dtype=object)
-    return texts[inverse].tolist()
+    return _text_bytes(list(map(text, keys.view(np.float64).tolist()))).take(inverse, axis=0)
 
 
 # Veltkamp's splitting constant 2^27 + 1 for float64
@@ -216,28 +227,50 @@ def _veltkamp(x):
 # point, to its 12 significant digits before the point; each is exact
 _SCALES = 10.0 ** np.arange(12, 16)
 _SCALE_HI, _SCALE_LO = _veltkamp(_SCALES)
-# the head of such an x for z = 0..3, positive, then negative
-_HEADS = np.array([sign + "0." + "0" * z for sign in ("", "-") for z in range(4)], dtype=object)
-# the share of a column that must take the digit path for it to pay: a
-# value it does not take is written by text(x) and split, at about four
-# times the cost of the template's own '%.12g'.  On 3,721 values the digit
-# path breaks even at a share of 0.92 in csv and 0.65 in json
+# the head of such an x for z = 0..3, positive, then negative, in 8 bytes
+# (NUL after its end) read as two uint32 words
+_HEADS = np.array([sign + "0." + "0" * z for sign in ("", "-") for z in range(4)],
+                  dtype="S8").view(np.uint32).reshape(8, 2)
+
+
+def _quad_words():
+    """The ASCII digits of 0..9999, four bytes read as one uint32 word each:
+    as written at 0..9999, and without their trailing zeros (NUL in their
+    place) at 10000..19999."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # most significant first
+    kept = digits > 0
+    for j in (2, 1, 0):  # a digit is kept where it or a later one is not 0
+        kept[j] |= kept[j + 1]
+    table = np.concatenate([48 + digits, (48 + digits) * kept], axis=1)
+    return np.ascontiguousarray(table.T).view(np.uint32)[:, 0]
+
+
+_QUADS = _quad_words()
+# the share of a column that must take the digit path: a value it does not
+# take is written by text(x) on its own, after the digit work.  On 3,721
+# values the digit block breaks even with the direct pass at a share of
+# about 0.67 in csv and below 0.2 in json.  The cut stays where it was set
+# for a writer that broke even at 0.92: the benchmark grids' metric columns
+# leave at most 3.2% of their values, so none lies between the two
 _DIGIT_SHARE = 0.95
 
 
-def _digit_cells(values, text):
-    """Heads and digits of a float array: head + '%d' % digit == text(x) for
-    each value x, as two lists; None when the array holds a non-finite
-    value or too few values take the digit path.
+def _digit_block(values, text):
+    """The block of a float array written from its digits, each value x as
+    text(x); None when the array holds a non-finite value or too few values
+    take the digit path.
 
     text is '%.12g'.__mod__ or _json_float, which both write 1e-4 <= |x| < 1
     as its sign, '0.', z zeros and its 12 significant digits without their
     trailing zeros.  Those digits are |x| 10^(12+z) rounded to an integer:
     the product is p + err exactly by Dekker's error-free product (T. J.
     Dekker, Numer. Math. 18, 1971), so its distance from floor(p) + 1/2
-    has an exact sign.  Every other value (an exact tie, one outside the
-    range, or one that rounds up to 10^-z) is written by text and split
-    before its last digit.
+    has an exact sign.  A row of the block holds the head (8 bytes, NUL
+    after its end) and the digits in three groups of four, each looked up
+    as one uint32 word; the trailing zeros of the last group that is not
+    all zeros, and every later group, are NUL.  Every other value (an exact
+    tie, one outside the range, or one that rounds up to 10^-z) is written
+    by text over its whole row.
     """
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1.0)
@@ -260,35 +293,72 @@ def _digit_cells(values, text):
     slow = np.flatnonzero(~fast)
     if len(slow) > (1.0 - _DIGIT_SHARE) * len(a) or not np.isfinite(values[slow]).all():
         return None
-    tail = np.flatnonzero(digits % 10 == 0)
-    stripped = digits[tail]
-    for power in (10**8, 10**4, 10**2, 10):  # drop up to 15 trailing zeros
-        stripped = np.where(stripped % power == 0, stripped // power, stripped)
-    digits[tail] = stripped
-    heads = _HEADS[z + 4 * np.signbit(values)]
-    if len(slow):
-        texts = [text(x) for x in values[slow].tolist()]
-        heads[slow] = [t[:-1] for t in texts]
-        digits[slow] = [int(t[-1]) for t in texts]
-    return heads.tolist(), digits.tolist()
+    digits[slow] = 0  # any digits in the table's range; their rows are rewritten
+    first, rest = np.divmod(digits, 10**8)
+    middle, last = np.divmod(rest, 10**4)
+    bare = last == 0  # the groups before it lose their trailing zeros
+    block = np.column_stack([
+        _HEADS.take(z + 4 * np.signbit(values), axis=0),
+        _QUADS.take(first + 10_000 * (bare & (middle == 0))),
+        _QUADS.take(middle + 10_000 * bare),
+        _QUADS.take(last + 10_000),
+    ]).view(np.uint8)
+    if len(slow):  # every finite text of '%.12g' and _json_float has at most 19 bytes
+        texts = _text_bytes(list(map(text, values[slow].tolist())))
+        block[slow] = 0
+        block[slow, :texts.shape[1]] = texts
+    return block
 
 
-def _float_cells(column, text, field=None):
-    """The template field of a column of floats and its cells, each value x
-    written as text(x).  An array is written once per distinct value where
-    it repeats its values (_repeated_texts), or as heads and digits where it
-    takes the digit path (_digit_cells); every other column takes the direct
-    pass: field, where given, writes text(x) of the float itself, and
-    otherwise the cells are the texts."""
-    if isinstance(column, np.ndarray):
-        texts = _repeated_texts(column, text)
-        if texts is not None:
-            return "%s", texts
-        digits = _digit_cells(column, text)
-        if digits is not None:
-            return ("%s%d", *digits)
-        column = column.tolist()
-    return ("%s", map(text, column)) if field is None else (field, column)
+# the most bytes that '%.12g' and _json_float write for a float, such as
+# -1.23456789012e-308 and -1234567890120000.0, and the translation of the
+# spaces that pad a cell to that width into NUL
+_TEXT_WIDTH = 19
+_PAD_TO_NUL = bytes.maketrans(b" ", b"\0")
+
+
+def _text_block(values, text, field=None):
+    """The block of a float array by one %-pass of _TEXT_WIDTH bytes a cell:
+    field, where given, writes text(x) of each float x padded with spaces
+    (text never writes a space); otherwise each cell is text(x), padded."""
+    cells = values.tolist()
+    if field is None:
+        cells, field = list(map(text, cells)), f"%-{_TEXT_WIDTH}s"
+    line = (field * len(cells) % tuple(cells)).encode("ascii").translate(_PAD_TO_NUL)
+    return np.frombuffer(line, np.uint8).reshape(len(cells), _TEXT_WIDTH)
+
+
+def _plane_rows(cols, rows, pieces, text, field=None, tail="") -> bytearray:
+    """The rows of a table of float arrays, then tail, as ASCII bytes: each
+    value x written as text(x), pieces[i] before column i and pieces[-1]
+    after the last column.
+
+    Each column takes the first block of _repeated_block, _digit_block and
+    _text_block (with field) that applies.  The blocks and the pieces
+    between them are copied in row order into one buffer, whose NULs are
+    then deleted: the table is not stacked and transposed first, since each
+    further buffer of its size costs its page faults again.
+    """
+    blocks = []
+    for piece, column in zip(pieces, cols):
+        block = _repeated_block(column, text)
+        if block is None:
+            block = _digit_block(column, text)
+        blocks += [_ascii(piece), _text_block(column, text, field) if block is None else block]
+    blocks.append(_ascii(pieces[-1]))
+    width = sum(block.shape[-1] for block in blocks)
+    out = bytearray(width * rows + len(tail))
+    plane = np.frombuffer(out, np.uint8, width * rows).reshape(rows, width)
+    at = 0
+    for block in blocks:  # a piece, 1-d, is repeated on every row
+        plane[:, at:at + block.shape[-1]] = block
+        at += block.shape[-1]
+    out[width * rows:] = tail.encode("ascii")
+    return out.translate(None, b"\0")
+
+
+def _ascii(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("ascii"), np.uint8)
 
 
 def _csv_field(v, lone: bool) -> str:
@@ -310,6 +380,8 @@ def emit_columns(columns, fmt: str) -> str:
     order.  CSV is RFC-4180 with CRLF row endings and 12-significant-digit
     floats; JSON is an array of flat objects with floats rounded to 12
     significant digits; table keeps 6 decimal places and writes None as "-".
+    A table of float arrays alone is written as bytes (_plane_rows), every
+    other table by one %-template pass over its cells.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown output format: {fmt!r}")
@@ -318,43 +390,48 @@ def emit_columns(columns, fmt: str) -> str:
     if len(set(map(len, cols))) > 1:
         raise ValueError("columns must be equally long")
     rows = len(cols[0]) if cols else 0
+    planes = fmt != "table" and all(isinstance(c, np.ndarray) for c in cols)
+    if not planes:
+        cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
 
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\r\n").writerow(names)
-        fields, cells = [], []
-        for c, f in zip(cols, floats):
-            field, *texts = _float_cells(c, "%.12g".__mod__, "%.12g") if f else (
-                "%s", [_csv_field(v, len(cols) == 1) for v in c])
-            fields.append(field)
-            cells += texts
+        if planes:
+            pieces = ["", *[","] * (len(cols) - 1), "\r\n"]
+            body = _plane_rows(cols, rows, pieces, "%.12g".__mod__, f"%-{_TEXT_WIDTH}.12g")
+            return buf.getvalue() + body.decode("ascii")
+        fields = ["%.12g" if f else "%s" for f in floats]
+        cells = [c if f else [_csv_field(v, len(cols) == 1) for v in c] for c, f in zip(cols, floats)]
         template = ",".join(fields) + "\r\n"
         buf.write(template * rows % tuple(chain.from_iterable(zip(*cells))))
         return buf.getvalue()
     if fmt == "json":
-        return _json_table(names, cols, floats, rows)
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
+        return _json_table(names, cols, floats, rows, planes)
     texts = [[_f6(v) if isinstance(v, float) or v is None else str(v) for v in c] for c in cols]
     template = "  ".join(f"%-{max([len(n), *map(len, t)])}s" for n, t in zip(names, texts))
     return "".join((template % row).rstrip() + "\n" for row in chain([names], zip(*texts)))
 
 
-def _json_table(names, cols, floats, rows) -> str:
+def _json_table(names, cols, floats, rows, planes) -> str:
     """json.dumps(rows, indent=2) of a table, floats rounded to 12 digits.
 
-    Each cell's text fills one %-template pass, as the csv does: a float is
-    written by _json_float, once per distinct value where its array repeats
-    them, and every other cell by _json.
+    Each float is written by _json_float and every other cell by _json.  A
+    table of float arrays alone (planes) is written as bytes, its names and
+    braces as the pieces between the columns (_plane_rows); every other
+    table fills one %-template pass, as the csv does.
     """
     if not rows:
         return "[]\n"
-    fields, cells = [], []
-    for c, f in zip(cols, floats):
-        field, *texts = _float_cells(c, _json_float) if f else ("%s", map(_json, c))
-        fields.append(field)
-        cells += texts
-    row = "  {\n" + ",\n".join(f"    {_json(n).replace('%', '%%')}: {field}"
-                                for n, field in zip(names, fields)) + "\n  }"
+    keys = [f"    {_json(n)}: " for n in names]
+    if planes:
+        # each row opens with the comma that separates it from the row before
+        pieces = [",\n  {\n" + keys[0], *(",\n" + key for key in keys[1:]), "\n  }"]
+        body = _plane_rows(cols, rows, pieces, _json_float, tail="\n]\n")
+        body[0] = ord("[")  # and the first row's opens the array
+        return body.decode("ascii")
+    cells = [map(_json_float if f else _json, c) for c, f in zip(cols, floats)]
+    row = "  {\n" + ",\n".join(key.replace("%", "%%") + "%s" for key in keys) + "\n  }"
     return "[\n" + ",\n".join([row] * rows) % tuple(chain.from_iterable(zip(*cells))) + "\n]\n"
 
 
@@ -627,12 +704,17 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 # Argument parsing, config-file merge, typed conversion
 
+def _usage_error(message):
+    """Exit status 1 with the one-line usage diagnostic."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(1)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with the exit-status contract: usage problems exit 1."""
 
     def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        _usage_error(message)
 
 
 def _to_grid(name, value):
@@ -724,7 +806,8 @@ _REPEATED = (_to_grid, _to_fixed)
 
 @functools.cache
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The argparse tree of every command, built on first use and then shared.
+    """The argparse tree of every command, built on first use and then shared:
+    parse_args needs it only for a line that _scan does not read.
 
     Returns the root parser and the subparser of each command.  Parsing
     leaves the tree as it was: each parse_args call fills a new Namespace
@@ -775,16 +858,16 @@ def _scan(command, tokens):
     return ns
 
 
-def _load_config(parser, path):
+def _load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
+        _usage_error(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:
-        parser.error(f"config file is not valid JSON: {exc}")
+        _usage_error(f"config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
-        parser.error("config file must hold a single JSON object")
+        _usage_error("config file must hold a single JSON object")
     return data
 
 
@@ -794,35 +877,36 @@ def parse_args(argv=None) -> RunConfig:
     Exits with status 1 and a one-line "error: ..." diagnostic on any usage
     problem; --help exits with status 0.
     """
-    parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in commands:
-        # the root parser would hand every token after the command to its
-        # subparser unchanged; skip its own pass over them, and the
-        # subparser's where the flag table reads the tokens alone
-        command = argv[0]
-        ns = _scan(command, argv[1:])
-        if ns is None:
+    command = argv[0] if argv else None
+    # the flag table reads a well-formed line alone; the argparse tree is
+    # built only for the others
+    ns = _scan(command, argv[1:]) if command in _COMMANDS else None
+    if ns is None:
+        parser, commands = _build_parser()
+        if command in commands:
+            # the root parser would hand every token after the command to
+            # its subparser unchanged; skip its own pass over them
             ns = vars(commands[command].parse_args(argv[1:]))
-    else:
-        ns = vars(parser.parse_args(argv))
-        if ns["command"] is None:
-            parser.error(f"missing command (one of: {', '.join(_COMMANDS)})")
-        command = ns["command"]
+        else:
+            ns = vars(parser.parse_args(argv))
+            if ns["command"] is None:
+                _usage_error(f"missing command (one of: {', '.join(_COMMANDS)})")
+            command = ns["command"]
     table = _COMMANDS[command]
     # argparse drops a value '--' given as --flag=--, and leaves [] in its place
     for flag, (dest, repeated) in _FLAGS[command].items():
         value = ns[dest]
         if value == [] or repeated and value and [] in value:
-            parser.error(f"argument {flag}: expected one argument")
+            _usage_error(f"argument {flag}: expected one argument")
 
     file_values = {}
     if ns["common_config"] is not None:
-        file_values = _load_config(parser, ns["common_config"])
+        file_values = _load_config(ns["common_config"])
         known = {param.flag for param in table} | set(_COMMON) - {"config"}
         for key in file_values:
             if key not in known:
-                parser.error(f"unknown config key {key!r} for command {command}")
+                _usage_error(f"unknown config key {key!r} for command {command}")
 
     params = {}
     try:
@@ -833,19 +917,19 @@ def parse_args(argv=None) -> RunConfig:
             if value is not None:
                 params[param.key] = param.read(param.flag, value)
     except ValueError as exc:
-        parser.error(str(exc))
+        _usage_error(str(exc))
 
     for param in table:
         if param.required and param.key not in params:
-            parser.error(f"missing required parameter --{param.flag}")
+            _usage_error(f"missing required parameter --{param.flag}")
 
     fmt = ns["common_format"] or file_values.get("format") \
         or os.environ.get(_FORMAT_ENV) or "table"
     if fmt not in _FORMATS:
-        parser.error(f"--format must be one of: {', '.join(_FORMATS)} (got {fmt!r})")
+        _usage_error(f"--format must be one of: {', '.join(_FORMATS)} (got {fmt!r})")
     output = ns["common_output"] or file_values.get("output")
     if output is not None and not isinstance(output, str):
-        parser.error(f"--output must be a path, got {output!r}")
+        _usage_error(f"--output must be a path, got {output!r}")
     return RunConfig(command, params, fmt, output)
 
 

@@ -3,9 +3,10 @@
 The help texts, usage errors and exit statuses are pinned to the bytes the
 CLI wrote when it built a new argparse tree for every call
 (tests/data/cli_surface.json, taken with COLUMNS=80).  The tree is now built
-once per process; the tests below show that a long mixed stream of
-cli.main calls gives the same bytes as running each call with a new tree,
-and that no parser is built after the first call.
+at most once per process, and only for a line the flag table does not read;
+the tests below show that a long mixed stream of cli.main calls gives the
+same bytes as running each call with a new tree, that a line the flag table
+reads builds no parser, and that a process builds one tree at most.
 """
 
 import argparse
@@ -158,7 +159,7 @@ def test_repeated_calls_equal_calls_with_a_new_parser(tmp_path, bad_config, monk
     assert codes.count(0) > len(calls) // 2 and codes.count(1) > 10
 
 
-def test_no_parser_is_built_after_the_first_call(bad_config, monkeypatch):
+def test_a_scanned_line_builds_no_parser_and_a_process_one_tree_at_most(bad_config, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -168,13 +169,17 @@ def test_no_parser_is_built_after_the_first_call(bad_config, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._build_parser.cache_clear()
-    assert capture(["amplitudes", "--k", "1", "--r", "1"])[0] == 0
-    assert len(built) == 1 + len(cli._COMMANDS)  # the root parser and one per command
-    for argv in [*SURFACE_ARGV.values(),
-                 ["sweep", "--protocol", "concentrate", "--grid", "r:0:1:3", "--fixed", "a=0.5"],
-                 ["entangle-impurities", "--k", "1", "--r1", "1", "--r2", "1", "--format", "json"]]:
+    scanned = [["amplitudes", "--k", "1", "--r", "1"],
+               ["sweep", "--protocol", "concentrate", "--grid", "r:0:1:3", "--fixed", "a=0.5"],
+               ["entangle-impurities", "--k", "1", "--r1", "1", "--r2", "1", "--format", "json"],
+               SURFACE_ARGV["missing required parameter"], SURFACE_ARGV["bad format"]]
+    for argv in scanned:
+        capture(argv)
+    assert built == []
+    # help, an unknown flag and a flag without its value need the tree
+    for argv in [*SURFACE_ARGV.values(), *scanned]:
         capture(argv, bad_config)
-    assert len(built) == 1 + len(cli._COMMANDS)
+    assert len(built) == 1 + len(cli._COMMANDS)  # the root parser and one per command
 
 
 # ---------------------------------------------------------------------------

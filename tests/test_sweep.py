@@ -274,8 +274,9 @@ def test_json_sweeps_write_their_metric_columns_as_digits(name, swept, monkeypat
 
 
 def test_the_digit_writer_writes_each_value_as_its_text(monkeypatch):
-    """head + '%d' % digit against '%.12g' % x and _json_float(x), on 200,000
-    seeded values in and out of the digit path's range 1e-4 <= |x| < 1."""
+    """Each column of the digit block, NULs deleted, against '%.12g' % x and
+    _json_float(x), on 200,000 seeded values in and out of the digit path's
+    range 1e-4 <= |x| < 1."""
     monkeypatch.setattr(cli, "_DIGIT_SHARE", 0.0)  # no value too many for the digit path
     rng = np.random.default_rng(1606)
     bits = rng.integers(0, 2**63, 21_000, dtype=np.int64).view(np.float64)
@@ -288,10 +289,27 @@ def test_the_digit_writer_writes_each_value_as_its_text(monkeypatch):
         bits[np.isfinite(bits)][:20_000], [0.0, -0.0, 1.0, -1.0]])
     assert len(values) >= 200_000
     for text in ("%.12g".__mod__, cli._json_float):
-        heads, digits = cli._digit_cells(values, text)
-        wrong = [x for head, digit, x in zip(heads, digits, values.tolist()) if head + "%d" % digit != text(x)]
+        block = cli._digit_block(values, text)
+        cells = [row.tobytes().replace(b"\0", b"").decode("ascii") for row in block]
+        wrong = [x for cell, x in zip(cells, values.tolist(), strict=True) if cell != text(x)]
         assert wrong == []
-    assert cli._digit_cells(np.array([0.5, math.nan]), cli._json_float) is None
+    assert cli._digit_block(np.array([0.5, math.nan]), cli._json_float) is None
+
+
+def test_a_sweep_below_the_digit_cut_writes_the_reference_bytes():
+    """A 1-D log sweep whose r, probability (below 1e-4) and entropy columns
+    take neither the repeated nor the digit route, beside a concurrence
+    column that takes the digit route, written as the per-row reference
+    writes it."""
+    res = sweep("concentrate", [GridSpec("r", 1e3, 1e6, 400, "log")], {"a": 0.001})
+    assert res.columns["probability"].max() < 1e-4
+    for text in ("%.12g".__mod__, cli._json_float):
+        direct = [name for name, column in res.columns.items()
+                  if cli._repeated_block(column, text) is None and cli._digit_block(column, text) is None]
+        assert direct == ["r", "probability", "entropy_bits"]
+    rows = [list(row) for row in zip(*(column.tolist() for column in res.columns.values()))]
+    for fmt in ("csv", "json"):
+        assert cli.emit_columns(res.columns, fmt) == _reference_emit(list(res.columns), rows, fmt)
 
 
 def test_an_error_at_a_later_point_reads_a_pinned_value():
@@ -386,13 +404,19 @@ EDGES = st.sampled_from([0.0, -0.0, 1.0, *(x for decade in (1e-4, 1e-3, 0.01, 0.
 def tables(draw):
     """(fieldnames, columns) with float-array and mixed-cell columns; float
     arrays hold any values, values drawn from a small pool, or a sweep's
-    metric values: dense in [1e-4, 1) with up to one in twenty at an edge."""
+    metric values: dense in [1e-4, 1) with up to one in twenty at an edge.
+    Where arrays is drawn, every column is a float array, so that csv and
+    json write the table as bytes; a mixed-cell column then holds any
+    values and pool values together."""
     names = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=5, unique=True))
     rows = draw(st.integers(0, 12) | st.integers(13, 100))
+    arrays = draw(st.booleans())
     columns = {}
     for name in names:
         kind = draw(st.sampled_from(["floats", "pool", "cells", "metrics"]))
-        if kind == "cells":
+        if kind == "cells" and arrays:
+            columns[name] = np.array(draw(st.lists(FINITE | POOL, min_size=rows, max_size=rows)), dtype=float)
+        elif kind == "cells":
             columns[name] = draw(st.lists(CELLS, min_size=rows, max_size=rows))
         elif kind == "metrics":
             values = draw(st.lists(st.floats(1e-4, 1.0, exclude_max=True), min_size=rows, max_size=rows))
