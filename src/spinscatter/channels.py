@@ -27,13 +27,11 @@ Both operators are linear in fixed projectors: T = sum_c S_c P_c for the
 exchange channels and T = P+ + S P- for the filter.  EXCHANGE_PROJECTORS
 holds the exchange projectors with their exact entries 0, +-1/2 and 1, so
 they sum to the identity exactly and S_c - 1 are the exact coefficients of
-T - I.  The protocols embed them once and apply every exchange barrier
-through their tables without forming T: scattering._compose makes one
-pass through the barriers a particle meets, or composes two of them by
-the star product.  kondo_operators builds the exchange operator itself,
-for one point; filter_transmission builds the filter's for stacks of
-amplitudes (leading axes), and fixed_filter_operators is that
-construction for one point.
+T - I; the protocols apply them through tables, without forming T.
+_channel_amplitudes gives the S_c and checks their couplings r*lambda_c,
+for stacked points and for kondo_channel_amplitudes; kondo_operators builds
+T for one point, filter_transmission the filter's T for stacks of
+amplitudes (leading axes), and fixed_filter_operators for one point.
 """
 
 import math
@@ -41,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import _sigma_along, pauli_along
-from .scattering import OperatorAmplitudes, _check_wave_number, barrier_transmission, scalar_amplitudes
+from .hilbert import _check_axis, _sigma_along
+from .scattering import (OperatorAmplitudes, _check_coupling, _check_finite_operators, _check_wave_number,
+                         _Checks, _one, _quiet, _reals, _transmission, scalar_amplitudes)
 
 EXCHANGE_EIGENVALUE_PRESETS: dict[str, tuple[float, float, float, float]] = {
     "default": (1.0, 1.0, -2.0, 0.0),
@@ -63,7 +62,7 @@ EXCHANGE_PROJECTORS.setflags(write=False)
 
 
 def _check_eigenvalues(eigenvalues) -> tuple[float, float, float, float]:
-    ev = tuple([float(x) for x in eigenvalues])
+    ev = _reals(eigenvalues)
     if len(ev) != 4 or not all(map(math.isfinite, ev)):
         raise ValueError("eigenvalues must be four finite numbers")
     return ev
@@ -76,12 +75,14 @@ class FixedImpurity:
     coupling: float
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
+    @_quiet
     def __post_init__(self):
-        if not math.isfinite(self.coupling):
-            raise ValueError("coupling must be finite")
-        ax = tuple(float(x) for x in self.axis)
-        pauli_along(ax)  # refuses all but a finite unit 3-vector
-        object.__setattr__(self, "axis", ax)
+        checks, coupling, axis = _Checks(1), _one(self.coupling), _reals(self.axis)
+        _check_coupling(checks, coupling)
+        _check_axis(checks, np.array([axis]))
+        checks.raise_first()
+        object.__setattr__(self, "coupling", coupling.item())
+        object.__setattr__(self, "axis", axis)
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,10 @@ class KondoImpurity:
     eigenvalues: tuple[float, float, float, float] = DEFAULT_EXCHANGE_EIGENVALUES
 
     def __post_init__(self):
-        if not math.isfinite(self.coupling):
-            raise ValueError("coupling must be finite")
+        checks, coupling = _Checks(1), _one(self.coupling)
+        _check_coupling(checks, coupling)
+        checks.raise_first()
+        object.__setattr__(self, "coupling", coupling.item())
         object.__setattr__(self, "eigenvalues", _check_eigenvalues(self.eigenvalues))
 
 
@@ -125,17 +128,23 @@ def filter_transmission(amplitude, sigma) -> np.ndarray:
     return t
 
 
-def kondo_channel_amplitudes(spec: KondoImpurity, k: float) -> tuple[complex, ...]:
-    """Per-channel scalar transmissions S_c = 1/(1 + i r*lambda_c/k).
+def _channel_amplitudes(checks, r, k, eigenvalues):
+    """(N, 4) per-channel transmissions S_c = 1/(1 + i r lambda_c / k), which
+    mean something once the coupling rule recorded here has passed: the
+    transpose of a C-ordered (4, N) array, as _compose takes whole point rows."""
+    coupling = np.multiply.outer(eigenvalues, r)
+    _check_coupling(checks, coupling)
+    return _transmission(coupling, k).T
 
-    One barrier_transmission over the four channel couplings, checked as
-    scalar_amplitudes checks each of them.
-    """
-    k = _check_wave_number(k)
-    couplings = [spec.coupling * lam for lam in spec.eigenvalues]
-    if not all(map(math.isfinite, couplings)):
-        raise ValueError("coupling must be finite")
-    return tuple(barrier_transmission(couplings, k).tolist())
+
+@_quiet
+def kondo_channel_amplitudes(spec: KondoImpurity, k: float) -> tuple[complex, ...]:
+    """Per-channel transmissions S_c = 1/(1 + i r*lambda_c/k): _channel_amplitudes at one point."""
+    checks, k = _Checks(1), _one(k)
+    _check_wave_number(checks, k)
+    s = _channel_amplitudes(checks, np.array([spec.coupling]), k, spec.eigenvalues)
+    checks.raise_first()
+    return tuple(s[0].tolist())
 
 
 def kondo_operators(spec: KondoImpurity, k: float) -> OperatorAmplitudes:
@@ -181,8 +190,9 @@ def embed(op, total_qubits: int, targets) -> np.ndarray:
     m = len(targets)
     if mat.ndim != 2 or mat.shape != (2**m, 2**m):
         raise ValueError(f"operator shape {mat.shape} does not match {m} target qubit(s)")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("operator entries must be finite")
+    checks = _Checks(1)
+    _check_finite_operators(checks, mat)
+    checks.raise_first()
 
     rest = [q for q in range(n - 1, -1, -1) if q not in targets]
     big = np.kron(mat, np.eye(2 ** (n - m), dtype=complex))

@@ -60,6 +60,8 @@ from .channels import (
 from .errors import InternalFaultError
 from .protocols import (
     _BY_KEY,
+    _K,
+    _SMALLEST_NORMAL,
     PARAMS,
     GridSpec,
     Param,
@@ -68,7 +70,6 @@ from .protocols import (
     _to_choice,
     _to_eigenvalues,
     _to_float,
-    _to_positive,
     _to_str,
     concentrate_fixed,
     concentrate_kondo,
@@ -118,8 +119,9 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _json_float(x: float) -> str:
     """x rounded to 12 significant digits, written as json writes a float."""
     text = "%.12g" % x
-    if "." in text and "e" not in text:
-        return text  # already the repr of the rounded float
+    # already its repr with a point and no exponent, or with e- where x is normal
+    if "e" not in text and "." in text or "e-" in text and abs(x) >= _SMALLEST_NORMAL:
+        return text
     return _NON_FINITE.get(text) or repr(float(text))
 
 
@@ -782,7 +784,6 @@ _COMMON = {"config": "path of a JSON file holding the same keys as the flags",
            "format": "output format: table, csv, or json",
            "output": "write the result to this file instead of stdout"}
 
-_K = Param("k", _to_positive, required=True, help="wave number (positive)")
 _COMMANDS = {
     "amplitudes": (_K, Param("r", _to_float, required=True, help="delta-barrier coupling strength")),
     "filter": (_K, Param("r", _to_float, required=True, help="bare filter coupling"),

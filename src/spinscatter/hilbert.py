@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .scattering import _Checks, _quiet, _reals
 from .tolerances import DEFAULT as TOL
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -26,30 +27,21 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _ALLOWED_LENGTHS = (2, 4, 8)
 
 
-_NOT_A_3_VECTOR = "axis must be a finite 3-vector"
+def _check_axis(checks, axes):
+    """The axis rule over a stack of axes (N, d): each is a finite unit 3-vector."""
+    if axes.shape[-1] != 3:  # fails the first check at every point
+        axes = np.full((len(axes), 3), np.nan)
+    checks.add(~np.logical_and.reduce(np.isfinite(axes), axis=-1), "axis must be a finite 3-vector")
+    checks.add(np.abs(np.sqrt(np.add.reduce(axes * axes, axis=-1)) - 1.0) > TOL.normalization,
+               f"axis must be a unit vector (within {TOL.normalization:g})")
 
 
-def _axis_faults(axes):
-    """The axis rule over a stack of axes (N, d): a (bad, message) pair per
-    check, in the order they are made, where bad is (N,) and True at the
-    axes that fail.  Axes of d != 3 components fail the first at every point."""
-    if axes.shape[-1] != 3:
-        return ((np.ones(len(axes), dtype=bool), _NOT_A_3_VECTOR),)
-    return ((~np.logical_and.reduce(np.isfinite(axes), axis=-1), _NOT_A_3_VECTOR),
-            (np.abs(np.sqrt(np.add.reduce(axes * axes, axis=-1)) - 1.0) > TOL.normalization,
-             f"axis must be a unit vector (within {TOL.normalization:g})"))
-
-
+@_quiet
 def pauli_along(axis) -> np.ndarray:
     """Spin projection operator n.sigma for a unit 3-vector n."""
-    ax = np.asarray(axis, dtype=float)
-    # a stack of one axis; an array of any shape but (3,) is one of no
-    # components.  Components too large to square are refused, not warned of
-    with np.errstate(all="ignore"):
-        faults = _axis_faults(ax[None] if ax.ndim == 1 else np.empty((1, 0)))
-    for bad, message in faults:
-        if bad[0]:
-            raise ValueError(message)
+    checks, ax = _Checks(1), np.array(_reals(axis))
+    _check_axis(checks, ax[None])
+    checks.raise_first()
     return _sigma_along(ax)
 
 

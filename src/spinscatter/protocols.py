@@ -18,36 +18,26 @@ Four protocols, each returning a ProtocolResult:
 
 Evaluation: each protocol is one kernel over N stacked parameter points,
 with register states held as arrays of shape (N, 2^n).  Exchange keeps the
-total S_z, so its operators are block-diagonal in the Hamming-weight
-sectors {0}, {1,2,4}, {3,5,6}, {7} of the three-qubit register.  The
-exchange protocols run each sector that the initial amplitudes occupy on
-its own: the channel projectors, whose entries are exactly 0, +-1/2 and 1,
-are embedded in the register and sliced to the sectors once, at import,
-with d <= 3 states each, and laid out as product tables.  A barrier
-T = sum_c S_c P_c is never built as an operator: T psi and (T - I) psi of
-all N points are one product of the channel coefficients S_c and S_c - 1
-times psi against the table, in one pass of scattering._compose through
-the barriers in the order they are met.  Exact mode's star product is the
-same routine, with R1 R2 one product against the pair table, so
-the only (N, d, d) stack is the matrix it solves, and the results are
-scattered back into (N, 8) states.  The filter, whose tilted axis does not
-keep S_z, acts as its (N, 2, 2) operator on particle-1 alone, applied to
-the two coefficients of a|00> + b|11> by one einsum.  sweep runs the
-kernel over its grid in blocks of _BLOCK (1024) points; the single-call
-functions and run_protocol are a batch of one whose row is wrapped in the
-ProtocolResult, EventTree and SpinState types.  At N = 1 the kernel's cost
-is its count of numpy and Python calls, so its bookkeeping is stacked:
-parameter checks gather into one (m, N) array tested once, and the error
-raised is the one a point-by-point loop would raise first; a measurement
-takes both bits by one precomputed index and computes their pair figures
-together; the tree is checked in one pass; and the result's states wrap the
-checked rows without a copy or a second check.  Floating-point warnings
-are switched off once per call, at the entry point.  A warm run_protocol
-call takes about 0.2-0.4 ms and fewer than 250 Python-level calls.  A
-pinned filter axis stays one (1, 3) row that the kernel broadcasts against
-the (N,) columns, so its n.sigma and its axis rule are computed once per
-block; the rule's (1,) verdicts are repeated to N where the checks are
-stacked.
+total S_z, so the exchange protocols run each Hamming-weight sector of the
+three-qubit register that the initial amplitudes occupy on its own,
+through the channel projectors, embedded and sliced to the sectors once,
+at import, as product tables (d <= 3).  A barrier T = sum_c S_c P_c is
+never built: T psi and (T - I) psi of all N points are one product against
+its table, in one pass of scattering._compose through the barriers met,
+and exact mode's star product is the same routine.  The filter, whose
+tilted axis does not keep S_z, acts as its (N, 2, 2) operator on
+particle-1 alone; a pinned axis stays one (1, 3) row.  sweep runs the
+kernel in blocks of _BLOCK points; the single-call functions and
+run_protocol are a batch of one, wrapped in the ProtocolResult, EventTree
+and SpinState types.  At N = 1 the cost is the count of numpy and Python
+calls, so the bookkeeping is stacked: the input rules of scattering and
+hilbert are recorded in one scattering._Checks, which raises the error a
+point-by-point loop would raise first (the single calls read their
+numbers by scattering._real), a measurement takes both bits by one index,
+the tree is checked in one pass, and the result's states wrap the checked
+rows without a copy.  Floating-point warnings are switched off once per
+call, at the entry point.  A warm run_protocol call takes about 0.2-0.4 ms
+and fewer than 250 Python-level calls.
 
 Probability bookkeeping: branch states carry raw (unnormalized) amplitudes
 descended from the normalized initial state, so a branch's squared norm is
@@ -74,12 +64,14 @@ from .channels import (
     EXCHANGE_EIGENVALUE_PRESETS,
     EXCHANGE_PROJECTORS,
     KondoImpurity,
+    _channel_amplitudes,
     embed,
     filter_transmission,
 )
 from .errors import InternalFaultError
-from .hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinState, _axis_faults, basis_state, pure_pair_figures
-from .scattering import _check_flux, _compose, _pair_table, _pass_table, _transmission
+from .hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinState, _check_axis, basis_state, pure_pair_figures
+from .scattering import (_check_coupling, _check_flux, _check_half_separation, _check_wave_number, _Checks,
+                         _compose, _one, _pair_table, _pass_table, _quiet, _real, _reals, _transmission)
 from .tolerances import DEFAULT as TOL
 
 _PAIR_REGISTER = ("particle-2", "particle-1")
@@ -174,43 +166,6 @@ class ProtocolResult:
 # Batched kernel: validation, stacked results, wrapping of one point
 
 
-class _Checks:
-    """Validation of N stacked points, reported as a point-by-point loop would.
-
-    Checks are recorded in the order a single evaluation makes them, each
-    as an (N,) boolean array that is True where the point fails;
-    raise_first stacks them into one (m, N) array and tests it once.  The
-    error raised is that of the first failing check at the first failing
-    point in row-major order.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._checks = []
-
-    def add(self, bad, message, error=ValueError):
-        """Record a check: bad is (N,) boolean, or (1,) for a check of a
-        pinned axis row; message text or a function of the point index."""
-        if len(bad) != self.n:
-            bad = bad.repeat(self.n)
-        self._checks.append((bad, message, error))
-
-    def fail(self, message):
-        """A failure shared by every point, raised at once (after earlier checks at point 0)."""
-        self.add(np.ones(self.n, dtype=bool), message)
-        self.raise_first()
-
-    def raise_first(self):
-        if not self._checks:
-            return
-        bad = np.array([b for b, _, _ in self._checks])
-        if np.logical_or.reduce(bad, axis=None):
-            point = int(np.argmax(np.logical_or.reduce(bad, axis=0)))
-            _, message, error = self._checks[int(np.argmax(bad[:, point]))]
-            raise error(message(point) if callable(message) else message)
-        self._checks.clear()
-
-
 class _Outcomes(NamedTuple):
     """The designated branches at N points, m per point along axis 1.
 
@@ -237,21 +192,6 @@ class _Batch(NamedTuple):
     tree: tuple[tuple[str, np.ndarray, np.ndarray | None, np.ndarray], ...]
     outcomes: _Outcomes
     metadata: dict[str, np.ndarray]  # NaN marks an entry absent at that point
-
-
-def _quiet(fn):
-    """Run an entry point with floating-point warnings off.
-
-    Overflow or an infinite input shows up as non-finite values, which the
-    checks reject with a one-line error instead of warnings on stderr.  The
-    single-call functions and the parsers that run_protocol and sweep call
-    enter it once; the kernels run inside it.
-    """
-    @functools.wraps(fn)
-    def quiet(*args, **kwargs):
-        with np.errstate(all="ignore"):
-            return fn(*args, **kwargs)
-    return quiet
 
 
 def _norm2(amps):
@@ -412,24 +352,6 @@ def _check_pair(checks, a, b):
                lambda i: f"|a|^2 + |b|^2 must equal 1 (got {total[i]:.12g})")
 
 
-def _check_wave_number(checks, k):
-    checks.add(~(np.isfinite(k) & (k > 0)), "k must be positive")
-
-
-def _channel_amplitudes(checks, r, k, eigenvalues):
-    """(N, 4) per-channel transmissions S_c = 1/(1 + i r lambda_c / k).
-
-    The couplings r lambda_c are checked finite, the one check of a
-    coupling r that reaches the kernel unread; the amplitudes mean
-    something once the checks have passed.  The result is the transpose of
-    a C-ordered (4, N) array, the layout in which _compose takes them as
-    whole point rows.
-    """
-    coupling = np.multiply.outer(eigenvalues, r)
-    checks.add(~np.logical_and.reduce(np.isfinite(coupling), axis=0), "coupling must be finite")
-    return _transmission(coupling, k).T
-
-
 def _check_initial(checks, initial, content):
     if initial.num_qubits != 3:
         checks.fail(f"initial state must have 3 qubits ({content})")
@@ -439,10 +361,9 @@ def _check_initial(checks, initial, content):
 
 def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
     _check_pair(checks, a, b)
-    for bad, message in _axis_faults(axis):
-        checks.add(bad, message)
+    _check_axis(checks, axis)
     _check_wave_number(checks, k)
-    checks.add(~np.isfinite(2.0 * r), "coupling must be finite")
+    _check_coupling(checks, 2.0 * r)
     checks.raise_first()
 
     # anti-aligned component sees twice the bare coupling; einsum would cast
@@ -472,7 +393,7 @@ def _optimal_coupling(checks, a, b, k):
     ma, mb = _modulus(a), _modulus(b)
     checks.add((ma <= 0.0) | (ma >= mb), "optimal coupling requires 0 < |a| < |b|")
     coupling = k * np.sqrt((mb / ma) ** 2 - 1.0) / 2.0
-    checks.add(~np.isfinite(2.0 * coupling), "coupling must be finite")
+    _check_coupling(checks, 2.0 * coupling)
     # a coupling that underflows keeps too few bits, if any, to meet the balance below
     checks.add(coupling < _SMALLEST_NORMAL,
                lambda i: f"optimal coupling {coupling[i]:.3e} is below the smallest normal "
@@ -528,8 +449,7 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
     _check_initial(checks, initial, _IMPURITIES_CONTENT)
     exact = mode == "exact"
     if exact:
-        checks.add(~(np.isfinite(half_separation) & (half_separation > 0)),
-                   "half_separation must be positive")
+        _check_half_separation(checks, half_separation)
     _check_wave_number(checks, k)
     s1 = _channel_amplitudes(checks, r1, k, eigenvalues_1)
     s2 = _channel_amplitudes(checks, r2, k, eigenvalues_2)
@@ -554,10 +474,6 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
 # ---------------------------------------------------------------------------
 # Single-call protocol functions (a batch of one)
 
-def _one(x, dtype=float):
-    return np.array([x], dtype=dtype)
-
-
 @_quiet
 def concentrate_fixed(a, b, k: float, coupling: float, axis=(0.0, 0.0, 1.0)) -> ProtocolResult:
     """Filter a|00> + b|11> by scattering particle 1 off a pinned-spin impurity.
@@ -567,9 +483,8 @@ def concentrate_fixed(a, b, k: float, coupling: float, axis=(0.0, 0.0, 1.0)) -> 
     the reflected branch is recorded in the event tree.  Entropy and
     concurrence refer to the transmitted two-particle state.
     """
-    axis = np.array([[float(x) for x in axis]])
-    return _result(_concentrate_fixed(_Checks(1), _one(a, complex), _one(b, complex),
-                                      _one(k), _one(coupling), axis))
+    return _result(_concentrate_fixed(_Checks(1), np.array([a], complex), np.array([b], complex),
+                                      _one(k), _one(coupling), np.array([_reals(axis)])))
 
 
 @_quiet
@@ -581,7 +496,7 @@ def optimal_coupling_fixed(a, b, k: float) -> float:
     cross-checked against a numeric root-find in tests.
     """
     checks = _Checks(1)
-    coupling = _optimal_coupling(checks, _one(a, complex), _one(b, complex), _one(k))
+    coupling = _optimal_coupling(checks, np.array([a], complex), np.array([b], complex), _one(k))
     checks.raise_first()
     return float(coupling[0])
 
@@ -597,8 +512,8 @@ def concentrate_kondo(a, b, k: float, impurity: KondoImpurity) -> ProtocolResult
     |a S1| = |b (S_sym+S_anti)/2| makes the |0> branch maximally entangled;
     its residual is reported in metadata.
     """
-    return _result(_concentrate_kondo(_Checks(1), _one(a, complex), _one(b, complex), _one(k),
-                                      _one(impurity.coupling), impurity.eigenvalues))
+    return _result(_concentrate_kondo(_Checks(1), np.array([a], complex), np.array([b], complex),
+                                      _one(k), _one(impurity.coupling), impurity.eigenvalues))
 
 
 @_quiet
@@ -649,14 +564,12 @@ def entangle_impurities(k: float, impurity_1: KondoImpurity, impurity_2: KondoIm
 # A reader takes a parameter's flag spelling and a text or JSON value, and
 # returns the value the protocol takes or raises a one-line ValueError.  The
 # command line reads every value with them, and run_protocol and sweep every
-# value but a number (an int as its float) or a sweep column of a numeric
-# parameter: those go to the kernel's checks, which report the first bad
-# point as a loop would.
+# value but the numbers that _read hands to the kernel's checks.
 
 def _to_float(name, value):
-    if isinstance(value, bool):
-        raise ValueError(f"unparsable number for --{name}: {value!r}")
     try:
+        if isinstance(value, bool):
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"unparsable number for --{name}: {value!r}") from None
@@ -801,10 +714,7 @@ def _read(param, value):
     numeric parameter goes to the kernel's checks unread, and so does an
     int (not a bool) as its float."""
     if param.numeric and isinstance(value, int) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ValueError(f"unparsable number for --{param.flag}: {value!r}") from None
+        value = _to_float(param.flag, value)
     if param.numeric and isinstance(value, (float, np.ndarray)):
         return value
     return param.read(param.flag, value)
@@ -939,6 +849,8 @@ class GridSpec:
             raise ValueError("grid parameter name must be nonempty")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"grid scale must be 'linear' or 'log', got {self.scale!r}")
+        for bound in ("start", "stop"):
+            object.__setattr__(self, bound, _real(getattr(self, bound)))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("grid bounds must be finite")
         if self.points < 1:

@@ -23,10 +23,15 @@ star_product, which sums every back-and-forth order between them; the
 first-order composition is its truncation to a single pass.  star_product
 takes each barrier as its channel decomposition T = sum_c S_c P_c, stacked
 amplitudes and a constant projector table, and never forms T; the other
-batched functions act on stacks of operators along leading axes, and the
-single-operator functions are a stack of one.
+batched functions act on stacks of operators along leading axes.
+
+The input rules on numbers (k, coupling, half-separation, finite
+operators) are written once, here, over N stacked points: the protocol
+kernels record them in a _Checks, and so does each scalar entry point, as
+a batch of one whose real arguments are read by _real.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -37,15 +42,90 @@ from .errors import InternalFaultError
 from .tolerances import DEFAULT as TOL
 
 
-def _check_wave_number(k) -> float:
-    """k as a float: any real number whose float is finite and positive."""
+def _real(x) -> float:
+    """Read a real scalar argument: a numbers.Real as its float, an int beyond
+    the float range as +-inf, anything else as NaN, so that it reaches its rule."""
     try:
-        x = float(k) if isinstance(k, numbers.Real) else math.nan
-    except OverflowError:  # an int beyond the float range
-        x = math.inf
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError("k must be positive")
-    return x
+        return float(x) if isinstance(x, numbers.Real) else math.nan
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _one(x) -> np.ndarray:
+    return np.array([_real(x)])  # a batch of one
+
+
+def _reals(values) -> tuple[float, ...]:
+    """The items of a sequence read by _real; a value that is no sequence has none."""
+    try:
+        return tuple(map(_real, values))
+    except TypeError:
+        return ()
+
+
+def _quiet(fn):
+    """Run an entry point with floating-point warnings off: an overflow or a
+    bad input shows up as non-finite values, which the checks refuse with a
+    one-line error.  The kernels run inside such an entry point."""
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+    return quiet
+
+
+class _Checks:
+    """Validation of N stacked points, reported as a point-by-point loop would.
+
+    Checks are recorded in the order a single evaluation makes them, each
+    as an (N,) boolean array that is True where the point fails;
+    raise_first stacks them into one (m, N) array and tests it once, and
+    raises the error of the first failing check at the first failing point.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._checks = []
+
+    def add(self, bad, message, error=ValueError):
+        """Record bad, (N,) booleans or (1,) for a pinned row: message is text or a function of i."""
+        if len(bad) != self.n:
+            bad = bad.repeat(self.n)
+        self._checks.append((bad, message, error))
+
+    def fail(self, message):
+        """A failure shared by every point, raised at once (after earlier checks at point 0)."""
+        self.add(np.ones(self.n, dtype=bool), message)
+        self.raise_first()
+
+    def raise_first(self):
+        bad = np.array([b for b, _, _ in self._checks])
+        if np.logical_or.reduce(bad, axis=None):
+            point = int(np.argmax(np.logical_or.reduce(bad, axis=0)))
+            _, message, error = self._checks[int(np.argmax(bad[:, point]))]
+            raise error(message(point) if callable(message) else message)
+        self._checks.clear()
+
+
+def _check_wave_number(checks, k):
+    checks.add(~(np.isfinite(k) & (k > 0)), "k must be positive")
+
+
+def _check_coupling(checks, strength):
+    """strength (r, 2r or r*lambda_c) is (N,), or (c, N) with a row per channel."""
+    finite = np.isfinite(strength)
+    checks.add(~(np.logical_and.reduce(finite, axis=0) if finite.ndim > 1 else finite),
+               "coupling must be finite")
+
+
+def _check_half_separation(checks, half_separation):
+    checks.add(~(np.isfinite(half_separation) & (half_separation > 0)), "half_separation must be positive")
+
+
+def _check_finite_operators(checks, operators):
+    """operators (N, ...): every entry of a point's operators is finite."""
+    finite = np.logical_and.reduce(np.isfinite(operators).reshape(checks.n, -1), axis=1)
+    checks.add(~finite, "operator entries must be finite")
 
 
 def _flux_deviation(t, r) -> float:
@@ -111,13 +191,15 @@ def _transmission(coupling, k):
     return s
 
 
+@_quiet
 def scalar_amplitudes(coupling: float, k: float) -> ScalarAmplitudes:
     """Plane-wave amplitudes for a scalar delta barrier of strength coupling."""
-    k = _check_wave_number(k)
-    if not math.isfinite(coupling):
-        raise ValueError("coupling must be finite")
-    s = complex(barrier_transmission(coupling, k))
-    return ScalarAmplitudes(s, s - 1.0, coupling / k)
+    checks, coupling, k = _Checks(1), _one(coupling), _one(k)
+    _check_wave_number(checks, k)
+    _check_coupling(checks, coupling)
+    checks.raise_first()
+    s = complex(_transmission(coupling, k)[0])
+    return ScalarAmplitudes(s, s - 1.0, float(coupling[0] / k[0]))
 
 
 @dataclass(frozen=True)
@@ -132,14 +214,14 @@ class OperatorAmplitudes:
         r = np.array(self.reflection, dtype=complex)
         if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape != r.shape:
             raise ValueError("transmission and reflection must be equal square matrices")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r))):
-            raise ValueError("operator entries must be finite")
+        checks = _Checks(1)
+        _check_finite_operators(checks, np.array([t, r]))
+        checks.raise_first()
         if not np.array_equal(r, t - np.eye(t.shape[0])):
             raise ValueError("reflection must equal transmission - identity")
-        t.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "transmission", t)
-        object.__setattr__(self, "reflection", r)
+        for name, m in (("transmission", t), ("reflection", r)):
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
 
     @property
     def dim(self) -> int:
@@ -169,7 +251,9 @@ def matrix_amplitudes(potential, k: float) -> OperatorAmplitudes:
     M of relative size eps; no backward-stable method does better on
     general M.
     """
-    k = _check_wave_number(k)
+    checks, k = _Checks(1), _real(k)
+    _check_wave_number(checks, np.array([k]))
+    checks.raise_first()
     m = np.asarray(potential, dtype=complex)
     _check_hermitian(m)
     s, v = _barrier_channels(m, k)
@@ -208,19 +292,19 @@ class TwoImpurityGeometry:
     potential_right: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.half_separation) or self.half_separation <= 0:
-            raise ValueError("half_separation must be positive")
-        object.__setattr__(self, "k", _check_wave_number(self.k))
-        left = np.array(self.potential_left, dtype=complex)
-        right = np.array(self.potential_right, dtype=complex)
-        _check_hermitian(left, "potential_left")
-        _check_hermitian(right, "potential_right")
-        if left.shape != right.shape:
+        checks, half_separation, k = _Checks(1), _one(self.half_separation), _one(self.k)
+        _check_half_separation(checks, half_separation)
+        _check_wave_number(checks, k)
+        checks.raise_first()
+        object.__setattr__(self, "half_separation", half_separation.item())
+        object.__setattr__(self, "k", k.item())
+        for name in ("potential_left", "potential_right"):
+            m = np.array(getattr(self, name), dtype=complex)
+            _check_hermitian(m, name)
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
+        if self.potential_left.shape != self.potential_right.shape:
             raise ValueError("the two potentials must share one dimension")
-        left.setflags(write=False)
-        right.setflags(write=False)
-        object.__setattr__(self, "potential_left", left)
-        object.__setattr__(self, "potential_right", right)
 
     @property
     def dim(self) -> int:

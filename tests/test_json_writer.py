@@ -93,6 +93,21 @@ def test_writer_edge_values():
         '  "s": "a\\"\\\\\\u00e9"\n}\n')
 
 
+def test_a_negative_exponent_is_written_as_the_repr_of_its_rounded_float():
+    # seeded values on both sides of the smallest normal float, subnormals,
+    # and the negative exponents above them, against the definition that
+    # always went through the float: repr(float('%.12g' % x))
+    rng = np.random.default_rng(1904)
+    tiny = np.finfo(float).tiny
+    values = np.concatenate([
+        tiny * (1.0 + rng.uniform(-1e-3, 1e-3, 20_000)), tiny * rng.uniform(0.0, 1.0, 20_000),
+        np.arange(1, 2_000) * 5e-324, 10.0 ** rng.uniform(-308.0, -4.0, 40_000)])
+    values *= rng.choice([-1.0, 1.0], len(values))
+    wrong = [x for x in values.tolist() if cli._json_float(x) != repr(float("%.12g" % x))]
+    assert wrong == []
+    assert cli._json_float(5e-324) == "5e-324" and cli._json_float(-tiny) == "-2.22507385851e-308"
+
+
 # ---------------------------------------------------------------------------
 # Protocol results, rendered by the writer and by the route it replaced
 

@@ -8,18 +8,27 @@ import pytest
 from conftest import block_solve_two_impurity, random_hermitian
 from spinscatter import (
     DEFAULT_TOLERANCES,
+    FixedImpurity,
+    GridSpec,
     InternalFaultError,
     KondoImpurity,
     OperatorAmplitudes,
     ScalarAmplitudes,
     TwoImpurityGeometry,
+    concentrate_fixed,
+    concentrate_kondo,
     embed,
+    entangle_impurities,
+    entangle_particles,
     exchange_matrix,
     first_order_composition,
+    fixed_filter_operators,
     kondo_channel_amplitudes,
     kondo_operators,
     make_state,
     matrix_amplitudes,
+    optimal_coupling_fixed,
+    pauli_along,
     scalar_amplitudes,
     scattering,
     two_impurity_exact,
@@ -53,45 +62,91 @@ def test_scalar_amplitudes_input_validation():
         scalar_amplitudes(math.inf, 1.0)
 
 
-# each public entry point that reads k, called at that k
-K_ENTRY_POINTS = {
-    "scalar_amplitudes": lambda k: scalar_amplitudes(0.7, k),
-    "matrix_amplitudes": lambda k: matrix_amplitudes(0.7 * exchange_matrix(), k),
-    "kondo_channel_amplitudes": lambda k: kondo_channel_amplitudes(KondoImpurity(0.7), k),
-    "TwoImpurityGeometry": lambda k: two_impurity_exact(TwoImpurityGeometry(
-        1.3, k, 0.7 * exchange_matrix(), -0.4 * exchange_matrix())),
+K, COUPLING, HALF = "k must be positive", "coupling must be finite", "half_separation must be positive"
+AXIS, EIGENVALUES = "axis must be a finite 3-vector", "eigenvalues must be four finite numbers"
+GRID = "grid bounds must be finite"
+M1, M2 = 0.7 * exchange_matrix(), -0.4 * exchange_matrix()
+
+# each real scalar argument of a public entry point: the call with that
+# argument at x, and the message of the rule that refuses a bad x
+REAL_ARGUMENTS = {
+    "scalar_amplitudes-k": (lambda x: scalar_amplitudes(0.7, x), K),
+    "scalar_amplitudes-coupling": (lambda x: scalar_amplitudes(x, 1.3), COUPLING),
+    "matrix_amplitudes-k": (lambda x: matrix_amplitudes(M1, x), K),
+    "kondo_channel_amplitudes-k": (lambda x: kondo_channel_amplitudes(KondoImpurity(0.7), x), K),
+    "kondo_operators-k": (lambda x: kondo_operators(KondoImpurity(0.7), x), K),
+    "fixed_filter_operators-k": (lambda x: fixed_filter_operators(FixedImpurity(0.7), x), K),
+    "FixedImpurity-coupling": (lambda x: FixedImpurity(x, (0.6, 0.0, 0.8)), COUPLING),
+    "FixedImpurity-axis": (lambda x: FixedImpurity(0.7, (0.0, 0.0, x)), AXIS),
+    "pauli_along-axis": (lambda x: pauli_along((x, 0.0, 0.0)), AXIS),
+    "KondoImpurity-coupling": (lambda x: KondoImpurity(x), COUPLING),
+    "KondoImpurity-eigenvalues": (lambda x: KondoImpurity(0.7, (1.0, x, -2.0, 0.0)), EIGENVALUES),
+    "exchange_matrix-eigenvalues": (lambda x: exchange_matrix((x, 1.0, 1.0, -3.0)), EIGENVALUES),
+    "TwoImpurityGeometry-half_separation": (
+        lambda x: two_impurity_exact(TwoImpurityGeometry(x, 1.3, M1, M2)), HALF),
+    "TwoImpurityGeometry-k": (lambda x: two_impurity_exact(TwoImpurityGeometry(1.3, x, M1, M2)), K),
+    "GridSpec-start": (lambda x: GridSpec("r", x, 5.0, 3).values(), GRID),
+    "GridSpec-stop": (lambda x: GridSpec("r", -5.0, x, 3).values(), GRID),
+    "concentrate_fixed-k": (lambda x: concentrate_fixed(0.6, 0.8, x, 0.5), K),
+    "concentrate_fixed-coupling": (lambda x: concentrate_fixed(0.6, 0.8, 1.3, x), COUPLING),
+    "concentrate_fixed-axis": (lambda x: concentrate_fixed(0.6, 0.8, 1.3, 0.5, (0.0, x, 0.0)), AXIS),
+    "optimal_coupling_fixed-k": (lambda x: optimal_coupling_fixed(0.6, 0.8, x), K),
+    "concentrate_kondo-k": (lambda x: concentrate_kondo(0.6, 0.8, x, KondoImpurity(0.5)), K),
+    "entangle_particles-k": (lambda x: entangle_particles(x, KondoImpurity(0.7)), K),
+    "entangle_impurities-k": (
+        lambda x: entangle_impurities(x, KondoImpurity(0.7), KondoImpurity(-0.4), mode="exact"), K),
+    "entangle_impurities-half_separation": (
+        lambda x: entangle_impurities(1.3, KondoImpurity(0.7), KondoImpurity(-0.4), x, mode="exact"),
+        HALF),
 }
+# the couplings of the exchange protocols are those of their KondoImpurity arguments
+
+# numbers beyond the float range, values that are no real number, and non-finite floats
+BAD_NUMBERS = (10**400, -10**400, "1", None, math.nan, math.inf)
 
 
-def _fields(result):
-    return [np.asarray(v) for v in (dataclasses.astuple(result) if dataclasses.is_dataclass(result)
-                                    else result)]
+def _leaves(result):
+    """The values of a result as arrays, nested dataclasses, sequences and dicts flattened."""
+    if dataclasses.is_dataclass(result):
+        return [leaf for field in dataclasses.fields(result) for leaf in _leaves(getattr(result, field.name))]
+    if isinstance(result, (tuple, list)):
+        return [leaf for item in result for leaf in _leaves(item)]
+    if isinstance(result, dict):
+        return [leaf for item in result.items() for leaf in _leaves(item)]
+    return [np.asarray(result)]
 
 
-@pytest.mark.parametrize("entry", K_ENTRY_POINTS)
-def test_k_may_be_any_positive_real_number(entry):
-    call = K_ENTRY_POINTS[entry]
-    for k in (np.int64(2), np.int32(3), np.float32(1.7), np.float64(0.4), 2, 0.4):
-        got, expected = _fields(call(k)), _fields(call(float(k)))
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_a_real_argument_may_be_any_real_number(entry):
+    # every numbers.Real gives the results of its float
+    call, rule = REAL_ARGUMENTS[entry]
+    values = ((np.int64(1), np.int32(-1), np.float32(1.0), np.float64(-1.0), 1, -1.0) if rule == AXIS
+              else (np.int64(2), np.int32(3), np.float32(1.7), np.float64(0.4), 2, 0.4))
+    for x in values:
+        got, expected = _leaves(call(x)), _leaves(call(float(x)))
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-    for k in ("1", None, math.nan, np.float32(math.nan), math.inf, 0, -1, np.int64(0)):
-        with pytest.raises(ValueError, match="^k must be positive$"):
-            call(k)
 
 
-@pytest.mark.parametrize("entry", K_ENTRY_POINTS)
-def test_k_is_refused_where_its_float_is_not_finite_and_positive(entry):
-    # an int beyond the float range, and a positive fraction whose float is 0
-    for k in (10**400, -10**400, fractions.Fraction(1, 10**400)):
-        with pytest.raises(ValueError, match="^k must be positive$"):
-            K_ENTRY_POINTS[entry](k)
+@pytest.mark.parametrize("entry", REAL_ARGUMENTS)
+def test_a_bad_number_gets_the_message_of_its_rule(entry):
+    # an int beyond the float range reads as +-inf and anything but a real
+    # number as NaN, so it reaches the rule: no OverflowError or TypeError
+    call, rule = REAL_ARGUMENTS[entry]
+    bad = BAD_NUMBERS
+    if rule == K:  # also zero, negative, and a positive fraction whose float is 0
+        bad += (np.float32(math.nan), 0, -1, np.int64(0), fractions.Fraction(1, 10**400))
+    for x in bad:
+        with pytest.raises(ValueError) as exc:
+            call(x)
+        assert str(exc.value) == rule, x
 
 
-def test_geometry_holds_k_as_a_float():
-    geom = TwoImpurityGeometry(1.0, np.int64(2), np.eye(2), np.eye(2))
+def test_geometry_holds_k_and_half_separation_as_floats():
+    geom = TwoImpurityGeometry(np.int32(1), np.int64(2), np.eye(2), np.eye(2))
     assert type(geom.k) is float and geom.k == 2.0
+    assert type(geom.half_separation) is float and geom.half_separation == 1.0
 
 
 def test_scalar_pair_identity_is_exact():

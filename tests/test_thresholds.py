@@ -108,3 +108,82 @@ def test_every_private_module_level_name_is_read():
               if name.startswith("_") and not name.startswith("__") and name not in read]
     assert len(trees) > 5
     assert unread == []
+
+
+# the argument that holds the message, by the name of the callable that refuses with it
+_MESSAGE_ARGUMENT = {"ValueError": 0, "InternalFaultError": 0, "_usage_error": 0, "fail": 0, "add": 1}
+
+
+def _template(node):
+    """A message's template: a string is its value, an f-string its literal
+    parts with {} for each placeholder, a lambda the template of its body;
+    None for any other expression."""
+    if isinstance(node, ast.Lambda):
+        return _template(node.body)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+    return None
+
+
+def _refusal_templates(source):
+    """(template, line) of each refusal message written in source: the
+    message passed to ValueError, InternalFaultError, _usage_error or a
+    _Checks' add or fail.  Templates without a letter frame another
+    message and are left out."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        position = _MESSAGE_ARGUMENT.get(name)
+        if position is None or len(node.args) <= position:
+            continue
+        template = _template(node.args[position])
+        if template is not None and any(c.isalpha() for c in template):
+            yield template, node.lineno
+
+
+def _written_twice(sources):
+    """Each refusal template written more than once across sources (name -> text),
+    with the name:line of every site."""
+    sites = {}
+    for name, source in sources.items():
+        for template, line in sorted(_refusal_templates(source), key=lambda site: site[1]):
+            sites.setdefault(template, []).append(f"{name}:{line}")
+    return {template: where for template, where in sites.items() if len(where) > 1}
+
+
+def test_the_message_check_flags_a_template_written_twice():
+    flagged = """
+def f(checks, name, x):
+    if x:
+        raise ValueError("k must be positive")
+    checks.add(x, "k must be positive")
+    checks.add(x, lambda i: f"--{name} got {x[i]:.3e}")
+    raise InternalFaultError(f"--{x} got {name!r}")
+    checks.fail(f"{name}: {x}")
+    _usage_error(f"{x}: {name}")
+    raise ValueError(message)
+"""
+    assert _written_twice({"a.py": flagged}) == {
+        "k must be positive": ["a.py:4", "a.py:5"], "--{} got {}": ["a.py:6", "a.py:7"]}
+    assert _written_twice({"a.py": 'raise ValueError("coupling must be finite")',
+                           "b.py": 'checks.add(bad, "coupling must be finite")'}) == {
+        "coupling must be finite": ["a.py:1", "b.py:1"]}
+    safe = """
+raise ValueError("k must be positive")
+raise ValueError(f"--{name} {text!r}: {exc}")
+_usage_error(f"--{name} {text!r}: {exc}")
+Param("k", help="k must be positive")
+read.add(x)
+"""
+    assert _written_twice({"a.py": safe}) == {}
+
+
+def test_each_refusal_message_is_written_once():
+    # a rule's message written twice is a rule written twice, and copies drift
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) > 5
+    assert _written_twice(sources) == {}
