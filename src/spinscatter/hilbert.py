@@ -32,7 +32,8 @@ def _check_axis(checks, axes):
     if axes.shape[-1] != 3:  # fails the first check at every point
         axes = np.full((len(axes), 3), np.nan)
     checks.add(~np.logical_and.reduce(np.isfinite(axes), axis=-1), "axis must be a finite 3-vector")
-    checks.add(np.abs(np.sqrt(np.add.reduce(axes * axes, axis=-1)) - 1.0) > TOL.normalization,
+    norm = np.sqrt(np.add.reduce(axes * axes, axis=-1))
+    checks.add(~(np.abs(norm - 1.0) <= TOL.normalization),
                f"axis must be a unit vector (within {TOL.normalization:g})")
 
 

@@ -71,7 +71,7 @@ from .channels import (
 from .errors import InternalFaultError
 from .hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinState, _check_axis, basis_state, pure_pair_figures
 from .scattering import (_check_coupling, _check_flux, _check_half_separation, _check_wave_number, _Checks,
-                         _compose, _one, _pair_table, _pass_table, _quiet, _real, _reals, _transmission)
+                         _complex, _compose, _one, _pair_table, _pass_table, _quiet, _real, _reals, _transmission)
 from .tolerances import DEFAULT as TOL
 
 _PAIR_REGISTER = ("particle-2", "particle-1")
@@ -348,7 +348,7 @@ def _attempts(success_probability) -> dict:
 
 def _check_pair(checks, a, b):
     total = _modulus(a) ** 2 + _modulus(b) ** 2
-    checks.add(np.abs(total - 1.0) > TOL.normalization,
+    checks.add(~(np.abs(total - 1.0) <= TOL.normalization),
                lambda i: f"|a|^2 + |b|^2 must equal 1 (got {total[i]:.12g})")
 
 
@@ -391,7 +391,7 @@ def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
 def _optimal_coupling(checks, a, b, k):
     _check_wave_number(checks, k)
     ma, mb = _modulus(a), _modulus(b)
-    checks.add((ma <= 0.0) | (ma >= mb), "optimal coupling requires 0 < |a| < |b|")
+    checks.add(~((0.0 < ma) & (ma < mb)), "optimal coupling requires 0 < |a| < |b|")
     coupling = k * np.sqrt((mb / ma) ** 2 - 1.0) / 2.0
     _check_coupling(checks, 2.0 * coupling)
     # a coupling that underflows keeps too few bits, if any, to meet the balance below
@@ -400,7 +400,7 @@ def _optimal_coupling(checks, a, b, k):
                          f"float (k = {k[i]:.3e} is too small)")
     # verify the defining balance |S(2r)| = |a/b| before handing the value out
     residual = np.abs(_modulus(_transmission(2.0 * coupling, k)) - ma / mb)
-    checks.add(residual > TOL.algebraic,
+    checks.add(~(residual <= TOL.algebraic),
                lambda i: f"optimal coupling balance residual {residual[i]:.3e} "
                          f"exceeds {TOL.algebraic:g}",
                InternalFaultError)
@@ -474,6 +474,11 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
 # ---------------------------------------------------------------------------
 # Single-call protocol functions (a batch of one)
 
+def _pair(a, b):
+    """The amplitudes a and b of a single call, each a batch of one."""
+    return np.array([_complex(a)]), np.array([_complex(b)])
+
+
 @_quiet
 def concentrate_fixed(a, b, k: float, coupling: float, axis=(0.0, 0.0, 1.0)) -> ProtocolResult:
     """Filter a|00> + b|11> by scattering particle 1 off a pinned-spin impurity.
@@ -483,7 +488,7 @@ def concentrate_fixed(a, b, k: float, coupling: float, axis=(0.0, 0.0, 1.0)) -> 
     the reflected branch is recorded in the event tree.  Entropy and
     concurrence refer to the transmitted two-particle state.
     """
-    return _result(_concentrate_fixed(_Checks(1), np.array([a], complex), np.array([b], complex),
+    return _result(_concentrate_fixed(_Checks(1), *_pair(a, b),
                                       _one(k), _one(coupling), np.array([_reals(axis)])))
 
 
@@ -496,7 +501,7 @@ def optimal_coupling_fixed(a, b, k: float) -> float:
     cross-checked against a numeric root-find in tests.
     """
     checks = _Checks(1)
-    coupling = _optimal_coupling(checks, np.array([a], complex), np.array([b], complex), _one(k))
+    coupling = _optimal_coupling(checks, *_pair(a, b), _one(k))
     checks.raise_first()
     return float(coupling[0])
 
@@ -512,7 +517,7 @@ def concentrate_kondo(a, b, k: float, impurity: KondoImpurity) -> ProtocolResult
     |a S1| = |b (S_sym+S_anti)/2| makes the |0> branch maximally entangled;
     its residual is reported in metadata.
     """
-    return _result(_concentrate_kondo(_Checks(1), np.array([a], complex), np.array([b], complex),
+    return _result(_concentrate_kondo(_Checks(1), *_pair(a, b),
                                       _one(k), _one(impurity.coupling), impurity.eigenvalues))
 
 

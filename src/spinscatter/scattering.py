@@ -28,7 +28,8 @@ batched functions act on stacks of operators along leading axes.
 The input rules on numbers (k, coupling, half-separation, finite
 operators) are written once, here, over N stacked points: the protocol
 kernels record them in a _Checks, and so does each scalar entry point, as
-a batch of one whose real arguments are read by _real.
+a batch of one whose real arguments are read by _real and complex ones by
+_complex.
 """
 
 import functools
@@ -49,6 +50,16 @@ def _real(x) -> float:
         return float(x) if isinstance(x, numbers.Real) else math.nan
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def _complex(x) -> complex:
+    """Read a complex scalar argument as _real reads a real one: a
+    numbers.Complex as its complex value, an int beyond the float range as
+    +-inf, anything else as NaN."""
+    try:
+        return complex(x) if isinstance(x, numbers.Complex) else complex(math.nan)
+    except OverflowError:
+        return complex(_real(x))
 
 
 def _one(x) -> np.ndarray:

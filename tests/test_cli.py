@@ -360,15 +360,22 @@ def test_format_environment_variable_and_precedence(tmp_path):
     assert not flag_wins.stdout.lstrip().startswith("{")
 
 
-def test_output_file_keeps_crlf(tmp_path):
-    target = tmp_path / "rows.csv"
-    proc = run_cli("sweep", "--protocol", "concentrate", "--grid", "r:0:1:3",
-                   "--fixed", "a=" + SQ13, "--fixed", "k=1",
-                   "--format", "csv", "--output", str(target))
-    assert proc.returncode == 0
-    raw = target.read_bytes()
-    assert raw.count(b"\r\n") == 4  # header + three data rows
-    assert b"\n" not in raw.replace(b"\r\n", b"")
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--protocol", "concentrate", "--grid", "r:0:1:3", "--fixed", "a=" + SQ13, "--fixed", "k=1"),
+    ("concentrate", "--a-coeff", SQ13, "--k", "1", "--r", "0.5"),
+], ids=["sweep", "single"])
+def test_output_file_holds_the_stdout_bytes(tmp_path, argv, fmt):
+    # the file gets the bytes stdout gets, csv's CRLF row endings included
+    target = tmp_path / "out"
+    shown = run_cli(*argv, "--format", fmt)
+    written = run_cli(*argv, "--format", fmt, "--output", str(target))
+    assert shown.returncode == written.returncode == 0
+    assert written.stdout == ""
+    assert target.read_bytes() == shown.stdout.encode("utf-8")
+    if fmt == "csv":
+        raw = target.read_bytes()
+        assert b"\r\n" in raw and b"\n" not in raw.replace(b"\r\n", b"")
 
 
 # ---------------------------------------------------------------------------

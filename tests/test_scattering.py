@@ -143,6 +143,51 @@ def test_a_bad_number_gets_the_message_of_its_rule(entry):
         assert str(exc.value) == rule, x
 
 
+PAIR, DIRECTION = "|a|^2 + |b|^2 must equal 1 (got ", "optimal coupling requires 0 < |a| < |b|"
+# each complex amplitude of a protocol single call, as REAL_ARGUMENTS: the
+# call with that amplitude at x, and the start of its rule's message
+COMPLEX_ARGUMENTS = {
+    "concentrate_fixed-a": (lambda x: concentrate_fixed(x, 0.8, 1.3, 0.5), PAIR),
+    "concentrate_fixed-b": (lambda x: concentrate_fixed(0.8, x, 1.3, 0.5), PAIR),
+    "concentrate_kondo-a": (lambda x: concentrate_kondo(x, 0.8, 1.3, KondoImpurity(0.5)), PAIR),
+    "concentrate_kondo-b": (lambda x: concentrate_kondo(0.8, x, 1.3, KondoImpurity(0.5)), PAIR),
+    "optimal_coupling_fixed-a": (lambda x: optimal_coupling_fixed(x, 0.8, 1.3), DIRECTION),
+}
+BAD_AMPLITUDES = BAD_NUMBERS + ("0.6", complex(math.nan, 0.0), complex(0.0, math.inf))
+
+
+@pytest.mark.parametrize("entry", COMPLEX_ARGUMENTS)
+def test_an_amplitude_may_be_any_complex_number(entry):
+    # every numbers.Complex gives the results of its complex value
+    call, _ = COMPLEX_ARGUMENTS[entry]
+    for x in (np.float64(0.6), np.complex128(0.6), np.complex128(0.6j), 0.6j, fractions.Fraction(3, 5)):
+        got, expected = _leaves(call(x)), _leaves(call(complex(x)))
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("entry", COMPLEX_ARGUMENTS)
+def test_a_bad_amplitude_gets_the_message_of_its_rule(entry):
+    # an int beyond the float range reads as inf and anything but a number
+    # (a numeric string too) as NaN, which the NaN-safe rule refuses
+    call, rule = COMPLEX_ARGUMENTS[entry]
+    for x in BAD_AMPLITUDES:
+        with pytest.raises(ValueError) as exc:
+            call(x)
+        assert str(exc.value).startswith(rule), x
+
+
+def test_an_unbounded_b_asks_for_an_infinite_optimal_coupling():
+    for x in (10**400, -10**400, math.inf, complex(0.0, math.inf)):
+        with pytest.raises(ValueError, match=r"^coupling must be finite$"):
+            optimal_coupling_fixed(0.6, x, 1.3)
+    for x in ("0.6", None, math.nan, complex(math.nan, 0.0)):
+        with pytest.raises(ValueError) as exc:
+            optimal_coupling_fixed(0.6, x, 1.3)
+        assert str(exc.value) == DIRECTION, x
+
+
 def test_geometry_holds_k_and_half_separation_as_floats():
     geom = TwoImpurityGeometry(np.int32(1), np.int64(2), np.eye(2), np.eye(2))
     assert type(geom.k) is float and geom.k == 2.0

@@ -1,6 +1,6 @@
 """Source checks on the package: every numeric threshold comes from
-tolerances.py, a bound check that raises lets no NaN through, and every
-private module-level name is read somewhere."""
+tolerances.py, a bound check that raises or records a failure lets no NaN
+through, and every private module-level name is read somewhere."""
 
 import ast
 import pathlib
@@ -28,16 +28,25 @@ def _reads_tol(node):
                for n in ast.walk(node))
 
 
+def _bound_checks(source):
+    """The tests of each if that raises, and the first argument of each add(...)
+    call, which _Checks records as True where a point fails."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.If)
+                and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))):
+            yield node.test
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "add" and node.args):
+            yield node.args[0]
+
+
 def _nan_passing_bounds(source):
-    """Line numbers of each if that raises and whose test holds x > TOL.<field>,
+    """Line numbers of each bound check that holds x > TOL.<field>,
     x >= TOL.<field> or the mirrored TOL.<field> < x, TOL.<field> <= x: a NaN x
     makes every comparison false, so it passes the bound."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.If)
-                and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))):
-            continue
-        for compare in ast.walk(node.test):
+    for check in _bound_checks(source):
+        for compare in ast.walk(check):
             if not isinstance(compare, ast.Compare):
                 continue
             operands = [compare.left, *compare.comparators]
@@ -45,7 +54,7 @@ def _nan_passing_bounds(source):
                 if (isinstance(op, (ast.Gt, ast.GtE)) and _reads_tol(right)
                         or isinstance(op, (ast.Lt, ast.LtE)) and _reads_tol(left)):
                     found.append(compare.lineno)
-    return found
+    return sorted(found)
 
 
 def test_the_nan_check_flags_a_bound_that_nan_passes():
@@ -57,8 +66,13 @@ if y >= 2.0 * TOL.b or z:
         raise ValueError
 if TOL.c < x:
     raise ValueError
+def _check_pair(checks, a, b):
+    total = _modulus(a) ** 2 + _modulus(b) ** 2
+    checks.add(np.abs(total - 1.0) > TOL.normalization,
+               lambda i: f"|a|^2 + |b|^2 must equal 1 (got {total[i]:.12g})")
+checks.add(TOL.d <= x | y, "message")
 """
-    assert _nan_passing_bounds(flagged) == [2, 4, 7]
+    assert _nan_passing_bounds(flagged) == [2, 4, 7, 11, 13]
     safe = """
 if not x <= TOL.a:
     raise ValueError
@@ -68,12 +82,16 @@ if x > TOL.a:
     return None
 if x > bound:
     raise ValueError
+checks.add(~(np.abs(total - 1.0) <= TOL.normalization), "message")
+checks.add(bad, f"above {TOL.a > 0}")
+read.add(x)
 """
     assert _nan_passing_bounds(safe) == []
 
 
 def test_no_bound_check_that_raises_lets_nan_through():
-    # written `if not x <= TOL.<field>: raise`, a NaN x fails the check
+    # written `if not x <= TOL.<field>: raise` or `checks.add(~(x <= TOL.<field>), ...)`,
+    # a NaN x fails the check
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in _nan_passing_bounds(path.read_text(encoding="utf-8"))]
     assert found == []
