@@ -116,6 +116,13 @@ def _leaves(result):
     return [np.asarray(result)]
 
 
+def _assert_same_leaves(result, expected):
+    got, want = _leaves(result), _leaves(expected)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("entry", REAL_ARGUMENTS)
 def test_a_real_argument_may_be_any_real_number(entry):
     # every numbers.Real gives the results of its float
@@ -123,10 +130,7 @@ def test_a_real_argument_may_be_any_real_number(entry):
     values = ((np.int64(1), np.int32(-1), np.float32(1.0), np.float64(-1.0), 1, -1.0) if rule == AXIS
               else (np.int64(2), np.int32(3), np.float32(1.7), np.float64(0.4), 2, 0.4))
     for x in values:
-        got, expected = _leaves(call(x)), _leaves(call(float(x)))
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        _assert_same_leaves(call(x), call(float(x)))
 
 
 @pytest.mark.parametrize("entry", REAL_ARGUMENTS)
@@ -161,10 +165,7 @@ def test_an_amplitude_may_be_any_complex_number(entry):
     # every numbers.Complex gives the results of its complex value
     call, _ = COMPLEX_ARGUMENTS[entry]
     for x in (np.float64(0.6), np.complex128(0.6), np.complex128(0.6j), 0.6j, fractions.Fraction(3, 5)):
-        got, expected = _leaves(call(x)), _leaves(call(complex(x)))
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        _assert_same_leaves(call(x), call(complex(x)))
 
 
 @pytest.mark.parametrize("entry", COMPLEX_ARGUMENTS)
