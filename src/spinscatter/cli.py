@@ -33,10 +33,8 @@ one-line "internal fault: ..." diagnostic on stderr.
 """
 
 import argparse
-import csv
 import ctypes
 import functools
-import io
 import json
 import math
 import os
@@ -159,36 +157,30 @@ def _json_text(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Table emission (sweep tables and anything record-shaped)
+# Table emission (sweep tables and the single-call commands' small tables)
 #
-# Tables are carried column by column.  A table whose columns are all float
-# arrays (a sweep's) is written as bytes, in csv and in json: each column
-# becomes a (rows, width) uint8 block, one row per cell and NUL wherever a
-# cell's text is shorter than the block is wide, and the blocks and the
-# separators between them are copied into one buffer in row order, whose
-# NULs one bytes.translate call deletes (_plane_rows).  A float array that
-# repeats its values, at most half of them distinct (a sweep's grid
-# columns), has each distinct bit pattern written once and its bytes
-# gathered (_repeated_block).  Any other finite float array whose values lie
-# almost all in 1e-4 <= |x| < 1 (a sweep's metric columns) is written from
-# exact decimal digits, with no string per value: numpy finds each value's
-# 12 significant digits as an integer and looks up their bytes four digits
-# at a time (_digit_block).  Every other float array takes one fixed-width
-# %-pass (_text_block).  A table with any other column (the single-call
-# commands pass their small tables as lists) fills one %-template pass
-# instead: csv writes a float by a '%.12g' field, since '%.12g' % x equals
-# format(x, '.12g') for every float, and every other cell on its own; JSON
-# writes a float by the single-call rule (_json_float) and every other cell
-# by the single-call writer _json.
-
-def _column(values) -> tuple[bool, list | np.ndarray]:
-    """Whether every cell is a float, and the cells: a float array as it is,
-    any other column as a list."""
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        return True, values
-    cells = list(values)
-    return all(isinstance(v, float) for v in cells), cells
-
+# Tables are carried column by column and take one of two routes.  A table
+# whose columns are all float arrays (a sweep's) is written as bytes, in csv
+# and in json: each column becomes a (rows, width) uint8 block, one row per
+# cell and NUL wherever a cell's text is shorter than the block is wide, and
+# the blocks and the separators between them are copied into one buffer in
+# row order, whose NULs one bytes.translate call deletes (_plane_rows).  A
+# float array that repeats its values, at most half of them distinct (a
+# sweep's grid columns), has each distinct bit pattern written once and its
+# bytes gathered (_repeated_block).  Any other finite float array whose
+# values lie almost all in 1e-4 <= |x| < 1 (a sweep's metric columns) is
+# written from exact decimal digits, with no string per value: numpy finds
+# each value's 12 significant digits as an integer and looks up their bytes
+# four digits at a time (_digit_block).  Every other float array takes one
+# fixed-width %-pass (_text_block).  Every other table, and every table in
+# the table format, has its columns made Python cells once (.tolist() of an
+# array) and takes one pass of its format's cell rule: csv writes each cell
+# and each name by _csv_field, except that a column of floats alone fills a
+# '%.12g' template field ('%.12g' % x equals format(x, '.12g') for every
+# float); json writes the rows by the single-call writer _json; table writes
+# a float or None by _f6 and any other cell by str.  Text cells stay Python
+# strings: a byte route would refuse non-ASCII text, delete a NUL inside a
+# cell, and measure a column's width in bytes, not characters.
 
 def _text_bytes(texts) -> np.ndarray:
     """ASCII texts as a (len(texts), width) block, NUL past each text's end."""
@@ -380,81 +372,48 @@ def _csv_field(v, lone: bool) -> str:
 def emit_columns(columns, fmt: str) -> str:
     """Serialize a table given as {fieldname: column} as csv, json or text.
 
-    Columns are equally long; each is a 1-d float array or a sequence of
-    cells (float, int, str or None), and the mapping's order is the column
+    Columns are equally long; each is a 1-d array or a sequence of cells
+    (float, int, bool, str or None), and the mapping's order is the column
     order.  CSV is RFC-4180 with CRLF row endings and 12-significant-digit
     floats; JSON is an array of flat objects with floats rounded to 12
     significant digits; table keeps 6 decimal places and writes None as "-".
-    A table of float arrays alone is written as bytes (_plane_rows), every
-    other table by one %-template pass over its cells.
+    A table of float arrays alone is written as bytes in csv and json
+    (_plane_rows); every other table by one pass of its format's cell rule.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown output format: {fmt!r}")
     names = tuple(columns)
-    floats, cols = zip(*map(_column, columns.values())) if columns else ((), ())
+    cols = list(columns.values())
     if len(set(map(len, cols))) > 1:
         raise ValueError("columns must be equally long")
     rows = len(cols[0]) if cols else 0
-    planes = fmt != "table" and all(isinstance(c, np.ndarray) for c in cols)
+    planes = fmt != "table" and bool(cols) and all(
+        isinstance(c, np.ndarray) and c.dtype == np.float64 for c in cols)
     if not planes:
         cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
 
     if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\r\n").writerow(names)
+        lone = len(cols) == 1
+        header = ",".join(_csv_field(name, lone) for name in names) + "\r\n"
         if planes:
             pieces = ["", *[","] * (len(cols) - 1), "\r\n"]
             body = _plane_rows(cols, rows, pieces, "%.12g".__mod__, f"%-{_TEXT_WIDTH}.12g")
-            return buf.getvalue() + body.decode("ascii")
-        fields = ["%.12g" if f else "%s" for f in floats]
-        cells = [c if f else [_csv_field(v, len(cols) == 1) for v in c] for c, f in zip(cols, floats)]
-        template = ",".join(fields) + "\r\n"
-        buf.write(template * rows % tuple(chain.from_iterable(zip(*cells))))
-        return buf.getvalue()
+            return header + body.decode("ascii")
+        fields = ["%.12g" if all(isinstance(v, float) for v in c) else "%s" for c in cols]
+        cells = [[_csv_field(v, lone) for v in c] if f == "%s" else c for c, f in zip(cols, fields)]
+        return header + (",".join(fields) + "\r\n") * rows % tuple(chain.from_iterable(zip(*cells)))
     if fmt == "json":
-        return _json_table(names, cols, floats, rows, planes)
-    texts = [[_f6(v) if isinstance(v, float) or v is None else str(v) for v in c] for c in cols]
-    template = "  ".join(f"%-{max([len(n), *map(len, t)])}s" for n, t in zip(names, texts))
-    return "".join((template % row).rstrip() + "\n" for row in chain([names], zip(*texts)))
-
-
-def _json_table(names, cols, floats, rows, planes) -> str:
-    """json.dumps(rows, indent=2) of a table, floats rounded to 12 digits.
-
-    Each float is written by _json_float and every other cell by _json.  A
-    table of float arrays alone (planes) is written as bytes, its names and
-    braces as the pieces between the columns (_plane_rows); every other
-    table fills one %-template pass, as the csv does.
-    """
-    if not rows:
-        return "[]\n"
-    keys = [f"    {_json(n)}: " for n in names]
-    if planes:
+        if not planes:
+            return _json_text([dict(zip(names, row)) for row in zip(*cols)])
         # each row opens with the comma that separates it from the row before
+        keys = [f"    {_json(name)}: " for name in names]
         pieces = [",\n  {\n" + keys[0], *(",\n" + key for key in keys[1:]), "\n  }"]
         body = _plane_rows(cols, rows, pieces, _json_float, tail="\n]\n")
         body[0] = ord("[")  # and the first row's opens the array
         return body.decode("ascii")
-    cells = [map(_json_float if f else _json, c) for c, f in zip(cols, floats)]
-    row = "  {\n" + ",\n".join(key.replace("%", "%%") + "%s" for key in keys) + "\n  }"
-    return "[\n" + ",\n".join([row] * rows) % tuple(chain.from_iterable(zip(*cells))) + "\n]\n"
-
-
-def emit_records(records, fmt: str, fieldnames=None) -> str:
-    """Serialize flat records (mapping-like rows with identical keys).
-
-    fieldnames fixes the column order (required when records is empty).
-    The rows are regrouped by column and written by emit_columns.
-    """
-    rows = list(records)
-    if fieldnames is None:
-        if not rows:
-            raise ValueError("fieldnames are required to emit an empty record list")
-        fieldnames = tuple(rows[0].keys())
-    fieldnames = tuple(fieldnames)
-    if any(tuple(row.keys()) != fieldnames for row in rows):
-        raise ValueError("records are not homogeneous with the given fieldnames")
-    return emit_columns({name: [row[name] for row in rows] for name in fieldnames}, fmt)
+    texts = [[_f6(v) if isinstance(v, float) or v is None else str(v) for v in c] for c in cols]
+    template = "  ".join(f"%-{max([len(n), *map(len, t)])}s" for n, t in zip(names, texts))
+    return "".join((template % row).rstrip() + "\n" for row in chain([names], zip(*texts)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +437,8 @@ def _cmd_amplitudes(p, fmt):
     if fmt == "json":
         return _json_text(dict(values))
     if fmt == "csv":
-        row = {"S_re": s.real, "S_im": s.imag, "R_re": r.real, "R_im": r.imag,
-               "abs_S2": abs(s) ** 2, "abs_R2": abs(r) ** 2, "xi": amps.xi}
-        return emit_records([row], "csv", tuple(row.keys()))
+        return emit_columns({"S_re": [s.real], "S_im": [s.imag], "R_re": [r.real], "R_im": [r.imag],
+                             "abs_S2": [abs(s) ** 2], "abs_R2": [abs(r) ** 2], "xi": [amps.xi]}, "csv")
     return emit_columns({"name": [name for name, _ in values],
                          "value": [_c6(v) if isinstance(v, complex) else _f6(v) for _, v in values]},
                         "table")
@@ -524,28 +482,22 @@ def _cmd_kondo(p, fmt):
                           channel)
 
 
-_OUTCOME_FIELDS = ("branch", "probability", "conditional_probability",
-                   "entropy_bits", "concurrence")
-
-
-def _outcome_rows(result):
-    return [
-        {"branch": o.branch_label,
-         "probability": o.branch_probability,
-         "conditional_probability": o.conditional_probability,
-         "entropy_bits": o.entropy_bits,
-         "concurrence": o.concurrence}
-        for o in result.outcomes
-    ]
+def _outcome_columns(result):
+    outcomes = result.outcomes
+    return {"branch": [o.branch_label for o in outcomes],
+            "probability": [o.branch_probability for o in outcomes],
+            "conditional_probability": [o.conditional_probability for o in outcomes],
+            "entropy_bits": [o.entropy_bits for o in outcomes],
+            "concurrence": [o.concurrence for o in outcomes]}
 
 
 def _render_protocol(result, fmt) -> str:
     _require_finite(result.metadata)
-    rows = _outcome_rows(result)
+    columns = _outcome_columns(result)
     if fmt == "json":
-        for o, row in zip(result.outcomes, rows):
-            row["state"] = None if o.post_state is None else {
-                "labels": o.post_state.labels, "amplitudes": o.post_state.amplitudes}
+        rows = [dict(zip(columns, row), state=None if o.post_state is None else {
+                    "labels": o.post_state.labels, "amplitudes": o.post_state.amplitudes})
+                for o, row in zip(result.outcomes, zip(*columns.values()))]
         return _json_text({
             "outcomes": rows,
             "tree": [{"branch": b.label, "probability": b.probability} for b in result.tree.branches],
@@ -553,9 +505,9 @@ def _render_protocol(result, fmt) -> str:
             "metadata": result.metadata,
         })
     if fmt == "csv":
-        return emit_records(rows, "csv", _OUTCOME_FIELDS)
+        return emit_columns(columns, "csv")
     lines = ["outcomes:"]
-    lines += ["  " + line for line in emit_records(rows, "table", _OUTCOME_FIELDS).splitlines()]
+    lines += ["  " + line for line in emit_columns(columns, "table").splitlines()]
     lines.append("tree:")
     for b in result.tree.branches:
         lines.append(f"  {b.label}  {b.probability:.6f}")

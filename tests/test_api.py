@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spinscatter
-from spinscatter.cli import emit_columns, emit_records
+from spinscatter.cli import emit_columns
 
 PUBLIC = [
     "DEFAULT_EXCHANGE_EIGENVALUES", "DEFAULT_TOLERANCES", "EXCHANGE_EIGENVALUE_PRESETS",
@@ -48,8 +48,6 @@ VALIDATION_ERRORS = {
                            "operator entries must be finite"),
     "emit-columns-unequal": (lambda: emit_columns({"a": np.zeros(2), "b": np.zeros(3)}, "csv"),
                              "columns must be equally long"),
-    "emit-records-empty-without-fieldnames": (
-        lambda: emit_records([], "csv"), "fieldnames are required to emit an empty record list"),
 }
 
 

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -379,15 +381,15 @@ def test_output_file_holds_the_stdout_bytes(tmp_path, argv, fmt):
 
 
 # ---------------------------------------------------------------------------
-# emit_records unit surface
+# emit_columns unit surface
 
-def test_emit_empty_records_is_header_only():
-    text = cli.emit_records([], "csv", fieldnames=("r", "probability"))
+def test_emit_empty_table_is_header_only():
+    text = cli.emit_columns({"r": [], "probability": []}, "csv")
     assert text == "r,probability\r\n"
 
 
-def test_emit_single_record():
-    text = cli.emit_records([{"r": 0.5, "probability": 2 / 3}], "csv")
+def test_emit_single_row():
+    text = cli.emit_columns({"r": [0.5], "probability": [2 / 3]}, "csv")
     header, row, tail = text.split("\r\n")
     assert header == "r,probability"
     assert row == "0.5,0.666666666667"
@@ -395,23 +397,27 @@ def test_emit_single_record():
 
 
 def test_emit_quotes_awkward_strings():
-    text = cli.emit_records([{"label": 'say "hi", twice', "n": 1}], "csv")
+    text = cli.emit_columns({"label": ['say "hi", twice'], "n": [1]}, "csv")
     assert '"say ""hi"", twice"' in text
 
 
 def test_emit_json_twelve_significant_digits():
-    text = cli.emit_records([{"x": 1.0 / 3.0}], "json")
+    text = cli.emit_columns({"x": [1.0 / 3.0]}, "json")
     assert json.loads(text) == [{"x": 0.333333333333}]
-
-
-def test_emit_rejects_ragged_records():
-    with pytest.raises(ValueError):
-        cli.emit_records([{"a": 1}, {"b": 2}], "csv")
 
 
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
-        cli.emit_records([{"a": 1}], "yaml")
+        cli.emit_columns({"a": [1]}, "yaml")
+
+
+@pytest.mark.parametrize("names", [[], [""], ["", "b"], ["a,b", 'say "hi"', "cr\rlf", "new\nline"],
+                                   ["\u00e9t\u00e9", "x"]])
+@pytest.mark.parametrize("column", [np.array([]), []], ids=["float-array", "cells"])
+def test_csv_header_is_quoted_as_csv_writer_quotes_it(names, column):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(names)
+    assert cli.emit_columns(dict.fromkeys(names, column), "csv") == buf.getvalue()
 
 
 def test_main_returns_codes_in_process(monkeypatch, capsys):

@@ -113,7 +113,10 @@ def test_a_negative_exponent_is_written_as_the_repr_of_its_rounded_float():
 
 def _old_render_json(result) -> str:
     outcomes = []
-    for o, row in zip(result.outcomes, cli._outcome_rows(result)):
+    for o in result.outcomes:
+        row = {"branch": o.branch_label, "probability": o.branch_probability,
+               "conditional_probability": o.conditional_probability,
+               "entropy_bits": o.entropy_bits, "concurrence": o.concurrence}
         entry = {k: (_round12(v) if isinstance(v, float) else v) for k, v in row.items()}
         entry["state"] = None if o.post_state is None else {
             "labels": list(o.post_state.labels),
