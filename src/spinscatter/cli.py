@@ -24,8 +24,9 @@ flag with its value is read straight from the flag table that the argparse
 tree is built from, and builds no tree; argparse handles help,
 abbreviations and the usage errors the flag table cannot read, with the
 tree built once per process.  main also asks the C library, once per
-process, to keep the memory a sweep frees for the next one (importing the
-package leaves the allocator alone).
+process, to keep up to 8 MB of the memory a sweep frees, a full kernel
+block's arrays, for the next one (importing the package leaves the
+allocator alone).
 
 Exit status: 0 success; 1 input, usage, or I/O error with a one-line
 "error: ..." diagnostic on stderr; 2 internal invariant violation with a
@@ -909,11 +910,12 @@ def run(config: RunConfig) -> int:
 
 
 # glibc's mallopt parameters, and the size below which the CLI keeps freed
-# memory for reuse: the smallest round size under which a warm 41x41 exact
-# sweep and a 61x61 filter sweep, as csv or json, fault no page back in
-# (1 MB still left up to 80 faults a call, on the filter sweep as json)
+# memory for reuse: the smallest whole number of MB under which a warm exact
+# sweep of full protocols._BLOCK-point blocks, 100x100 as csv or json,
+# faults no page back in (7 MB still left 48 faults a call, 6 MB 304, 2 MB
+# 2,300-2,900); the 41x41 exact and 61x61 filter sweeps need 3 MB
 _M_TOP_PAD, _M_MMAP_THRESHOLD = -2, -3
-_HEAP_KEEP = 2 << 20
+_HEAP_KEEP = 8 << 20
 
 
 @functools.cache
@@ -922,7 +924,8 @@ def _keep_freed_heap():
 
     By default glibc trims the free top of its heap each time a sweep block
     frees its arrays, and the next block faults the same pages back in, at
-    about 3 us a page; the top pad keeps that much free at the top instead.
+    about 3 us a page; the top pad keeps that much free at the top instead,
+    enough for a full block of protocols._BLOCK exact-mode points.
     Setting it stops glibc from sliding its mmap threshold, so the threshold
     is set too, or a buffer above wherever it stood (the output text) would
     be mapped and faulted in afresh on every call.  Only the CLI does this:

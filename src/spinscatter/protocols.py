@@ -111,8 +111,11 @@ _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 _EYE = np.eye(2)  # the filter reflects T - I
 
 # grid points per kernel call; bounds the (N, 2, 2) filter operators and the
-# (4, d, 2, N) channel terms, d <= 3, of the exchange protocols
-_BLOCK = 1024
+# (4, d, 2, N) channel terms, d <= 3, of the exchange protocols.  Each call
+# has a fixed cost of about 0.1-0.3 ms, and both benchmark grids (1,681 and
+# 3,721 points) run as one call; a full exact block peaks at about 6.5 MB
+# of heap, which the CLI keeps (cli._HEAP_KEEP)
+_BLOCK = 4096
 
 # an optimal coupling below this has lost significant bits, or underflowed to 0
 _SMALLEST_NORMAL = np.finfo(float).tiny
@@ -194,8 +197,22 @@ class _Batch(NamedTuple):
     metadata: dict[str, np.ndarray]  # NaN marks an entry absent at that point
 
 
+def _sum_rows(x):
+    """np.add.reduce(x, axis=-1) on rows of squares, bit for bit, with rows of 4 as column adds.
+
+    numpy adds a row of 4 in order, from +0.0 (a row of -0.0 alone, which
+    no square is, would sum to -0.0 here), and its reduce over rows that
+    short costs several times these column adds.  Rows of 8, which numpy
+    adds pairwise, stay with numpy: their pairwise column form costs about
+    2 us more in a batch of one, where a single call sums them twice.
+    """
+    if x.shape[-1] != 4:
+        return np.add.reduce(x, axis=-1)
+    return ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
+
+
 def _norm2(amps):
-    return np.add.reduce(amps.real ** 2 + amps.imag ** 2, axis=-1)
+    return _sum_rows(amps.real ** 2 + amps.imag ** 2)
 
 
 def _modulus(z):

@@ -713,3 +713,30 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep("concentrate", [GridSpec("r", 0, 1, 3)], fixed={"a": A3, "k": 1.0},
               objective="fidelity")
+
+
+# ---------------------------------------------------------------------------
+# the kernel's short-axis sums
+
+# every shape the kernel sums: pair rows (N, 4) and (N, m, 4), register rows
+# (N, 8) and (N, m, 8), and the one initial state (1, 8) shared by a sweep
+@pytest.mark.parametrize("shape", [(300, 4), (300, 1, 4), (300, 2, 4), (300, 8), (300, 2, 8),
+                                   (300, 3, 8), (1, 4), (1, 1, 4), (1, 8), (1, 3, 8)])
+def test_the_short_axis_sum_equals_numpy_reduce_bit_for_bit(shape):
+    # the sweep and single-call digests rest on this identity; the kernel
+    # sums squares, so the draws are magnitudes from 1e-300 to 1e300 with
+    # zeros, infinities and NaNs among them
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(20):
+        x = 10.0 ** rng.uniform(-300.0, 300.0, shape)
+        kind = rng.random(shape)
+        x[kind < 0.1] = 0.0
+        x[(0.1 <= kind) & (kind < 0.13)] = np.inf
+        x[(0.13 <= kind) & (kind < 0.15)] = np.nan
+        with np.errstate(all="ignore"):
+            got, want = protocols._sum_rows(x), np.add.reduce(x, axis=-1)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # uniform draws round differently in any other order of adds
+    x = rng.random((4096, shape[-1]))
+    assert np.array_equal(protocols._sum_rows(x), np.add.reduce(x, axis=-1))

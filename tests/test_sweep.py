@@ -84,6 +84,22 @@ def test_sweep_columns_do_not_depend_on_the_block(monkeypatch):
         assert all(np.array_equal(columns[name], expected[name]) for name in expected)
 
 
+def test_a_sweep_runs_one_kernel_pass_per_block(monkeypatch):
+    passes = []
+    run = protocols._run
+
+    def counted(*args):
+        passes.append(args[2].n)
+        return run(*args)
+
+    monkeypatch.setattr(protocols, "_run", counted)
+    for points, counts in ((protocols._BLOCK, [protocols._BLOCK]),
+                           (protocols._BLOCK + 1, [protocols._BLOCK, 1])):
+        passes.clear()
+        sweep("concentrate", [GridSpec("r", 0.0, 3.0, points)], {"a": 0.6, "k": 1.0})
+        assert passes == counts
+
+
 def test_sweep_cases_include_null_branches():
     nulls = 0
     for protocol, grids, fixed in CASES:

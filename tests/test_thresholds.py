@@ -1,6 +1,7 @@
 """Source checks on the package: every numeric threshold comes from
 tolerances.py, a bound check that raises or records a failure lets no NaN
-through, and every private module-level name is read somewhere."""
+through, every private module-level name is read somewhere, and the
+protocol kernel sums short rows only through its column-add helper."""
 
 import ast
 import pathlib
@@ -205,3 +206,57 @@ def test_each_refusal_message_is_written_once():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) > 5
     assert _written_twice(sources) == {}
+
+
+def _is_last_axis(node):
+    return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant) and node.operand.value == 1)
+
+
+def _last_axis_sums(source, helper):
+    """Lines of add.reduce(x, axis=-1) and sum(x, axis=-1) outside the function helper."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == helper:
+            continue
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            func = node.func
+            owner = getattr(func.value, "attr", getattr(func.value, "id", None))
+            if func.attr == "reduce" and owner == "add" or func.attr == "sum" and owner == "np":
+                axes = node.args[1:2]
+            elif func.attr == "sum":  # the array's method: x.sum(axis)
+                axes = node.args[:1]
+            else:
+                continue
+            if any(_is_last_axis(axis) for axis in axes + [k.value for k in node.keywords if k.arg == "axis"]):
+                found.append(node.lineno)
+    return found
+
+
+def test_the_short_axis_check_flags_a_last_axis_sum():
+    flagged = """
+def _norm2(amps):
+    return np.add.reduce(amps.real ** 2 + amps.imag ** 2, axis=-1)
+p = np.add.reduce(x, -1)
+q = np.sum(x, axis=-1) + x.sum(-1) + x.sum(axis=-1)
+"""
+    assert _last_axis_sums(flagged, "_sum_rows") == [3, 4, 5, 5, 5]
+    safe = """
+def _sum_rows(x):
+    return np.add.reduce(x, axis=-1)
+a = np.logical_or.reduce(x, axis=-1)
+b = np.add.reduce(x, axis=0) + np.maximum.reduce(x, axis=None) + x.sum(axis=1)
+c = np.sum(x, 0)
+"""
+    assert _last_axis_sums(safe, "_sum_rows") == []
+
+
+def test_the_kernel_sums_short_rows_only_by_column_adds():
+    # np.add.reduce over a last axis of 4 costs several times the column
+    # adds of protocols._sum_rows, which give the same bits; the helper
+    # alone decides which rows numpy still sums
+    source = (PACKAGE / "protocols.py").read_text(encoding="utf-8")
+    assert "def _sum_rows(" in source
+    assert _last_axis_sums(source, "_sum_rows") == []
