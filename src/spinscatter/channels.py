@@ -167,7 +167,7 @@ def fixed_filter_operators(spec: FixedImpurity, k: float) -> OperatorAmplitudes:
     """Single-spin transmission/reflection operators of the pinned-spin filter."""
     # anti-aligned component sees twice the bare coupling
     s = scalar_amplitudes(2.0 * spec.coupling, k).transmission
-    t = filter_transmission(s, _sigma_along(spec.axis))  # checked in FixedImpurity
+    t = filter_transmission(s, _sigma_along([spec.axis])[0])  # checked in FixedImpurity
     return OperatorAmplitudes(t, t - np.eye(2))
 
 

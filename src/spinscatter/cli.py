@@ -821,8 +821,12 @@ def _load_config(path):
             data = json.load(fh)
     except OSError as exc:
         _usage_error(f"cannot read config file: {exc}")
+    except UnicodeDecodeError as exc:
+        _usage_error(f"config file is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         _usage_error(f"config file is not valid JSON: {exc}")
+    except RecursionError:
+        _usage_error("config file nests too deeply to read")
     if not isinstance(data, dict):
         _usage_error("config file must hold a single JSON object")
     return data

@@ -41,10 +41,12 @@ and fewer than 250 Python-level calls.
 
 Probability bookkeeping: branch states carry raw (unnormalized) amplitudes
 descended from the normalized initial state, so a branch's squared norm is
-its absolute probability; conditional probabilities relative to the parent
-branch are reported alongside.  The retry loop ("reflected, start over with
-a fresh particle") is reported as per-attempt probabilities and an expected
-attempt count 1/p, never simulated stochastically.
+its absolute probability (hilbert._norm2, as SpinState.norm_squared takes
+it, bit for bit); conditional probabilities relative to the parent branch
+are reported alongside.  n.sigma comes from hilbert._sigma_along, barrier
+transmissions from scattering._transmission.  The retry loop ("reflected,
+start over with a fresh particle") is reported as per-attempt probabilities
+and an expected attempt count 1/p, never simulated stochastically.
 
 Measurements here are in the z basis {|0>, |1>}, taken by slicing the
 amplitude array.  Entropy and concurrence in outcomes always refer to the
@@ -53,6 +55,7 @@ two undetected qubits.
 
 import functools
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -69,7 +72,7 @@ from .channels import (
     filter_transmission,
 )
 from .errors import InternalFaultError
-from .hilbert import PAULI_X, PAULI_Y, PAULI_Z, SpinState, _check_axis, basis_state, pure_pair_figures
+from .hilbert import SpinState, _check_axis, _norm2, _sigma_along, basis_state, pure_pair_figures
 from .scattering import (_check_coupling, _check_flux, _check_half_separation, _check_wave_number, _Checks,
                          _complex, _compose, _one, _pair_table, _pass_table, _quiet, _real, _reals, _transmission)
 from .tolerances import DEFAULT as TOL
@@ -106,8 +109,6 @@ _PROJECTORS = {targets: _sector_projectors(targets) for targets in ((1, 0), (2, 
 _PARTICLE_BARRIERS = tuple(zip(*(map(_pass_table, _PROJECTORS[t]) for t in ((1, 0), (2, 0)))))
 _IMPURITY_BARRIERS = tuple(zip(*(map(_pass_table, _PROJECTORS[t]) for t in ((2, 1), (2, 0)))))
 _IMPURITY_PAIRS = tuple(map(_pair_table, _PROJECTORS[(2, 1)], _PROJECTORS[(2, 0)]))
-# the filter's n.sigma is the combination of these with the axis components
-_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 _EYE = np.eye(2)  # the filter reflects T - I
 
 # grid points per kernel call; bounds the (N, 2, 2) filter operators and the
@@ -195,24 +196,6 @@ class _Batch(NamedTuple):
     tree: tuple[tuple[str, np.ndarray, np.ndarray | None, np.ndarray], ...]
     outcomes: _Outcomes
     metadata: dict[str, np.ndarray]  # NaN marks an entry absent at that point
-
-
-def _sum_rows(x):
-    """np.add.reduce(x, axis=-1) on rows of squares, bit for bit, with rows of 4 as column adds.
-
-    numpy adds a row of 4 in order, from +0.0 (a row of -0.0 alone, which
-    no square is, would sum to -0.0 here), and its reduce over rows that
-    short costs several times these column adds.  Rows of 8, which numpy
-    adds pairwise, stay with numpy: their pairwise column form costs about
-    2 us more in a batch of one, where a single call sums them twice.
-    """
-    if x.shape[-1] != 4:
-        return np.add.reduce(x, axis=-1)
-    return ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
-
-
-def _norm2(amps):
-    return _sum_rows(amps.real ** 2 + amps.imag ** 2)
 
 
 def _modulus(z):
@@ -337,7 +320,7 @@ def _result(batch: _Batch) -> ProtocolResult:
     o = batch.outcomes
     o.pair.setflags(write=False)
     outcomes = tuple([
-        ProtocolOutcome(label, prob, cond, SpinState._trusted(pair, o.pair_labels, True), ent, conc)
+        ProtocolOutcome(label, prob, cond, SpinState._trusted(pair, o.pair_labels), ent, conc)
         if live else ProtocolOutcome(label, 0.0, cond, None, None, None)
         for label, prob, cond, pair, ent, conc, live in zip(
             o.labels, o.probability[0].tolist(), o.conditional[0].tolist(), o.pair[0],
@@ -352,8 +335,7 @@ def _result(batch: _Batch) -> ProtocolResult:
                 row = np.zeros(2 * len(kept), dtype=complex)
                 row[kept] = amps[0]
             row.setflags(write=False)
-            normalized = abs(prob - 1.0) < TOL.normalization
-            branches.append(EventBranch(label, prob, SpinState._trusted(row, batch.register, normalized)))
+            branches.append(EventBranch(label, prob, SpinState._trusted(row, batch.register)))
     meta = {name: float(v[0]) for name, v in batch.metadata.items() if not math.isnan(v[0])}
     return ProtocolResult(outcomes, EventTree(tuple(branches)), meta)
 
@@ -383,11 +365,8 @@ def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
     _check_coupling(checks, 2.0 * r)
     checks.raise_first()
 
-    # anti-aligned component sees twice the bare coupling; einsum would cast
-    # the real axis to complex through a buffer, at three times the cost of
-    # casting it first, for the same values
-    sigma = np.einsum("na,aij->nij", axis.astype(complex), _PAULIS)
-    t = filter_transmission(_transmission(2.0 * r, k), sigma)
+    # anti-aligned component sees twice the bare coupling
+    t = filter_transmission(_transmission(2.0 * r, k), _sigma_along(axis))
     psi0 = np.zeros((checks.n, 4), dtype=complex)
     psi0[:, 0], psi0[:, 3] = a, b
     # T acts on particle-1 alone and both particles of a|00> + b|11> hold the
@@ -867,6 +846,8 @@ class GridSpec:
     scale: str = "linear"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"grid parameter name must be a string, got {self.name!r}")
         if not self.name:
             raise ValueError("grid parameter name must be nonempty")
         if self.scale not in ("linear", "log"):
@@ -875,6 +856,8 @@ class GridSpec:
             object.__setattr__(self, bound, _real(getattr(self, bound)))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("grid bounds must be finite")
+        if isinstance(self.points, bool) or not isinstance(self.points, numbers.Integral):
+            raise ValueError(f"grid point count must be an integer, got {self.points!r}")
         if self.points < 1:
             raise ValueError("grid needs at least one point")
         if self.points > 1 and not self.start < self.stop:

@@ -29,7 +29,8 @@ The input rules on numbers (k, coupling, half-separation, finite
 operators) are written once, here, over N stacked points: the protocol
 kernels record them in a _Checks, and so does each scalar entry point, as
 a batch of one whose real arguments are read by _real and complex ones by
-_complex.
+_complex.  The barrier transmission S = 1/(1 + i coupling/k) of every
+barrier, channel and filter is defined once, by _transmission.
 """
 
 import functools
@@ -180,19 +181,13 @@ class ScalarAmplitudes:
             raise ValueError("reflection must equal transmission - 1")
 
 
-def barrier_transmission(coupling, k):
+def _transmission(coupling, k):
     """Transmission S = 1/(1 + i coupling/k) of scalar delta barriers, elementwise.
 
     coupling and k broadcast against each other; no validation (callers
-    check k > 0 and finite couplings at their boundary).  Where coupling/k
-    overflows to infinity, S is its limit 0.
+    check k > 0 and finite couplings at their _quiet entry point).  Where
+    coupling/k overflows to infinity, S is its limit 0.
     """
-    with np.errstate(over="ignore"):
-        return _transmission(coupling, k)
-
-
-def _transmission(coupling, k):
-    """barrier_transmission for callers that already hold floating-point warnings off."""
     xi = np.asarray(coupling, dtype=float) / k
     s = np.empty(np.shape(xi), dtype=complex)
     s.real = 1.0
@@ -239,6 +234,7 @@ class OperatorAmplitudes:
         return self.transmission.shape[0]
 
 
+@_quiet
 def matrix_amplitudes(potential, k: float) -> OperatorAmplitudes:
     """Transmission operator of a matrix-valued delta barrier M delta(x).
 
@@ -290,7 +286,7 @@ def _barrier_channels(potentials, k):
         lam, v = np.linalg.eigh(potentials)
     except np.linalg.LinAlgError as exc:  # unreachable for finite Hermitian input
         raise InternalFaultError(f"delta-barrier eigendecomposition failed: {exc}") from exc
-    return barrier_transmission(lam, k), v
+    return _transmission(lam, k), v
 
 
 @dataclass(frozen=True)
@@ -426,6 +422,7 @@ def _compose(amplitudes, tables, incident, pairs=None, phase=None):
     return x.T, (reflected[0].T / p + p * back).T
 
 
+@_quiet
 def two_impurity_exact(geom: TwoImpurityGeometry) -> TwoImpurityAmplitudes:
     """Exact plane-wave solution for two matrix delta barriers.
 

@@ -261,6 +261,19 @@ def test_config_value_of_the_wrong_type_is_a_one_line_error(command, config, mes
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "error: config file is not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                    "in position 0: invalid start byte\n"),
+    (b'{"k": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "error: config file nests too deeply to read\n"),
+])
+def test_an_unreadable_config_file_is_a_one_line_error(content, message, tmp_path, capsys):
+    # each raised out of main (UnicodeDecodeError, RecursionError)
+    path = tmp_path / "run.json"
+    path.write_bytes(content)
+    assert cli.main(["amplitudes", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", message)
+
+
 @pytest.mark.parametrize("output", [2, 1, 0, True, 2.0, ["out.csv"], {}])
 def test_config_output_must_be_a_path(output, tmp_path, capsys):
     # an integer output opened that file descriptor, wrote to it and closed it

@@ -53,6 +53,24 @@ def test_normalized_flag_tracks_norm():
         normalize(make_state([0.0, 0.0]))
 
 
+def test_normalize_scales_a_state_whose_squared_norm_overflows():
+    # 9e308 + 16e308 overflows; dividing by it gave [0, 0], not normalized
+    eps = np.finfo(float).eps
+    s = normalize(make_state([3e154, 4e154]))
+    assert np.max(np.abs(s.amplitudes - [0.6, 0.8])) <= eps and s.normalized
+    s = normalize(make_state([-1e200j, 0.0, 0.0, 1e200]))
+    assert np.max(np.abs(s.amplitudes - [-RT2 * 1j, 0.0, 0.0, RT2])) <= eps and s.normalized
+
+
+def test_normalize_divides_a_finite_squared_norm_as_it_is():
+    rng = np.random.default_rng(13)
+    for n in (2, 4, 8):
+        amps = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-20, 150)
+        state = make_state(amps)
+        want = state.amplitudes / math.sqrt(state.norm_squared)
+        assert normalize(state).amplitudes.tobytes() == want.tobytes()
+
+
 def test_pauli_along_axes():
     assert np.allclose(pauli_along((0, 0, 1)), np.diag([1, -1]))
     assert np.allclose(pauli_along((1, 0, 0)), np.array([[0, 1], [1, 0]]))

@@ -20,6 +20,7 @@ from spinscatter import (
     concentrate_kondo,
     entangle_impurities,
     entangle_particles,
+    hilbert,
     kondo_channel_amplitudes,
     make_state,
     normalize,
@@ -138,13 +139,13 @@ def test_filter_on_particle_1_equals_the_pair_operator_bit_for_bit(points):
     with np.errstate(all="ignore"):
         batch = protocols._concentrate_fixed(protocols._Checks(len(points)), a, b, k, r, axis)
         transmit, reflect = _filter_on_the_pair(a, b, k, r, axis)
-        prob = protocols._norm2(transmit)
+        prob = hilbert._norm2(transmit)
         expected = protocols._outcomes(("transmitted",), protocols._PAIR_REGISTER,
                                        transmit[:, None], prob[:, None])
     (_, got_transmit, _, got_prob), (_, got_reflect, _, got_reflected_prob) = batch.tree
     got = batch.outcomes
     for x, y in ((got_transmit, transmit), (got_reflect, reflect), (got_prob, prob),
-                 (got_reflected_prob, protocols._norm2(reflect)), (got.probability, expected.probability),
+                 (got_reflected_prob, hilbert._norm2(reflect)), (got.probability, expected.probability),
                  (got.pair, expected.pair), (got.entropy, expected.entropy),
                  (got.concurrence, expected.concurrence)):
         assert x.shape == y.shape
@@ -548,25 +549,30 @@ def _states(result):
         yield branch.state
 
 
+def _drawn_call(rng, i):
+    """Single call i of a seeded series over SINGLE_CALLS, its numbers drawn from rng."""
+    protocol, params = SINGLE_CALLS[list(SINGLE_CALLS)[i % len(SINGLE_CALLS)]]
+    params = dict(params, k=float(rng.uniform(0.2, 3.0)))
+    if protocol == "concentrate":
+        params["a"] = float(rng.uniform(0.05, 0.65))
+    elif protocol == "concentrate-kondo":
+        params.update(a=float(rng.uniform(0.0, 1.0)), r=float(rng.uniform(-3, 3)))
+    else:
+        bits = "".join(rng.choice(["0", "1"], 3))
+        presets = ["default", "standard-pauli", (1.0, -0.5, 2.0, 0.25)]
+        params.update(initial=bits, eigenvalues=presets[i % 3],
+                      **{name: float(rng.uniform(-3, 3)) for name in ("r", "r1", "r2")
+                         if name in params})
+    return protocol, params
+
+
 def test_result_states_equal_states_built_by_the_public_constructor():
     # the kernel wraps its checked rows without SpinState's checks; each state
     # must be the one SpinState(amplitudes, labels) builds from the same values
     rng = np.random.default_rng(71)
-    presets = ["default", "standard-pauli", (1.0, -0.5, 2.0, 0.25)]
     seen = 0
     for i in range(240):
-        protocol, params = SINGLE_CALLS[list(SINGLE_CALLS)[i % len(SINGLE_CALLS)]]
-        params = dict(params, k=float(rng.uniform(0.2, 3.0)))
-        if protocol == "concentrate":
-            params["a"] = float(rng.uniform(0.05, 0.65))
-        elif protocol == "concentrate-kondo":
-            params.update(a=float(rng.uniform(0.0, 1.0)), r=float(rng.uniform(-3, 3)))
-        else:
-            bits = "".join(rng.choice(["0", "1"], 3))
-            params.update(initial=bits, eigenvalues=presets[i % 3],
-                          **{name: float(rng.uniform(-3, 3)) for name in ("r", "r1", "r2")
-                             if name in params})
-        for state in _states(run_protocol(protocol, params)):
+        for state in _states(run_protocol(*_drawn_call(rng, i))):
             public = SpinState(state.amplitudes, state.labels)
             assert state.amplitudes.tobytes() == public.amplitudes.tobytes()
             assert state.amplitudes.dtype == complex and state.amplitudes.ndim == 1
@@ -579,6 +585,23 @@ def test_result_states_equal_states_built_by_the_public_constructor():
     assert seen > 800
 
 
+def test_a_branch_state_holds_its_probability_as_its_squared_norm():
+    # SpinState.norm_squared and the kernel's branch probabilities are one
+    # squared norm (hilbert._norm2), so they agree bit for bit, and normalized
+    # is the rule the kernel checked each live post state by; the draws cover
+    # all four protocols, entangle-impurities in both modes
+    rng = np.random.default_rng(89)
+    branches = 0
+    for i in range(600):
+        result = run_protocol(*_drawn_call(rng, i))
+        for branch in result.tree.branches:
+            assert branch.state.norm_squared == branch.probability
+            branches += 1
+        for out in result.outcomes:
+            assert out.post_state is None or out.post_state.normalized is True
+    assert branches > 1500
+
+
 def test_measured_branch_probability_sums_as_its_zero_padded_row():
     # the kernel sums each kept half of a measured state without building the
     # zero-padded branch; the sum must be _norm2 of that branch bit for bit
@@ -586,13 +609,13 @@ def test_measured_branch_probability_sums_as_its_zero_padded_row():
     state = (rng.normal(size=(500, 8)) + 1j * rng.normal(size=(500, 8))) \
         * 10.0 ** rng.integers(-8, 8, size=(500, 8))
     for qubit in (0, 1, 2):
-        branches, outcomes = protocols._measure(state, protocols._norm2(state), qubit, "m ",
+        branches, outcomes = protocols._measure(state, hilbert._norm2(state), qubit, "m ",
                                                 ("q2", "q1", "q0"))
         assert outcomes.pair_labels == tuple(f"q{q}" for q in (2, 1, 0) if q != qubit)
         for _, amps, kept, prob in branches:
             padded = np.zeros_like(state)
             padded[:, kept] = amps
-            assert np.array_equal(prob, protocols._norm2(padded))
+            assert np.array_equal(prob, hilbert._norm2(padded))
 
 
 @pytest.mark.parametrize("name", SINGLE_CALLS)
@@ -734,9 +757,9 @@ def test_the_short_axis_sum_equals_numpy_reduce_bit_for_bit(shape):
         x[(0.1 <= kind) & (kind < 0.13)] = np.inf
         x[(0.13 <= kind) & (kind < 0.15)] = np.nan
         with np.errstate(all="ignore"):
-            got, want = protocols._sum_rows(x), np.add.reduce(x, axis=-1)
+            got, want = hilbert._sum_rows(x), np.add.reduce(x, axis=-1)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # uniform draws round differently in any other order of adds
     x = rng.random((4096, shape[-1]))
-    assert np.array_equal(protocols._sum_rows(x), np.add.reduce(x, axis=-1))
+    assert np.array_equal(hilbert._sum_rows(x), np.add.reduce(x, axis=-1))

@@ -260,8 +260,8 @@ def test_matrix_amplitudes_open_channel_beside_a_strong_one(coupling, targets):
 def test_matrix_amplitudes_flux_check_catches_what_the_residual_misses(monkeypatch):
     # at |M/k| ~ 1e162 the residual bound scales with ||kI + iM|| ~ 1e162, so
     # a transmission off by a phase passes it; flux conservation refuses it
-    exact = scattering.barrier_transmission
-    monkeypatch.setattr(scattering, "barrier_transmission",
+    exact = scattering._transmission
+    monkeypatch.setattr(scattering, "_transmission",
                         lambda coupling, k: exact(coupling, k) * np.exp(0.1j))
     with pytest.raises(InternalFaultError, match="flux conservation"):
         matrix_amplitudes(embed(1e162 * exchange_matrix(), 3, (2, 1)), 1.0)
@@ -458,7 +458,7 @@ def test_star_product_of_channel_decompositions_is_the_redheffer_formula():
     rng = np.random.default_rng(5)
     n, d = 7, 3
     p1, p2 = _rank_one_projectors(rng, d), _rank_one_projectors(rng, d)
-    s1, s2 = (scattering.barrier_transmission(rng.normal(size=(n, d)) * 3.0, 1.0) for _ in range(2))
+    s1, s2 = (scattering._transmission(rng.normal(size=(n, d)) * 3.0, 1.0) for _ in range(2))
     phase = np.exp(2j * rng.uniform(0.0, 3.0, n))
     incident = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
     eye = np.eye(d)

@@ -35,7 +35,7 @@ from spinscatter import (
     two_impurity_exact,
 )
 from spinscatter.channels import EXCHANGE_EIGENVALUE_PRESETS, EXCHANGE_PROJECTORS
-from spinscatter.scattering import barrier_transmission
+from spinscatter.scattering import _transmission
 
 SECTORS = ((0,), (1, 2, 4), (3, 5, 6), (7,))
 IMPURITIES = ("particle-0", "impurity-1", "impurity-2")
@@ -99,7 +99,7 @@ def _dense_accuracy(coupling, eigenvalues, k):
     eigenvalues (1, 1, -2, 0) at coupling 1e10, is known to about 1e-6.
     """
     lam = coupling * np.asarray(eigenvalues, dtype=float)
-    s = barrier_transmission(lam, k)
+    s = _transmission(lam, k)
     return np.finfo(float).eps * np.max(np.abs(lam)) / k * np.max(np.abs(s)) ** 2
 
 

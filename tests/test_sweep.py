@@ -171,6 +171,25 @@ def test_sweep_rejects_text_parameters():
         sweep("entangle-impurities", [GridSpec("mode", 0.0, 1.0, 2)], {"r": 1.0})
 
 
+@pytest.mark.parametrize("args, message", [
+    (("a", 0.1, 0.5, 2.5), "grid point count must be an integer, got 2.5"),
+    (("a", 0.1, 0.5, "3"), "grid point count must be an integer, got '3'"),
+    (("a", 0.1, 0.5, True), "grid point count must be an integer, got True"),
+    ((5, 0.0, 1.0, 3), "grid parameter name must be a string, got 5"),
+])
+def test_a_grid_refuses_a_count_that_is_no_integer_and_a_name_that_is_no_string(args, message):
+    # sweep failed on each with a TypeError or an AttributeError
+    with pytest.raises(ValueError) as exc:
+        GridSpec(*args)
+    assert str(exc.value) == message
+
+
+def test_a_grid_takes_a_numpy_integer_count():
+    grid = GridSpec("r", 0.0, 1.0, np.int64(3))
+    assert grid.values().tolist() == [0.0, 0.5, 1.0]
+    assert sweep("concentrate", [grid], {"a": 0.6}).columns["r"].tolist() == [0.0, 0.5, 1.0]
+
+
 def _main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

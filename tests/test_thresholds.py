@@ -1,7 +1,9 @@
 """Source checks on the package: every numeric threshold comes from
 tolerances.py, a bound check that raises or records a failure lets no NaN
-through, every private module-level name is read somewhere, and the
-protocol kernel sums short rows only through its column-add helper."""
+through, every private module-level name is read somewhere, the
+protocol kernel sums short rows only through its column-add helper, and
+each spin-state quantity (squared norm, n.sigma, barrier transmission) is
+defined once."""
 
 import ast
 import pathlib
@@ -255,8 +257,41 @@ c = np.sum(x, 0)
 
 def test_the_kernel_sums_short_rows_only_by_column_adds():
     # np.add.reduce over a last axis of 4 costs several times the column
-    # adds of protocols._sum_rows, which give the same bits; the helper
+    # adds of hilbert._sum_rows, which give the same bits; the helper
     # alone decides which rows numpy still sums
+    assert "def _sum_rows(" in (PACKAGE / "hilbert.py").read_text(encoding="utf-8")
     source = (PACKAGE / "protocols.py").read_text(encoding="utf-8")
-    assert "def _sum_rows(" in source
     assert _last_axis_sums(source, "_sum_rows") == []
+
+
+def _definitions(sources):
+    """The modules that define each function or module-level name, and the
+    lines that call vdot, over {module name: source}."""
+    defined, vdot = {}, []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        names += [target.id for node in tree.body if isinstance(node, ast.Assign)
+                  for target in node.targets if isinstance(target, ast.Name)]
+        for name in names:
+            defined.setdefault(name, []).append(module)
+        vdot += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "vdot"]
+    return defined, vdot
+
+
+def test_the_definition_check_flags_a_copy_and_a_vdot():
+    defined, vdot = _definitions({"a.py": "_PAULIS = 1\ndef _norm2(x):\n    return np.vdot(x, x)\n",
+                                  "b.py": "def _norm2(x):\n    return x\n"})
+    assert (defined, vdot) == ({"_PAULIS": ["a.py"], "_norm2": ["a.py", "b.py"]}, ["a.py:3"])
+
+
+def test_each_state_quantity_is_defined_once():
+    # one squared norm (np.vdot is a second one, which rounds differently),
+    # one n.sigma and one barrier transmission: a copy drifts from the first
+    defined, vdot = _definitions({path.name: path.read_text(encoding="utf-8")
+                                  for path in sorted(PACKAGE.glob("*.py"))})
+    assert vdot == []
+    once = {"_norm2": "hilbert.py", "_sum_rows": "hilbert.py", "_PAULIS": "hilbert.py",
+            "_sigma_along": "hilbert.py", "_transmission": "scattering.py"}
+    assert {name: defined.get(name) for name in once} == {name: [m] for name, m in once.items()}
