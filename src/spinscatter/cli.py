@@ -14,8 +14,10 @@ so the data stream stays exactly the record table.
 
 Parameters: the protocol commands' flags derive from protocols.PARAMS, as
 do run_protocol and sweep, and every flag, config and sweep --fixed value
-is read by its parameter's reader (a number in a config file's "fixed"
-object goes to the protocol's checks unread, an integer as its float).
+is read by protocols._read, as run_protocol and sweep read theirs (a
+number in a config file goes to the protocol's checks unread, an integer
+as its float).  The readers only turn text into values, and the kernel's
+rule, or sweep's, refuses a bad one with the same message on every route.
 Precedence: command-line flag, then --config JSON file (same key names as
 the flags without the leading dashes), then built-in defaults; the default
 output format alone may also come from the SPINSCATTER_FORMAT environment
@@ -753,7 +755,7 @@ _COMMANDS = {
               help="protocol name, e.g. concentrate or entangle-particles"),
         Param("grid", _to_grid, required=True, help="swept parameter as name:start:stop:points[:scale]"),
         Param("fixed", _to_fixed, help="pinned parameter as name=value"),
-        Param("objective", _to_choice(("entropy", "probability")), help="argmax objective"),
+        Param("objective", _to_str, help="argmax objective"),
     ),
     "selftest": (),
 }
@@ -876,7 +878,7 @@ def parse_args(argv=None) -> RunConfig:
             if value is None:
                 value = file_values.get(param.flag)
             if value is not None:
-                params[param.key] = param.read(param.flag, value)
+                params[param.key] = _read(param, value)
     except ValueError as exc:
         _usage_error(str(exc))
 

@@ -107,6 +107,15 @@ class SpinState:
         state.__dict__.update(amplitudes=amplitudes, labels=labels)
         return state
 
+    def __eq__(self, other):
+        """Equal labels and amplitudes, compared by value (-0.0 equals 0.0)."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels and np.array_equal(self.amplitudes, other.amplitudes)
+
+    def __hash__(self):
+        return hash((self.labels, tuple(self.amplitudes.tolist())))
+
     @property
     def num_qubits(self) -> int:
         return self.amplitudes.size.bit_length() - 1
@@ -163,6 +172,9 @@ def pure_pair_figures(pairs):
     entropy follows from C with no eigensolver.  Returns two arrays of shape
     pairs.shape[:-1].
     """
+    pairs = np.asarray(pairs)
+    if pairs.shape[-1:] != (4,):
+        raise ValueError(f"pairs must hold 4 amplitudes along the last axis, got shape {pairs.shape}")
     c = np.minimum(1.0, 2.0 * np.abs(pairs[..., 0] * pairs[..., 3] - pairs[..., 1] * pairs[..., 2]))
     # smaller eigenvalue (1 - sqrt(1 - C^2))/2, written without the cancellation
     low = c * c / (2.0 * (1.0 + np.sqrt(1.0 - c * c)))

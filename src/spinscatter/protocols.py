@@ -346,8 +346,9 @@ def _attempts(success_probability) -> dict:
 
 
 def _check_pair(checks, a, b):
-    total = _modulus(a) ** 2 + _modulus(b) ** 2
-    checks.add(~(np.abs(total - 1.0) <= TOL.normalization),
+    """a|00> + b|11> is normalized, by the rule of SpinState.normalized."""
+    total = _norm2(np.stack([a, b], axis=-1))
+    checks.add(~(np.abs(total - 1.0) < TOL.normalization),
                lambda i: f"|a|^2 + |b|^2 must equal 1 (got {total[i]:.12g})")
 
 
@@ -443,16 +444,14 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
     if mode not in ("first-order", "exact"):
         checks.fail(f"mode must be 'first-order' or 'exact', got {mode!r}")
     _check_initial(checks, initial, _IMPURITIES_CONTENT)
-    exact = mode == "exact"
-    if exact:
-        _check_half_separation(checks, half_separation)
+    _check_half_separation(checks, half_separation)
     _check_wave_number(checks, k)
     s1 = _channel_amplitudes(checks, r1, k, eigenvalues_1)
     s2 = _channel_amplitudes(checks, r2, k, eigenvalues_2)
     checks.raise_first()
 
     psi0 = initial.amplitudes[None]  # the same at every point
-    if exact:  # star_product on the tables
+    if mode == "exact":  # star_product on the tables
         rows = _exchange(psi0, checks.n, (s1, s2), _IMPURITY_BARRIERS, _IMPURITY_PAIRS,
                          np.exp(2j * k * half_separation))
         failure_labels, prefix = ("reflected",), "transmitted, particle measured "
@@ -563,9 +562,12 @@ def entangle_impurities(k: float, impurity_1: KondoImpurity, impurity_2: KondoIm
 # Parameters: readers and the table of each protocol
 #
 # A reader takes a parameter's flag spelling and a text or JSON value, and
-# returns the value the protocol takes or raises a one-line ValueError.  The
-# command line reads every value with them, and run_protocol and sweep every
-# value but the numbers that _read hands to the kernel's checks.
+# returns the value the protocol takes or raises a one-line ValueError for
+# text it cannot read.  Every route reads a value by _read: flag text and a
+# config file's values on the command line, --fixed and "fixed" pins,
+# run_protocol and sweep.  A reader holds no value rule: the kernel's rules
+# (k and half_separation positive, the mode) and sweep's (the objective)
+# refuse a bad value, alike on every route.
 
 def _to_float(name, value):
     try:
@@ -576,13 +578,6 @@ def _to_float(name, value):
         raise ValueError(f"unparsable number for --{name}: {value!r}") from None
     if not math.isfinite(x):
         raise ValueError(f"--{name} must be finite, got {value!r}")
-    return x
-
-
-def _to_positive(name, value):
-    x = _to_float(name, value)
-    if x <= 0.0:
-        raise ValueError(f"{name.replace('-', ' ')} must be positive")
     return x
 
 
@@ -651,7 +646,7 @@ class Param:
     def __post_init__(self):
         if self.flag is None:
             object.__setattr__(self, "flag", self.key.replace("_", "-"))
-        object.__setattr__(self, "numeric", self.read in (_to_float, _to_positive))
+        object.__setattr__(self, "numeric", self.read is _to_float)
 
 
 _COEFFICIENTS = (
@@ -662,7 +657,7 @@ _COEFFICIENTS = (
     Param("b_phase", _to_float, 0.0, False, "phase of the |11> amplitude in radians"),
 )
 # run_protocol and sweep default k to 1; every command requires --k
-_K = Param("k", _to_positive, 1.0, True, "wave number (positive)")
+_K = Param("k", _to_float, 1.0, True, "wave number (positive)")
 _EIGENVALUES = Param("eigenvalues", _to_eigenvalues, DEFAULT_EXCHANGE_EIGENVALUES, False,
                      "channel eigenvalues")
 
@@ -696,10 +691,9 @@ PARAMS = {
         Param("r2", _to_float, None, True, "second impurity exchange coupling"),
         # the coupling of both impurities, where r1 or r2 is absent
         Param("r", _to_float),
-        Param("half_separation", _to_positive, 1.0, False,
+        Param("half_separation", _to_float, 1.0, False,
               "impurities sit at -+ this distance (default 1)"),
-        Param("mode", _to_choice(("first-order", "exact")), "first-order", False,
-              "composition mode"),
+        Param("mode", _to_str, "first-order", False, "composition mode"),
         _EIGENVALUES,
         Param("initial", _to_str, "100", False,
               "initial bits, particle-0 impurity-1 impurity-2 (default 100)"),
@@ -930,7 +924,7 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
     if len(set(names)) != len(names):
         raise ValueError("swept parameter names must be distinct")
     if objective not in _OBJECTIVES:
-        raise ValueError("objective must be 'probability' or 'entropy'")
+        raise ValueError(f"objective must be 'probability' or 'entropy', got {objective!r}")
     protocol = _protocol(protocol)
     pinned = _flat(fixed)
     for name in names:
@@ -941,9 +935,11 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
         if key in pinned:
             raise ValueError(f"parameter {key!r} is both swept and pinned")
 
+    # numpy refuses a size beyond its index range, and linspace fails on one
+    # of 2^63 - 1 points or more with an IndexError
     try:
         points = [m.reshape(-1) for m in np.meshgrid(*(g.values() for g in grids), indexing="ij")]
-    except (MemoryError, ValueError):  # numpy refuses sizes beyond its index range
+    except (MemoryError, ValueError, IndexError):
         raise ValueError(f"a grid of {math.prod(g.points for g in grids)} points "
                          "does not fit in memory") from None
     blocks = []

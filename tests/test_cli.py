@@ -177,7 +177,7 @@ def test_help_exits_zero():
 # error surface: documented exit codes and one-line diagnostics
 
 def test_nonpositive_k_diagnostic():
-    proc = run_cli("kondo", "--k", "0")
+    proc = run_cli("kondo", "--k", "0", "--r", "1")
     assert proc.returncode == 1
     assert proc.stderr == "error: k must be positive\n"
     assert proc.stdout == ""

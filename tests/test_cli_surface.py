@@ -7,6 +7,7 @@ at most once per process, and only for a line the flag table does not read;
 the tests below show that a long mixed stream of cli.main calls gives the
 same bytes as running each call with a new tree, that a line the flag table
 reads builds no parser, and that a process builds one tree at most.
+Last, a bad value is refused alike on every route it can take.
 """
 
 import argparse
@@ -16,10 +17,11 @@ import io
 import json
 import os
 import random
+import re
 
 import pytest
 
-from spinscatter import cli, protocols, run_protocol
+from spinscatter import GridSpec, cli, protocols, run_protocol, scalar_amplitudes, sweep
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 with open(os.path.join(DATA, "cli_surface.json"), encoding="utf-8") as _fh:
@@ -365,3 +367,102 @@ def test_config_fixed_integer_out_of_the_float_range_is_unparsable(tmp_path):
     with pytest.raises(ValueError) as exc:
         run_protocol("entangle-impurities", {"r": 1.0, "half_separation": -10 ** 400})
     assert str(exc.value) == f"unparsable number for --half-separation: -{text}"
+
+
+# ---------------------------------------------------------------------------
+# One rule per value: the readers only turn text into values, and the
+# kernel's rule (or sweep's) refuses a finite bad value.  So each route a
+# value takes gives the same exit status and message: flag text, a
+# top-level config value, sweep --fixed text, a config file's "fixed" value
+# and the library.  The command line may put "--fixed 'name=value': " before
+# the message of a pinned value.
+
+# protocol -> valid parameters as flag text, and the one its sweeps grid
+ROUTE_BASES = {
+    "concentrate": ({"a": "0.6", "k": "1", "r": "0.3"}, "r"),
+    "entangle-impurities": ({"k": "1", "r1": "1", "r2": "0.5"}, "r1"),
+}
+
+
+def _json_value(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _config_call(argv, config, tmp_path):
+    path = tmp_path / "routes.json"
+    path.write_text(json.dumps(config))
+    code, _, err = capture([*argv, "--config", str(path)])
+    return code, err
+
+
+def _library_call(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except ValueError as exc:
+        return 1, f"error: {exc}\n"
+    return 0, ""
+
+
+def _unprefixed(call):
+    code, err = call
+    return code, re.sub(r"^error: --fixed '[^']*': ", "error: ", err)
+
+
+def _flags(values):
+    return [f"--{protocols._BY_KEY[key].flag}={text}" for key, text in values.items()]
+
+
+@pytest.mark.parametrize("protocol, pins, key, text, message", [
+    ("concentrate", {}, "k", "0", "k must be positive"),
+    ("concentrate", {}, "k", "-1", "k must be positive"),
+    ("entangle-impurities", {}, "k", "0", "k must be positive"),
+    ("entangle-impurities", {"mode": "exact"}, "k", "-1", "k must be positive"),
+    *[("entangle-impurities", {"mode": mode}, "half_separation", text,
+       "half_separation must be positive")
+      for mode in ("first-order", "exact") for text in ("0", "-1")],
+    ("entangle-impurities", {}, "mode", "x", "mode must be 'first-order' or 'exact', got 'x'"),
+])
+def test_a_bad_value_is_refused_alike_on_every_route(protocol, pins, key, text, message, tmp_path):
+    base, swept = ROUTE_BASES[protocol]
+    values = {**base, **pins, key: text}
+    numbers = {name: _json_value(v) for name, v in values.items()}
+    pinned = [name for name in values if name != swept]
+    sweep_argv = ["sweep", "--protocol", protocol, "--grid", f"{swept}:0:1:2"]
+    routes = {
+        "flag": capture([protocol, *_flags(values)])[::2],
+        "config": _config_call([protocol], {protocols._BY_KEY[name].flag: v
+                                            for name, v in numbers.items()}, tmp_path),
+        "--fixed": capture([*sweep_argv, *(f"--fixed={name}={values[name]}" for name in pinned)])[::2],
+        "config fixed": _config_call(sweep_argv, {"fixed": {name: numbers[name] for name in pinned}},
+                                     tmp_path),
+        "run_protocol": _library_call(run_protocol, protocol, numbers),
+        "sweep": _library_call(sweep, protocol, [GridSpec(swept, 0.0, 1.0, 2)],
+                               {name: numbers[name] for name in pinned}),
+    }
+    assert {route: _unprefixed(call) for route, call in routes.items()} == \
+        dict.fromkeys(routes, (1, f"error: {message}\n"))
+
+
+@pytest.mark.parametrize("text", ["0", "-1"])
+def test_a_bad_wave_number_is_refused_alike_by_amplitudes(text, tmp_path):
+    routes = {
+        "flag": capture(["amplitudes", f"--k={text}", "--r=1"])[::2],
+        "config": _config_call(["amplitudes"], {"k": float(text), "r": 1.0}, tmp_path),
+        "scalar_amplitudes": _library_call(scalar_amplitudes, 1.0, float(text)),
+    }
+    assert routes == dict.fromkeys(routes, (1, "error: k must be positive\n"))
+
+
+def test_a_bad_objective_is_refused_alike_on_every_route(tmp_path):
+    argv = ["sweep", "--protocol", "concentrate", "--grid", "r:0:1:2", "--fixed", "a=0.5"]
+    routes = {
+        "flag": capture([*argv, "--objective", "x"])[::2],
+        "config": _config_call(argv, {"objective": "x"}, tmp_path),
+        "sweep": _library_call(sweep, "concentrate", [GridSpec("r", 0.0, 1.0, 2)], {"a": 0.5},
+                               objective="x"),
+    }
+    message = "error: objective must be 'probability' or 'entropy', got 'x'\n"
+    assert routes == dict.fromkeys(routes, (1, message))

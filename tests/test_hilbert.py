@@ -149,6 +149,27 @@ def test_pure_pair_figures_fold_rounding_noise_only():
     assert abs(ent[3] - 0.9182958340544896) < 1e-14  # h(1/3)
 
 
+def test_pure_pair_figures_takes_a_sequence_and_refuses_a_wrong_last_axis():
+    ent, c = pure_pair_figures([0.6, 0, 0, 0.8])
+    assert abs(c - 0.96) < 1e-15 and 0.0 < ent < 1.0
+    for pairs in (np.zeros((2, 3)), np.zeros(5), 1.0):
+        with pytest.raises(ValueError, match="4 amplitudes along the last axis"):
+            pure_pair_figures(pairs)
+
+
+def test_states_compare_and_hash_by_value():
+    assert make_state([1, 0]) == make_state([1, 0])
+    assert hash(make_state([1, 0])) == hash(make_state([1, 0]))
+    # -0.0 equals 0.0, and so do their hashes
+    assert make_state([-0.0, 1]) == make_state([0.0, 1])
+    assert hash(make_state([-0.0, 1])) == hash(make_state([0.0, 1]))
+    assert make_state([1, 0]) != make_state([0, 1])
+    assert make_state([1, 0]) != make_state([1, 0], labels=("p",))
+    assert make_state([1, 0, 0, 0]) != make_state([1, 0])
+    assert make_state([1, 0]) != [1, 0]
+    assert len({basis_state("01"), basis_state("01"), basis_state("10")}) == 2
+
+
 def test_entropy_between_validation():
     with pytest.raises(ValueError):
         entropy_between(basis_state("00"), 0, 0)

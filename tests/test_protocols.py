@@ -88,6 +88,36 @@ def test_concentrate_fixed_rejects_unnormalized_pair():
         concentrate_fixed(0.9, 0.9, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("a, b", [
+    # pairs on which squares by hypot, bounded by <=, disagree with normalized:
+    # this state is normalized and such a rule refuses it
+    ((0.006768291044389276 - 0.04673593254623827j), (-0.9951831483265418 + 0.08590951072055017j)),
+    # and this state is not, and such a rule accepts it
+    ((0.01653994427639791 - 0.00037499987253692606j), (-0.589863237743563 + 0.8073336673749647j)),
+])
+def test_the_pair_rule_is_the_normalized_rule_of_the_state(a, b):
+    normalized = make_state([a, 0, 0, b]).normalized
+    try:
+        concentrate_fixed(a, b, 1.0, 0.3)
+    except ValueError as exc:
+        assert str(exc).startswith("|a|^2 + |b|^2 must equal 1")
+        assert not normalized
+    else:
+        assert normalized
+
+
+def test_results_compare_by_value():
+    params = {"k": 1.2, "r1": 0.4, "r2": 0.7, "mode": "exact"}
+    first = run_protocol("entangle-impurities", params)
+    assert first == run_protocol("entangle-impurities", params)
+    assert first.tree == run_protocol("entangle-impurities", params).tree
+    assert first != run_protocol("entangle-impurities", {**params, "r2": 0.8})
+    assert concentrate_fixed(A3, B3, 1.0, 0.5) == concentrate_fixed(A3, B3, 1.0, 0.5)
+    assert concentrate_fixed(A3, B3, 1.0, 0.5) != concentrate_fixed(A3, B3, 1.0, 0.6)
+    state = first.outcomes[0].post_state
+    assert hash(state) == hash(run_protocol("entangle-impurities", params).outcomes[0].post_state)
+
+
 def test_concentrate_fixed_entropy_monotone_up_to_optimum():
     rs = np.linspace(0.0, 0.5, 21)
     entropies = [concentrate_fixed(A3, B3, 1.0, float(r)).outcomes[0].entropy_bits

@@ -154,7 +154,7 @@ def _first_point_error(protocol, grids, fixed):
     ("concentrate", [GridSpec("r", 0.0, 1.0, 3)], {"a": 0.5, "bogus": 1.0},
      "unknown parameter(s) for concentrate: bogus"),
     ("entangle-impurities", [GridSpec("r1", 0.0, 1.0, 3)], {"mode": "second-order", "r2": 1.0},
-     "--mode must be one of: first-order, exact (got 'second-order')"),
+     "mode must be 'first-order' or 'exact', got 'second-order'"),
     ("concentrate", [GridSpec("axis_theta", 0.0, 1.0, 3)], {"a": 0.5, "axis": "1,0,0"},
      "parameters 'axis' and 'axis_theta' exclude each other"),
 ])
@@ -375,6 +375,18 @@ def test_a_grid_too_large_for_memory_is_a_one_line_error():
                                 "--fixed", "a=0.5"])
         assert (code, out) == (1, "")
         assert err == f"error: a grid of {points} points does not fit in memory\n"
+
+
+@pytest.mark.parametrize("points", [2 ** 63 - 1, 2 ** 63])
+def test_a_grid_beyond_the_index_range_is_a_one_line_error(points):
+    # numpy's linspace ends these counts with an IndexError before it allocates
+    message = f"a grid of {points} points does not fit in memory"
+    with pytest.raises(ValueError) as exc:
+        sweep("concentrate", [GridSpec("a", 0.1, 0.5, points)], {"k": 1.0})
+    assert str(exc.value) == message
+    code, out, err = _main(["sweep", "--protocol", "concentrate", "--grid", f"a:0.1:0.5:{points}",
+                            "--fixed", "k=1"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("protocol, grids, fixed", CASES[::4])

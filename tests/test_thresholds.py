@@ -1,9 +1,9 @@
 """Source checks on the package: every numeric threshold comes from
 tolerances.py, a bound check that raises or records a failure lets no NaN
 through, every private module-level name is read somewhere, the
-protocol kernel sums short rows only through its column-add helper, and
+protocol kernel sums short rows only through its column-add helper,
 each spin-state quantity (squared norm, n.sigma, barrier transmission) is
-defined once."""
+defined once, and no value reader holds a value rule of its own."""
 
 import ast
 import pathlib
@@ -295,3 +295,46 @@ def test_each_state_quantity_is_defined_once():
     once = {"_norm2": "hilbert.py", "_sum_rows": "hilbert.py", "_PAULIS": "hilbert.py",
             "_sigma_along": "hilbert.py", "_transmission": "scattering.py"}
     assert {name: defined.get(name) for name in once} == {name: [m] for name, m in once.items()}
+
+
+def _reader_bounds(source):
+    """Line numbers of each order comparison (<, <=, >, >=) inside a _to_*
+    reader: a bound there refuses a value on the routes that read text
+    while the kernel's own rule refuses it on the others."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_to_"):
+            found += [compare.lineno for compare in ast.walk(node) if isinstance(compare, ast.Compare)
+                      and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in compare.ops)]
+    return sorted(set(found))
+
+
+def test_the_reader_check_flags_an_order_comparison():
+    flagged = """
+def _to_positive(name, value):
+    x = _to_float(name, value)
+    if x <= 0.0:
+        raise ValueError
+    return x
+def _to_choice(options):
+    def convert(name, value):
+        return value if 0 < len(value) else None
+    return convert
+"""
+    assert _reader_bounds(flagged) == [4, 9]
+    safe = """
+def _to_axis(name, value):
+    if len(value) != 3 or value not in (1, 2):
+        raise ValueError
+def _check_wave_number(checks, k):
+    checks.add(~(k > 0), "k must be positive")
+"""
+    assert _reader_bounds(safe) == []
+
+
+def test_no_reader_holds_a_value_rule():
+    # readers only turn text into values; the kernel's rules refuse them
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert "def _to_float(" in sources["protocols.py"]
+    found = [f"{module}:{line}" for module, source in sources.items() for line in _reader_bounds(source)]
+    assert found == []
