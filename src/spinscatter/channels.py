@@ -28,10 +28,11 @@ exchange channels and T = P+ + S P- for the filter.  EXCHANGE_PROJECTORS
 holds the exchange projectors with their exact entries 0, +-1/2 and 1, so
 they sum to the identity exactly and S_c - 1 are the exact coefficients of
 T - I; the protocols apply them through tables, without forming T.
-_channel_amplitudes gives the S_c and checks their couplings r*lambda_c,
-for stacked points and for kondo_channel_amplitudes; kondo_operators builds
-T for one point, filter_transmission the filter's T for stacks of
-amplitudes (leading axes), and fixed_filter_operators for one point.
+_channel_amplitudes gives the S_c and checks the eigenvalues and the
+couplings r*lambda_c, for stacked points and for kondo_channel_amplitudes;
+kondo_operators builds T for one point, filter_transmission the filter's T
+for stacks of amplitudes (leading axes), and fixed_filter_operators for one
+point.
 """
 
 import math
@@ -48,6 +49,7 @@ EXCHANGE_EIGENVALUE_PRESETS: dict[str, tuple[float, float, float, float]] = {
     "standard-pauli": (1.0, 1.0, 1.0, -3.0),
 }
 DEFAULT_EXCHANGE_EIGENVALUES = EXCHANGE_EIGENVALUE_PRESETS["default"]
+_Z_AXIS = (0.0, 0.0, 1.0)  # the filter's default spin axis
 
 # channel kets on (particle, impurity), unnormalized: aligned up, aligned
 # down, symmetric, antisymmetric -- the order of every eigenvalue 4-tuple.
@@ -61,11 +63,11 @@ EXCHANGE_PROJECTORS = (np.einsum("ci,cj->cij", _CHANNEL_KETS, _CHANNEL_KETS)
 EXCHANGE_PROJECTORS.setflags(write=False)
 
 
-def _check_eigenvalues(eigenvalues) -> tuple[float, float, float, float]:
-    ev = _reals(eigenvalues)
-    if len(ev) != 4 or not all(map(math.isfinite, ev)):
-        raise ValueError("eigenvalues must be four finite numbers")
-    return ev
+def _check_eigenvalues(checks, eigenvalues):
+    """The eigenvalue rule, one row shared by every point: eigenvalues, a
+    tuple of floats, holds four finite numbers."""
+    checks.add(np.array([len(eigenvalues) != 4 or not all(map(math.isfinite, eigenvalues))]),
+               "eigenvalues must be four finite numbers")
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class FixedImpurity:
     """Pinned-spin scatterer: bare coupling and spin axis (unit 3-vector)."""
 
     coupling: float
-    axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    axis: tuple[float, float, float] = _Z_AXIS
 
     @_quiet
     def __post_init__(self):
@@ -93,11 +95,12 @@ class KondoImpurity:
     eigenvalues: tuple[float, float, float, float] = DEFAULT_EXCHANGE_EIGENVALUES
 
     def __post_init__(self):
-        checks, coupling = _Checks(1), _one(self.coupling)
+        checks, coupling, eigenvalues = _Checks(1), _one(self.coupling), _reals(self.eigenvalues)
+        _check_eigenvalues(checks, eigenvalues)
         _check_coupling(checks, coupling)
         checks.raise_first()
         object.__setattr__(self, "coupling", coupling.item())
-        object.__setattr__(self, "eigenvalues", _check_eigenvalues(self.eigenvalues))
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
 
 def exchange_matrix(eigenvalues=DEFAULT_EXCHANGE_EIGENVALUES) -> np.ndarray:
@@ -106,7 +109,8 @@ def exchange_matrix(eigenvalues=DEFAULT_EXCHANGE_EIGENVALUES) -> np.ndarray:
     Multiplying by the coupling gives the delta-barrier potential the
     exchange impurity presents to the two-spin space.
     """
-    return np.einsum("c,cij->ij", _check_eigenvalues(eigenvalues), EXCHANGE_PROJECTORS)
+    # the eigenvalues read and checked as an impurity's
+    return np.einsum("c,cij->ij", KondoImpurity(0.0, eigenvalues).eigenvalues, EXCHANGE_PROJECTORS)
 
 
 def filter_transmission(amplitude, sigma) -> np.ndarray:
@@ -130,8 +134,10 @@ def filter_transmission(amplitude, sigma) -> np.ndarray:
 
 def _channel_amplitudes(checks, r, k, eigenvalues):
     """(N, 4) per-channel transmissions S_c = 1/(1 + i r lambda_c / k), which
-    mean something once the coupling rule recorded here has passed: the
-    transpose of a C-ordered (4, N) array, as _compose takes whole point rows."""
+    mean something once the eigenvalue and coupling rules recorded here have
+    passed: the transpose of a C-ordered (4, N) array, as _compose takes
+    whole point rows."""
+    _check_eigenvalues(checks, eigenvalues)
     coupling = np.multiply.outer(eigenvalues, r)
     _check_coupling(checks, coupling)
     return _transmission(coupling, k).T

@@ -14,14 +14,16 @@ so the data stream stays exactly the record table.
 
 Parameters: the protocol commands' flags derive from protocols.PARAMS, as
 do run_protocol and sweep, and every flag, config and sweep --fixed value
-is read by protocols._read, as run_protocol and sweep read theirs (a
-number in a config file goes to the protocol's checks unread, an integer
-as its float).  The readers only turn text into values, and the kernel's
-rule, or sweep's, refuses a bad one with the same message on every route.
+is read by protocols._read, as run_protocol and sweep read theirs.  The
+readers only parse text; any other value (a config file's number, bool,
+null or list) is read as the library reads it, and the kernel's rule, or
+sweep's, refuses a bad one with the same message on every route.
 Precedence: command-line flag, then --config JSON file (same key names as
 the flags without the leading dashes), then built-in defaults; the default
 output format alone may also come from the SPINSCATTER_FORMAT environment
-variable (weaker than flag and config file).  A call that spells out each
+variable (weaker than flag and config file).  A given value counts even
+when empty: only an absent or null one is unset, and an empty --format or
+--output is refused like any other bad format or unwritable path.  A call that spells out each
 flag with its value is read straight from the flag table that the argparse
 tree is built from, and builds no tree; argparse handles help,
 abbreviations and the usage errors the flag table cannot read, with the
@@ -50,7 +52,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .channels import (
-    DEFAULT_EXCHANGE_EIGENVALUES,
     EXCHANGE_EIGENVALUE_PRESETS,
     FixedImpurity,
     KondoImpurity,
@@ -70,10 +71,10 @@ from .protocols import (
     GridSpec,
     Param,
     _read,
-    _to_axis,
     _to_choice,
     _to_eigenvalues,
     _to_float,
+    _to_floats,
     _to_str,
     concentrate_fixed,
     concentrate_kondo,
@@ -471,14 +472,20 @@ def _operator_text(ops, fmt, extra_json=None, channel=None):
     return "\n".join(lines) + "\n"
 
 
+def _given(p, *keys):
+    """The entries of p under keys that were given: a handler passes no
+    default of its own, so the library's default holds."""
+    return {key: p[key] for key in keys if key in p}
+
+
 def _cmd_filter(p, fmt):
-    spec = FixedImpurity(p["r"], p.get("axis", (0.0, 0.0, 1.0)))
+    spec = FixedImpurity(p["r"], **_given(p, "axis"))
     ops = fixed_filter_operators(spec, p["k"])
     return _operator_text(ops, fmt, {"k": p["k"], "r": p["r"], "axis": spec.axis})
 
 
 def _cmd_kondo(p, fmt):
-    spec = KondoImpurity(p["r"], p.get("eigenvalues", DEFAULT_EXCHANGE_EIGENVALUES))
+    spec = KondoImpurity(p["r"], **_given(p, "eigenvalues"))
     channel = kondo_channel_amplitudes(spec, p["k"])
     ops = _exchange_operators(channel)
     return _operator_text(ops, fmt, {"k": p["k"], "r": p["r"], "eigenvalues": spec.eigenvalues},
@@ -535,7 +542,7 @@ def _cmd_protocol(command, p, fmt):
 
 
 def _cmd_sweep(p, fmt):
-    result = sweep(p["protocol"], p["grid"], p.get("fixed"), p.get("objective", "entropy"))
+    result = sweep(p["protocol"], p["grid"], **_given(p, "fixed", "objective"))
     text = emit_columns(result.columns, fmt)
     argmax = "argmax: " + "  ".join(
         f"{k}={v if isinstance(v, str) else '%.12g' % v}" for k, v in result.argmax.items()
@@ -685,14 +692,14 @@ def _to_grid(name, value):
             raise ValueError(
                 f"--{name} {text!r}: expected name:start:stop:points[:scale]"
             )
+        # the scale defaults to linear
+        key, start, stop, count, scale, *_ = [*parts, "linear"]
         try:
-            points = int(parts[3])
+            points = int(count)
         except ValueError:
-            raise ValueError(f"--{name} {text!r}: unparsable point count {parts[3]!r}") from None
-        scale = parts[4] if len(parts) == 5 else "linear"
+            raise ValueError(f"--{name} {text!r}: unparsable point count {count!r}") from None
         try:
-            grids.append(GridSpec(parts[0], _to_float(name, parts[1]),
-                                  _to_float(name, parts[2]), points, scale))
+            grids.append(GridSpec(key, _to_float(name, start), _to_float(name, stop), points, scale))
         except ValueError as exc:
             raise ValueError(f"--{name} {text!r}: {exc}") from None
     return grids
@@ -745,7 +752,7 @@ _COMMON = {"config": "path of a JSON file holding the same keys as the flags",
 _COMMANDS = {
     "amplitudes": (_K, Param("r", _to_float, required=True, help="delta-barrier coupling strength")),
     "filter": (_K, Param("r", _to_float, required=True, help="bare filter coupling"),
-               Param("axis", _to_axis, help="impurity spin axis as x,y,z (default 0,0,1)")),
+               Param("axis", _to_floats, help="impurity spin axis as x,y,z (default 0,0,1)")),
     "kondo": (_K, Param("r", _to_float, required=True, help="exchange coupling"),
               Param("eigenvalues", _to_eigenvalues,
                     help="channel eigenvalue preset name or four comma-separated values")),
@@ -871,12 +878,15 @@ def parse_args(argv=None) -> RunConfig:
             if key not in known:
                 _usage_error(f"unknown config key {key!r} for command {command}")
 
+    def value_of(dest, key):
+        """The flag's value, else the config file's: None (unset) only where
+        neither gives one, so an empty value counts."""
+        return file_values.get(key) if ns[dest] is None else ns[dest]
+
     params = {}
     try:
         for param in table:
-            value = ns[param.flag]
-            if value is None:
-                value = file_values.get(param.flag)
+            value = value_of(param.flag, param.flag)
             if value is not None:
                 params[param.key] = _read(param, value)
     except ValueError as exc:
@@ -886,11 +896,13 @@ def parse_args(argv=None) -> RunConfig:
         if param.required and param.key not in params:
             _usage_error(f"missing required parameter --{param.flag}")
 
-    fmt = ns["common_format"] or file_values.get("format") \
-        or os.environ.get(_FORMAT_ENV) or "table"
-    if fmt not in _FORMATS:
-        _usage_error(f"--format must be one of: {', '.join(_FORMATS)} (got {fmt!r})")
-    output = ns["common_output"] or file_values.get("output")
+    fmt, output = value_of("common_format", "format"), value_of("common_output", "output")
+    if fmt is None:
+        fmt = os.environ.get(_FORMAT_ENV) or "table"  # an empty variable is unset
+    try:
+        fmt = _to_choice(_FORMATS)("format", fmt)
+    except ValueError as exc:
+        _usage_error(str(exc))
     if output is not None and not isinstance(output, str):
         _usage_error(f"--output must be a path, got {output!r}")
     return RunConfig(command, params, fmt, output)
@@ -901,7 +913,7 @@ def run(config: RunConfig) -> int:
     try:
         handler = _HANDLERS[config.command]
         text = handler(dict(config.params), config.fmt)
-        if config.output:
+        if config.output is not None:
             with open(config.output, "wb") as fh:
                 fh.write(text.encode("utf-8"))
         else:

@@ -68,6 +68,7 @@ from .channels import (
     EXCHANGE_PROJECTORS,
     KondoImpurity,
     _channel_amplitudes,
+    _Z_AXIS,
     embed,
     filter_transmission,
 )
@@ -475,7 +476,7 @@ def _pair(a, b):
 
 
 @_quiet
-def concentrate_fixed(a, b, k: float, coupling: float, axis=(0.0, 0.0, 1.0)) -> ProtocolResult:
+def concentrate_fixed(a, b, k: float, coupling: float, axis=_Z_AXIS) -> ProtocolResult:
     """Filter a|00> + b|11> by scattering particle 1 off a pinned-spin impurity.
 
     The transmitted branch is proportional to a|00> + b*S|11> for the z axis
@@ -561,24 +562,24 @@ def entangle_impurities(k: float, impurity_1: KondoImpurity, impurity_2: KondoIm
 # ---------------------------------------------------------------------------
 # Parameters: readers and the table of each protocol
 #
-# A reader takes a parameter's flag spelling and a text or JSON value, and
-# returns the value the protocol takes or raises a one-line ValueError for
-# text it cannot read.  Every route reads a value by _read: flag text and a
-# config file's values on the command line, --fixed and "fixed" pins,
-# run_protocol and sweep.  A reader holds no value rule: the kernel's rules
-# (k and half_separation positive, the mode) and sweep's (the objective)
-# refuse a bad value, alike on every route.
+# A reader takes a parameter's flag spelling and a value, and returns the
+# value the protocol takes.  It parses text and nothing else: text it cannot
+# read is refused with a one-line ValueError, and any other value is read as
+# the library reads it (scattering._real: a bool, null or list as NaN, an
+# int beyond the float range as +-inf).  Every route reads a value by
+# _read: flag text and a config file's values on the command line, --fixed
+# and "fixed" pins, run_protocol and sweep.  A reader holds no value rule:
+# the kernel's rules (k and half_separation positive, couplings finite, the
+# axis, the eigenvalues, the mode) and sweep's (the objective) refuse a bad
+# value, alike on every route.
 
 def _to_float(name, value):
+    if not isinstance(value, str):
+        return _real(value)
     try:
-        if isinstance(value, bool):
-            raise TypeError
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
+        return float(value)
+    except ValueError:
         raise ValueError(f"unparsable number for --{name}: {value!r}") from None
-    if not math.isfinite(x):
-        raise ValueError(f"--{name} must be finite, got {value!r}")
-    return x
 
 
 def _to_choice(options):
@@ -590,30 +591,24 @@ def _to_choice(options):
     return convert
 
 
-def _parts(value):
-    """The comma-separated parts of text, the items of a sequence, or the value alone."""
+def _to_floats(name, value):
+    """The comma-separated parts of text, the items of a sequence, or the
+    value alone, each read by _to_float; the kernel's rule counts them."""
     if isinstance(value, str):
-        return value.split(",")
-    return list(value) if isinstance(value, (list, tuple, np.ndarray)) else [value]
-
-
-def _to_axis(name, value):
-    parts = _parts(value)
-    if len(parts) != 3:
-        raise ValueError(f"--{name} needs three comma-separated components")
-    return tuple(_to_float(name, part) for part in parts)
+        value = value.split(",")
+    elif not isinstance(value, (list, tuple, np.ndarray)):
+        value = (value,)
+    return tuple(_to_float(name, part) for part in value)
 
 
 def _to_eigenvalues(name, value):
+    """Text without a comma names a preset; any other value is a list of numbers."""
     if isinstance(value, str) and "," not in value:
         if value not in EXCHANGE_EIGENVALUE_PRESETS:
             known = ", ".join(sorted(EXCHANGE_EIGENVALUE_PRESETS))
             raise ValueError(f"unknown eigenvalue preset {value!r} (known: {known})")
         return EXCHANGE_EIGENVALUE_PRESETS[value]
-    parts = _parts(value)
-    if len(parts) != 4:
-        raise ValueError(f"--{name} needs a preset name or four comma-separated numbers")
-    return tuple(_to_float(name, part) for part in parts)
+    return _to_floats(name, value)
 
 
 def _to_str(name, value):
@@ -668,7 +663,7 @@ PARAMS = {
         *_COEFFICIENTS, _K,
         Param("r", _to_float, None, False, "coupling (fixed impurity default: the optimum)"),
         # default z, unless axis_theta gives the axis
-        Param("axis", _to_axis, None, False, "fixed-impurity spin axis as x,y,z"),
+        Param("axis", _to_floats, None, False, "fixed-impurity spin axis as x,y,z"),
         # the axis tilted from z toward x by this angle, in place of axis
         Param("axis_theta", _to_float),
     ),
@@ -705,12 +700,9 @@ _BY_KEY = {param.key: param for params in PARAMS.values() for param in params}
 
 
 def _read(param, value):
-    """value as param's flag reads it; a float or an array given for a
-    numeric parameter goes to the kernel's checks unread, and so does an
-    int (not a bool) as its float."""
-    if param.numeric and isinstance(value, int) and not isinstance(value, bool):
-        value = _to_float(param.flag, value)
-    if param.numeric and isinstance(value, (float, np.ndarray)):
+    """value as param's reader reads it; an array given for a numeric
+    parameter (a sweep's column) goes to the kernel's checks unread."""
+    if param.numeric and isinstance(value, np.ndarray):
         return value
     return param.read(param.flag, value)
 
@@ -747,9 +739,13 @@ def _run(protocol, p, checks):
 
 
 def _coeff_pair(checks, a, b, a_phase, b_phase):
-    checks.add(~((0.0 <= a) & (a <= 1.0)), "parameter 'a' must lie in [0, 1]")
+    """The amplitudes of the magnitudes a and b (b by default sqrt(1 - a^2)),
+    each in [0, 1], at their phases."""
     if b is None:
         b = np.sqrt(np.maximum(0.0, 1.0 - a * a))
+    for name, magnitude in (("a", a), ("b", b)):
+        checks.add(~((0.0 <= magnitude) & (magnitude <= 1.0)),
+                   f"parameter {name!r} must lie in [0, 1]")
     return a * (np.cos(a_phase) + 1j * np.sin(a_phase)), b * (np.cos(b_phase) + 1j * np.sin(b_phase))
 
 
@@ -770,7 +766,7 @@ def _initial_state(bits, labels, checks):
 def _run_concentrate_fixed(checks, a, b, a_phase, b_phase, k, r, axis, axis_theta):
     a, b = _coeff_pair(checks, a, b, a_phase, b_phase)
     if axis_theta is None:  # one row shared by every point
-        rows = np.array([(0.0, 0.0, 1.0) if axis is None else axis])
+        rows = np.array([_Z_AXIS if axis is None else axis])
     elif axis is not None:
         checks.fail("parameters 'axis' and 'axis_theta' exclude each other")
     else:

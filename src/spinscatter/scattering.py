@@ -45,20 +45,21 @@ from .tolerances import DEFAULT as TOL
 
 
 def _real(x) -> float:
-    """Read a real scalar argument: a numbers.Real as its float, an int beyond
-    the float range as +-inf, anything else as NaN, so that it reaches its rule."""
-    try:
-        return float(x) if isinstance(x, numbers.Real) else math.nan
+    """Read a real scalar argument: a numbers.Real but a bool as its float, an
+    int beyond the float range as +-inf, anything else as NaN, so that it
+    reaches its rule."""
+    try:  # float first: it spares most arguments the abc check of numbers.Real
+        return float(x) if isinstance(x, (float, numbers.Real)) and type(x) is not bool else math.nan
     except OverflowError:
         return math.inf if x > 0 else -math.inf
 
 
 def _complex(x) -> complex:
     """Read a complex scalar argument as _real reads a real one: a
-    numbers.Complex as its complex value, an int beyond the float range as
-    +-inf, anything else as NaN."""
+    numbers.Complex but a bool as its complex value, an int beyond the
+    float range as +-inf, anything else as NaN."""
     try:
-        return complex(x) if isinstance(x, numbers.Complex) else complex(math.nan)
+        return complex(x) if isinstance(x, numbers.Complex) and type(x) is not bool else complex(math.nan)
     except OverflowError:
         return complex(_real(x))
 
@@ -189,7 +190,7 @@ def _transmission(coupling, k):
     coupling/k overflows to infinity, S is its limit 0.
     """
     xi = np.asarray(coupling, dtype=float) / k
-    s = np.empty(np.shape(xi), dtype=complex)
+    s = np.empty(xi.shape, dtype=complex)
     s.real = 1.0
     s.imag = xi  # 1 + i xi without the product 1j * inf, which is nan + inf i
     np.divide(1.0, s, out=s)

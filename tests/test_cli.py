@@ -246,11 +246,11 @@ def test_internal_fault_maps_to_exit_2(monkeypatch, capsys):
      "--grid 5: expected name:start:stop:points[:scale]"),
     ("sweep", {"protocol": "concentrate", "grid": ["r:0:1:2"], "fixed": 5},
      "--fixed '5': expected name=value"),
-    ("sweep", {"protocol": "concentrate", "grid": ["r:0:1:2"], "fixed": {"axis": 5}},
-     "--fixed 'axis=5': --axis needs three comma-separated components"),
-    ("filter", {"k": 1, "r": 1, "axis": 5}, "--axis needs three comma-separated components"),
-    ("kondo", {"k": 1, "r": 1, "eigenvalues": 5},
-     "--eigenvalues needs a preset name or four comma-separated numbers"),
+    # a number where a list is due is a list of one, refused by the kernel's rule
+    ("sweep", {"protocol": "concentrate", "grid": ["r:0:1:2"], "fixed": {"a": 0.6, "axis": 5}},
+     "axis must be a finite 3-vector"),
+    ("filter", {"k": 1, "r": 1, "axis": 5}, "axis must be a finite 3-vector"),
+    ("kondo", {"k": 1, "r": 1, "eigenvalues": 5}, "eigenvalues must be four finite numbers"),
 ])
 def test_config_value_of_the_wrong_type_is_a_one_line_error(command, config, message, tmp_path,
                                                             capsys):
@@ -373,6 +373,41 @@ def test_format_environment_variable_and_precedence(tmp_path):
     flag_wins = run_cli("amplitudes", "--k", "1", "--r", "1", "--format", "table",
                         env_extra={"SPINSCATTER_FORMAT": "json"})
     assert not flag_wins.stdout.lstrip().startswith("{")
+
+
+# a given format, even an empty one, is read by one rule on every route
+@pytest.mark.parametrize("argv, config, got", [
+    (["--format="], {}, "''"),
+    ([], {"format": ""}, "''"),
+    ([], {"format": 0}, "'0'"),
+    (["--format", "5"], {}, "'5'"),
+    ([], {"format": 5}, "'5'"),
+    ([], {"format": True}, "'True'"),
+])
+def test_a_given_format_is_one_of_the_formats(argv, config, got, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"k": 1, "r": 1, **config}))
+    assert cli.main(["amplitudes", "--config", str(path), *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: --format must be one of: table, csv, json (got {got})\n")
+
+
+def test_an_empty_format_variable_is_unset(monkeypatch, capsys):
+    monkeypatch.delenv(cli._FORMAT_ENV, raising=False)
+    assert cli.main(["amplitudes", "--k", "1", "--r", "1"]) == 0
+    table = capsys.readouterr()
+    monkeypatch.setenv(cli._FORMAT_ENV, "")
+    assert cli.main(["amplitudes", "--k", "1", "--r", "1"]) == 0
+    assert capsys.readouterr() == table
+    assert table.out.startswith("name")
+
+
+@pytest.mark.parametrize("argv, config", [(["--output="], {}), ([], {"output": ""})])
+def test_an_empty_output_path_is_unwritable(argv, config, tmp_path, capsys):
+    # it wrote to stdout, as if no path were given
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"k": 1, "r": 1, **config}))
+    assert cli.main(["amplitudes", "--config", str(path), *argv]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "table"])

@@ -15,13 +15,15 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import random
 import re
 
 import pytest
 
-from spinscatter import GridSpec, cli, protocols, run_protocol, scalar_amplitudes, sweep
+from spinscatter import (GridSpec, KondoImpurity, cli, concentrate_fixed, entangle_impurities, protocols,
+                         run_protocol, scalar_amplitudes, sweep)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 with open(os.path.join(DATA, "cli_surface.json"), encoding="utf-8") as _fh:
@@ -297,28 +299,28 @@ def test_config_fixed_text_parameters(protocol, args, direct, tmp_path):
     _assert_rows_equal_single_calls(protocol, code, out, direct)
 
 
-# a --fixed text, or a config file's "fixed" object
-@pytest.mark.parametrize("fixed, message", [
-    ("axis=1,2", "error: --fixed 'axis=1,2': --axis needs three comma-separated components\n"),
-    ("eigenvalues=1,2", "error: --fixed 'eigenvalues=1,2': --eigenvalues needs a preset name "
-                        "or four comma-separated numbers\n"),
-    ("axis=0,x,1", "error: --fixed 'axis=0,x,1': unparsable number for --axis: 'x'\n"),
-    ("a=x", "error: --fixed 'a=x': unparsable number for --a-coeff: 'x'\n"),
-    ("a_phase=inf", "error: --fixed 'a_phase=inf': --a-phase must be finite, got 'inf'\n"),
-    ({"a": [0.5]}, "error: --fixed 'a=[0.5]': unparsable number for --a-coeff: [0.5]\n"),
-    ({"a": None}, "error: --fixed 'a=None': unparsable number for --a-coeff: None\n"),
-    ({"a": True}, "error: --fixed 'a=True': unparsable number for --a-coeff: True\n"),
-    ({"eigenvalues": 5}, "error: --fixed 'eigenvalues=5': --eigenvalues needs a preset name "
-                         "or four comma-separated numbers\n"),
+# --fixed texts, or a config file's "fixed" object: text a reader cannot
+# parse is refused behind the --fixed 'name=value' it came from; any other
+# value is refused by the kernel's rule
+@pytest.mark.parametrize("protocol, fixed, message", [
+    ("concentrate", ["a=0.6", "axis=1,2"], "error: axis must be a finite 3-vector\n"),
+    ("entangle-particles", ["eigenvalues=1,2"], "error: eigenvalues must be four finite numbers\n"),
+    ("concentrate", ["axis=0,x,1"], "error: --fixed 'axis=0,x,1': unparsable number for --axis: 'x'\n"),
+    ("concentrate", ["a=x"], "error: --fixed 'a=x': unparsable number for --a-coeff: 'x'\n"),
+    ("concentrate", ["a=0.6", "a_phase=inf"], "error: |a|^2 + |b|^2 must equal 1 (got nan)\n"),
+    ("concentrate", {"a": [0.5]}, "error: parameter 'a' must lie in [0, 1]\n"),
+    ("concentrate", {"a": None}, "error: parameter 'a' must lie in [0, 1]\n"),
+    ("concentrate", {"a": True}, "error: parameter 'a' must lie in [0, 1]\n"),
+    ("entangle-particles", {"eigenvalues": 5}, "error: eigenvalues must be four finite numbers\n"),
 ])
-def test_sweep_fixed_text_usage_errors(fixed, message, tmp_path):
-    argv = ["sweep", "--protocol", "concentrate", "--grid", "r:0:1:2"]
+def test_sweep_fixed_text_usage_errors(protocol, fixed, message, tmp_path):
+    argv = ["sweep", "--protocol", protocol, "--grid", "r:0:1:2"]
     if isinstance(fixed, dict):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"fixed": fixed}))
         argv += ["--config", str(path)]
     else:
-        argv += ["--fixed", fixed]
+        argv += [f"--fixed={text}" for text in fixed]
     assert capture(argv) == (1, "", message)
 
 
@@ -358,37 +360,50 @@ def test_config_fixed_integer_reads_as_its_float(protocol, grid, integer, number
         assert cli._render_protocol(got, "json") == cli._render_protocol(expected, "json")
 
 
-def test_config_fixed_integer_out_of_the_float_range_is_unparsable(tmp_path):
-    text = str(10 ** 400)
+def test_config_fixed_integer_out_of_the_float_range_reads_as_infinity(tmp_path):
+    # as the library reads it (scattering._real), so the kernel's rule refuses it
+    assert (protocols._read(protocols._K, 10 ** 400), protocols._read(protocols._K, -10 ** 400)) == \
+        (math.inf, -math.inf)
     code, out, err = _sweep_with_config_fixed("concentrate", "r:0:1:2", {"a": 0.5, "k": 10 ** 400},
                                               tmp_path)
-    assert (code, out) == (1, "")
-    assert err == f"error: --fixed 'k={text}': unparsable number for --k: {text}\n"
+    assert (code, out, err) == (1, "", "error: k must be positive\n")
     with pytest.raises(ValueError) as exc:
         run_protocol("entangle-impurities", {"r": 1.0, "half_separation": -10 ** 400})
-    assert str(exc.value) == f"unparsable number for --half-separation: -{text}"
+    assert str(exc.value) == "half_separation must be positive"
 
 
 # ---------------------------------------------------------------------------
-# One rule per value: the readers only turn text into values, and the
-# kernel's rule (or sweep's) refuses a finite bad value.  So each route a
-# value takes gives the same exit status and message: flag text, a
-# top-level config value, sweep --fixed text, a config file's "fixed" value
-# and the library.  The command line may put "--fixed 'name=value': " before
-# the message of a pinned value.
+# One rule per value: the readers only parse text, any other value is read
+# as the library reads it (a bool as NaN, an integer beyond the float range
+# as +-inf), and the kernel's rule (or sweep's) refuses a bad value.  So each
+# route a value takes gives the same exit status and message: flag text, a
+# top-level config value, sweep --fixed text, a config file's "fixed" value,
+# run_protocol, sweep and the library call.  The command line may put
+# "--fixed 'name=value': " before the message of a pinned value.
 
-# protocol -> valid parameters as flag text, and the one its sweeps grid
+def _given(values, *keys):
+    return {key: values[key] for key in keys if key in values}
+
+
+def _impurities_call(v):
+    impurities = (KondoImpurity(v[r], **_given(v, "eigenvalues")) for r in ("r1", "r2"))
+    return entangle_impurities(v["k"], *impurities, **_given(v, "half_separation", "mode"))
+
+
+# protocol -> valid parameters, the one its sweeps grid, and its library call
+# at the parameters v
 ROUTE_BASES = {
-    "concentrate": ({"a": "0.6", "k": "1", "r": "0.3"}, "r"),
-    "entangle-impurities": ({"k": "1", "r1": "1", "r2": "0.5"}, "r1"),
+    "concentrate": ({"a": 0.6, "k": 1.0, "r": 0.3}, "a_phase",
+                    lambda v: concentrate_fixed(v["a"], 0.8, v["k"], v["r"], **_given(v, "axis"))),
+    "entangle-impurities": ({"k": 1.0, "r1": 1.0, "r2": 0.5}, "r1", _impurities_call),
 }
 
 
-def _json_value(text):
-    try:
-        return float(text)
-    except ValueError:
-        return text
+def _text(value):
+    """A value as flag text: a list as its comma-separated items; a bool has none."""
+    if isinstance(value, bool):
+        return None
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def _config_call(argv, config, tmp_path):
@@ -411,37 +426,58 @@ def _unprefixed(call):
     return code, re.sub(r"^error: --fixed '[^']*': ", "error: ", err)
 
 
-def _flags(values):
-    return [f"--{protocols._BY_KEY[key].flag}={text}" for key, text in values.items()]
+def _flags(texts):
+    return [f"--{protocols._BY_KEY[key].flag}={text}" for key, text in texts.items()]
 
 
-@pytest.mark.parametrize("protocol, pins, key, text, message", [
-    ("concentrate", {}, "k", "0", "k must be positive"),
-    ("concentrate", {}, "k", "-1", "k must be positive"),
-    ("entangle-impurities", {}, "k", "0", "k must be positive"),
-    ("entangle-impurities", {"mode": "exact"}, "k", "-1", "k must be positive"),
-    *[("entangle-impurities", {"mode": mode}, "half_separation", text,
-       "half_separation must be positive")
-      for mode in ("first-order", "exact") for text in ("0", "-1")],
+K, COUPLING, HALF = "k must be positive", "coupling must be finite", "half_separation must be positive"
+
+
+def _case_id(value):
+    """10**400 as itself, not as its 401 digits; other values as pytest names them."""
+    if type(value) is int and abs(value) == 10 ** 400:
+        return "-10**400" if value < 0 else "10**400"
+    return None
+
+
+@pytest.mark.parametrize("protocol, pins, key, value, message", [
+    ("concentrate", {}, "k", 0.0, K),
+    ("concentrate", {}, "k", -1.0, K),
+    ("entangle-impurities", {}, "k", 0.0, K),
+    ("entangle-impurities", {"mode": "exact"}, "k", -1.0, K),
+    *[("entangle-impurities", {"mode": mode}, "half_separation", value, HALF)
+      for mode in ("first-order", "exact") for value in (0.0, -1.0)],
     ("entangle-impurities", {}, "mode", "x", "mode must be 'first-order' or 'exact', got 'x'"),
-])
-def test_a_bad_value_is_refused_alike_on_every_route(protocol, pins, key, text, message, tmp_path):
-    base, swept = ROUTE_BASES[protocol]
-    values = {**base, **pins, key: text}
-    numbers = {name: _json_value(v) for name, v in values.items()}
-    pinned = [name for name in values if name != swept]
+    # non-finite numbers, integers beyond the float range and bools
+    ("concentrate", {}, "k", math.nan, K),
+    ("concentrate", {}, "k", math.inf, K),
+    ("concentrate", {}, "k", 10 ** 400, K),
+    ("concentrate", {}, "k", True, K),
+    ("concentrate", {}, "r", math.inf, COUPLING),
+    ("entangle-impurities", {}, "r2", True, COUPLING),
+    ("entangle-impurities", {"mode": "exact"}, "half_separation", -10 ** 400, HALF),
+    # lists of the wrong length
+    ("concentrate", {}, "axis", [0.0, 1.0], "axis must be a finite 3-vector"),
+    ("entangle-impurities", {}, "eigenvalues", [1.0, 2.0], "eigenvalues must be four finite numbers"),
+], ids=_case_id)
+def test_a_bad_value_is_refused_alike_on_every_route(protocol, pins, key, value, message, tmp_path):
+    base, swept, library = ROUTE_BASES[protocol]
+    values = {**base, **pins, key: value}
+    pinned = {name: v for name, v in values.items() if name != swept}
     sweep_argv = ["sweep", "--protocol", protocol, "--grid", f"{swept}:0:1:2"]
     routes = {
-        "flag": capture([protocol, *_flags(values)])[::2],
         "config": _config_call([protocol], {protocols._BY_KEY[name].flag: v
-                                            for name, v in numbers.items()}, tmp_path),
-        "--fixed": capture([*sweep_argv, *(f"--fixed={name}={values[name]}" for name in pinned)])[::2],
-        "config fixed": _config_call(sweep_argv, {"fixed": {name: numbers[name] for name in pinned}},
-                                     tmp_path),
-        "run_protocol": _library_call(run_protocol, protocol, numbers),
-        "sweep": _library_call(sweep, protocol, [GridSpec(swept, 0.0, 1.0, 2)],
-                               {name: numbers[name] for name in pinned}),
+                                            for name, v in values.items()}, tmp_path),
+        "config fixed": _config_call(sweep_argv, {"fixed": pinned}, tmp_path),
+        "run_protocol": _library_call(run_protocol, protocol, values),
+        "sweep": _library_call(sweep, protocol, [GridSpec(swept, 0.0, 1.0, 2)], pinned),
+        "library": _library_call(library, values),
     }
+    if _text(value) is not None:
+        texts = {name: _text(v) for name, v in values.items()}
+        routes["flag"] = capture([protocol, *_flags(texts)])[::2]
+        routes["--fixed"] = capture([*sweep_argv, *(f"--fixed={name}={texts[name]}"
+                                                    for name in pinned)])[::2]
     assert {route: _unprefixed(call) for route, call in routes.items()} == \
         dict.fromkeys(routes, (1, f"error: {message}\n"))
 

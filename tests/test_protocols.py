@@ -393,6 +393,21 @@ def test_run_protocol_reports_the_bit_count_of_the_initial_state(protocol, param
             run_protocol(protocol, {**params, "initial": text})
 
 
+@pytest.mark.parametrize("protocol", ["concentrate", "concentrate-kondo"])
+@pytest.mark.parametrize("magnitudes, name", [
+    ({"a": 0.6, "b": -0.8}, "b"),
+    ({"a": 0.6, "b": 1.5}, "b"),
+    ({"a": -0.6, "b": 0.8}, "a"),
+    ({"a": 1.5, "b": 0.8}, "a"),
+    ({"a": -0.6, "b": -0.8}, "a"),
+])
+def test_each_pair_magnitude_must_lie_in_the_unit_interval(protocol, magnitudes, name):
+    # one rule for both magnitudes; a negative b was taken, as the phase pi
+    message = f"parameter {name!r} must lie in [0, 1]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_protocol(protocol, {**magnitudes, "k": 1.0, "r": 0.5})
+
+
 # every protocol and mode, with the names of its couplings
 COUPLED_CALLS = [
     ("concentrate", {"a": 0.5, "k": 1.0}, ("r",)),

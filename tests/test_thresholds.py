@@ -3,7 +3,8 @@ tolerances.py, a bound check that raises or records a failure lets no NaN
 through, every private module-level name is read somewhere, the
 protocol kernel sums short rows only through its column-add helper,
 each spin-state quantity (squared norm, n.sigma, barrier transmission) is
-defined once, and no value reader holds a value rule of its own."""
+defined once, and no value reader holds a value rule of its own (a bound,
+a finiteness or a count test)."""
 
 import ast
 import pathlib
@@ -297,19 +298,39 @@ def test_each_state_quantity_is_defined_once():
     assert {name: defined.get(name) for name in once} == {name: [m] for name, m in once.items()}
 
 
+# the finiteness tests of math and numpy
+_FINITENESS = ("isfinite", "isnan", "isinf")
+
+
+def _is_count_test(node):
+    """len(x) == n or len(x) != n against an integer n."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+            and any(isinstance(side, ast.Call) and getattr(side.func, "id", None) == "len"
+                    for side in (node.left, node.comparators[0]))
+            and any(isinstance(side, ast.Constant) and type(side.value) is int
+                    for side in (node.left, node.comparators[0])))
+
+
 def _reader_bounds(source):
-    """Line numbers of each order comparison (<, <=, >, >=) inside a _to_*
-    reader: a bound there refuses a value on the routes that read text
-    while the kernel's own rule refuses it on the others."""
+    """Line numbers of each value rule inside a _to_* reader: an order
+    comparison (<, <=, >, >=), a finiteness test (isfinite, isnan or isinf
+    of math or numpy) or a count test (len(x) == n or len(x) != n).  A rule
+    there refuses a value on the routes that read text while the kernel's
+    own rule refuses it on the others."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_to_"):
-            found += [compare.lineno for compare in ast.walk(node) if isinstance(compare, ast.Compare)
-                      and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in compare.ops)]
+            found += [inner.lineno for inner in ast.walk(node)
+                      if isinstance(inner, ast.Compare)
+                      and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in inner.ops)
+                      or _is_count_test(inner)
+                      or isinstance(inner, ast.Call)
+                      and getattr(inner.func, "attr", getattr(inner.func, "id", None)) in _FINITENESS]
     return sorted(set(found))
 
 
-def test_the_reader_check_flags_an_order_comparison():
+def test_the_reader_check_flags_a_bound_a_finiteness_and_a_count_test():
     flagged = """
 def _to_positive(name, value):
     x = _to_float(name, value)
@@ -320,14 +341,26 @@ def _to_choice(options):
     def convert(name, value):
         return value if 0 < len(value) else None
     return convert
+def _to_finite(name, value):
+    x = float(value)
+    if not math.isfinite(x) or np.isnan(x) or numpy.isinf(x):
+        raise ValueError
+    return x if isfinite(x) else None
+def _to_axis(name, value):
+    if len(value) != 3 or 4 == len(value):
+        raise ValueError
 """
-    assert _reader_bounds(flagged) == [4, 9]
+    assert _reader_bounds(flagged) == [4, 9, 13, 15, 17]
     safe = """
 def _to_axis(name, value):
-    if len(value) != 3 or value not in (1, 2):
+    if value not in (1, 2) or len(value) == len(name):
+        raise ValueError
+def _to_grid(name, value):
+    parts = str(value).split(":")
+    if len(parts) not in (4, 5):
         raise ValueError
 def _check_wave_number(checks, k):
-    checks.add(~(k > 0), "k must be positive")
+    checks.add(~(np.isfinite(k) & (k > 0)), "k must be positive")
 """
     assert _reader_bounds(safe) == []
 
