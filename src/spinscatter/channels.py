@@ -28,11 +28,14 @@ exchange channels and T = P+ + S P- for the filter.  EXCHANGE_PROJECTORS
 holds the exchange projectors with their exact entries 0, +-1/2 and 1, so
 they sum to the identity exactly and S_c - 1 are the exact coefficients of
 T - I; the protocols apply them through tables, without forming T.
-_channel_amplitudes gives the S_c and checks the eigenvalues and the
-couplings r*lambda_c, for stacked points and for kondo_channel_amplitudes;
-kondo_operators builds T for one point, filter_transmission the filter's T
-for stacks of amplitudes (leading axes), and fixed_filter_operators for one
-point.
+_channel_amplitudes gives the S_c of stacked points and checks the
+eigenvalues and the couplings r*lambda_c; kondo_channel_amplitudes gives
+them at one point, checking only what a checked KondoImpurity leaves open
+(k and the couplings r*lambda_c).  kondo_operators builds T for one point,
+filter_transmission the filter's T for stacks of amplitudes (leading axes),
+and fixed_filter_operators for one point.  Each value is checked once,
+where it enters: the one-point operators, built from checked values, are
+finite, and are wrapped without a second check (OperatorAmplitudes._trusted).
 """
 
 import math
@@ -138,6 +141,12 @@ def _channel_amplitudes(checks, r, k, eigenvalues):
     passed: the transpose of a C-ordered (4, N) array, as _compose takes
     whole point rows."""
     _check_eigenvalues(checks, eigenvalues)
+    return _coupled_amplitudes(checks, r, k, eigenvalues)
+
+
+def _coupled_amplitudes(checks, r, k, eigenvalues):
+    """_channel_amplitudes of eigenvalues past their rule: only the rule
+    that the couplings r*lambda_c be finite is recorded."""
     coupling = np.multiply.outer(eigenvalues, r)
     _check_coupling(checks, coupling)
     return _transmission(coupling, k).T
@@ -145,10 +154,14 @@ def _channel_amplitudes(checks, r, k, eigenvalues):
 
 @_quiet
 def kondo_channel_amplitudes(spec: KondoImpurity, k: float) -> tuple[complex, ...]:
-    """Per-channel transmissions S_c = 1/(1 + i r*lambda_c/k): _channel_amplitudes at one point."""
+    """Per-channel transmissions S_c = 1/(1 + i r*lambda_c/k): _channel_amplitudes at one point.
+
+    The impurity checked its eigenvalues and coupling when it was built;
+    k and the couplings r*lambda_c, which can overflow, are checked here.
+    """
     checks, k = _Checks(1), _one(k)
     _check_wave_number(checks, k)
-    s = _channel_amplitudes(checks, np.array([spec.coupling]), k, spec.eigenvalues)
+    s = _coupled_amplitudes(checks, np.array([spec.coupling]), k, spec.eigenvalues)
     checks.raise_first()
     return tuple(s[0].tolist())
 
@@ -164,17 +177,17 @@ def kondo_operators(spec: KondoImpurity, k: float) -> OperatorAmplitudes:
 
 
 def _exchange_operators(amplitudes) -> OperatorAmplitudes:
-    """The operators T = sum_c S_c P_c and T - I of the four channel amplitudes S_c."""
-    t = np.einsum("c,cij->ij", np.array(amplitudes), EXCHANGE_PROJECTORS)
-    return OperatorAmplitudes(t, t - np.eye(4))
+    """The operators T = sum_c S_c P_c and T - I of the four channel amplitudes
+    S_c, which are finite (|S_c| <= 1), so T needs no check."""
+    return OperatorAmplitudes._trusted(np.einsum("c,cij->ij", np.array(amplitudes), EXCHANGE_PROJECTORS))
 
 
 def fixed_filter_operators(spec: FixedImpurity, k: float) -> OperatorAmplitudes:
     """Single-spin transmission/reflection operators of the pinned-spin filter."""
     # anti-aligned component sees twice the bare coupling
     s = scalar_amplitudes(2.0 * spec.coupling, k).transmission
-    t = filter_transmission(s, _sigma_along([spec.axis])[0])  # checked in FixedImpurity
-    return OperatorAmplitudes(t, t - np.eye(2))
+    # |s| <= 1 and the axis was checked in FixedImpurity, so T is finite
+    return OperatorAmplitudes._trusted(filter_transmission(s, _sigma_along([spec.axis])[0]))
 
 
 def embed(op, total_qubits: int, targets) -> np.ndarray:

@@ -43,6 +43,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from dataclasses import dataclass
@@ -114,8 +115,22 @@ def _f6(x) -> str:
     return "-" if x is None else f"{float(x):.6f}"
 
 
+# a complex number z in the table format, as the fields of (z.real, z.imag)
+_C6 = "%.6f%+.6fi"
+
+
 def _c6(z: complex) -> str:
-    return f"{z.real:.6f}{z.imag:+.6f}i"
+    return _C6 % (z.real, z.imag)
+
+
+def _c6_lines(a) -> list[str]:
+    """The lines of a complex array (n, m): each row's entries by _C6,
+    joined by two spaces and indented by two, written in one %-pass."""
+    n, m = a.shape
+    line = "  " + "  ".join([_C6] * m)
+    # a complex128 array read as float64 holds each real part before its imaginary part
+    parts = np.ascontiguousarray(a, complex).view(float).ravel().tolist()
+    return ("\n".join([line] * n) % tuple(parts)).split("\n")
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -130,34 +145,66 @@ def _json_float(x: float) -> str:
     return _NON_FINITE.get(text) or repr(float(text))
 
 
-def _json(v, nl: str = "\n") -> str:
+def _json(v, nl: str, floats: list) -> str:
     """json.dumps(v, indent=2) at the line break nl, floats rounded to 12
     significant digits, a complex number as its {"re", "im"} object and an
-    array as its nested lists.
+    array as its nested lists, with every float written as a NUL and its
+    value appended to floats (_json_text writes them).
 
     Written directly: with indent, json.dumps runs the pure-Python encoder.
-    Dict keys are strings; tuples are written as lists.
+    Dict keys are strings; tuples are written as lists.  A float or complex
+    array of one or more dimensions is laid out once per dimension, not
+    element by element (_json_layout).
     """
     if isinstance(v, float):
-        return _json_float(v)
+        floats.append(v)
+        return "\0"
     if isinstance(v, str):
         return encode_basestring_ascii(v)
     inner = nl + "  "
     if isinstance(v, complex):
-        return f'{{{inner}"re": {_json_float(v.real)},{inner}"im": {_json_float(v.imag)}{nl}}}'
+        floats += (v.real, v.imag)
+        return f'{{{inner}"re": \0,{inner}"im": \0{nl}}}'
     if isinstance(v, np.ndarray):
+        if v.ndim and v.dtype.kind in "fc":
+            is_complex = v.dtype.kind == "c"
+            # a complex128 array read as float64 holds each real part before its imaginary part
+            floats += np.ascontiguousarray(v, complex if is_complex else float).view(float).ravel().tolist()
+            return _json_layout(v.shape, is_complex, nl)
         v = v.tolist()
     if isinstance(v, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(x, inner)}" for k, x in v.items()]
+        items = [f"{encode_basestring_ascii(k)}: {_json(x, inner, floats)}" for k, x in v.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
     if isinstance(v, (list, tuple)):
-        items = [_json(x, inner) for x in v]
+        items = [_json(x, inner, floats) for x in v]
         return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
     return json.dumps(v)  # None, bool, int
 
 
+def _json_layout(shape, is_complex, nl) -> str:
+    """_json of nested lists of this shape whose elements are floats, or
+    complex numbers where is_complex: every element is written alike."""
+    if not shape:
+        return _json(complex(0) if is_complex else 0.0, nl, [])
+    inner = nl + "  "
+    items = [_json_layout(shape[1:], is_complex, inner)] * shape[0]
+    return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+
+
 def _json_text(obj) -> str:
-    return _json(obj) + "\n"
+    """_json of obj and a line break.  Its floats are written in one
+    '%.12g' pass: a text with a point and no exponent is already json's, an
+    integral one (no point, exponent or letter: below 1e12) takes '.0', as
+    repr writes it, and _json_float writes the others (an exponent or a
+    non-finite value)."""
+    floats = []
+    parts = (_json(obj, "\n", floats) + "\n").split("\0")
+    texts = ("%.12g\0" * len(floats) % tuple(floats)).split("\0")
+    pieces = [""] * (2 * len(parts) - 1)
+    pieces[::2] = parts
+    pieces[1::2] = [t if "." in t and "e" not in t else t + ".0" if "e" not in t and "n" not in t
+                    else _json_float(x) for t, x in zip(texts, floats)]
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +228,9 @@ def _json_text(obj) -> str:
 # array) and takes one pass of its format's cell rule: csv writes each cell
 # and each name by _csv_field, except that a column of floats alone fills a
 # '%.12g' template field ('%.12g' % x equals format(x, '.12g') for every
-# float); json writes the rows by the single-call writer _json; table writes
+# float), and a column of ints alone a '%d' field (for a Python int, not a
+# bool, '%d' % n equals str(n)); json writes the rows by the single-call
+# writer _json; table writes
 # a float or None by _f6 and any other cell by str.  Text cells stay Python
 # strings: a byte route would refuse non-ASCII text, delete a NUL inside a
 # cell, and measure a column's width in bytes, not characters.
@@ -362,13 +411,17 @@ def _ascii(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), np.uint8)
 
 
+# a character that makes csv.writer quote its field
+_CSV_QUOTED = re.compile('[,"\r\n]').search
+
+
 def _csv_field(v, lone: bool) -> str:
     """A cell as csv.writer writes it (default dialect, minimal quoting).
 
     lone marks the only field of a row, which csv.writer quotes when empty.
     """
     text = "" if v is None else "%.12g" % v if isinstance(v, float) else str(v)
-    if any(c in text for c in ',"\r\n') or (lone and not text):
+    if _CSV_QUOTED(text) or (lone and not text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -403,14 +456,15 @@ def emit_columns(columns, fmt: str) -> str:
             pieces = ["", *[","] * (len(cols) - 1), "\r\n"]
             body = _plane_rows(cols, rows, pieces, "%.12g".__mod__, f"%-{_TEXT_WIDTH}.12g")
             return header + body.decode("ascii")
-        fields = ["%.12g" if all(isinstance(v, float) for v in c) else "%s" for c in cols]
+        fields = ["%.12g" if all(isinstance(v, float) for v in c)
+                  else "%d" if all(type(v) is int for v in c) else "%s" for c in cols]
         cells = [[_csv_field(v, lone) for v in c] if f == "%s" else c for c, f in zip(cols, fields)]
         return header + (",".join(fields) + "\r\n") * rows % tuple(chain.from_iterable(zip(*cells)))
     if fmt == "json":
         if not planes:
             return _json_text([dict(zip(names, row)) for row in zip(*cols)])
         # each row opens with the comma that separates it from the row before
-        keys = [f"    {_json(name)}: " for name in names]
+        keys = [f"    {encode_basestring_ascii(name)}: " for name in names]
         pieces = [",\n  {\n" + keys[0], *(",\n" + key for key in keys[1:]), "\n  }"]
         body = _plane_rows(cols, rows, pieces, _json_float, tail="\n]\n")
         body[0] = ord("[")  # and the first row's opens the array
@@ -462,13 +516,9 @@ def _operator_text(ops, fmt, extra_json=None, channel=None):
             "T_re": t.real.ravel().tolist(), "T_im": t.imag.ravel().tolist(),
             "R_re": r.real.ravel().tolist(), "R_im": r.imag.ravel().tolist(),
         }, "csv")
-    lines = ["transmission:"]
-    lines += ["  " + "  ".join(map(_c6, row)) for row in t.tolist()]
-    lines.append("reflection:")
-    lines += ["  " + "  ".join(map(_c6, row)) for row in r.tolist()]
+    lines = ["transmission:", *_c6_lines(t), "reflection:", *_c6_lines(r)]
     if channel is not None:
-        lines.append("channel amplitudes:")
-        lines.append("  " + "  ".join(_c6(s) for s in channel))
+        lines += ["channel amplitudes:", *_c6_lines(np.array([channel]))]
     return "\n".join(lines) + "\n"
 
 

@@ -120,7 +120,7 @@ class SpinState:
     def num_qubits(self) -> int:
         return self.amplitudes.size.bit_length() - 1
 
-    @property
+    @functools.cached_property
     @_quiet
     def norm_squared(self) -> float:  # _norm2, as the protocols take branch probabilities
         return float(_norm2(self.amplitudes))

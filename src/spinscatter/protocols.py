@@ -274,20 +274,22 @@ def _measure(state, norm, qubit, prefix, register):
     return branches, _outcomes(labels, pair_labels, pairs, prob, norm)
 
 
-def _batch(psi0, register, tree, outcomes, metadata, point) -> _Batch:
+def _batch(norm, register, tree, outcomes, metadata, point) -> _Batch:
     """Check the stacked results and bundle them.
 
-    point(i) describes parameter point i for error messages.  Checks, in
-    this order: every amplitude is finite, the branches of each point's tree
-    add up to its initial probability within the solver residual (flux
-    conservation), and every live post state is normalized.  A non-finite
+    norm is the squared norm of the initial state, (N,) or one float for
+    every point, as _norm2 takes it; point(i) describes parameter point i
+    for error messages.  Checks, in this order: every amplitude is finite,
+    the branches of each point's tree add up to its initial probability
+    within the solver residual (flux conservation), and every live post
+    state is normalized.  A non-finite
     amplitude makes its point's flux deviation non-finite, so amplitudes
     are inspected only when the deviation check fails.
     """
     total = tree[0][3]
     for branch in tree[1:]:
         total = total + branch[3]
-    deviation = np.abs(total - _norm2(psi0))
+    deviation = np.abs(total - norm)
     if not np.maximum.reduce(deviation) <= TOL.solver_residual:
         finite = np.all([np.isfinite(amps).all(axis=-1) for _, amps, _, _ in tree], axis=0)
         if not finite.all():
@@ -315,8 +317,8 @@ def _result(batch: _Batch) -> ProtocolResult:
     """Wrap the single point of a batch of one in the public result types.
 
     The states hold the batch's checked rows, made read-only, without a
-    copy or a second check (SpinState._trusted); a measured branch's
-    zero-padded amplitudes are built here.
+    copy or a second check (SpinState._trusted); the zero-padded amplitudes
+    of the measured branches are built here, in one array.
     """
     o = batch.outcomes
     o.pair.setflags(write=False)
@@ -327,13 +329,13 @@ def _result(batch: _Batch) -> ProtocolResult:
             o.labels, o.probability[0].tolist(), o.conditional[0].tolist(), o.pair[0],
             o.entropy[0].tolist(), o.concurrence[0].tolist(), o.live[0].tolist())
     ])
-    branches = []
+    branches, padded, m = [], np.zeros((2, 8), dtype=complex), 0
     for label, amps, kept, prob in batch.tree:
         prob = float(prob[0])
         if prob > TOL.null_floor:
             row = amps[0]
-            if kept is not None:
-                row = np.zeros(2 * len(kept), dtype=complex)
+            if kept is not None:  # one of the two measured branches, which keep 4 of 8 entries
+                row, m = padded[m], m + 1
                 row[kept] = amps[0]
             row.setflags(write=False)
             branches.append(EventBranch(label, prob, SpinState._trusted(row, batch.register)))
@@ -347,21 +349,26 @@ def _attempts(success_probability) -> dict:
 
 
 def _check_pair(checks, a, b):
-    """a|00> + b|11> is normalized, by the rule of SpinState.normalized."""
+    """a|00> + b|11> is normalized, by the rule of SpinState.normalized.
+
+    Returns its squared norm |a|^2 + |b|^2, which equals _norm2 of the
+    zero-padded initial row bit for bit: adding +0.0 to a square is exact.
+    """
     total = _norm2(np.stack([a, b], axis=-1))
     checks.add(~(np.abs(total - 1.0) < TOL.normalization),
                lambda i: f"|a|^2 + |b|^2 must equal 1 (got {total[i]:.12g})")
+    return total
 
 
 def _check_initial(checks, initial, content):
-    if initial.num_qubits != 3:
+    if initial.amplitudes.size != 8:  # 3 qubits
         checks.fail(f"initial state must have 3 qubits ({content})")
     if not initial.normalized:
         checks.fail("initial state must be normalized")
 
 
 def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
-    _check_pair(checks, a, b)
+    norm = _check_pair(checks, a, b)
     _check_axis(checks, axis)
     _check_wave_number(checks, k)
     _check_coupling(checks, 2.0 * r)
@@ -383,7 +390,7 @@ def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
     outcomes = _outcomes(("transmitted",), _PAIR_REGISTER, transmit[:, None], prob[:, None])
     meta = {"coupling": r, "xi": 2.0 * r / k, **_attempts(prob)}
     tree = [("transmitted", transmit, None, prob), ("reflected", reflect, None, _norm2(reflect))]
-    return _batch(psi0, _PAIR_REGISTER, tree, outcomes, meta, _describe(a=a, b=b, k=k, r=r))
+    return _batch(norm, _PAIR_REGISTER, tree, outcomes, meta, _describe(a=a, b=b, k=k, r=r))
 
 
 def _optimal_coupling(checks, a, b, k):
@@ -406,7 +413,7 @@ def _optimal_coupling(checks, a, b, k):
 
 
 def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
-    _check_pair(checks, a, b)
+    norm = _check_pair(checks, a, b)
     _check_wave_number(checks, k)
     s = _channel_amplitudes(checks, r, k, eigenvalues)
     checks.raise_first()
@@ -419,7 +426,7 @@ def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
                                   _PARTICLES_REGISTER)
     residual = np.abs(_modulus(a * s[:, 0]) - _modulus(b * (s[:, 2] + s[:, 3]) / 2.0))
     meta = {"condition_residual": residual, **_attempts(outcomes.probability[:, 0])}
-    return _batch(psi0, _PARTICLES_REGISTER, [*measured, ("reflected", rows[:, 1], None, prob[:, 1])],
+    return _batch(norm, _PARTICLES_REGISTER, [*measured, ("reflected", rows[:, 1], None, prob[:, 1])],
                   outcomes, meta, _describe(a=a, b=b, k=k, r=r))
 
 
@@ -436,7 +443,7 @@ def _entangle_particles(checks, k, r, eigenvalues, initial) -> _Batch:
                                   initial.labels)
     tree = [*_branches(("particle-1 reflected", "particle-1 transmitted, particle-2 reflected"),
                        rows, prob), *measured]
-    return _batch(psi0, initial.labels, tree, outcomes,
+    return _batch(initial.norm_squared, initial.labels, tree, outcomes,
                   _attempts(outcomes.probability[:, 0]), _describe(k=k, r=r))
 
 
@@ -462,7 +469,7 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
         prefix = "both transmitted, particle measured "
     prob = _norm2(rows)
     measured, outcomes = _measure(rows[:, 0], prob[:, 0], 2, prefix, initial.labels)
-    return _batch(psi0, initial.labels, [*_branches(failure_labels, rows, prob), *measured],
+    return _batch(initial.norm_squared, initial.labels, [*_branches(failure_labels, rows, prob), *measured],
                   outcomes, _attempts(outcomes.probability[:, 0]),
                   _describe(k=k, r1=r1, r2=r2, half_separation=half_separation))
 
@@ -593,10 +600,11 @@ def _to_choice(options):
 
 def _to_floats(name, value):
     """The comma-separated parts of text, the items of a sequence, or the
-    value alone, each read by _to_float; the kernel's rule counts them."""
+    value alone (a 0-d array too), each read by _to_float; the kernel's
+    rule counts them."""
     if isinstance(value, str):
         value = value.split(",")
-    elif not isinstance(value, (list, tuple, np.ndarray)):
+    elif not (isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim):
         value = (value,)
     return tuple(_to_float(name, part) for part in value)
 
@@ -728,24 +736,27 @@ def _run(protocol, p, checks):
             value = param.default
             if value is _NO_DEFAULT:
                 checks.fail(f"missing parameter {param.key!r} ({param.help})")
-        if param.numeric and value is not None:
-            column = np.empty(checks.n)
-            column[:] = value
-            value = column
         args[param.key] = value
     if p:
         checks.fail(f"unknown parameter(s) for {protocol}: {', '.join(sorted(p))}")
+    # the columns of the numeric values, rows of one array
+    numeric = [param.key for param in PARAMS[protocol] if param.numeric and args[param.key] is not None]
+    for key, column in zip(numeric, np.empty((len(numeric), checks.n))):
+        column[:] = args[key]
+        args[key] = column
     return _RUNNERS[protocol](checks, **args)
 
 
 def _coeff_pair(checks, a, b, a_phase, b_phase):
     """The amplitudes of the magnitudes a and b (b by default sqrt(1 - a^2)),
-    each in [0, 1], at their phases."""
+    each in [0, 1], at their finite phases."""
     if b is None:
         b = np.sqrt(np.maximum(0.0, 1.0 - a * a))
     for name, magnitude in (("a", a), ("b", b)):
         checks.add(~((0.0 <= magnitude) & (magnitude <= 1.0)),
                    f"parameter {name!r} must lie in [0, 1]")
+    for name, phase in (("a_phase", a_phase), ("b_phase", b_phase)):
+        checks.add(~np.isfinite(phase), f"parameter {name!r} must be finite")
     return a * (np.cos(a_phase) + 1j * np.sin(a_phase)), b * (np.cos(b_phase) + 1j * np.sin(b_phase))
 
 

@@ -48,8 +48,8 @@ def _real(x) -> float:
     """Read a real scalar argument: a numbers.Real but a bool as its float, an
     int beyond the float range as +-inf, anything else as NaN, so that it
     reaches its rule."""
-    try:  # float first: it spares most arguments the abc check of numbers.Real
-        return float(x) if isinstance(x, (float, numbers.Real)) and type(x) is not bool else math.nan
+    try:  # a float first: it spares most arguments the abc check of numbers.Real
+        return float(x) if type(x) is float or isinstance(x, numbers.Real) and type(x) is not bool else math.nan
     except OverflowError:
         return math.inf if x > 0 else -math.inf
 
@@ -102,7 +102,7 @@ class _Checks:
 
     def add(self, bad, message, error=ValueError):
         """Record bad, (N,) booleans or (1,) for a pinned row: message is text or a function of i."""
-        if len(bad) != self.n:
+        if bad.shape[0] != self.n:
             bad = bad.repeat(self.n)
         self._checks.append((bad, message, error))
 
@@ -230,6 +230,18 @@ class OperatorAmplitudes:
             m.setflags(write=False)
             object.__setattr__(self, name, m)
 
+    @classmethod
+    def _trusted(cls, transmission):
+        """The operators of a transmission whose checks its builder has made:
+        a finite square complex array, which is made read-only, as is the
+        reflection T - I formed here."""
+        reflection = transmission - np.eye(len(transmission))
+        transmission.setflags(write=False)
+        reflection.setflags(write=False)
+        ops = object.__new__(cls)
+        ops.__dict__.update(transmission=transmission, reflection=reflection)
+        return ops
+
     @property
     def dim(self) -> int:
         return self.transmission.shape[0]
@@ -350,12 +362,12 @@ def _pass(coefficients, table, x):
     point is projected first, P_c x, and its images weighted by the
     coefficients in one product.  Returns (d, m, n).
     """
-    d = len(table)
+    d, cd = table.shape
     if x.shape[-1] == 1:
         images = (table.reshape(d, -1, d) @ x)[..., 0]
-        return (images @ coefficients.reshape(len(coefficients), -1)).reshape(d, *coefficients.shape[1:])
+        return (images @ coefficients.reshape(coefficients.shape[0], -1)).reshape(d, *coefficients.shape[1:])
     terms = np.multiply(coefficients[:, None], x[None, :, None], order="C")
-    return (table @ terms.reshape(len(table[0]), -1)).reshape(d, *terms.shape[2:])
+    return (table @ terms.reshape(cd, -1)).reshape(d, *terms.shape[2:])
 
 
 # channel coefficients S_c - 0 and S_c - 1 of T and T - I, along their own axis
@@ -407,8 +419,8 @@ def _compose(amplitudes, tables, incident, pairs=None, phase=None):
     x, reflected = incident.T, []  # points last: vectors (d, n), coefficients (c, 2, n)
     for c, table in zip(coefficients, tables):
         if reflected and pairs is not None:
-            d, p = len(table), np.asarray(phase)
-            r1r2 = pairs @ (coefficients[0][:, None, 1] * c[None, :, 1]).reshape(len(pairs[0]), -1)
+            d, p = table.shape[0], phase
+            r1r2 = pairs @ (coefficients[0][:, None, 1] * c[None, :, 1]).reshape(pairs.shape[1], -1)
             system = np.eye(d).reshape(d * d, 1) - p * p * r1r2
             try:
                 x = np.linalg.solve(system.T.reshape(-1, d, d), x.T[..., None])[..., 0].T

@@ -307,7 +307,7 @@ def test_config_fixed_text_parameters(protocol, args, direct, tmp_path):
     ("entangle-particles", ["eigenvalues=1,2"], "error: eigenvalues must be four finite numbers\n"),
     ("concentrate", ["axis=0,x,1"], "error: --fixed 'axis=0,x,1': unparsable number for --axis: 'x'\n"),
     ("concentrate", ["a=x"], "error: --fixed 'a=x': unparsable number for --a-coeff: 'x'\n"),
-    ("concentrate", ["a=0.6", "a_phase=inf"], "error: |a|^2 + |b|^2 must equal 1 (got nan)\n"),
+    ("concentrate", ["a=0.6", "a_phase=inf"], "error: parameter 'a_phase' must be finite\n"),
     ("concentrate", {"a": [0.5]}, "error: parameter 'a' must lie in [0, 1]\n"),
     ("concentrate", {"a": None}, "error: parameter 'a' must lie in [0, 1]\n"),
     ("concentrate", {"a": True}, "error: parameter 'a' must lie in [0, 1]\n"),

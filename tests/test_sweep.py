@@ -357,13 +357,13 @@ def test_an_error_at_a_later_point_reads_a_pinned_value():
 
 
 def test_a_flux_fault_at_a_later_point_names_a_pinned_k():
-    psi0 = np.array([[1.0, 0.0, 0.0, 0.0]])
+    norm = 1.0  # the squared norm of the initial state at every point
     probability = np.array([1.0, 1.0, 0.5])  # point 2 keeps half its flux
     tree = [("transmitted", np.zeros((3, 4)), None, probability)]
     # a pinned k is a column of its one value at every point, as _run makes it
     point = protocols._describe(k=np.full(3, 1.5), r=np.array([0.1, 0.2, 0.3]))
     with pytest.raises(InternalFaultError) as exc:
-        protocols._batch(psi0, ("particle-2", "particle-1"), tree, None, {}, point)
+        protocols._batch(norm, ("particle-2", "particle-1"), tree, None, {}, point)
     assert str(exc.value) == "flux conservation violated by 5.000e-01 (> 1e-10) at k=1.5, r=0.3"
 
 
