@@ -708,9 +708,10 @@ _BY_KEY = {param.key: param for params in PARAMS.values() for param in params}
 
 
 def _read(param, value):
-    """value as param's reader reads it; an array given for a numeric
-    parameter (a sweep's column) goes to the kernel's checks unread."""
-    if param.numeric and isinstance(value, np.ndarray):
+    """value as param's reader reads it; a float given for a numeric
+    parameter, which _to_float returns as it is, and an array (a sweep's
+    column) go to the kernel's checks unread."""
+    if param.numeric and (type(value) is float or isinstance(value, np.ndarray)):
         return value
     return param.read(param.flag, value)
 
