@@ -177,7 +177,8 @@ def pure_pair_figures(pairs):
         raise ValueError(f"pairs must hold 4 amplitudes along the last axis, got shape {pairs.shape}")
     c = np.minimum(1.0, 2.0 * np.abs(pairs[..., 0] * pairs[..., 3] - pairs[..., 1] * pairs[..., 2]))
     # smaller eigenvalue (1 - sqrt(1 - C^2))/2, written without the cancellation
-    low = c * c / (2.0 * (1.0 + np.sqrt(1.0 - c * c)))
+    c2 = c * c
+    low = c2 / (2.0 * (1.0 + np.sqrt(1.0 - c2)))
     # low log2(low), with log2 taken of 1 where low is 0 so that it stays quiet
     low_term = low * np.log2(np.where(low > 0.0, low, 1.0))
     ent = -(low_term + (1.0 - low) * np.log1p(-low) / math.log(2.0))

@@ -249,7 +249,8 @@ def _outcomes(labels, pair_labels, amps, prob, parent=None) -> _Outcomes:
     if parent is None:
         cond = kept
     else:
-        cond = np.where(parent[:, None] > TOL.null_floor, prob / parent[:, None], 0.0)
+        parent = parent[:, None]
+        cond = np.where(parent > TOL.null_floor, prob / parent, 0.0)
     pair = amps / np.sqrt(np.where(live, prob, 1.0))[..., None]
     entropy, conc = pure_pair_figures(pair)
     return _Outcomes(labels, pair_labels, kept, cond, pair, entropy, conc, live)
@@ -348,13 +349,14 @@ def _attempts(success_probability) -> dict:
     return {"success_probability": success_probability, "expected_attempts": expected}
 
 
-def _check_pair(checks, a, b):
-    """a|00> + b|11> is normalized, by the rule of SpinState.normalized.
+def _check_pair(checks, pair):
+    """a|00> + b|11> is normalized, by the rule of SpinState.normalized;
+    pair holds (a, b) along its last axis.
 
     Returns its squared norm |a|^2 + |b|^2, which equals _norm2 of the
     zero-padded initial row bit for bit: adding +0.0 to a square is exact.
     """
-    total = _norm2(np.stack([a, b], axis=-1))
+    total = _norm2(pair)
     checks.add(~(np.abs(total - 1.0) < TOL.normalization),
                lambda i: f"|a|^2 + |b|^2 must equal 1 (got {total[i]:.12g})")
     return total
@@ -368,7 +370,8 @@ def _check_initial(checks, initial, content):
 
 
 def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
-    norm = _check_pair(checks, a, b)
+    pair = np.array([a, b]).T  # (N, 2); a fifth of np.stack's cost at N = 1
+    norm = _check_pair(checks, pair)
     _check_axis(checks, axis)
     _check_wave_number(checks, k)
     _check_coupling(checks, 2.0 * r)
@@ -376,15 +379,14 @@ def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
 
     # anti-aligned component sees twice the bare coupling
     t = filter_transmission(_transmission(2.0 * r, k), _sigma_along(axis))
-    psi0 = np.zeros((checks.n, 4), dtype=complex)
-    psi0[:, 0], psi0[:, 3] = a, b
     # T acts on particle-1 alone and both particles of a|00> + b|11> hold the
-    # same bit q, so |q i> gets T[i, q] c_q; einsum's sum of one product
-    # rounds as the 4 x 4 product (I x T) psi0 does, which a plain multiply would not
+    # same bit q, so |q i> gets T[i, q] c_q of the initial amplitudes c = (a, b);
+    # einsum's sum of one product rounds as the 4 x 4 product (I x T) psi0
+    # does, which a plain multiply would not
     both = np.empty((checks.n, 2, 2, 2), dtype=complex)
     both[:, 0] = t
     np.subtract(t, _EYE, out=both[:, 1])
-    out = np.einsum("nkiq,nq->nkqi", both, psi0[:, ::3]).reshape(checks.n, 2, 4)
+    out = np.einsum("nkiq,nq->nkqi", both, pair).reshape(checks.n, 2, 4)
     transmit, reflect = out[:, 0], out[:, 1]
     prob = _norm2(transmit)
     outcomes = _outcomes(("transmitted",), _PAIR_REGISTER, transmit[:, None], prob[:, None])
@@ -413,7 +415,7 @@ def _optimal_coupling(checks, a, b, k):
 
 
 def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
-    norm = _check_pair(checks, a, b)
+    norm = _check_pair(checks, np.array([a, b]).T)
     _check_wave_number(checks, k)
     s = _channel_amplitudes(checks, r, k, eigenvalues)
     checks.raise_first()

@@ -113,7 +113,7 @@ class _Checks:
 
     def raise_first(self):
         bad = np.array([b for b, _, _ in self._checks])
-        if np.logical_or.reduce(bad, axis=None):
+        if np.count_nonzero(bad):  # a fraction of logical_or.reduce's cost at N = 1
             point = int(np.argmax(np.logical_or.reduce(bad, axis=0)))
             _, message, error = self._checks[int(np.argmax(bad[:, point]))]
             raise error(message(point) if callable(message) else message)
