@@ -135,21 +135,27 @@ def filter_transmission(amplitude, sigma) -> np.ndarray:
     return t
 
 
-def _channel_amplitudes(checks, r, k, eigenvalues):
-    """(N, 4) per-channel transmissions S_c = 1/(1 + i r lambda_c / k), which
-    mean something once the eigenvalue and coupling rules recorded here have
-    passed: the transpose of a C-ordered (4, N) array, as _compose takes
-    whole point rows."""
-    _check_eigenvalues(checks, eigenvalues)
-    return _coupled_amplitudes(checks, r, k, eigenvalues)
+def _channel_amplitudes(checks, k, *barriers):
+    """The (N, 4) per-channel transmissions S_c = 1/(1 + i r lambda_c / k) of
+    each barrier (r, eigenvalues), which mean something once the eigenvalue
+    and coupling rules recorded here have passed: each the transpose of a
+    C-ordered (4, N) array, as _compose takes whole point rows.
+
+    The couplings r*lambda_c of all barriers are one stack, so the barriers
+    share one eigenvalue count: the protocols give both impurities of a
+    call one tuple, or two impurities' four.
+    """
+    for _, eigenvalues in barriers:
+        _check_eigenvalues(checks, eigenvalues)
+    return _coupled_amplitudes(checks, k, *barriers)
 
 
-def _coupled_amplitudes(checks, r, k, eigenvalues):
-    """_channel_amplitudes of eigenvalues past their rule: only the rule
-    that the couplings r*lambda_c be finite is recorded."""
-    coupling = np.multiply.outer(eigenvalues, r)
-    _check_coupling(checks, coupling)
-    return _transmission(coupling, k).T
+def _coupled_amplitudes(checks, k, *barriers):
+    """_channel_amplitudes of barriers whose eigenvalues passed their rule:
+    only the rule that the couplings r*lambda_c be finite is recorded."""
+    coupling = np.array([np.multiply.outer(eigenvalues, r) for r, eigenvalues in barriers])
+    _check_coupling(checks, coupling.reshape(-1, checks.n))
+    return [s.T for s in _transmission(coupling, k)]
 
 
 @_quiet
@@ -161,7 +167,7 @@ def kondo_channel_amplitudes(spec: KondoImpurity, k: float) -> tuple[complex, ..
     """
     checks, k = _Checks(1), _one(k)
     _check_wave_number(checks, k)
-    s = _coupled_amplitudes(checks, np.array([spec.coupling]), k, spec.eigenvalues)
+    (s,) = _coupled_amplitudes(checks, k, (np.array([spec.coupling]), spec.eigenvalues))
     checks.raise_first()
     return tuple(s[0].tolist())
 

@@ -111,8 +111,11 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Number formatting (the byte-exact part of the output contract)
 
+_F6 = "%.6f"  # a float in the table format
+
+
 def _f6(x) -> str:
-    return "-" if x is None else f"{float(x):.6f}"
+    return "-" if x is None else _F6 % float(x)
 
 
 # a complex number z in the table format, as the fields of (z.real, z.imag)
@@ -230,10 +233,10 @@ def _json_text(obj) -> str:
 # '%.12g' template field ('%.12g' % x equals format(x, '.12g') for every
 # float), and a column of ints alone a '%d' field (for a Python int, not a
 # bool, '%d' % n equals str(n)); json writes the rows by the single-call
-# writer _json; table writes
-# a float or None by _f6 and any other cell by str.  Text cells stay Python
-# strings: a byte route would refuse non-ASCII text, delete a NUL inside a
-# cell, and measure a column's width in bytes, not characters.
+# writer _json; table writes a float by _F6, None as "-" and any other cell
+# by str.  Text cells stay Python strings: a byte route would refuse
+# non-ASCII text, delete a NUL inside a cell, and measure a column's width
+# in bytes, not characters.
 
 def _text_bytes(texts) -> np.ndarray:
     """ASCII texts as a (len(texts), width) block, NUL past each text's end."""
@@ -469,7 +472,7 @@ def emit_columns(columns, fmt: str) -> str:
         body = _plane_rows(cols, rows, pieces, _json_float, tail="\n]\n")
         body[0] = ord("[")  # and the first row's opens the array
         return body.decode("ascii")
-    texts = [[_f6(v) if isinstance(v, float) or v is None else str(v) for v in c] for c in cols]
+    texts = [["-" if v is None else _F6 % v if isinstance(v, float) else str(v) for v in c] for c in cols]
     template = "  ".join(f"%-{max([len(n), *map(len, t)])}s" for n, t in zip(names, texts))
     return "".join((template % row).rstrip() + "\n" for row in chain([names], zip(*texts)))
 

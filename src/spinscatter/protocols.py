@@ -417,7 +417,7 @@ def _optimal_coupling(checks, a, b, k):
 def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
     norm = _check_pair(checks, np.array([a, b]).T)
     _check_wave_number(checks, k)
-    s = _channel_amplitudes(checks, r, k, eigenvalues)
+    (s,) = _channel_amplitudes(checks, k, (r, eigenvalues))
     checks.raise_first()
 
     psi0 = np.zeros((checks.n, 8), dtype=complex)
@@ -435,7 +435,7 @@ def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
 def _entangle_particles(checks, k, r, eigenvalues, initial) -> _Batch:
     _check_initial(checks, initial, _PARTICLES_CONTENT)
     _check_wave_number(checks, k)
-    s = _channel_amplitudes(checks, r, k, eigenvalues)
+    (s,) = _channel_amplitudes(checks, k, (r, eigenvalues))
     checks.raise_first()
 
     psi0 = initial.amplitudes[None]  # the same at every point
@@ -456,8 +456,7 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
     _check_initial(checks, initial, _IMPURITIES_CONTENT)
     _check_half_separation(checks, half_separation)
     _check_wave_number(checks, k)
-    s1 = _channel_amplitudes(checks, r1, k, eigenvalues_1)
-    s2 = _channel_amplitudes(checks, r2, k, eigenvalues_2)
+    s1, s2 = _channel_amplitudes(checks, k, (r1, eigenvalues_1), (r2, eigenvalues_2))
     checks.raise_first()
 
     psi0 = initial.amplitudes[None]  # the same at every point
@@ -752,15 +751,16 @@ def _run(protocol, p, checks):
 
 def _coeff_pair(checks, a, b, a_phase, b_phase):
     """The amplitudes of the magnitudes a and b (b by default sqrt(1 - a^2)),
-    each in [0, 1], at their finite phases."""
+    each in [0, 1], at their finite phases; a and b are one (2, N) stack."""
     if b is None:
         b = np.sqrt(np.maximum(0.0, 1.0 - a * a))
-    for name, magnitude in (("a", a), ("b", b)):
-        checks.add(~((0.0 <= magnitude) & (magnitude <= 1.0)),
-                   f"parameter {name!r} must lie in [0, 1]")
-    for name, phase in (("a_phase", a_phase), ("b_phase", b_phase)):
-        checks.add(~np.isfinite(phase), f"parameter {name!r} must be finite")
-    return a * (np.cos(a_phase) + 1j * np.sin(a_phase)), b * (np.cos(b_phase) + 1j * np.sin(b_phase))
+    magnitudes, phases = np.array([a, b]), np.array([a_phase, b_phase])
+    outside = ~((0.0 <= magnitudes) & (magnitudes <= 1.0))
+    for name, bad in zip(("a", "b"), outside):
+        checks.add(bad, f"parameter {name!r} must lie in [0, 1]")
+    for name, bad in zip(("a_phase", "b_phase"), ~np.isfinite(phases)):
+        checks.add(bad, f"parameter {name!r} must be finite")
+    return magnitudes * (np.cos(phases) + 1j * np.sin(phases))
 
 
 @functools.cache
