@@ -148,66 +148,61 @@ def _json_float(x: float) -> str:
     return _NON_FINITE.get(text) or repr(float(text))
 
 
-def _json(v, nl: str, floats: list) -> str:
+def _json(v, nl: str = "\n") -> str:
     """json.dumps(v, indent=2) at the line break nl, floats rounded to 12
     significant digits, a complex number as its {"re", "im"} object and an
-    array as its nested lists, with every float written as a NUL and its
-    value appended to floats (_json_text writes them).
+    array as its nested lists.
 
     Written directly: with indent, json.dumps runs the pure-Python encoder.
     Dict keys are strings; tuples are written as lists.  A float or complex
     array of one or more dimensions is laid out once per dimension, not
-    element by element (_json_layout).
+    element by element, and its floats written in one pass (_json_floats).
     """
     if isinstance(v, float):
-        floats.append(v)
-        return "\0"
+        return _json_float(v)
     if isinstance(v, str):
         return encode_basestring_ascii(v)
     inner = nl + "  "
     if isinstance(v, complex):
-        floats += (v.real, v.imag)
-        return f'{{{inner}"re": \0,{inner}"im": \0{nl}}}'
+        return f'{{{inner}"re": {_json_float(v.real)},{inner}"im": {_json_float(v.imag)}{nl}}}'
     if isinstance(v, np.ndarray):
         if v.ndim and v.dtype.kind in "fc":
             is_complex = v.dtype.kind == "c"
             # a complex128 array read as float64 holds each real part before its imaginary part
-            floats += np.ascontiguousarray(v, complex if is_complex else float).view(float).ravel().tolist()
-            return _json_layout(v.shape, is_complex, nl)
+            values = np.ascontiguousarray(v, complex if is_complex else float).view(float).ravel().tolist()
+            return _json_layout(v.shape, is_complex, nl) % tuple(_json_floats(values))
         v = v.tolist()
     if isinstance(v, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(x, inner, floats)}" for k, x in v.items()]
+        items = [f"{encode_basestring_ascii(k)}: {_json(x, inner)}" for k, x in v.items()]
         return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
     if isinstance(v, (list, tuple)):
-        items = [_json(x, inner, floats) for x in v]
+        items = [_json(x, inner) for x in v]
         return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
     return json.dumps(v)  # None, bool, int
 
 
 def _json_layout(shape, is_complex, nl) -> str:
     """_json of nested lists of this shape whose elements are floats, or
-    complex numbers where is_complex: every element is written alike."""
-    if not shape:
-        return _json(complex(0) if is_complex else 0.0, nl, [])
+    complex numbers where is_complex, with a '%s' field for each float."""
     inner = nl + "  "
+    if not shape:
+        return f'{{{inner}"re": %s,{inner}"im": %s{nl}}}' if is_complex else "%s"
     items = [_json_layout(shape[1:], is_complex, inner)] * shape[0]
     return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
 
 
+def _json_floats(values) -> list[str]:
+    """_json_float of each float of values, by one '%.12g' pass: a text
+    with a point and no exponent is already json's, an integral one (no
+    point, exponent or letter: below 1e12) takes '.0', as repr writes it,
+    and _json_float writes the others (an exponent or a non-finite value)."""
+    texts = ("%.12g\0" * len(values) % tuple(values)).split("\0")
+    return [t if "." in t and "e" not in t else t + ".0" if "e" not in t and "n" not in t
+            else _json_float(x) for t, x in zip(texts, values)]
+
+
 def _json_text(obj) -> str:
-    """_json of obj and a line break.  Its floats are written in one
-    '%.12g' pass: a text with a point and no exponent is already json's, an
-    integral one (no point, exponent or letter: below 1e12) takes '.0', as
-    repr writes it, and _json_float writes the others (an exponent or a
-    non-finite value)."""
-    floats = []
-    parts = (_json(obj, "\n", floats) + "\n").split("\0")
-    texts = ("%.12g\0" * len(floats) % tuple(floats)).split("\0")
-    pieces = [""] * (2 * len(parts) - 1)
-    pieces[::2] = parts
-    pieces[1::2] = [t if "." in t and "e" not in t else t + ".0" if "e" not in t and "n" not in t
-                    else _json_float(x) for t, x in zip(texts, floats)]
-    return "".join(pieces)
+    return _json(obj) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +226,13 @@ def _json_text(obj) -> str:
 # array) and takes one pass of its format's cell rule: csv writes each cell
 # and each name by _csv_field, except that a column of floats alone fills a
 # '%.12g' template field ('%.12g' % x equals format(x, '.12g') for every
-# float), and a column of ints alone a '%d' field (for a Python int, not a
-# bool, '%d' % n equals str(n)); json writes the rows by the single-call
-# writer _json; table writes a float by _F6, None as "-" and any other cell
-# by str.  Text cells stay Python strings: a byte route would refuse
-# non-ASCII text, delete a NUL inside a cell, and measure a column's width
-# in bytes, not characters.
+# float), and a column of ints alone a '%d' field ('%d' % n equals str(n);
+# a bool, written as str writes it, is no int here, and a float subclass
+# takes _csv_field, which writes it as '%.12g' does); json writes the rows
+# by the single-call writer _json; table writes a float by _F6, None as "-"
+# and any other cell by str.  Text cells stay Python strings: a byte route
+# would refuse non-ASCII text, delete a NUL inside a cell, and measure a
+# column's width in bytes, not characters.
 
 def _text_bytes(texts) -> np.ndarray:
     """ASCII texts as a (len(texts), width) block, NUL past each text's end."""
@@ -459,15 +455,15 @@ def emit_columns(columns, fmt: str) -> str:
             pieces = ["", *[","] * (len(cols) - 1), "\r\n"]
             body = _plane_rows(cols, rows, pieces, "%.12g".__mod__, f"%-{_TEXT_WIDTH}.12g")
             return header + body.decode("ascii")
-        fields = ["%.12g" if all(isinstance(v, float) for v in c)
-                  else "%d" if all(type(v) is int for v in c) else "%s" for c in cols]
+        kinds = [set(map(type, c)) for c in cols]
+        fields = ["%.12g" if kind <= {float} else "%d" if kind <= {int} else "%s" for kind in kinds]
         cells = [[_csv_field(v, lone) for v in c] if f == "%s" else c for c, f in zip(cols, fields)]
         return header + (",".join(fields) + "\r\n") * rows % tuple(chain.from_iterable(zip(*cells)))
     if fmt == "json":
         if not planes:
             return _json_text([dict(zip(names, row)) for row in zip(*cols)])
         # each row opens with the comma that separates it from the row before
-        keys = [f"    {encode_basestring_ascii(name)}: " for name in names]
+        keys = [f"    {_json(name)}: " for name in names]
         pieces = [",\n  {\n" + keys[0], *(",\n" + key for key in keys[1:]), "\n  }"]
         body = _plane_rows(cols, rows, pieces, _json_float, tail="\n]\n")
         body[0] = ord("[")  # and the first row's opens the array

@@ -33,11 +33,15 @@ and SpinState types.  At N = 1 the cost is the count of numpy and Python
 calls, so the bookkeeping is stacked: the input rules of scattering and
 hilbert are recorded in one scattering._Checks, which raises the error a
 point-by-point loop would raise first (the single calls read their
-numbers by scattering._real), a measurement takes both bits by one index,
-the tree is checked in one pass, and the result's states wrap the checked
-rows without a copy.  Floating-point warnings are switched off once per
-call, at the entry point.  A warm run_protocol call takes about 0.2-0.4 ms
-and fewer than 250 Python-level calls.
+numbers by scattering._real), the numeric columns are rows of one array,
+the two amplitudes of a pair and the channel amplitudes of all barriers
+are one stack each, a measurement takes both bits by one index, the tree
+is checked in one pass against the initial squared norm that the pair
+rule or the initial state already holds, and the result's states wrap the
+checked rows without a copy.  Floating-point warnings are switched off
+once per call, at the entry point.  A warm run_protocol call takes about
+0.14-0.18 ms and at most about 210 Python-level calls (exact-mode
+entangle_impurities; 2-core Xeon, numpy 2.4).
 
 Probability bookkeeping: branch states carry raw (unnormalized) amplitudes
 descended from the normalized initial state, so a branch's squared norm is
@@ -283,9 +287,9 @@ def _batch(norm, register, tree, outcomes, metadata, point) -> _Batch:
     for error messages.  Checks, in this order: every amplitude is finite,
     the branches of each point's tree add up to its initial probability
     within the solver residual (flux conservation), and every live post
-    state is normalized.  A non-finite
-    amplitude makes its point's flux deviation non-finite, so amplitudes
-    are inspected only when the deviation check fails.
+    state is normalized.  A non-finite amplitude makes its point's flux
+    deviation non-finite, so amplitudes are inspected only when the
+    deviation check fails.
     """
     total = tree[0][3]
     for branch in tree[1:]:

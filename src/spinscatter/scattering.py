@@ -419,7 +419,7 @@ def _compose(amplitudes, tables, incident, pairs=None, phase=None):
     x, reflected = incident.T, []  # points last: vectors (d, n), coefficients (c, 2, n)
     for c, table in zip(coefficients, tables):
         if reflected and pairs is not None:
-            d, p = table.shape[0], phase
+            d, p = table.shape[0], np.asarray(phase)
             r1r2 = pairs @ (coefficients[0][:, None, 1] * c[None, :, 1]).reshape(pairs.shape[1], -1)
             system = np.eye(d).reshape(d * d, 1) - p * p * r1r2
             try:

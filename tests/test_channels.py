@@ -8,6 +8,7 @@ from spinscatter import (
     EXCHANGE_EIGENVALUE_PRESETS,
     FixedImpurity,
     KondoImpurity,
+    OperatorAmplitudes,
     basis_state,
     embed,
     exchange_matrix,
@@ -192,3 +193,31 @@ def test_embed_validation():
         embed(op, 4, (1, 0))
     with pytest.raises(ValueError):
         embed(np.eye(3), 3, (1, 0))
+
+
+def test_operators_equal_operators_built_by_the_public_constructor():
+    # kondo_operators and fixed_filter_operators wrap the operators they
+    # build from checked values without OperatorAmplitudes' checks; each
+    # must be the one OperatorAmplitudes(t, r) builds from the same values
+    rng = np.random.default_rng(73)
+    seen = 0
+    for _ in range(150):
+        k = float(10.0 ** rng.uniform(-4.0, 4.0))
+        r = float(rng.uniform(-3.0, 3.0) * 10.0 ** rng.integers(-4, 5))
+        axis = rng.normal(size=3)
+        ops = [kondo_operators(KondoImpurity(r, eigenvalues), k)
+               for eigenvalues in (*EXCHANGE_EIGENVALUE_PRESETS.values(), tuple(rng.uniform(-3.0, 3.0, 4)))]
+        ops += [fixed_filter_operators(FixedImpurity(r, *axes), k)
+                for axes in ((), (tuple((axis / np.linalg.norm(axis)).tolist()),))]
+        for op in ops:
+            public = OperatorAmplitudes(op.transmission, op.reflection)
+            assert type(op) is OperatorAmplitudes and op.dim == public.dim
+            for name in ("transmission", "reflection"):
+                trusted, checked = getattr(op, name), getattr(public, name)
+                assert trusted.dtype == complex and trusted.shape == checked.shape
+                assert trusted.tobytes() == checked.tobytes()
+                assert not trusted.flags.writeable
+                with pytest.raises(ValueError):
+                    trusted[0, 0] = 0.0
+            seen += 1
+    assert seen == 750

@@ -1,3 +1,5 @@
+import contextlib
+import cProfile
 import csv
 import dataclasses
 import io
@@ -474,3 +476,35 @@ def test_main_returns_codes_in_process(monkeypatch, capsys):
     assert cli.main([]) == 1
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the cost of one call, as its count of Python-level calls
+
+# each single-call command, and the most Python-level calls (cProfile's
+# count) of one warm cli.main call in table, csv and json: the counts
+# measured when the bounds were set plus 10, rounded up to the next ten;
+# exact mode keeps about 25 calls of room for its open accuracy fixes
+CLI_CALL_BOUNDS = {
+    ("amplitudes", "--k=1.3", "--r=0.4"): (140, 140, 120),
+    ("filter", "--k=1.3", "--r=0.4", "--axis=0,0.6,0.8"): (180, 220, 240),
+    ("kondo", "--k=1.3", "--r=0.4"): (170, 200, 260),
+    ("concentrate", "--a-coeff=0.6", "--k=1.3"): (320, 300, 440),
+    ("concentrate", "--impurity=kondo", "--a-coeff=0.6", "--k=1.3", "--r=0.4"): (330, 310, 540),
+    ("entangle-particles", "--k=1.3", "--r=0.4"): (290, 270, 510),
+    ("entangle-impurities", "--k=1.3", "--r1=0.4", "--r2=0.7"): (320, 300, 540),
+    ("entangle-impurities", "--k=1.3", "--r1=0.4", "--r2=0.7", "--mode=exact"): (375, 355, 575),
+}
+
+
+@pytest.mark.parametrize("argv", CLI_CALL_BOUNDS, ids=" ".join)
+def test_single_call_command_python_call_count(argv):
+    for fmt, bound in zip(("table", "csv", "json"), CLI_CALL_BOUNDS[argv]):
+        call = [*argv, f"--format={fmt}"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for _ in range(3):
+                assert cli.main(call) == 0
+            profile = cProfile.Profile()
+            profile.runcall(cli.main, call)
+        calls = sum(entry.callcount for entry in profile.getstats())
+        assert calls <= bound, (fmt, calls)

@@ -20,6 +20,7 @@ import os
 import random
 import re
 
+import numpy as np
 import pytest
 
 from spinscatter import (GridSpec, KondoImpurity, cli, concentrate_fixed, entangle_impurities, protocols,
@@ -480,6 +481,47 @@ def test_a_bad_value_is_refused_alike_on_every_route(protocol, pins, key, value,
                                                     for name in pinned)])[::2]
     assert {route: _unprefixed(call) for route, call in routes.items()} == \
         dict.fromkeys(routes, (1, f"error: {message}\n"))
+
+
+@pytest.mark.parametrize("protocol", ["concentrate", "concentrate-kondo"])
+@pytest.mark.parametrize("key", ["a_phase", "b_phase"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_phase_is_refused_by_the_phase_rule(protocol, key, value, tmp_path):
+    # the pair rule would see |a|^2 + |b|^2 = nan; the phase rule names the phase
+    values = {"a": 0.6, "k": 1.0, "r": 0.3, key: value}
+    pinned = {name: v for name, v in values.items() if name != "k"}
+    sweep_argv = ["sweep", "--protocol", protocol, "--grid", "k:1:2:2"]
+    texts = {name: str(v) for name, v in values.items()}
+    command = ["concentrate", *(["--impurity=kondo"] if protocol == "concentrate-kondo" else [])]
+    routes = {
+        "flag": capture([*command, *_flags(texts)])[::2],
+        "config": _config_call(command, {protocols._BY_KEY[name].flag: v
+                                         for name, v in values.items()}, tmp_path),
+        "--fixed": capture([*sweep_argv, *(f"--fixed={name}={texts[name]}" for name in pinned)])[::2],
+        "run_protocol": _library_call(run_protocol, protocol, values),
+        "sweep": _library_call(sweep, protocol, [GridSpec("k", 1.0, 2.0, 2)], pinned),
+    }
+    assert {route: _unprefixed(call) for route, call in routes.items()} == \
+        dict.fromkeys(routes, (1, f"error: parameter {key!r} must be finite\n"))
+
+
+@pytest.mark.parametrize("protocol, key, message", [
+    ("concentrate", "axis", "axis must be a finite 3-vector"),
+    ("entangle-particles", "eigenvalues", "eigenvalues must be four finite numbers"),
+])
+def test_a_zero_dimensional_array_is_one_value_on_every_route(protocol, key, message):
+    # a 0-d array is one value, refused by the kernel's rule of its parameter
+    values = {"a": 0.6, "k": 1.0, "r": 0.3} if protocol == "concentrate" else {"k": 1.0, "r": 0.3}
+    values[key] = np.array(5.0)
+    library = (lambda: concentrate_fixed(0.6, 0.8, 1.0, 0.3, axis=np.array(5.0))) \
+        if key == "axis" else (lambda: KondoImpurity(0.3, eigenvalues=np.array(5.0)))
+    routes = {
+        "run_protocol": _library_call(run_protocol, protocol, values),
+        "sweep": _library_call(sweep, protocol, [GridSpec("k", 1.0, 2.0, 2)],
+                               {name: v for name, v in values.items() if name != "k"}),
+        "library": _library_call(library),
+    }
+    assert routes == dict.fromkeys(routes, (1, f"error: {message}\n"))
 
 
 @pytest.mark.parametrize("text", ["0", "-1"])
