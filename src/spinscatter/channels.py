@@ -145,7 +145,7 @@ def _channel_amplitudes(checks, k, *barriers):
     share one eigenvalue count: the protocols give both impurities of a
     call one tuple, or two impurities' four.
     """
-    for _, eigenvalues in barriers:
+    for eigenvalues in dict.fromkeys(eigenvalues for _, eigenvalues in barriers):  # each tuple once
         _check_eigenvalues(checks, eigenvalues)
     return _coupled_amplitudes(checks, k, *barriers)
 

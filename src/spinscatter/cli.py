@@ -72,6 +72,8 @@ from .protocols import (
     GridSpec,
     Param,
     _read,
+    _result,
+    _run,
     _to_choice,
     _to_eigenvalues,
     _to_float,
@@ -82,11 +84,11 @@ from .protocols import (
     entangle_impurities,
     entangle_particles,
     optimal_coupling_fixed,
-    run_protocol,
     sweep,
 )
 from .scattering import (
     TwoImpurityGeometry,
+    _Checks,
     _flux_deviation,
     matrix_amplitudes,
     scalar_amplitudes,
@@ -148,37 +150,53 @@ def _json_float(x: float) -> str:
     return _NON_FINITE.get(text) or repr(float(text))
 
 
+def _json_str(text: str) -> str:
+    """A str as _json_fields writes it: its json string, each '%' doubled."""
+    return encode_basestring_ascii(text).replace("%", "%%")
+
+
 def _json(v, nl: str = "\n") -> str:
     """json.dumps(v, indent=2) at the line break nl, floats rounded to 12
     significant digits, a complex number as its {"re", "im"} object and an
     array as its nested lists.
 
     Written directly: with indent, json.dumps runs the pure-Python encoder.
-    Dict keys are strings; tuples are written as lists.  A float or complex
-    array of one or more dimensions is laid out once per dimension, not
-    element by element, and its floats written in one pass (_json_floats).
+    Dict keys are strings; tuples are written as lists.  The layout is made
+    first, with a '%s' field for each float (_json_fields), and every float
+    is then written into it in one pass (_json_floats).
     """
+    floats = []
+    return _json_fields(v, nl, floats) % tuple(_json_floats(floats))
+
+
+def _json_fields(v, nl, floats) -> str:
+    """_json of v with a '%s' field for each float, whose values are appended
+    to floats in the order of their fields, and every other '%' doubled.  A
+    float or complex array of one or more dimensions is laid out once per
+    dimension, not element by element."""
     if isinstance(v, float):
-        return _json_float(v)
+        floats.append(v)
+        return "%s"
     if isinstance(v, str):
-        return encode_basestring_ascii(v)
+        return _json_str(v)
     inner = nl + "  "
+    if isinstance(v, dict):
+        items = [f"{_json_str(k)}: {_json_fields(x, inner, floats)}" for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if isinstance(v, (list, tuple)):
+        items = [_json_fields(x, inner, floats) for x in v]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
     if isinstance(v, complex):
-        return f'{{{inner}"re": {_json_float(v.real)},{inner}"im": {_json_float(v.imag)}{nl}}}'
+        floats += (v.real, v.imag)
+        return _json_layout((), True, nl)
     if isinstance(v, np.ndarray):
         if v.ndim and v.dtype.kind in "fc":
             is_complex = v.dtype.kind == "c"
             # a complex128 array read as float64 holds each real part before its imaginary part
-            values = np.ascontiguousarray(v, complex if is_complex else float).view(float).ravel().tolist()
-            return _json_layout(v.shape, is_complex, nl) % tuple(_json_floats(values))
-        v = v.tolist()
-    if isinstance(v, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_json(x, inner)}" for k, x in v.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
-    if isinstance(v, (list, tuple)):
-        items = [_json(x, inner) for x in v]
-        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
-    return json.dumps(v)  # None, bool, int
+            floats += np.ascontiguousarray(v, complex if is_complex else float).view(float).ravel().tolist()
+            return _json_layout(v.shape, is_complex, nl)
+        return _json_fields(v.tolist(), nl, floats)
+    return json.dumps(v).replace("%", "%%")  # None, bool, int
 
 
 def _json_layout(shape, is_complex, nl) -> str:
@@ -224,15 +242,16 @@ def _json_text(obj) -> str:
 # fixed-width %-pass (_text_block).  Every other table, and every table in
 # the table format, has its columns made Python cells once (.tolist() of an
 # array) and takes one pass of its format's cell rule: csv writes each cell
-# and each name by _csv_field, except that a column of floats alone fills a
-# '%.12g' template field ('%.12g' % x equals format(x, '.12g') for every
-# float), and a column of ints alone a '%d' field ('%d' % n equals str(n);
-# a bool, written as str writes it, is no int here, and a float subclass
-# takes _csv_field, which writes it as '%.12g' does); json writes the rows
-# by the single-call writer _json; table writes a float by _F6, None as "-"
-# and any other cell by str.  Text cells stay Python strings: a byte route
-# would refuse non-ASCII text, delete a NUL inside a cell, and measure a
-# column's width in bytes, not characters.
+# and each name by _csv_field (the names, or a column of strs, as they are
+# where one search finds nothing to quote: _csv_texts), except that a column
+# of floats alone fills a '%.12g' template field ('%.12g' % x equals
+# format(x, '.12g') for every float), and a column of ints alone a '%d'
+# field ('%d' % n equals str(n); a bool, written as str writes it, is no int
+# here, and a float subclass takes _csv_field, which writes it as '%.12g'
+# does); json writes the rows by the single-call writer _json; table writes
+# a float by _F6, None as "-" and any other cell by str.  Text cells stay
+# Python strings: a byte route would refuse non-ASCII text, delete a NUL
+# inside a cell, and measure a column's width in bytes, not characters.
 
 def _text_bytes(texts) -> np.ndarray:
     """ASCII texts as a (len(texts), width) block, NUL past each text's end."""
@@ -425,6 +444,16 @@ def _csv_field(v, lone: bool) -> str:
     return text
 
 
+def _csv_texts(cells, lone: bool) -> list:
+    """_csv_field of each cell: cells that are all strs, none of which needs
+    quotes, as they are."""
+    try:
+        plain = not _CSV_QUOTED("".join(cells)) and (not lone or all(cells))
+    except TypeError:  # a cell that is no str
+        plain = False
+    return cells if plain else [_csv_field(v, lone) for v in cells]
+
+
 def emit_columns(columns, fmt: str) -> str:
     """Serialize a table given as {fieldname: column} as csv, json or text.
 
@@ -450,14 +479,14 @@ def emit_columns(columns, fmt: str) -> str:
 
     if fmt == "csv":
         lone = len(cols) == 1
-        header = ",".join(_csv_field(name, lone) for name in names) + "\r\n"
+        header = ",".join(_csv_texts(names, lone)) + "\r\n"
         if planes:
             pieces = ["", *[","] * (len(cols) - 1), "\r\n"]
             body = _plane_rows(cols, rows, pieces, "%.12g".__mod__, f"%-{_TEXT_WIDTH}.12g")
             return header + body.decode("ascii")
         kinds = [set(map(type, c)) for c in cols]
         fields = ["%.12g" if kind <= {float} else "%d" if kind <= {int} else "%s" for kind in kinds]
-        cells = [[_csv_field(v, lone) for v in c] if f == "%s" else c for c, f in zip(cols, fields)]
+        cells = [_csv_texts(c, lone) if f == "%s" else c for c, f in zip(cols, fields)]
         return header + (",".join(fields) + "\r\n") * rows % tuple(chain.from_iterable(zip(*cells)))
     if fmt == "json":
         if not planes:
@@ -550,19 +579,49 @@ def _outcome_columns(result):
             "concurrence": [o.concurrence for o in outcomes]}
 
 
+# _json of a protocol result's outcome, state and tree branch objects, at
+# their depth: an outcome's label, its four figures (a float's '%s' field, or
+# null) and its state; a state's labels and its amplitudes' layout; a
+# branch's label, then its probability's field
+_OUTCOME_JSON = ('{\n      "branch": %s,\n      "probability": %s,\n      "conditional_probability": %s,'
+                 '\n      "entropy_bits": %s,\n      "concurrence": %s,\n      "state": %s\n    }')
+_STATE_JSON = '{\n        "labels": [\n          %s\n        ],\n        "amplitudes": %s\n      }'
+_BRANCH_JSON = '{\n      "branch": %s,\n      "probability": %%s\n    }'
+
+
+def _protocol_json(result) -> str:
+    """_json_text of a protocol result's json object, laid out from the
+    templates of its outcomes, states and branches; the floats of the whole
+    object are written in one pass (_json_floats)."""
+    floats, outcomes = [], []
+    for o in result.outcomes:
+        figures = (o.branch_probability, o.conditional_probability, o.entropy_bits, o.concurrence)
+        floats += [x for x in figures if x is not None]
+        state = o.post_state
+        if state is not None:
+            # a complex128 array read as float64 holds each real part before its imaginary part
+            floats += np.ascontiguousarray(state.amplitudes).view(float).tolist()
+            state = _STATE_JSON % (",\n          ".join(map(_json_str, state.labels)),
+                                   _json_layout(state.amplitudes.shape, True, "\n        "))
+        outcomes.append(_OUTCOME_JSON % (_json_str(o.branch_label),
+                                         *["null" if x is None else "%s" for x in figures],
+                                         "null" if state is None else state))
+    tree = []
+    for b in result.tree.branches:
+        tree.append(_BRANCH_JSON % _json_str(b.label))
+        floats.append(b.probability)
+    floats.append(result.tree.total_probability())
+    layout = ('{\n  "outcomes": [\n    ' + ",\n    ".join(outcomes) + '\n  ],\n  "tree": [\n    '
+              + ",\n    ".join(tree) + '\n  ],\n  "total_probability": %s,\n  "metadata": '
+              + _json_fields(result.metadata, "\n  ", floats) + "\n}\n")
+    return layout % tuple(_json_floats(floats))
+
+
 def _render_protocol(result, fmt) -> str:
     _require_finite(result.metadata)
-    columns = _outcome_columns(result)
     if fmt == "json":
-        rows = [dict(zip(columns, row), state=None if o.post_state is None else {
-                    "labels": o.post_state.labels, "amplitudes": o.post_state.amplitudes})
-                for o, row in zip(result.outcomes, zip(*columns.values()))]
-        return _json_text({
-            "outcomes": rows,
-            "tree": [{"branch": b.label, "probability": b.probability} for b in result.tree.branches],
-            "total_probability": result.tree.total_probability(),
-            "metadata": result.metadata,
-        })
+        return _protocol_json(result)
+    columns = _outcome_columns(result)
     if fmt == "csv":
         return emit_columns(columns, "csv")
     lines = ["outcomes:"]
@@ -587,7 +646,9 @@ _PROTOCOL_COMMANDS = {"concentrate": tuple(_IMPURITIES.values()),
 
 def _cmd_protocol(command, p, fmt):
     protocol = _IMPURITIES[p.pop("impurity")] if "impurity" in p else command
-    return _render_protocol(run_protocol(protocol, p), fmt)
+    # run_protocol, less the normalization of a name and keys that the flag
+    # table already gives as PARAMS spells them
+    return _render_protocol(_result(_run(protocol, p, _Checks(1))), fmt)
 
 
 def _cmd_sweep(p, fmt):
@@ -815,6 +876,8 @@ _COMMANDS = {
     ),
     "selftest": (),
 }
+# each command's required parameters, in flag order
+_REQUIRED = {command: [param for param in table if param.required] for command, table in _COMMANDS.items()}
 # flags that may be given more than once; their readers take the list
 _REPEATED = (_to_grid, _to_fixed)
 
@@ -847,6 +910,10 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 _FLAGS = {command: {**{f"--{param.flag}": (param.flag, param.read in _REPEATED) for param in table},
                     **{f"--{flag}": (f"common_{flag}", False) for flag in _COMMON}}
           for command, table in _COMMANDS.items()}
+# each command's namespace before any flag is read
+_UNSET = {command: dict.fromkeys(dest for dest, _ in flags.values()) for command, flags in _FLAGS.items()}
+# the reader of --format
+_to_format = _to_choice(_FORMATS)
 
 
 def _scan(command, tokens):
@@ -860,7 +927,7 @@ def _scan(command, tokens):
     usage errors) is left to argparse.
     """
     flags = _FLAGS[command]
-    ns = dict.fromkeys(dest for dest, _ in flags.values())
+    ns = _UNSET[command].copy()
     tokens = iter(tokens)
     for token in tokens:
         flag, eq, value = token.partition("=")
@@ -912,12 +979,13 @@ def parse_args(argv=None) -> RunConfig:
             if ns["command"] is None:
                 _usage_error(f"missing command (one of: {', '.join(_COMMANDS)})")
             command = ns["command"]
+        # argparse drops a value '--' given as --flag=--, and leaves [] in
+        # its place (_scan leaves such a line to argparse)
+        for flag, (dest, repeated) in _FLAGS[command].items():
+            value = ns[dest]
+            if value == [] or repeated and value and [] in value:
+                _usage_error(f"argument {flag}: expected one argument")
     table = _COMMANDS[command]
-    # argparse drops a value '--' given as --flag=--, and leaves [] in its place
-    for flag, (dest, repeated) in _FLAGS[command].items():
-        value = ns[dest]
-        if value == [] or repeated and value and [] in value:
-            _usage_error(f"argument {flag}: expected one argument")
 
     file_values = {}
     if ns["common_config"] is not None:
@@ -934,22 +1002,24 @@ def parse_args(argv=None) -> RunConfig:
 
     params = {}
     try:
-        for param in table:
-            value = value_of(param.flag, param.flag)
+        for param in table:  # value_of(param.flag, param.flag), inlined
+            value = ns[param.flag]
+            if value is None:
+                value = file_values.get(param.flag)
             if value is not None:
                 params[param.key] = _read(param, value)
     except ValueError as exc:
         _usage_error(str(exc))
 
-    for param in table:
-        if param.required and param.key not in params:
+    for param in _REQUIRED[command]:
+        if param.key not in params:
             _usage_error(f"missing required parameter --{param.flag}")
 
     fmt, output = value_of("common_format", "format"), value_of("common_output", "output")
     if fmt is None:
         fmt = os.environ.get(_FORMAT_ENV) or "table"  # an empty variable is unset
     try:
-        fmt = _to_choice(_FORMATS)("format", fmt)
+        fmt = _to_format("format", fmt)
     except ValueError as exc:
         _usage_error(str(exc))
     if output is not None and not isinstance(output, str):

@@ -175,7 +175,8 @@ def pure_pair_figures(pairs):
     pairs = np.asarray(pairs)
     if pairs.shape[-1:] != (4,):
         raise ValueError(f"pairs must hold 4 amplitudes along the last axis, got shape {pairs.shape}")
-    c = np.minimum(1.0, 2.0 * np.abs(pairs[..., 0] * pairs[..., 3] - pairs[..., 1] * pairs[..., 2]))
+    cross = pairs[..., :2] * pairs[..., :1:-1]  # c00 c11 and c01 c10
+    c = np.minimum(1.0, 2.0 * np.abs(cross[..., 0] - cross[..., 1]))
     # smaller eigenvalue (1 - sqrt(1 - C^2))/2, written without the cancellation
     c2 = c * c
     low = c2 / (2.0 * (1.0 + np.sqrt(1.0 - c2)))

@@ -331,12 +331,12 @@ def _result(batch: _Batch) -> ProtocolResult:
         ProtocolOutcome(label, prob, cond, SpinState._trusted(pair, o.pair_labels), ent, conc)
         if live else ProtocolOutcome(label, 0.0, cond, None, None, None)
         for label, prob, cond, pair, ent, conc, live in zip(
-            o.labels, o.probability[0].tolist(), o.conditional[0].tolist(), o.pair[0],
-            o.entropy[0].tolist(), o.concurrence[0].tolist(), o.live[0].tolist())
+            o.labels, o.probability.tolist()[0], o.conditional.tolist()[0], o.pair[0],
+            o.entropy.tolist()[0], o.concurrence.tolist()[0], o.live.tolist()[0])
     ])
     branches, padded, m = [], np.zeros((2, 8), dtype=complex), 0
     for label, amps, kept, prob in batch.tree:
-        prob = float(prob[0])
+        prob = prob.item()
         if prob > TOL.null_floor:
             row = amps[0]
             if kept is not None:  # one of the two measured branches, which keep 4 of 8 entries
@@ -344,7 +344,11 @@ def _result(batch: _Batch) -> ProtocolResult:
                 row[kept] = amps[0]
             row.setflags(write=False)
             branches.append(EventBranch(label, prob, SpinState._trusted(row, batch.register)))
-    meta = {name: float(v[0]) for name, v in batch.metadata.items() if not math.isnan(v[0])}
+    meta = {}
+    for name, v in batch.metadata.items():
+        x = v.item()
+        if not math.isnan(x):
+            meta[name] = x
     return ProtocolResult(outcomes, EventTree(tuple(branches)), meta)
 
 
@@ -391,11 +395,10 @@ def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
     both[:, 0] = t
     np.subtract(t, _EYE, out=both[:, 1])
     out = np.einsum("nkiq,nq->nkqi", both, pair).reshape(checks.n, 2, 4)
-    transmit, reflect = out[:, 0], out[:, 1]
-    prob = _norm2(transmit)
-    outcomes = _outcomes(("transmitted",), _PAIR_REGISTER, transmit[:, None], prob[:, None])
-    meta = {"coupling": r, "xi": 2.0 * r / k, **_attempts(prob)}
-    tree = [("transmitted", transmit, None, prob), ("reflected", reflect, None, _norm2(reflect))]
+    prob = _norm2(out)  # (N, 2): transmitted, reflected
+    outcomes = _outcomes(("transmitted",), _PAIR_REGISTER, out[:, :1], prob[:, :1])
+    meta = {"coupling": r, "xi": 2.0 * r / k, **_attempts(prob[:, 0])}
+    tree = [("transmitted", out[:, 0], None, prob[:, 0]), ("reflected", out[:, 1], None, prob[:, 1])]
     return _batch(norm, _PAIR_REGISTER, tree, outcomes, meta, _describe(a=a, b=b, k=k, r=r))
 
 
@@ -708,6 +711,8 @@ PARAMS = {
     ),
 }
 
+# the numeric keys of each protocol, in table order
+_NUMERIC = {name: [param.key for param in params if param.numeric] for name, params in PARAMS.items()}
 # a key is read alike by every protocol that takes it
 _BY_KEY = {param.key: param for params in PARAMS.values() for param in params}
 
@@ -746,7 +751,7 @@ def _run(protocol, p, checks):
     if p:
         checks.fail(f"unknown parameter(s) for {protocol}: {', '.join(sorted(p))}")
     # the columns of the numeric values, rows of one array
-    numeric = [param.key for param in PARAMS[protocol] if param.numeric and args[param.key] is not None]
+    numeric = [key for key in _NUMERIC[protocol] if args[key] is not None]
     for key, column in zip(numeric, np.empty((len(numeric), checks.n))):
         column[:] = args[key]
         args[key] = column
@@ -764,7 +769,12 @@ def _coeff_pair(checks, a, b, a_phase, b_phase):
         checks.add(bad, f"parameter {name!r} must lie in [0, 1]")
     for name, bad in zip(("a_phase", "b_phase"), ~np.isfinite(phases)):
         checks.add(bad, f"parameter {name!r} must be finite")
-    return magnitudes * (np.cos(phases) + 1j * np.sin(phases))
+    # cos + 1j sin, whose real and imaginary parts are cos and sin bit for
+    # bit (1j sin adds a zero), scaled as magnitudes * (cos + 1j sin) is
+    amplitudes = np.empty(magnitudes.shape, dtype=complex)
+    amplitudes.real, amplitudes.imag = np.cos(phases), np.sin(phases)
+    amplitudes *= magnitudes
+    return amplitudes
 
 
 @functools.cache
@@ -822,6 +832,8 @@ _RUNNERS = {
 
 
 def _protocol(name: str) -> str:
+    if type(name) is str and name in PARAMS:
+        return name
     key = str(name).strip().lower().replace("_", "-")
     if key not in PARAMS:
         raise ValueError(f"unknown protocol name: {name!r} (known: {', '.join(sorted(PARAMS))})")

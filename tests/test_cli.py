@@ -484,16 +484,17 @@ def test_main_returns_codes_in_process(monkeypatch, capsys):
 # each single-call command, and the most Python-level calls (cProfile's
 # count) of one warm cli.main call in table, csv and json: the counts
 # measured when the bounds were set plus 10, rounded up to the next ten;
-# exact mode keeps about 25 calls of room for its open accuracy fixes
+# exact mode keeps 25 calls of room for its open accuracy fixes, rounded
+# up to the next five
 CLI_CALL_BOUNDS = {
-    ("amplitudes", "--k=1.3", "--r=0.4"): (140, 140, 120),
-    ("filter", "--k=1.3", "--r=0.4", "--axis=0,0.6,0.8"): (180, 220, 240),
-    ("kondo", "--k=1.3", "--r=0.4"): (170, 200, 260),
-    ("concentrate", "--a-coeff=0.6", "--k=1.3"): (320, 300, 440),
-    ("concentrate", "--impurity=kondo", "--a-coeff=0.6", "--k=1.3", "--r=0.4"): (330, 310, 540),
-    ("entangle-particles", "--k=1.3", "--r=0.4"): (290, 270, 510),
-    ("entangle-impurities", "--k=1.3", "--r1=0.4", "--r2=0.7"): (320, 300, 540),
-    ("entangle-impurities", "--k=1.3", "--r1=0.4", "--r2=0.7", "--mode=exact"): (375, 355, 575),
+    ("amplitudes", "--k=1.3", "--r=0.4"): (130, 110, 120),
+    ("filter", "--k=1.3", "--r=0.4", "--axis=0,0.6,0.8"): (170, 190, 230),
+    ("kondo", "--k=1.3", "--r=0.4"): (150, 160, 250),
+    ("concentrate", "--a-coeff=0.6", "--k=1.3"): (290, 250, 290),
+    ("concentrate", "--impurity=kondo", "--a-coeff=0.6", "--k=1.3", "--r=0.4"): (300, 270, 320),
+    ("entangle-particles", "--k=1.3", "--r=0.4"): (280, 240, 290),
+    ("entangle-impurities", "--k=1.3", "--r1=0.4", "--r2=0.7"): (290, 260, 310),
+    ("entangle-impurities", "--k=1.3", "--r1=0.4", "--r2=0.7", "--mode=exact"): (345, 310, 355),
 }
 
 
