@@ -40,7 +40,7 @@ is checked in one pass against the initial squared norm that the pair
 rule or the initial state already holds, and the result's states wrap the
 checked rows without a copy.  Floating-point warnings are switched off
 once per call, at the entry point.  A warm run_protocol call takes about
-0.14-0.18 ms and at most about 210 Python-level calls (exact-mode
+0.14-0.18 ms and at most about 215 Python-level calls (exact-mode
 entangle_impurities; 2-core Xeon, numpy 2.4).
 
 Probability bookkeeping: branch states carry raw (unnormalized) amplitudes
@@ -832,8 +832,6 @@ _RUNNERS = {
 
 
 def _protocol(name: str) -> str:
-    if type(name) is str and name in PARAMS:
-        return name
     key = str(name).strip().lower().replace("_", "-")
     if key not in PARAMS:
         raise ValueError(f"unknown protocol name: {name!r} (known: {', '.join(sorted(PARAMS))})")

@@ -232,8 +232,8 @@ class OperatorAmplitudes:
 
     @classmethod
     def _trusted(cls, transmission):
-        """The operators of a transmission whose checks its builder has made:
-        a finite square complex array, which is made read-only, as is the
+        """The operators of a transmission built from checked values: a
+        finite square complex array, which is made read-only, as is the
         reflection T - I formed here."""
         reflection = transmission - np.eye(len(transmission))
         transmission.setflags(write=False)

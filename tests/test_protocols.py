@@ -673,9 +673,9 @@ def test_single_call_python_call_count(name):
     profile.runcall(run_protocol, protocol, dict(params))
     # pstats keys every dataclass __init__ alike, so its total_calls drops some
     calls = sum(entry.callcount for entry in profile.getstats())
-    # the worst case, exact entangle-impurities, takes 211, and the bound
+    # the worst case, exact entangle-impurities, takes 213, and the bound
     # leaves 25 calls of room for its open accuracy fixes
-    assert calls <= 236, calls
+    assert calls <= 238, calls
 
 
 # ---------------------------------------------------------------------------
