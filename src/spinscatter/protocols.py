@@ -78,8 +78,9 @@ from .channels import (
 )
 from .errors import InternalFaultError
 from .hilbert import SpinState, _check_axis, _norm2, _sigma_along, basis_state, pure_pair_figures
-from .scattering import (_check_coupling, _check_flux, _check_half_separation, _check_wave_number, _Checks,
-                         _complex, _compose, _one, _pair_table, _pass_table, _quiet, _real, _reals, _transmission)
+from .scattering import (_check_coupling, _check_flux, _check_half_separation, _check_phase, _check_wave_number,
+                         _Checks, _complex, _compose, _one, _pair_table, _pass_table, _phase, _quiet, _real, _reals,
+                         _transmission)
 from .tolerances import DEFAULT as TOL
 
 _PAIR_REGISTER = ("particle-2", "particle-1")
@@ -463,13 +464,15 @@ def _entangle_impurities(checks, k, r1, r2, half_separation, eigenvalues_1, eige
     _check_initial(checks, initial, _IMPURITIES_CONTENT)
     _check_half_separation(checks, half_separation)
     _check_wave_number(checks, k)
+    if mode == "exact":  # only the exact composition propagates between the impurities
+        _check_phase(checks, k, half_separation)
     s1, s2 = _channel_amplitudes(checks, k, (r1, eigenvalues_1), (r2, eigenvalues_2))
     checks.raise_first()
 
     psi0 = initial.amplitudes[None]  # the same at every point
     if mode == "exact":  # star_product on the tables
         rows = _exchange(psi0, checks.n, (s1, s2), _IMPURITY_BARRIERS, _IMPURITY_PAIRS,
-                         np.exp(2j * k * half_separation))
+                         _phase(k, half_separation))
         failure_labels, prefix = ("reflected",), "transmitted, particle measured "
     else:  # the star product without its p^2 R1 R2 term, each reflection resolved
         rows = _exchange(psi0, checks.n, (s1, s2), _IMPURITY_BARRIERS)

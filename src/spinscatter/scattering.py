@@ -25,12 +25,14 @@ takes each barrier as its channel decomposition T = sum_c S_c P_c, stacked
 amplitudes and a constant projector table, and never forms T; the other
 batched functions act on stacks of operators along leading axes.
 
-The input rules on numbers (k, coupling, half-separation, finite
-operators) are written once, here, over N stacked points: the protocol
-kernels record them in a _Checks, and so does each scalar entry point, as
-a batch of one whose real arguments are read by _real and complex ones by
-_complex.  The barrier transmission S = 1/(1 + i coupling/k) of every
-barrier, channel and filter is defined once, by _transmission.
+The input rules on numbers (k, coupling, half-separation, the exact
+composition's finite 2·k·half_separation, finite operators) are written
+once, here, over N stacked points: the protocol kernels record them in a
+_Checks, and so does each scalar entry point, as a batch of one whose
+real arguments are read by _real and complex ones by _complex.  The
+barrier transmission S = 1/(1 + i coupling/k) of every barrier, channel
+and filter is defined once, by _transmission, and the propagation phase
+p = e^{2ika} of the exact composition by _phase.
 """
 
 import functools
@@ -133,6 +135,16 @@ def _check_coupling(checks, strength):
 
 def _check_half_separation(checks, half_separation):
     checks.add(~(np.isfinite(half_separation) & (half_separation > 0)), "half_separation must be positive")
+
+
+def _check_phase(checks, k, half_separation):
+    """The exact composition's phase _phase needs a finite 2·k·half_separation."""
+    checks.add(~np.isfinite(2 * k * half_separation), "2*k*half_separation must be finite")
+
+
+def _phase(k, half_separation):
+    """The propagation phase p = e^{2ika} between barriers at -+half_separation."""
+    return np.exp(2j * k * half_separation)
 
 
 def _check_finite_operators(checks, operators):
@@ -311,10 +323,12 @@ class TwoImpurityGeometry:
     potential_left: np.ndarray
     potential_right: np.ndarray
 
+    @_quiet  # 2·k·half_separation may overflow, which _check_phase refuses
     def __post_init__(self):
         checks, half_separation, k = _Checks(1), _one(self.half_separation), _one(self.k)
         _check_half_separation(checks, half_separation)
         _check_wave_number(checks, k)
+        _check_phase(checks, k, half_separation)
         checks.raise_first()
         object.__setattr__(self, "half_separation", half_separation.item())
         object.__setattr__(self, "k", k.item())
@@ -374,6 +388,7 @@ def _pass(coefficients, table, x):
 _PASS_SHIFTS = np.array([[0.0], [1.0]])
 
 
+@_quiet
 def star_product(s1, projectors1, s2, projectors2, phase, incident):
     """S-matrix (Redheffer star product) composition of two delta barriers.
 
@@ -388,8 +403,9 @@ def star_product(s1, projectors1, s2, projectors2, phase, incident):
         C = (I - p^2 R1 R2)^-1 T1,   T = T2 C,   R = R1/p + p T1 R2 C
 
     C sums every back-and-forth order between the barriers, so only d x d
-    systems are solved, by pivoted LU.  Each product with a barrier is one
-    product of its channel coefficients against its projector table
+    systems are solved, by _solve's Gaussian elimination with partial
+    pivoting in numpy over the point axis.  Each product with a barrier is
+    one product of its channel coefficients against its projector table
     (_pass), and R1 R2 = sum_ce (S1_c - 1)(S2_e - 1) P1_c P2_e is one
     product against the table of the projector pairs (_pair_table), so the
     only (n, d, d) stack formed is the matrix solved.  Dropping the
@@ -406,6 +422,49 @@ def _pair_table(projectors1, projectors2) -> np.ndarray:
     return (projectors1[:, None] @ projectors2).transpose(2, 3, 0, 1).reshape(d * d, -1)
 
 
+def _solve(system, x):
+    """The solutions y of A y = x for d x d systems A, by Gaussian elimination
+    with partial pivoting.
+
+    The point axis is last, as in _pass: system (d*d, n) holds each A row
+    by row, x (d, n), and a length-1 point axis is shared by every point.
+    Each row of the augmented system [A | x] is one (d + 1, n) array, and
+    the loops run over the d rows: at each point the pivot is the entry of
+    largest modulus left in its column, moved up by np.where, so nothing
+    is reduced across points and a point's result does not depend on the
+    others.  Like LAPACK's getrf, this is backward stable (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sec. 9): the computed
+    y solves (A + dA) y = x with |dA| of the order of d·eps·|A| times the
+    growth factor, at most 2^(d-1).  An exact zero pivot, which only a
+    singular A has, raises InternalFaultError; a NaN entry gives NaN at
+    its point, for the caller's checks to refuse.  Returns (d, N).
+    """
+    d = len(x)
+    augmented = np.empty((d, d + 1, max(system.shape[-1], x.shape[-1])), dtype=complex)
+    augmented[:, :d] = system.reshape(d, d, -1)
+    augmented[:, d] = x
+    rows = list(augmented)  # row i holds the columns i, ..., d of [A | x] once eliminated
+    for k in range(d):
+        largest = np.abs(rows[k][0])
+        for i in range(k + 1, d):
+            size = np.abs(rows[i][0])
+            swap = size > largest
+            largest = np.maximum(largest, size)  # NaN where a candidate is NaN
+            rows[k], rows[i] = np.where(swap, rows[i], rows[k]), np.where(swap, rows[k], rows[i])
+        if not np.logical_and.reduce(largest):  # column k is zero from row k down
+            raise InternalFaultError("two-impurity composition is singular: Singular matrix")
+        pivot, tail = rows[k][0], rows[k][1:]
+        for i in range(k + 1, d):
+            rows[i] = rows[i][1:] - rows[i][0] / pivot * tail
+    y = [None] * d
+    for i in range(d - 1, -1, -1):  # back substitution; row i is U_ii, ..., U_i(d-1), x_i
+        row, total = rows[i], rows[i][-1]
+        for j in range(i + 1, d):
+            total = total - row[j - i] * y[j]
+        y[i] = total / row[0]
+    return np.array(y)
+
+
 def _compose(amplitudes, tables, incident, pairs=None, phase=None):
     """Scatter spin vectors chi through the barriers a particle meets, in that order.
 
@@ -413,7 +472,8 @@ def _compose(amplitudes, tables, incident, pairs=None, phase=None):
     each j of amplitudes.  Without pairs, one pass: returns T_m...T_1 chi,
     then the reflection at each barrier, R_1 chi, R_2 T_1 chi, ....  With
     the _pair_table of two barriers and the phase, their star_product
-    (T chi, R chi).
+    (T chi, R chi), whose d x d systems (I - p^2 R1 R2) C = T1 chi are
+    solved by _solve's elimination over the point axis.
     """
     coefficients = [s.T[:, None] - _PASS_SHIFTS for s in amplitudes]
     x, reflected = incident.T, []  # points last: vectors (d, n), coefficients (c, 2, n)
@@ -421,11 +481,7 @@ def _compose(amplitudes, tables, incident, pairs=None, phase=None):
         if reflected and pairs is not None:
             d, p = table.shape[0], np.asarray(phase)
             r1r2 = pairs @ (coefficients[0][:, None, 1] * c[None, :, 1]).reshape(pairs.shape[1], -1)
-            system = np.eye(d).reshape(d * d, 1) - p * p * r1r2
-            try:
-                x = np.linalg.solve(system.T.reshape(-1, d, d), x.T[..., None])[..., 0].T
-            except np.linalg.LinAlgError as exc:
-                raise InternalFaultError(f"two-impurity composition is singular: {exc}") from exc
+            x = _solve(np.eye(d).reshape(d * d, 1) - p * p * r1r2, x)
         out = _pass(c, table, x)
         x = out[:, 0]
         reflected.append(out[:, 1].T)
@@ -453,7 +509,7 @@ def two_impurity_exact(geom: TwoImpurityGeometry) -> TwoImpurityAmplitudes:
     p1, p2 = np.einsum("jic,jkc->jcik", v, v.conj())
     # row i of the results is the image of the incident basis vector e_i
     transmitted, reflected = star_product(
-        s[:1], p1, s[1:], p2, np.exp(2j * k * geom.half_separation), np.eye(geom.dim, dtype=complex))
+        s[:1], p1, s[1:], p2, _phase(k, geom.half_separation), np.eye(geom.dim, dtype=complex))
     transmission, reflection = transmitted.T, reflected.T
     _check_flux(_flux_deviation(transmission, reflection), "two-impurity ")
     return TwoImpurityAmplitudes(transmission, reflection)

@@ -432,6 +432,7 @@ def _flags(texts):
 
 
 K, COUPLING, HALF = "k must be positive", "coupling must be finite", "half_separation must be positive"
+PHASE = "2*k*half_separation must be finite"
 
 
 def _case_id(value):
@@ -457,6 +458,9 @@ def _case_id(value):
     ("concentrate", {}, "r", math.inf, COUPLING),
     ("entangle-impurities", {}, "r2", True, COUPLING),
     ("entangle-impurities", {"mode": "exact"}, "half_separation", -10 ** 400, HALF),
+    # exact mode's phase e^{2ika} where 2*k*half_separation overflows
+    *[("entangle-impurities", {"mode": "exact", "k": k}, "half_separation", a, PHASE)
+      for k, a in ((1e200, 1e200), (1e160, 1e150))],
     # lists of the wrong length
     ("concentrate", {}, "axis", [0.0, 1.0], "axis must be a finite 3-vector"),
     ("entangle-impurities", {}, "eigenvalues", [1.0, 2.0], "eigenvalues must be four finite numbers"),

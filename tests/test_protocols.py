@@ -493,6 +493,16 @@ def test_entangle_impurities_mode_validation():
                             half_separation=-1.0, mode="exact")
 
 
+@pytest.mark.parametrize("k, half_separation", [(1e200, 1e200), (1e160, 1e150)])
+def test_only_exact_mode_needs_a_finite_2ka(k, half_separation):
+    # first-order mode has no propagation phase; exact mode refuses e^{2ika}
+    # by its rule before the kernel runs, not by a later check of the result
+    params = {"k": k, "r1": 1.0, "r2": 0.5, "half_separation": half_separation}
+    tree = run_protocol("entangle-impurities", params).tree
+    assert abs(tree.total_probability() - 1.0) <= DEFAULT_TOLERANCES.solver_residual
+    with pytest.raises(ValueError, match=r"^2\*k\*half_separation must be finite$"):
+        run_protocol("entangle-impurities", {**params, "mode": "exact"})
+
 
 # Inputs on which exact mode fails today: close, nearly opaque barriers
 # (flux off by 7.8e-8), and k = 5e-324, where the channel amplitudes are not
@@ -673,8 +683,8 @@ def test_single_call_python_call_count(name):
     profile.runcall(run_protocol, protocol, dict(params))
     # pstats keys every dataclass __init__ alike, so its total_calls drops some
     calls = sum(entry.callcount for entry in profile.getstats())
-    # the worst case, exact entangle-impurities, takes 213, and the bound
-    # leaves 25 calls of room for its open accuracy fixes
+    # the worst case, exact entangle-impurities, takes 201, and the bound
+    # leaves 37 calls of room for its open accuracy fixes
     assert calls <= 238, calls
 
 

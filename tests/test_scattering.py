@@ -1,5 +1,6 @@
 import dataclasses
 import fractions
+import itertools
 import math
 
 import numpy as np
@@ -400,6 +401,10 @@ def test_geometry_validation():
         TwoImpurityGeometry(1.0, 1.0, m, np.eye(4, dtype=complex))
     with pytest.raises(ValueError):
         TwoImpurityGeometry(1.0, 1.0, np.array([[0, 1], [0, 0]], dtype=complex), m)
+    # the phase e^{2ika} needs a finite 2ka, which overflows here
+    for half_separation, k in ((1e200, 1e200), (1e150, 1e160), (1e308, 1.0)):
+        with pytest.raises(ValueError, match=r"^2\*k\*half_separation must be finite$"):
+            TwoImpurityGeometry(half_separation, k, m, m)
 
 
 def test_first_order_composition_order_and_reduction():
@@ -476,3 +481,135 @@ def test_star_product_of_channel_decompositions_is_the_redheffer_formula():
     repeated = scattering.star_product(s1, p1, s2, p2, phase, np.repeat(incident[:1], n, axis=0))
     for x, y in zip(shared, repeated):
         assert x.shape == (n, d) and np.max(np.abs(x - y)) <= 1e-14
+
+
+# _solve against np.linalg.solve, a test-only oracle.  Gaussian elimination
+# with partial pivoting is backward stable: the computed y of A y = x has
+# |A y - x|_inf <= c d eps |A|_inf |y|_inf, with c of the order of the growth
+# factor (at most 2^(d-1)) times a small constant of complex rounding.
+BACKWARD_C = 8.0
+SINGULAR = "two-impurity composition is singular: Singular matrix"
+
+
+def _stack(system):
+    """The (n, d, d) matrices of _solve's (d*d, n) layout."""
+    d = math.isqrt(system.shape[0])
+    return system.T.reshape(-1, d, d)
+
+
+def _oracle(system, x):
+    n = max(system.shape[-1], x.shape[-1])
+    d = len(x)
+    a = np.broadcast_to(_stack(system), (n, d, d))
+    return np.linalg.solve(a, np.broadcast_to(x.T, (n, d))[..., None])[..., 0].T
+
+
+def _backward_errors(system, x, y):
+    """|A y - x|_inf / (d eps |A|_inf |y|_inf) at each point."""
+    d = len(x)
+    a = _stack(system)
+    residual = np.max(np.abs((a @ y.T[..., None])[..., 0] - x.T), axis=-1)
+    scale = d * np.finfo(float).eps * np.max(np.sum(np.abs(a), axis=-1), axis=-1) * np.max(np.abs(y), axis=0)
+    return residual / scale
+
+
+def _complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_solve_is_backward_stable_as_lapack(d):
+    rng = np.random.default_rng(71 + d)
+    n = 2000
+    system = _complex_normal(rng, d * d, n) * 10.0 ** rng.uniform(-8, 8, (1, n))
+    x = _complex_normal(rng, d, n)
+    y, expect = scattering._solve(system, x), _oracle(system, x)
+    assert y.shape == (d, n)
+    assert np.max(_backward_errors(system, x, y)) <= BACKWARD_C
+    assert np.max(_backward_errors(system, x, expect)) <= BACKWARD_C
+    # forward agreement, to the conditioning of each system
+    cond = np.linalg.cond(_stack(system), np.inf)
+    error = np.max(np.abs(y - expect), axis=0) / np.max(np.abs(expect), axis=0)
+    assert np.all(error <= 2 * BACKWARD_C * d * np.finfo(float).eps * cond)
+
+
+def test_solve_takes_every_pivot_order_point_by_point():
+    # column-diagonally dominant M needs no row swap (Golub & Van Loan,
+    # sec. 3.4.10), so the rows of M in the order pi make partial pivoting
+    # take the pivot rows in the order pi; each point has its own order
+    rng = np.random.default_rng(73)
+    d, orders = 3, [np.array(p) for p in itertools.permutations(range(3))]
+    n = 100 * len(orders)
+    m = _complex_normal(rng, n, d, d) * 0.1
+    m[:, range(d), range(d)] += 3.0 * np.exp(2j * np.pi * rng.uniform(size=(n, d)))
+    size = np.abs(m)
+    assert np.all(2 * size[:, range(d), range(d)] > np.sum(size, axis=1))
+    order = np.array([orders[i % len(orders)] for i in range(n)])
+    permuted = np.take_along_axis(m, order[..., None], axis=1)
+    system = permuted.reshape(n, d * d).T
+    x = _complex_normal(rng, d, n)
+    y = scattering._solve(system, x)
+    assert np.max(_backward_errors(system, x, y)) <= BACKWARD_C
+    assert np.max(np.abs(y - _oracle(system, x))) <= 1e-14
+    # a point's result does not depend on the points beside it
+    for i in range(0, n, 37):
+        assert np.array_equal(scattering._solve(system[:, i:i + 1], x[:, i:i + 1])[:, 0], y[:, i])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_solve_shares_a_one_point_system_or_vector(d):
+    rng = np.random.default_rng(79)
+    n = 9
+    system, x = _complex_normal(rng, d * d, n), _complex_normal(rng, d, n)
+    shared_system = scattering._solve(system[:, :1], x)
+    assert np.array_equal(shared_system, scattering._solve(np.repeat(system[:, :1], n, axis=1), x))
+    shared_x = scattering._solve(system, x[:, :1])
+    assert np.array_equal(shared_x, scattering._solve(system, np.repeat(x[:, :1], n, axis=1)))
+    assert np.max(np.abs(shared_x - _oracle(system, x[:, :1]))) <= 1e-12
+
+
+def test_solve_is_backward_stable_as_the_product_of_reflections_nears_one():
+    # I - p^2 R1 R2 for close, nearly opaque barriers: R_j = T_j - I with
+    # |S_c| -> 0 and p^2 -> 1, so the systems come near singularity; the
+    # backward error bound holds at any conditioning
+    rng = np.random.default_rng(83)
+    d, n = 3, 3000
+    p1, p2 = _rank_one_projectors(rng, d), _rank_one_projectors(rng, d)
+    xi = 10.0 ** rng.uniform(0, 12, (2, n, d)) * rng.choice([-1.0, 1.0], (2, n, d))
+    r1, r2 = (np.einsum("nc,cij->nij", scattering._transmission(x, 1.0) - 1.0, p) for x, p in zip(xi, (p1, p2)))
+    phase = np.exp(2j * 10.0 ** rng.uniform(-16, 0, n))
+    a = np.eye(d) - phase[:, None, None] ** 2 * (r1 @ r2)
+    system = a.reshape(n, d * d).T
+    x = _complex_normal(rng, d, n)
+    assert np.max(np.linalg.cond(a, np.inf)) > 1e10
+    y = scattering._solve(system, x)
+    assert np.max(_backward_errors(system, x, y)) <= BACKWARD_C
+    assert np.max(_backward_errors(system, x, _oracle(system, x))) <= BACKWARD_C
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[1, 2, 3], [2, 4, 6], [1, 1, 1]],  # the zero pivot comes last, exactly
+    [[0, 1, 0], [0, 0, 1], [0, 1, 1]],  # the first column is zero
+])
+def test_solve_refuses_an_exact_zero_pivot_as_lapack_did(rows):
+    rng = np.random.default_rng(89)
+    system = _complex_normal(rng, 9, 5)
+    system[:, 3] = np.ravel(rows)
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        _oracle(system, np.ones((3, 1)))
+    with pytest.raises(InternalFaultError) as exc:
+        scattering._solve(system, np.ones((3, 1)))
+    assert str(exc.value) == SINGULAR
+
+
+def test_solve_returns_nan_for_a_nan_entry():
+    rng = np.random.default_rng(97)
+    system, x = _complex_normal(rng, 9, 4), _complex_normal(rng, 3, 4)
+    system[4, 1] = complex(math.nan, 0.0)
+    x[0, 2] = math.nan
+    with np.errstate(all="ignore"):  # as inside the entry points, which are _quiet
+        y = scattering._solve(system, x)
+    assert np.all(np.isnan(y[:, 1])) and np.any(np.isnan(y[:, 2]))
+    keep = [0, 3]
+    assert np.max(np.abs(y[:, keep] - _oracle(system[:, keep], x[:, keep]))) <= 1e-13

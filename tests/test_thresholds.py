@@ -2,9 +2,10 @@
 tolerances.py, a bound check that raises or records a failure lets no NaN
 through, every private module-level name is read somewhere, the
 protocol kernel sums short rows only through its column-add helper,
-each spin-state quantity (squared norm, n.sigma, barrier transmission) is
-defined once, and no value reader holds a value rule of its own (a bound,
-a finiteness or a count test)."""
+each spin-state quantity (squared norm, n.sigma, barrier transmission,
+propagation phase) and the solve routine are defined once, and no value
+reader holds a value rule of its own (a bound, a finiteness or a count
+test)."""
 
 import ast
 import pathlib
@@ -265,10 +266,21 @@ def test_the_kernel_sums_short_rows_only_by_column_adds():
     assert _last_axis_sums(source, "_sum_rows") == []
 
 
+def _dotted(node):
+    """The dotted name of an attribute chain, np.linalg.solve for instance."""
+    return f"{_dotted(node.value)}.{node.attr}" if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+# a second squared norm (vdot rounds differently) and a second solve routine
+# beside scattering._solve (LAPACK's, with its own pivoting and rounding)
+_SECOND_COPIES = ("vdot", "linalg.solve", "linalg.inv")
+
+
 def _definitions(sources):
     """The modules that define each function or module-level name, and the
-    lines that call vdot, over {module name: source}."""
-    defined, vdot = {}, []
+    lines that call vdot or a numpy or scipy linalg solve or inverse, over
+    {module name: source}."""
+    defined, copies = {}, []
     for module, source in sources.items():
         tree = ast.parse(source)
         names = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
@@ -276,25 +288,31 @@ def _definitions(sources):
                   for target in node.targets if isinstance(target, ast.Name)]
         for name in names:
             defined.setdefault(name, []).append(module)
-        vdot += [f"{module}:{node.lineno}" for node in ast.walk(tree)
-                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "vdot"]
-    return defined, vdot
+        copies += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and _dotted(node.func).endswith(_SECOND_COPIES)]
+    return defined, copies
 
 
 def test_the_definition_check_flags_a_copy_and_a_vdot():
-    defined, vdot = _definitions({"a.py": "_PAULIS = 1\ndef _norm2(x):\n    return np.vdot(x, x)\n",
-                                  "b.py": "def _norm2(x):\n    return x\n"})
-    assert (defined, vdot) == ({"_PAULIS": ["a.py"], "_norm2": ["a.py", "b.py"]}, ["a.py:3"])
+    defined, copies = _definitions({"a.py": "_PAULIS = 1\ndef _norm2(x):\n    return np.vdot(x, x)\n",
+                                  "b.py": "def _norm2(x):\n    return x\n",
+                                  "c.py": "np.linalg.solve(a, x)\nnumpy.linalg.inv(a)\n"
+                                          "linalg.solve(a, x)\n_solve(a, x)\na.solve(x)\n"})
+    assert (defined, copies) == ({"_PAULIS": ["a.py"], "_norm2": ["a.py", "b.py"]},
+                               ["a.py:3", "c.py:1", "c.py:2", "c.py:3"])
 
 
 def test_each_state_quantity_is_defined_once():
     # one squared norm (np.vdot is a second one, which rounds differently),
-    # one n.sigma and one barrier transmission: a copy drifts from the first
-    defined, vdot = _definitions({path.name: path.read_text(encoding="utf-8")
+    # one n.sigma, one barrier transmission, one propagation phase and one
+    # solve routine (np.linalg.solve or inv would be a second): a copy
+    # drifts from the first
+    defined, copies = _definitions({path.name: path.read_text(encoding="utf-8")
                                   for path in sorted(PACKAGE.glob("*.py"))})
-    assert vdot == []
+    assert copies == []
     once = {"_norm2": "hilbert.py", "_sum_rows": "hilbert.py", "_PAULIS": "hilbert.py",
-            "_sigma_along": "hilbert.py", "_transmission": "scattering.py"}
+            "_sigma_along": "hilbert.py", "_transmission": "scattering.py", "_phase": "scattering.py",
+            "_solve": "scattering.py"}
     assert {name: defined.get(name) for name in once} == {name: [m] for name, m in once.items()}
 
 
