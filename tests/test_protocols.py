@@ -494,14 +494,12 @@ def test_entangle_impurities_mode_validation():
 
 
 @pytest.mark.parametrize("k, half_separation", [(1e200, 1e200), (1e160, 1e150)])
-def test_only_exact_mode_needs_a_finite_2ka(k, half_separation):
-    # first-order mode has no propagation phase; exact mode refuses e^{2ika}
-    # by its rule before the kernel runs, not by a later check of the result
+def test_first_order_mode_answers_an_overflowing_2ka(k, half_separation):
+    # first-order mode has no propagation phase, so the rule that exact mode
+    # records for e^{2ika} (tests/test_cli_surface.py) must not refuse it
     params = {"k": k, "r1": 1.0, "r2": 0.5, "half_separation": half_separation}
     tree = run_protocol("entangle-impurities", params).tree
     assert abs(tree.total_probability() - 1.0) <= DEFAULT_TOLERANCES.solver_residual
-    with pytest.raises(ValueError, match=r"^2\*k\*half_separation must be finite$"):
-        run_protocol("entangle-impurities", {**params, "mode": "exact"})
 
 
 # Inputs on which exact mode fails today: close, nearly opaque barriers
