@@ -280,21 +280,9 @@ def _repeated_block(values, text):
     return _text_bytes(list(map(text, keys.view(np.float64).tolist()))).take(inverse, axis=0)
 
 
-# Veltkamp's splitting constant 2^27 + 1 for float64
-_SPLITTER = 134217729.0
-
-
-def _veltkamp(x):
-    """Veltkamp's split x = hi + lo, hi and lo each of at most 26 significant bits."""
-    c = _SPLITTER * x
-    hi = c - (c - x)
-    return hi, x - hi
-
-
 # 10^(12+z) scales |x| in [10^-(z+1), 10^-z), which has z zeros after the
 # point, to its 12 significant digits before the point; each is exact
 _SCALES = 10.0 ** np.arange(12, 16)
-_SCALE_HI, _SCALE_LO = _veltkamp(_SCALES)
 # the head of such an x for z = 0..3, positive, then negative, in 8 bytes
 # (NUL after its end) read as two uint32 words
 _HEADS = np.array([sign + "0." + "0" * z for sign in ("", "-") for z in range(4)],
@@ -316,10 +304,11 @@ def _quad_words():
 _QUADS = _quad_words()
 # the share of a column that must take the digit path: a value it does not
 # take is written by text(x) on its own, after the digit work.  On 3,721
-# values the digit block breaks even with the direct pass at a share of
-# about 0.67 in csv and below 0.2 in json.  The cut stays where it was set
-# for a writer that broke even at 0.92: the benchmark grids' metric columns
-# leave at most 3.2% of their values, so none lies between the two
+# values in the range, some moved out of it by adding 1, the digit block
+# breaks even with the direct pass at a share of about 0.55 in csv and 0.2
+# in json (2-core Xeon, best of 150).  The cut stays where it was set for a
+# writer that broke even at 0.92: the benchmark grids' metric columns leave
+# at most 3.2% of their values, so none lies between the two
 _DIGIT_SHARE = 0.95
 
 
@@ -330,15 +319,19 @@ def _digit_block(values, text):
 
     text is '%.12g'.__mod__ or _json_float, which both write 1e-4 <= |x| < 1
     as its sign, '0.', z zeros and its 12 significant digits without their
-    trailing zeros.  Those digits are |x| 10^(12+z) rounded to an integer:
-    the product is p + err exactly by Dekker's error-free product (T. J.
-    Dekker, Numer. Math. 18, 1971), so its distance from floor(p) + 1/2
-    has an exact sign.  A row of the block holds the head (8 bytes, NUL
-    after its end) and the digits in three groups of four, each looked up
-    as one uint32 word; the trailing zeros of the last group that is not
-    all zeros, and every later group, are NUL.  Every other value (an exact
-    tie, one outside the range, or one that rounds up to 10^-z) is written
-    by text over its whole row.
+    trailing zeros.  Those digits are |x| 10^(12+z) rounded to an integer,
+    and the rounded product p settles them.  p lies within ulp(p)/2 of the
+    exact product (N. J. Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2.1), and p < 10^12 < 2^40, so ulp(p) <= 2^-13:
+    floor(p) + 1/2 is a float, and d = p - floor(p) - 1/2, a multiple of
+    ulp(p), is computed exactly.  Rounding is monotone, so a nonzero d has
+    the sign of the exact product's distance from floor(p) + 1/2, while
+    d = 0 may hide either sign.  A row of the block holds the head (8
+    bytes, NUL after its end) and the digits in three groups of four, each
+    looked up as one uint32 word; the trailing zeros of the last group that
+    is not all zeros, and every later group, are NUL.  Every other value
+    (one whose d is 0, one outside the range, or one that rounds up to
+    10^-z) is written by text over its whole row.
     """
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1.0)
@@ -348,12 +341,9 @@ def _digit_block(values, text):
     z += a < 0.01
     z += a < 0.001
     with np.errstate(all="ignore"):  # values outside the range give any number
-        scale, high, low = _SCALES[z], _SCALE_HI[z], _SCALE_LO[z]
-        p = a * scale
-        hi, lo = _veltkamp(a)
-        err = ((hi * high - p) + hi * low + lo * high) + lo * low
+        p = a * _SCALES[z]
         n = np.floor(p)
-        d = ((p - n) - 0.5) + err  # p + err - n - 1/2, its sign exact
+        d = (p - n) - 0.5  # exact; where not 0, of the exact product's sign
         fast &= d != 0.0
         digits = n.astype(np.int64)
     digits += d > 0.0
@@ -523,8 +513,8 @@ def _cmd_amplitudes(p, fmt):
     if fmt == "json":
         return _json_text(dict(values))
     if fmt == "csv":
-        return emit_columns({"S_re": [s.real], "S_im": [s.imag], "R_re": [r.real], "R_im": [r.imag],
-                             "abs_S2": [abs(s) ** 2], "abs_R2": [abs(r) ** 2], "xi": [amps.xi]}, "csv")
+        row = {"S_re": s.real, "S_im": s.imag, "R_re": r.real, "R_im": r.imag, **dict(values[2:])}
+        return emit_columns({name: [v] for name, v in row.items()}, "csv")
     return emit_columns({"name": [name for name, _ in values],
                          "value": [_c6(v) if isinstance(v, complex) else _f6(v) for _, v in values]},
                         "table")
@@ -628,12 +618,12 @@ def _render_protocol(result, fmt) -> str:
     lines += ["  " + line for line in emit_columns(columns, "table").splitlines()]
     lines.append("tree:")
     for b in result.tree.branches:
-        lines.append(f"  {b.label}  {b.probability:.6f}")
-    lines.append(f"  total  {result.tree.total_probability():.6f}")
+        lines.append(f"  {b.label}  {_F6 % b.probability}")
+    lines.append(f"  total  {_F6 % result.tree.total_probability()}")
     if result.metadata:
         lines.append("metadata:")
         for name, value in result.metadata.items():
-            lines.append(f"  {name}  {value:.6f}")
+            lines.append(f"  {name}  {_F6 % value}")
     return "\n".join(lines) + "\n"
 
 

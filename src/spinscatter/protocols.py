@@ -583,10 +583,11 @@ def entangle_impurities(k: float, impurity_1: KondoImpurity, impurity_2: KondoIm
 # A reader takes a parameter's flag spelling and a value, and returns the
 # value the protocol takes.  It parses text and nothing else: text it cannot
 # read is refused with a one-line ValueError, and any other value is read as
-# the library reads it (scattering._real: a bool, null or list as NaN, an
-# int beyond the float range as +-inf).  Every route reads a value by
-# _read: flag text and a config file's values on the command line, --fixed
-# and "fixed" pins, run_protocol and sweep.  A reader holds no value rule:
+# the library reads it (scattering._real: a bool, null, list or array as
+# NaN, an int beyond the float range as +-inf).  Every route reads a value
+# by _read: flag text and a config file's values on the command line,
+# --fixed and "fixed" pins, run_protocol and sweep; only sweep's own grid
+# columns go to the kernel unread.  A reader holds no value rule:
 # the kernel's rules (k and half_separation positive, couplings finite, the
 # axis, the eigenvalues, the mode) and sweep's (the objective) refuse a bad
 # value, alike on every route.
@@ -722,9 +723,9 @@ _BY_KEY = {param.key: param for params in PARAMS.values() for param in params}
 
 def _read(param, value):
     """value as param's reader reads it; a float given for a numeric
-    parameter, which _to_float returns as it is, and an array (a sweep's
-    column) go to the kernel's checks unread."""
-    if param.numeric and (type(value) is float or isinstance(value, np.ndarray)):
+    parameter, which _to_float returns as it is, goes to the kernel's
+    checks unread."""
+    if param.numeric and type(value) is float:
         return value
     return param.read(param.flag, value)
 
@@ -736,16 +737,18 @@ def _read(param, value):
 # entry per point, and returns the protocol's batch.
 
 @_quiet
-def _run(protocol, p, checks):
+def _run(protocol, p, checks, grid=()):
     """The batch of a protocol (a name of PARAMS) at the points of p, a flat mapping.
 
     Each entry is read in table order (_read) or takes its default; numeric
-    values become (N,) columns.  Keys the protocol does not take are refused last.
+    values become (N,) columns.  The entries of the keys in grid, a sweep's
+    (N,) grid columns, go to the kernel's checks unread.  Keys the protocol
+    does not take are refused last.
     """
     args = {}
     for param in PARAMS[protocol]:
         if param.key in p:
-            value = _read(param, p.pop(param.key))
+            value = p.pop(param.key) if param.key in grid else _read(param, p.pop(param.key))
         else:
             value = param.default
             if value is _NO_DEFAULT:
@@ -969,12 +972,12 @@ def sweep(protocol: str, grids, fixed=None, objective: str = "entropy") -> Sweep
     except (MemoryError, ValueError, IndexError):
         raise ValueError(f"a grid of {math.prod(g.points for g in grids)} points "
                          "does not fit in memory") from None
+    keys = [name.replace("-", "_") for name in names]
     blocks = []
     for lo in range(0, points[0].size, _BLOCK):
         params = dict(pinned)
-        params.update({name.replace("-", "_"): column[lo:lo + _BLOCK]
-                       for name, column in zip(names, points)})
-        outcomes = _run(protocol, params, _Checks(min(_BLOCK, points[0].size - lo))).outcomes
+        params.update({key: column[lo:lo + _BLOCK] for key, column in zip(keys, points)})
+        outcomes = _run(protocol, params, _Checks(min(_BLOCK, points[0].size - lo)), keys).outcomes
         live = outcomes.live[:, 0]  # the first outcome, the success branch
         blocks.append((outcomes.probability[:, 0],
                        np.where(live, outcomes.entropy[:, 0], 0.0),

@@ -487,6 +487,40 @@ def test_a_bad_value_is_refused_alike_on_every_route(protocol, pins, key, value,
         dict.fromkeys(routes, (1, f"error: {message}\n"))
 
 
+@pytest.mark.parametrize("k", [np.array(1.0), np.array([1.0, 2.0]), np.array([[1.0]])], ids=["0-d", "2", "1x1"])
+def test_an_array_given_for_a_number_is_refused_by_its_rule_on_every_route(k):
+    # an array is no number, whatever its shape: it is read as NaN
+    # (scattering._real), and not broadcast against the points
+    values = {"a": 0.6, "k": k, "r": 0.3}
+    routes = {
+        "run_protocol": _library_call(run_protocol, "concentrate", values),
+        "sweep": _library_call(sweep, "concentrate", [GridSpec("a_phase", 0.0, 1.0, 2)], values),
+        "library": _library_call(ROUTE_BASES["concentrate"][2], values),
+    }
+    assert routes == dict.fromkeys(routes, (1, f"error: {K}\n"))
+
+
+@pytest.mark.parametrize("points", [3, protocols._BLOCK, protocols._BLOCK + 1])
+def test_a_pinned_array_is_refused_whatever_the_grid_size(points):
+    # a pinned array as long as the grid is a value, not a column of it: the
+    # answer does not hang on how the grid is cut into kernel blocks
+    fixed = {"r": np.linspace(0.5, 1.5, points)}
+    assert _library_call(sweep, "concentrate", [GridSpec("a", 0.1, 0.6, points)], fixed) == \
+        (1, f"error: {COUPLING}\n")
+
+
+def test_a_missing_impurity_coupling_is_refused_by_the_runner():
+    # the command's own flags require --r1 and --r2; the other routes reach
+    # the runner's rule
+    message = (1, "error: missing parameter 'r1'/'r2' (or common 'r') for the two couplings\n")
+    routes = {
+        "run_protocol": _library_call(run_protocol, "entangle-impurities", {"k": 1.0, "r1": 0.5}),
+        "sweep": _library_call(sweep, "entangle-impurities", [GridSpec("k", 1.0, 2.0, 2)]),
+        "--grid": capture(["sweep", "--protocol", "entangle-impurities", "--grid", "k:1:2:2"])[::2],
+    }
+    assert routes == dict.fromkeys(routes, message)
+
+
 @pytest.mark.parametrize("protocol", ["concentrate", "concentrate-kondo"])
 @pytest.mark.parametrize("key", ["a_phase", "b_phase"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

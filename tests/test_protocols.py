@@ -579,6 +579,22 @@ def test_every_outcome_state_is_normalized():
                     assert out.post_state.normalized
 
 
+def test_a_post_state_off_unit_norm_is_an_internal_fault(monkeypatch):
+    # a kernel that scales every undetected pair by 1.1 leaves its squared
+    # norm 1.21; _batch refuses the first outcome it finds off unit norm
+    exact = protocols._outcomes
+
+    def scaled(*args):
+        outcomes = exact(*args)
+        return outcomes._replace(pair=outcomes.pair * 1.1)
+
+    monkeypatch.setattr(protocols, "_outcomes", scaled)
+    with pytest.raises(InternalFaultError) as exc:
+        run_protocol("entangle-particles", {"k": 1.0, "r": 1.0})
+    assert str(exc.value) == ("post state of 'both transmitted, impurity measured |0>' "
+                              "off unit norm by 2.100e-01 at k=1, r=1")
+
+
 # ---------------------------------------------------------------------------
 # the batch-of-one result types
 

@@ -268,6 +268,16 @@ def test_matrix_amplitudes_flux_check_catches_what_the_residual_misses(monkeypat
         matrix_amplitudes(embed(1e162 * exchange_matrix(), 3, (2, 1)), 1.0)
 
 
+def test_matrix_amplitudes_refuses_a_transmission_off_its_residual(monkeypatch):
+    # S scaled by 1.1 at coupling 2, k = 1: (kI + iM)T - kI = 0.1 I
+    exact = scattering._transmission
+    monkeypatch.setattr(scattering, "_transmission", lambda coupling, k: exact(coupling, k) * 1.1)
+    with pytest.raises(InternalFaultError) as exc:
+        matrix_amplitudes(2.0 * np.eye(2), 1.0)
+    assert str(exc.value) == ("delta-barrier residual max|(kI + iM)T - kI| = 1.000e-01 exceeds "
+                              "1e-10 x |kI + iM| |T| = 1.100e-10")
+
+
 
 @pytest.mark.parametrize("deviation", [math.nan, math.inf, np.float64(math.nan), 1.0000001e-10])
 def test_the_flux_fault_is_raised_past_the_bound_and_on_nan(deviation):

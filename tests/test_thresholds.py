@@ -274,13 +274,19 @@ def _dotted(node):
 # a second squared norm (vdot rounds differently) and a second solve routine
 # beside scattering._solve (LAPACK's, with its own pivoting and rounding)
 _SECOND_COPIES = ("vdot", "linalg.solve", "linalg.inv")
+# Veltkamp's splitting constant 2^27 + 1, and the names of a split or an
+# error-free product (Dekker's two-product) of floats
+_SPLITTER = 134217729
+_EXACT_PRODUCTS = ("veltkamp", "two_prod", "dekker")
 
 
 def _definitions(sources):
-    """The modules that define each function or module-level name, and the
-    lines that call vdot or a numpy or scipy linalg solve or inverse, over
-    {module name: source}."""
-    defined, copies = {}, []
+    """Over {module name: source}: the modules that define each function or
+    module-level name; the lines that call vdot or a numpy or scipy linalg
+    solve or inverse; and, under their mark, the lines that hold Veltkamp's
+    constant (marked 134217729) or define a function named as a split or an
+    error-free product (marked by its name)."""
+    defined, copies, products = {}, [], {}
     for module, source in sources.items():
         tree = ast.parse(source)
         names = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
@@ -290,30 +296,51 @@ def _definitions(sources):
             defined.setdefault(name, []).append(module)
         copies += [f"{module}:{node.lineno}" for node in ast.walk(tree)
                  if isinstance(node, ast.Call) and _dotted(node.func).endswith(_SECOND_COPIES)]
-    return defined, copies
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == _SPLITTER:
+                mark = str(_SPLITTER)
+            elif isinstance(node, ast.FunctionDef) and any(part in node.name.lower() for part in _EXACT_PRODUCTS):
+                mark = node.name
+            else:
+                continue
+            products.setdefault(mark, []).append(f"{module}:{node.lineno}")
+    return defined, copies, products
 
 
 def test_the_definition_check_flags_a_copy_and_a_vdot():
-    defined, copies = _definitions({"a.py": "_PAULIS = 1\ndef _norm2(x):\n    return np.vdot(x, x)\n",
-                                  "b.py": "def _norm2(x):\n    return x\n",
-                                  "c.py": "np.linalg.solve(a, x)\nnumpy.linalg.inv(a)\n"
-                                          "linalg.solve(a, x)\n_solve(a, x)\na.solve(x)\n"})
-    assert (defined, copies) == ({"_PAULIS": ["a.py"], "_norm2": ["a.py", "b.py"]},
-                               ["a.py:3", "c.py:1", "c.py:2", "c.py:3"])
+    defined, copies, products = _definitions({
+        "a.py": "_PAULIS = 1\ndef _norm2(x):\n    return np.vdot(x, x)\n",
+        "b.py": "def _norm2(x):\n    return x\n",
+        "c.py": "np.linalg.solve(a, x)\nnumpy.linalg.inv(a)\nlinalg.solve(a, x)\n_solve(a, x)\na.solve(x)\n",
+        # a split and a two-product, and a copy of the split in another module
+        "d.py": "_SPLITTER = 134217729.0\ndef _veltkamp(x):\n    return x\ndef _two_product(a, b):\n"
+                "    return a * 134217729\nc = 134217728 + 1\n",
+        "e.py": "def _veltkamp(x):\n    return x\n",
+    })
+    assert (defined, copies, products) == (
+        {"_PAULIS": ["a.py"], "_norm2": ["a.py", "b.py"], "_SPLITTER": ["d.py"], "_veltkamp": ["d.py", "e.py"],
+         "_two_product": ["d.py"], "c": ["d.py"]},
+        ["a.py:3", "c.py:1", "c.py:2", "c.py:3"],
+        {"134217729": ["d.py:1", "d.py:5"], "_veltkamp": ["d.py:2", "e.py:1"], "_two_product": ["d.py:4"]})
 
 
 def test_each_state_quantity_is_defined_once():
     # one squared norm (np.vdot is a second one, which rounds differently),
     # one n.sigma, one barrier transmission, one propagation phase and one
     # solve routine (np.linalg.solve or inv would be a second): a copy
-    # drifts from the first
-    defined, copies = _definitions({path.name: path.read_text(encoding="utf-8")
-                                  for path in sorted(PACKAGE.glob("*.py"))})
+    # drifts from the first.  Float products made exact (Veltkamp's
+    # constant, a split, a two-product) appear each at most once, in
+    # scattering.py, beside the propagation phase that needs k*half_separation
+    # exactly
+    defined, copies, products = _definitions({path.name: path.read_text(encoding="utf-8")
+                                            for path in sorted(PACKAGE.glob("*.py"))})
     assert copies == []
     once = {"_norm2": "hilbert.py", "_sum_rows": "hilbert.py", "_PAULIS": "hilbert.py",
             "_sigma_along": "hilbert.py", "_transmission": "scattering.py", "_phase": "scattering.py",
             "_solve": "scattering.py"}
     assert {name: defined.get(name) for name in once} == {name: [m] for name, m in once.items()}
+    assert {mark: lines for mark, lines in products.items()
+            if len(lines) > 1 or not lines[0].startswith("scattering.py:")} == {}
 
 
 # the finiteness tests of math and numpy
