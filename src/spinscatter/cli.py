@@ -232,26 +232,27 @@ def _json_text(obj) -> str:
 # cell and NUL wherever a cell's text is shorter than the block is wide, and
 # the blocks and the separators between them are copied into one buffer in
 # row order, whose NULs one bytes.translate call deletes (_plane_rows).  A
-# float array that repeats its values, at most half of them distinct (a
-# sweep's grid columns), has each distinct bit pattern written once and its
-# bytes gathered (_repeated_block).  Any other finite float array whose
-# values lie almost all in 1e-4 <= |x| < 1 (a sweep's metric columns) is
-# written from exact decimal digits, with no string per value: numpy finds
-# each value's 12 significant digits as an integer and looks up their bytes
-# four digits at a time (_digit_block).  Every other float array takes one
-# fixed-width %-pass (_text_block).  Every other table, and every table in
-# the table format, has its columns made Python cells once (.tolist() of an
-# array) and takes one pass of its format's cell rule: csv writes each cell
-# and each name by _csv_field (the names, or a column of strs, as they are
-# where one search finds nothing to quote: _csv_texts), except that a column
-# of floats alone fills a '%.12g' template field ('%.12g' % x equals
-# format(x, '.12g') for every float), and a column of ints alone a '%d'
-# field ('%d' % n equals str(n); a bool, written as str writes it, is no int
-# here, and a float subclass takes _csv_field, which writes it as '%.12g'
-# does); json writes the rows by the single-call writer _json; table writes
-# a float by _F6, None as "-" and any other cell by str.  Text cells stay
-# Python strings: a byte route would refuse non-ASCII text, delete a NUL
-# inside a cell, and measure a column's width in bytes, not characters.
+# sweep's leading columns are the axes of its row-major grid, and the buffer
+# is viewed as that grid: each axis is written once per point of its own
+# axis and its block broadcast over the others.  The columns are written in
+# one pass, and each whose finite values lie almost all in 1e-4 <= |x| < 1
+# (a sweep's metric columns) from exact decimal digits, with no string per
+# value: numpy finds each value's 12 significant digits as an integer and
+# looks up their bytes four digits at a time (_digit_block).  Every other
+# float array takes one fixed-width %-pass (_text_block).  Every other
+# table, and every table in the table format, has its columns made Python
+# cells once (.tolist() of an array) and takes one pass of its format's cell
+# rule: csv writes each cell and each name by _csv_field (the names, or a
+# column of strs, as they are where one search finds nothing to quote:
+# _csv_texts), except that a column of floats alone fills a '%.12g' template
+# field ('%.12g' % x equals format(x, '.12g') for every float), and a column
+# of ints alone a '%d' field ('%d' % n equals str(n); a bool, written as str
+# writes it, is no int here, and a float subclass takes _csv_field, which
+# writes it as '%.12g' does); json writes the rows by the single-call writer
+# _json; table writes a float by _F6, None as "-" and any other cell by str.
+# Text cells stay Python strings: a byte route would refuse non-ASCII text,
+# delete a NUL inside a cell, and measure a column's width in bytes, not
+# characters.
 
 def _text_bytes(texts) -> np.ndarray:
     """ASCII texts as a (len(texts), width) block, NUL past each text's end."""
@@ -259,34 +260,13 @@ def _text_bytes(texts) -> np.ndarray:
     return cells.view(np.uint8).reshape(-1, cells.itemsize)
 
 
-def _repeated_block(values, text):
-    """The block of a float column whose values repeat, each value x written
-    as text(x), or None.
-
-    Each distinct bit pattern is written once, so -0.0 and 0.0 keep their
-    own texts.  None when more than half the values are distinct, or when
-    the first or the middle value does not recur, which spares the sort of
-    a column that is all but surely mostly distinct (a swept column repeats
-    every value whenever another axis has two or more points, while a
-    metric column may repeat only the values of one edge of the grid, such
-    as r = 0).
-    """
-    bits = values.view(np.uint64)
-    if not (bits[1:] == bits[:1]).any() or np.count_nonzero(bits == bits[len(bits) // 2]) < 2:
-        return None
-    keys, inverse = np.unique(bits, return_inverse=True)
-    if 2 * len(keys) > len(values):
-        return None
-    return _text_bytes(list(map(text, keys.view(np.float64).tolist()))).take(inverse, axis=0)
-
-
 # 10^(12+z) scales |x| in [10^-(z+1), 10^-z), which has z zeros after the
 # point, to its 12 significant digits before the point; each is exact
 _SCALES = 10.0 ** np.arange(12, 16)
 # the head of such an x for z = 0..3, positive, then negative, in 8 bytes
-# (NUL after its end) read as two uint32 words
+# (NUL after its end) read as two uint32 words: the first words, then the second
 _HEADS = np.array([sign + "0." + "0" * z for sign in ("", "-") for z in range(4)],
-                  dtype="S8").view(np.uint32).reshape(8, 2)
+                  dtype="S8").view(np.uint32).reshape(8, 2).T.copy()
 
 
 def _quad_words():
@@ -315,7 +295,8 @@ _DIGIT_SHARE = 0.95
 def _digit_block(values, text):
     """The block of a float array written from its digits, each value x as
     text(x); None when the array holds a non-finite value or too few values
-    take the digit path.
+    take the digit path.  Of a list of float arrays, the list of their
+    blocks, written in one pass, each array deciding on its own.
 
     text is '%.12g'.__mod__ or _json_float, which both write 1e-4 <= |x| < 1
     as its sign, '0.', z zeros and its 12 significant digits without their
@@ -333,10 +314,17 @@ def _digit_block(values, text):
     (one whose d is 0, one outside the range, or one that rounds up to
     10^-z) is written by text over its whole row.
     """
+    one = not isinstance(values, list)
+    arrays = [values] if one else values
+    sizes = np.array([len(array) for array in arrays])
+    ends = np.cumsum(sizes)
+    values = np.concatenate(arrays)
     a = np.abs(values)
     fast = (a >= 1e-4) & (a < 1.0)
-    if np.count_nonzero(fast) < _DIGIT_SHARE * len(a):
-        return None
+    ok = np.array([np.count_nonzero(fast[end - size:end]) >= _DIGIT_SHARE * size
+                   for size, end in zip(sizes, ends)], bool)
+    if not ok.any():
+        return None if one else [None] * len(arrays)
     z = (a < 0.1).astype(np.intp)
     z += a < 0.01
     z += a < 0.001
@@ -349,23 +337,28 @@ def _digit_block(values, text):
     digits += d > 0.0
     fast &= digits < 10**12
     slow = np.flatnonzero(~fast)
-    if len(slow) > (1.0 - _DIGIT_SHARE) * len(a) or not np.isfinite(values[slow]).all():
-        return None
-    digits[slow] = 0  # any digits in the table's range; their rows are rewritten
-    first, rest = np.divmod(digits, 10**8)
-    middle, last = np.divmod(rest, 10**4)
+    owner = np.searchsorted(ends, slow, side="right")  # the array of each slow value
+    ok &= np.bincount(owner, minlength=len(arrays)) <= (1.0 - _DIGIT_SHARE) * sizes
+    ok[owner[~np.isfinite(values[slow])]] = False
+    slow = slow[ok[owner]]
+    digits[~fast] = 0  # any digits in the table's range; their rows are rewritten or refused
+    first = digits // 10**8  # np.divmod takes twice as long
+    rest = digits - first * 10**8
+    middle = rest // 10**4
+    last = rest - middle * 10**4
     bare = last == 0  # the groups before it lose their trailing zeros
-    block = np.column_stack([
-        _HEADS.take(z + 4 * np.signbit(values), axis=0),
+    block = np.stack([
+        *_HEADS.take(z + 4 * np.signbit(values), axis=1),
         _QUADS.take(first + 10_000 * (bare & (middle == 0))),
         _QUADS.take(middle + 10_000 * bare),
         _QUADS.take(last + 10_000),
-    ]).view(np.uint8)
+    ], axis=1).view(np.uint8)
     if len(slow):  # every finite text of '%.12g' and _json_float has at most 19 bytes
         texts = _text_bytes(list(map(text, values[slow].tolist())))
         block[slow] = 0
         block[slow, :texts.shape[1]] = texts
-    return block
+    blocks = [block[end - size:end] if taken else None for size, end, taken in zip(sizes, ends, ok)]
+    return blocks[0] if one else blocks
 
 
 # the most bytes that '%.12g' and _json_float write for a float, such as
@@ -386,30 +379,40 @@ def _text_block(values, text, field=None):
     return np.frombuffer(line, np.uint8).reshape(len(cells), _TEXT_WIDTH)
 
 
-def _plane_rows(cols, rows, pieces, text, field=None, tail="") -> bytearray:
+def _plane_rows(cols, pieces, text, field=None, tail="", grid=()) -> bytearray:
     """The rows of a table of float arrays, then tail, as ASCII bytes: each
     value x written as text(x), pieces[i] before column i and pieces[-1]
     after the last column.
 
-    Each column takes the first block of _repeated_block, _digit_block and
-    _text_block (with field) that applies.  The blocks and the pieces
-    between them are copied in row order into one buffer, whose NULs are
-    then deleted: the table is not stacked and transposed first, since each
-    further buffer of its size costs its page faults again.
+    The first len(grid) columns are the axes of a row-major grid of the
+    point counts grid, each constant along the other axes, and an axis is
+    written once per point of its own axis.  One _digit_block pass writes
+    the columns, and _text_block (with field) each that it leaves.  The
+    blocks and the pieces between them are copied in row order into one
+    buffer, viewed as the grid with an axis's block broadcast over the
+    other axes, whose NULs are then deleted: the table is not stacked and
+    transposed first, since each further buffer of its size costs its page
+    faults again.
     """
+    rows = len(cols[0])
+    grid = tuple(grid) if rows else ()  # an empty table is written alike with or without axes
+    shape = grid or (rows,)
+    # each column's values in the grid's shape, an axis's at the first point of every other axis
+    views = [column.reshape(shape)[tuple(slice(None) if j == i or i >= len(grid) else slice(1)
+                                         for j in range(len(grid)))] for i, column in enumerate(cols)]
+    digits = _digit_block([values.reshape(-1) for values in views], text)
     blocks = []
-    for piece, column in zip(pieces, cols):
-        block = _repeated_block(column, text)
+    for piece, values, block in zip(pieces, views, digits):
         if block is None:
-            block = _digit_block(column, text)
-        blocks += [_ascii(piece), _text_block(column, text, field) if block is None else block]
+            block = _text_block(values.reshape(-1), text, field)
+        blocks += [_ascii(piece), block.reshape(*values.shape, block.shape[-1])]
     blocks.append(_ascii(pieces[-1]))
     width = sum(block.shape[-1] for block in blocks)
     out = bytearray(width * rows + len(tail))
-    plane = np.frombuffer(out, np.uint8, width * rows).reshape(rows, width)
+    plane = np.frombuffer(out, np.uint8, width * rows).reshape(*shape, width)
     at = 0
     for block in blocks:  # a piece, 1-d, is repeated on every row
-        plane[:, at:at + block.shape[-1]] = block
+        plane[..., at:at + block.shape[-1]] = block
         at += block.shape[-1]
     out[width * rows:] = tail.encode("ascii")
     return out.translate(None, b"\0")
@@ -444,7 +447,7 @@ def _csv_texts(cells, lone: bool) -> list:
     return cells if plain else [_csv_field(v, lone) for v in cells]
 
 
-def emit_columns(columns, fmt: str) -> str:
+def emit_columns(columns, fmt: str, grid=()) -> str:
     """Serialize a table given as {fieldname: column} as csv, json or text.
 
     Columns are equally long; each is a 1-d array or a sequence of cells
@@ -453,7 +456,9 @@ def emit_columns(columns, fmt: str) -> str:
     floats; JSON is an array of flat objects with floats rounded to 12
     significant digits; table keeps 6 decimal places and writes None as "-".
     A table of float arrays alone is written as bytes in csv and json
-    (_plane_rows); every other table by one pass of its format's cell rule.
+    (_plane_rows), its first len(grid) columns as the axes of a row-major
+    grid of those point counts; every other table by one pass of its
+    format's cell rule.
     """
     if fmt not in _FORMATS:
         raise ValueError(f"unknown output format: {fmt!r}")
@@ -462,6 +467,8 @@ def emit_columns(columns, fmt: str) -> str:
     if len(set(map(len, cols))) > 1:
         raise ValueError("columns must be equally long")
     rows = len(cols[0]) if cols else 0
+    if grid and (math.prod(grid) != rows or len(grid) > len(cols)):
+        raise ValueError("grid does not match the columns")
     planes = fmt != "table" and bool(cols) and all(
         isinstance(c, np.ndarray) and c.dtype == np.float64 for c in cols)
     if not planes:
@@ -472,7 +479,7 @@ def emit_columns(columns, fmt: str) -> str:
         header = ",".join(_csv_texts(names, lone)) + "\r\n"
         if planes:
             pieces = ["", *[","] * (len(cols) - 1), "\r\n"]
-            body = _plane_rows(cols, rows, pieces, "%.12g".__mod__, f"%-{_TEXT_WIDTH}.12g")
+            body = _plane_rows(cols, pieces, "%.12g".__mod__, f"%-{_TEXT_WIDTH}.12g", grid=grid)
             return header + body.decode("ascii")
         kinds = [set(map(type, c)) for c in cols]
         fields = ["%.12g" if kind <= {float} else "%d" if kind <= {int} else "%s" for kind in kinds]
@@ -484,7 +491,7 @@ def emit_columns(columns, fmt: str) -> str:
         # each row opens with the comma that separates it from the row before
         keys = [f"    {_json(name)}: " for name in names]
         pieces = [",\n  {\n" + keys[0], *(",\n" + key for key in keys[1:]), "\n  }"]
-        body = _plane_rows(cols, rows, pieces, _json_float, tail="\n]\n")
+        body = _plane_rows(cols, pieces, _json_float, tail="\n]\n", grid=grid)
         body[0] = ord("[")  # and the first row's opens the array
         return body.decode("ascii")
     texts = [["-" if v is None else _F6 % v if isinstance(v, float) else str(v) for v in c] for c in cols]
@@ -643,7 +650,7 @@ def _cmd_protocol(command, p, fmt):
 
 def _cmd_sweep(p, fmt):
     result = sweep(p["protocol"], p["grid"], **_given(p, "fixed", "objective"))
-    text = emit_columns(result.columns, fmt)
+    text = emit_columns(result.columns, fmt, [g.points for g in p["grid"]])
     argmax = "argmax: " + "  ".join(
         f"{k}={v if isinstance(v, str) else '%.12g' % v}" for k, v in result.argmax.items()
     )

@@ -319,6 +319,17 @@ def _describe(**arrays):
     return point
 
 
+def _describe_pair(given, a, b, **arrays):
+    """_describe of a concentrate kernel's points, the pair first: by the
+    magnitudes and phases its caller gave (given), else by the moduli and
+    phases of its amplitudes a and b; a phase 0 at the point is left out."""
+    def point(i):
+        (ma, mb), (pa, pb) = given or (np.abs([a, b]), np.angle([a, b]))
+        phases = {name: x for name, x in (("a_phase", pa), ("b_phase", pb)) if x[i]}
+        return _describe(a=ma, b=mb, **phases, **arrays)(i)
+    return point
+
+
 def _result(batch: _Batch) -> ProtocolResult:
     """Wrap the single point of a batch of one in the public result types.
 
@@ -378,7 +389,7 @@ def _check_initial(checks, initial, content):
         checks.fail("initial state must be normalized")
 
 
-def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
+def _concentrate_fixed(checks, a, b, k, r, axis, given=None) -> _Batch:
     pair = np.array([a, b]).T  # (N, 2); a fifth of np.stack's cost at N = 1
     norm = _check_pair(checks, pair)
     _check_axis(checks, axis)
@@ -400,7 +411,7 @@ def _concentrate_fixed(checks, a, b, k, r, axis) -> _Batch:
     outcomes = _outcomes(("transmitted",), _PAIR_REGISTER, out[:, :1], prob[:, :1])
     meta = {"coupling": r, "xi": 2.0 * r / k, **_attempts(prob[:, 0])}
     tree = [("transmitted", out[:, 0], None, prob[:, 0]), ("reflected", out[:, 1], None, prob[:, 1])]
-    return _batch(norm, _PAIR_REGISTER, tree, outcomes, meta, _describe(a=a, b=b, k=k, r=r))
+    return _batch(norm, _PAIR_REGISTER, tree, outcomes, meta, _describe_pair(given, a, b, k=k, r=r))
 
 
 def _optimal_coupling(checks, a, b, k):
@@ -422,7 +433,7 @@ def _optimal_coupling(checks, a, b, k):
     return coupling
 
 
-def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
+def _concentrate_kondo(checks, a, b, k, r, eigenvalues, given=None) -> _Batch:
     norm = _check_pair(checks, np.array([a, b]).T)
     _check_wave_number(checks, k)
     (s,) = _channel_amplitudes(checks, k, (r, eigenvalues))
@@ -437,7 +448,7 @@ def _concentrate_kondo(checks, a, b, k, r, eigenvalues) -> _Batch:
     residual = np.abs(_modulus(a * s[:, 0]) - _modulus(b * (s[:, 2] + s[:, 3]) / 2.0))
     meta = {"condition_residual": residual, **_attempts(outcomes.probability[:, 0])}
     return _batch(norm, _PARTICLES_REGISTER, [*measured, ("reflected", rows[:, 1], None, prob[:, 1])],
-                  outcomes, meta, _describe(a=a, b=b, k=k, r=r))
+                  outcomes, meta, _describe_pair(given, a, b, k=k, r=r))
 
 
 def _entangle_particles(checks, k, r, eigenvalues, initial) -> _Batch:
@@ -766,7 +777,8 @@ def _run(protocol, p, checks, grid=()):
 
 def _coeff_pair(checks, a, b, a_phase, b_phase):
     """The amplitudes of the magnitudes a and b (b by default sqrt(1 - a^2)),
-    each in [0, 1], at their finite phases; a and b are one (2, N) stack."""
+    each in [0, 1], at their finite phases, as one (2, N) stack, and the
+    magnitudes and phases, which name them in a message (_describe_pair)."""
     if b is None:
         b = np.sqrt(np.maximum(0.0, 1.0 - a * a))
     magnitudes, phases = np.array([a, b]), np.array([a_phase, b_phase])
@@ -780,7 +792,7 @@ def _coeff_pair(checks, a, b, a_phase, b_phase):
     amplitudes = np.empty(magnitudes.shape, dtype=complex)
     amplitudes.real, amplitudes.imag = np.cos(phases), np.sin(phases)
     amplitudes *= magnitudes
-    return amplitudes
+    return amplitudes, (magnitudes, phases)
 
 
 @functools.cache
@@ -798,7 +810,7 @@ def _initial_state(bits, labels, checks):
 
 
 def _run_concentrate_fixed(checks, a, b, a_phase, b_phase, k, r, axis, axis_theta):
-    a, b = _coeff_pair(checks, a, b, a_phase, b_phase)
+    (a, b), given = _coeff_pair(checks, a, b, a_phase, b_phase)
     if axis_theta is None:  # one row shared by every point
         rows = np.array([_Z_AXIS if axis is None else axis])
     elif axis is not None:
@@ -807,12 +819,12 @@ def _run_concentrate_fixed(checks, a, b, a_phase, b_phase, k, r, axis, axis_thet
         rows = np.stack([np.sin(axis_theta), np.zeros_like(axis_theta), np.cos(axis_theta)], axis=-1)
     if r is None:
         r = _optimal_coupling(checks, a, b, k)
-    return _concentrate_fixed(checks, a, b, k, r, rows)
+    return _concentrate_fixed(checks, a, b, k, r, rows, given)
 
 
 def _run_concentrate_kondo(checks, a, b, a_phase, b_phase, k, r, eigenvalues):
-    a, b = _coeff_pair(checks, a, b, a_phase, b_phase)
-    return _concentrate_kondo(checks, a, b, k, r, eigenvalues)
+    (a, b), given = _coeff_pair(checks, a, b, a_phase, b_phase)
+    return _concentrate_kondo(checks, a, b, k, r, eigenvalues, given)
 
 
 def _run_entangle_particles(checks, k, r, eigenvalues, initial):

@@ -595,6 +595,37 @@ def test_a_post_state_off_unit_norm_is_an_internal_fault(monkeypatch):
                               "off unit norm by 2.100e-01 at k=1, r=1")
 
 
+FILTERED, KONDO_0 = "'transmitted'", "'transmitted, impurity measured |0>'"
+
+
+@pytest.mark.parametrize("call, label, point", [
+    (lambda: run_protocol("concentrate", {"a": 0.6, "k": 1.0, "r": 0.3}), FILTERED, "a=0.6, b=0.8, k=1, r=0.3"),
+    (lambda: run_protocol("concentrate", {"a": 0.6, "a_phase": 0.5, "k": 1.0, "r": 0.3}), FILTERED,
+     "a=0.6, b=0.8, a_phase=0.5, k=1, r=0.3"),
+    (lambda: run_protocol("concentrate-kondo", {"a": 0.6, "k": 1.0, "r": 0.3}), KONDO_0,
+     "a=0.6, b=0.8, k=1, r=0.3"),
+    (lambda: run_protocol("concentrate-kondo", {"a": 0.6, "b_phase": 7.0, "k": 1.0, "r": 0.3}), KONDO_0,
+     "a=0.6, b=0.8, b_phase=7, k=1, r=0.3"),
+    # a single call's complex amplitudes, by their moduli and phases
+    (lambda: concentrate_fixed(0.6j, -0.8, 1.0, 0.3), FILTERED,
+     "a=0.6, b=0.8, a_phase=1.57079632679, b_phase=3.14159265359, k=1, r=0.3"),
+    (lambda: concentrate_kondo(0.6, 0.8, 1.0, KondoImpurity(0.3)), KONDO_0, "a=0.6, b=0.8, k=1, r=0.3"),
+])
+def test_a_concentrate_fault_names_the_pair_by_real_numbers(call, label, point, monkeypatch):
+    # the amplitudes as the caller gave them, without a phase that is 0, and
+    # not as the complex numbers the kernel computes with (a=0.6+0j)
+    exact = protocols._outcomes
+
+    def scaled(*args):
+        outcomes = exact(*args)
+        return outcomes._replace(pair=outcomes.pair * 1.1)
+
+    monkeypatch.setattr(protocols, "_outcomes", scaled)
+    with pytest.raises(InternalFaultError) as exc:
+        call()
+    assert str(exc.value) == f"post state of {label} off unit norm by 2.100e-01 at {point}"
+
+
 # ---------------------------------------------------------------------------
 # the batch-of-one result types
 

@@ -259,12 +259,12 @@ UNSHIFTED = {
 }
 
 
-def test_only_float_array_columns_look_for_repeated_values(monkeypatch):
-    """Single-call tables are lists and take the direct pass; of a sweep's
-    float arrays, in csv and in json, only the two swept columns of each
-    benchmark grid are sorted for their distinct values, also on the
-    unshifted grids, where r starts at 0 and a metric column repeats its
-    first value (but not its middle one)."""
+def test_a_sweep_sorts_nothing_and_formats_each_axis_value_once(monkeypatch):
+    """csv and json sweeps of the benchmark grids, also unshifted, where r
+    starts at 0 and a metric column repeats its first value, call no
+    np.unique, and format each point of an axis once: one digit pass takes
+    the axes' points and the metric columns, and each array is written
+    by that pass or by one text pass."""
     calls = []
     unique = np.unique
 
@@ -272,26 +272,42 @@ def test_only_float_array_columns_look_for_repeated_values(monkeypatch):
         calls.append(1)
         return unique(*args, **kwargs)
 
+    passes, written = [], []
+    digit_block, text_block = cli._digit_block, cli._text_block
+
+    def recording_digit_block(arrays, text):
+        blocks = digit_block(arrays, text)
+        passes.append([len(array) for array in arrays])
+        written.extend(len(array) for array, block in zip(arrays, blocks) if block is not None)
+        return blocks
+
+    def recording_text_block(values, *args):
+        written.append(len(values))
+        return text_block(values, *args)
+
     monkeypatch.setattr(np, "unique", counting_unique)
-    for argv in (["concentrate", "--a-coeff", "0.6", "--k", "1.0"],
-                 ["concentrate", "--impurity", "kondo", "--a-coeff", "0.6", "--k", "1.0", "--r", "0.4"],
-                 ["kondo", "--k", "1.0", "--r", "0.4"]):
-        code, out, _ = _main(argv + ["--format", "csv"])
-        assert code == 0 and out
-    assert calls == []
-    for argv in (DIGESTS["sweep_exact"]["argv"], DIGESTS["sweep_filter"]["argv"], *UNSHIFTED.values()):
-        for fmt in ("csv", "json"):
-            code, _, _ = _main(argv + ["--format", fmt])
-            assert code == 0 and len(calls) == 2, (argv, fmt, len(calls))
-            calls.clear()
+    monkeypatch.setattr(cli, "_digit_block", recording_digit_block)
+    monkeypatch.setattr(cli, "_text_block", recording_text_block)
+    for name, points in (("sweep_exact", 41), ("sweep_filter", 61)):
+        for argv in (DIGESTS[name]["argv"], UNSHIFTED[name]):
+            for fmt in ("csv", "json"):
+                passes.clear()
+                written.clear()
+                assert _main(argv + ["--format", fmt])[0] == 0
+                assert calls == []
+                assert passes == [[points] * 2 + [points * points] * 3]
+                assert sorted(written) == [points] * 2 + [points * points] * 3, (argv, fmt)
 
 
-@pytest.mark.parametrize("name, swept", [("sweep_exact", 41 + 41), ("sweep_filter", 61 + 61)])
-def test_json_sweeps_write_their_metric_columns_as_digits(name, swept, monkeypatch):
-    """_json_float writes each distinct swept value and no metric value of
-    the benchmark grids: their metric columns take the digit path.  On the
-    unshifted grids it also writes the metric values that the digit path
-    leaves, fewer than 5% of them (exact 0s and 1s among them)."""
+@pytest.mark.parametrize("name, text_axes, points", [("sweep_exact", 41 + 41, 41 * 41),
+                                                     ("sweep_filter", 61, 61 * 61)])
+def test_json_sweeps_write_their_metric_columns_as_digits(name, text_axes, points, monkeypatch):
+    """_json_float writes each point of the axes that take the text route
+    (r1, r2 and r; the filter grid's a axis lies in the digit range) and no
+    metric value of the benchmark grids: their metric columns take the
+    digit path.  On the unshifted grids it also writes the metric values
+    that the digit path leaves, fewer than 5% of them (exact 0s and 1s
+    among them)."""
     calls = []
     json_float = cli._json_float
 
@@ -301,11 +317,10 @@ def test_json_sweeps_write_their_metric_columns_as_digits(name, swept, monkeypat
 
     monkeypatch.setattr(cli, "_json_float", counting_json_float)
     assert _main(DIGESTS[name]["argv"] + ["--format", "json"])[0] == 0
-    assert len(calls) == swept
+    assert len(calls) == text_axes
     calls.clear()
     assert _main(UNSHIFTED[name] + ["--format", "json"])[0] == 0
-    metrics = 3 * (swept // 2) ** 2
-    assert swept < len(calls) < swept + 0.05 * metrics
+    assert text_axes < len(calls) < text_axes + 0.05 * 3 * points
 
 
 def test_the_digit_writer_writes_each_value_as_its_text(monkeypatch):
@@ -333,14 +348,12 @@ def test_the_digit_writer_writes_each_value_as_its_text(monkeypatch):
 
 def test_a_sweep_below_the_digit_cut_writes_the_reference_bytes():
     """A 1-D log sweep whose r, probability (below 1e-4) and entropy columns
-    take neither the repeated nor the digit route, beside a concurrence
-    column that takes the digit route, written as the per-row reference
-    writes it."""
+    do not take the digit route, beside a concurrence column that takes
+    it, written as the per-row reference writes it."""
     res = sweep("concentrate", [GridSpec("r", 1e3, 1e6, 400, "log")], {"a": 0.001})
     assert res.columns["probability"].max() < 1e-4
     for text in ("%.12g".__mod__, cli._json_float):
-        direct = [name for name, column in res.columns.items()
-                  if cli._repeated_block(column, text) is None and cli._digit_block(column, text) is None]
+        direct = [name for name, column in res.columns.items() if cli._digit_block(column, text) is None]
         assert direct == ["r", "probability", "entropy_bits"]
     rows = [list(row) for row in zip(*(column.tolist() for column in res.columns.values()))]
     for fmt in ("csv", "json"):
@@ -502,3 +515,64 @@ def test_columnar_renderer_matches_per_row_reference(table, fmt):
             for i in range(len(next(iter(columns.values()))))]
     expected = _reference_emit(names, rows, fmt)
     assert cli.emit_columns(columns, fmt) == expected
+
+
+# axes of a grid table: one point, both signed zeros, a log axis, and values
+# inside and outside the digit range 1e-4 <= |x| < 1
+GRID_AXES = {
+    "one": np.array([0.5]),
+    "zeros": np.array([-0.0, 0.0, 0.375, 1.0]),
+    "log": np.geomspace(1e-6, 1e6, 7),
+    "digits": np.linspace(0.05, 0.7, 5),
+    "wide": np.linspace(-3.0, 3.0, 4),
+}
+
+
+def _metric_column(kind, rows, rng):
+    """A metric column of rows values: in the digit range, below it, or in
+    it but for NaN, +-inf or exact 0 and 1 at seeded places."""
+    if kind == "below":
+        return rng.uniform(0.0, 1e-4, rows)
+    values = rng.uniform(1e-4, 1.0, rows)
+    specials = {"digits": [], "nan": [math.nan], "inf": [math.inf, -math.inf], "edges": [0.0, 1.0]}[kind]
+    values[rng.integers(0, rows, len(specials))] = specials
+    return values
+
+
+@pytest.mark.parametrize("axes, kinds", [
+    (["one"], ["digits", "nan"]),
+    (["one", "one", "one"], ["below", "digits", "inf"]),
+    (["zeros"], ["edges"]),
+    (["zeros", "log"], ["digits", "below", "edges"]),
+    (["log", "digits"], ["digits", "digits", "digits"]),
+    (["digits", "wide", "one"], ["nan", "inf", "digits"]),
+    (["wide", "one", "zeros"], ["edges", "digits", "below"]),
+    (["log", "zeros", "digits"], ["digits", "edges", "nan"]),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_grid_writer_writes_the_reference_bytes(axes, kinds, fmt):
+    """Seeded grid tables of 1-3 axes, written with their grid shape, against
+    the per-row reference and the same table written without it."""
+    rng = np.random.default_rng([len(axes), len(kinds), *map(len, kinds)])
+    points = np.meshgrid(*(GRID_AXES[name] for name in axes), indexing="ij")
+    columns = {f"x{i}": p.reshape(-1) for i, p in enumerate(points)}
+    rows = points[0].size
+    columns.update((f"m{i}", _metric_column(kind, rows, rng)) for i, kind in enumerate(kinds))
+    grid = [len(GRID_AXES[name]) for name in axes]
+    table = [list(row) for row in zip(*(column.tolist() for column in columns.values()))]
+    expected = _reference_emit(list(columns), table, fmt)
+    assert cli.emit_columns(columns, fmt, grid) == cli.emit_columns(columns, fmt) == expected
+
+
+@pytest.mark.parametrize("grid", [[0], [2, 0], [0, 3, 1]])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_empty_grid_table_writes_the_reference_bytes(grid, fmt):
+    columns = {"x": np.array([]), "y": np.array([]), "m": np.array([])}
+    assert cli.emit_columns(columns, fmt, grid) == _reference_emit(list(columns), [], fmt)
+
+
+@pytest.mark.parametrize("grid", [[3], [2, 3], [2, 2, 1, 1]])
+def test_a_grid_that_does_not_match_the_columns_is_refused(grid):
+    columns = {"x": np.zeros(4), "y": np.zeros(4), "m": np.zeros(4)}
+    with pytest.raises(ValueError, match="grid does not match the columns"):
+        cli.emit_columns(columns, "csv", grid)
