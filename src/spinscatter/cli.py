@@ -235,30 +235,24 @@ def _json_text(obj) -> str:
 # sweep's leading columns are the axes of its row-major grid, and the buffer
 # is viewed as that grid: each axis is written once per point of its own
 # axis and its block broadcast over the others.  The columns are written in
-# one pass, and each whose finite values lie almost all in 1e-4 <= |x| < 1
-# (a sweep's metric columns) from exact decimal digits, with no string per
-# value: numpy finds each value's 12 significant digits as an integer and
-# looks up their bytes four digits at a time (_digit_block).  Every other
-# float array takes one fixed-width %-pass (_text_block).  Every other
-# table, and every table in the table format, has its columns made Python
-# cells once (.tolist() of an array) and takes one pass of its format's cell
-# rule: csv writes each cell and each name by _csv_field (the names, or a
-# column of strs, as they are where one search finds nothing to quote:
-# _csv_texts), except that a column of floats alone fills a '%.12g' template
-# field ('%.12g' % x equals format(x, '.12g') for every float), and a column
-# of ints alone a '%d' field ('%d' % n equals str(n); a bool, written as str
-# writes it, is no int here, and a float subclass takes _csv_field, which
-# writes it as '%.12g' does); json writes the rows by the single-call writer
-# _json; table writes a float by _F6, None as "-" and any other cell by str.
-# Text cells stay Python strings: a byte route would refuse non-ASCII text,
-# delete a NUL inside a cell, and measure a column's width in bytes, not
-# characters.
-
-def _text_bytes(texts) -> np.ndarray:
-    """ASCII texts as a (len(texts), width) block, NUL past each text's end."""
-    cells = np.array(texts, dtype="S")
-    return cells.view(np.uint8).reshape(-1, cells.itemsize)
-
+# one pass, each value in 1e-4 <= |x| < 1 (where a sweep's metric values
+# lie) from exact decimal digits, with no string per value: numpy finds each
+# value's 12 significant digits as an integer and looks up their bytes four
+# digits at a time (_digit_block).  The values the digits do not settle, of
+# every column, take one fixed-width %-pass of the format's cell writer
+# (_text_block).  Every other table, and every table in the table format, has
+# its columns made Python cells once (.tolist() of an array) and takes one
+# pass of its format's cell rule: csv writes each cell and each name by
+# _csv_field (the names, or a column of strs, as they are where one search
+# finds nothing to quote: _csv_texts), except that a column of floats alone
+# fills a '%.12g' template field ('%.12g' % x equals format(x, '.12g') for
+# every float), and a column of ints alone a '%d' field ('%d' % n equals
+# str(n); a bool, written as str writes it, is no int here, and a float
+# subclass takes _csv_field, which writes it as '%.12g' does); json writes
+# the rows by the single-call writer _json; table writes a float by _F6,
+# None as "-" and any other cell by str.  Text cells stay Python strings: a
+# byte route would refuse non-ASCII text, delete a NUL inside a cell, and
+# measure a column's width in bytes, not characters.
 
 # 10^(12+z) scales |x| in [10^-(z+1), 10^-z), which has z zeros after the
 # point, to its 12 significant digits before the point; each is exact
@@ -282,49 +276,32 @@ def _quad_words():
 
 
 _QUADS = _quad_words()
-# the share of a column that must take the digit path: a value it does not
-# take is written by text(x) on its own, after the digit work.  On 3,721
-# values in the range, some moved out of it by adding 1, the digit block
-# breaks even with the direct pass at a share of about 0.55 in csv and 0.2
-# in json (2-core Xeon, best of 150).  The cut stays where it was set for a
-# writer that broke even at 0.92: the benchmark grids' metric columns leave
-# at most 3.2% of their values, so none lies between the two
-_DIGIT_SHARE = 0.95
 
 
-def _digit_block(values, text):
-    """The block of a float array written from its digits, each value x as
-    text(x); None when the array holds a non-finite value or too few values
-    take the digit path.  Of a list of float arrays, the list of their
-    blocks, written in one pass, each array deciding on its own.
+def _digit_block(arrays, cell):
+    """The blocks of a list of float arrays, written in one pass: each
+    value x as cell writes it, from its digits where x allows.
 
-    text is '%.12g'.__mod__ or _json_float, which both write 1e-4 <= |x| < 1
-    as its sign, '0.', z zeros and its 12 significant digits without their
-    trailing zeros.  Those digits are |x| 10^(12+z) rounded to an integer,
-    and the rounded product p settles them.  p lies within ulp(p)/2 of the
-    exact product (N. J. Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 2.1), and p < 10^12 < 2^40, so ulp(p) <= 2^-13:
-    floor(p) + 1/2 is a float, and d = p - floor(p) - 1/2, a multiple of
-    ulp(p), is computed exactly.  Rounding is monotone, so a nonzero d has
-    the sign of the exact product's distance from floor(p) + 1/2, while
-    d = 0 may hide either sign.  A row of the block holds the head (8
-    bytes, NUL after its end) and the digits in three groups of four, each
-    looked up as one uint32 word; the trailing zeros of the last group that
-    is not all zeros, and every later group, are NUL.  Every other value
-    (one whose d is 0, one outside the range, or one that rounds up to
-    10^-z) is written by text over its whole row.
+    cell is csv's field '%-19.12g' or json's _json_float, which both write
+    1e-4 <= |x| < 1 as its sign, '0.', z zeros and its 12 significant
+    digits without their trailing zeros.  Those digits are |x| 10^(12+z)
+    rounded to an integer, and the rounded product p settles them.  p lies
+    within ulp(p)/2 of the exact product (N. J. Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2.1), and p < 10^12 < 2^40,
+    so ulp(p) <= 2^-13: floor(p) + 1/2 is a float, and d = p - floor(p) -
+    1/2, a multiple of ulp(p), is computed exactly.  Rounding is monotone,
+    so a nonzero d has the sign of the exact product's distance from
+    floor(p) + 1/2, while d = 0 may hide either sign.  A row of the block
+    holds the head (8 bytes, NUL after its end) and the digits in three
+    groups of four, each looked up as one uint32 word; the trailing zeros
+    of the last group that is not all zeros, and every later group, are
+    NUL.  Every other value (one whose d is 0, one outside the range, one
+    that rounds up to 10^-z, NaN and +-inf) is written over its whole row
+    by one _text_block pass over all the arrays.
     """
-    one = not isinstance(values, list)
-    arrays = [values] if one else values
-    sizes = np.array([len(array) for array in arrays])
-    ends = np.cumsum(sizes)
+    ends = np.cumsum([len(array) for array in arrays])
     values = np.concatenate(arrays)
     a = np.abs(values)
-    fast = (a >= 1e-4) & (a < 1.0)
-    ok = np.array([np.count_nonzero(fast[end - size:end]) >= _DIGIT_SHARE * size
-                   for size, end in zip(sizes, ends)], bool)
-    if not ok.any():
-        return None if one else [None] * len(arrays)
     z = (a < 0.1).astype(np.intp)
     z += a < 0.01
     z += a < 0.001
@@ -332,16 +309,10 @@ def _digit_block(values, text):
         p = a * _SCALES[z]
         n = np.floor(p)
         d = (p - n) - 0.5  # exact; where not 0, of the exact product's sign
-        fast &= d != 0.0
         digits = n.astype(np.int64)
     digits += d > 0.0
-    fast &= digits < 10**12
-    slow = np.flatnonzero(~fast)
-    owner = np.searchsorted(ends, slow, side="right")  # the array of each slow value
-    ok &= np.bincount(owner, minlength=len(arrays)) <= (1.0 - _DIGIT_SHARE) * sizes
-    ok[owner[~np.isfinite(values[slow])]] = False
-    slow = slow[ok[owner]]
-    digits[~fast] = 0  # any digits in the table's range; their rows are rewritten or refused
+    fast = (a >= 1e-4) & (a < 1.0) & (d != 0.0) & (digits < 10**12)
+    digits[~fast] = 0  # any digits in the table's range; their rows are rewritten
     first = digits // 10**8  # np.divmod takes twice as long
     rest = digits - first * 10**8
     middle = rest // 10**4
@@ -353,12 +324,11 @@ def _digit_block(values, text):
         _QUADS.take(middle + 10_000 * bare),
         _QUADS.take(last + 10_000),
     ], axis=1).view(np.uint8)
-    if len(slow):  # every finite text of '%.12g' and _json_float has at most 19 bytes
-        texts = _text_bytes(list(map(text, values[slow].tolist())))
+    slow = np.flatnonzero(~fast)
+    if len(slow):
         block[slow] = 0
-        block[slow, :texts.shape[1]] = texts
-    blocks = [block[end - size:end] if taken else None for size, end, taken in zip(sizes, ends, ok)]
-    return blocks[0] if one else blocks
+        block[slow, :_TEXT_WIDTH] = _text_block(values[slow], cell)
+    return np.split(block, ends[:-1])
 
 
 # the most bytes that '%.12g' and _json_float write for a float, such as
@@ -368,31 +338,30 @@ _TEXT_WIDTH = 19
 _PAD_TO_NUL = bytes.maketrans(b" ", b"\0")
 
 
-def _text_block(values, text, field=None):
+def _text_block(values, cell):
     """The block of a float array by one %-pass of _TEXT_WIDTH bytes a cell:
-    field, where given, writes text(x) of each float x padded with spaces
-    (text never writes a space); otherwise each cell is text(x), padded."""
+    cell is a %-field that writes a float padded with spaces to that width,
+    or a function of a float whose text (never a space) is padded so."""
     cells = values.tolist()
-    if field is None:
-        cells, field = list(map(text, cells)), f"%-{_TEXT_WIDTH}s"
-    line = (field * len(cells) % tuple(cells)).encode("ascii").translate(_PAD_TO_NUL)
+    if callable(cell):
+        cells, cell = list(map(cell, cells)), f"%-{_TEXT_WIDTH}s"
+    line = (cell * len(cells) % tuple(cells)).encode("ascii").translate(_PAD_TO_NUL)
     return np.frombuffer(line, np.uint8).reshape(len(cells), _TEXT_WIDTH)
 
 
-def _plane_rows(cols, pieces, text, field=None, tail="", grid=()) -> bytearray:
+def _plane_rows(cols, pieces, cell, tail="", grid=()) -> bytearray:
     """The rows of a table of float arrays, then tail, as ASCII bytes: each
-    value x written as text(x), pieces[i] before column i and pieces[-1]
-    after the last column.
+    value written by cell (as _digit_block takes it), pieces[i] before
+    column i and pieces[-1] after the last column.
 
     The first len(grid) columns are the axes of a row-major grid of the
     point counts grid, each constant along the other axes, and an axis is
     written once per point of its own axis.  One _digit_block pass writes
-    the columns, and _text_block (with field) each that it leaves.  The
-    blocks and the pieces between them are copied in row order into one
-    buffer, viewed as the grid with an axis's block broadcast over the
-    other axes, whose NULs are then deleted: the table is not stacked and
-    transposed first, since each further buffer of its size costs its page
-    faults again.
+    the columns.  The blocks and the pieces between them are copied in row
+    order into one buffer, viewed as the grid with an axis's block
+    broadcast over the other axes, whose NULs are then deleted: the table
+    is not stacked and transposed first, since each further buffer of its
+    size costs its page faults again.
     """
     rows = len(cols[0])
     grid = tuple(grid) if rows else ()  # an empty table is written alike with or without axes
@@ -400,11 +369,9 @@ def _plane_rows(cols, pieces, text, field=None, tail="", grid=()) -> bytearray:
     # each column's values in the grid's shape, an axis's at the first point of every other axis
     views = [column.reshape(shape)[tuple(slice(None) if j == i or i >= len(grid) else slice(1)
                                          for j in range(len(grid)))] for i, column in enumerate(cols)]
-    digits = _digit_block([values.reshape(-1) for values in views], text)
+    digits = _digit_block([values.reshape(-1) for values in views], cell)
     blocks = []
     for piece, values, block in zip(pieces, views, digits):
-        if block is None:
-            block = _text_block(values.reshape(-1), text, field)
         blocks += [_ascii(piece), block.reshape(*values.shape, block.shape[-1])]
     blocks.append(_ascii(pieces[-1]))
     width = sum(block.shape[-1] for block in blocks)
@@ -479,7 +446,7 @@ def emit_columns(columns, fmt: str, grid=()) -> str:
         header = ",".join(_csv_texts(names, lone)) + "\r\n"
         if planes:
             pieces = ["", *[","] * (len(cols) - 1), "\r\n"]
-            body = _plane_rows(cols, pieces, "%.12g".__mod__, f"%-{_TEXT_WIDTH}.12g", grid=grid)
+            body = _plane_rows(cols, pieces, f"%-{_TEXT_WIDTH}.12g", grid=grid)
             return header + body.decode("ascii")
         kinds = [set(map(type, c)) for c in cols]
         fields = ["%.12g" if kind <= {float} else "%d" if kind <= {int} else "%s" for kind in kinds]

@@ -228,6 +228,19 @@ def test_sweep_refuses_a_key_both_swept_and_pinned(argv, key):
     assert capture(["sweep", *argv]) == (1, "", message)
 
 
+@pytest.mark.parametrize("first", ["half_separation", "half-separation"])
+def test_sweep_refuses_a_parameter_swept_twice(first):
+    # names that differ only by '-' and '_' name one parameter, of which
+    # only the later axis would reach the kernel
+    fixed = {"r1": 0.5, "r2": 0.7, "mode": "exact"}
+    grids = [GridSpec(first, 0.5, 1.0, 2), GridSpec("half_separation", 2.0, 3.0, 2)]
+    with pytest.raises(ValueError, match="^swept parameter names must be distinct$"):
+        sweep("entangle-impurities", grids, fixed)
+    argv = ["sweep", "--protocol", "entangle-impurities", "--fixed", "r1=0.5", "--fixed", "r2=0.7",
+            "--fixed", "mode=exact", "--grid", f"{first}:0.5:1:2", "--grid", "half_separation:2:3:2"]
+    assert capture(argv) == (1, "", "error: swept parameter names must be distinct\n")
+
+
 @pytest.mark.parametrize("protocol", protocols.PARAMS)
 def test_sweep_fixed_takes_every_key_of_the_protocol(protocol):
     for param in protocols.PARAMS[protocol]:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,24 @@ def test_a_grid_takes_a_numpy_integer_count():
     assert sweep("concentrate", [grid], {"a": 0.6}).columns["r"].tolist() == [0.0, 0.5, 1.0]
 
 
+def test_a_linear_grid_whose_span_overflows_gets_its_finite_points():
+    # stop - start overflows, where linspace of the bounds gives nan and inf
+    # with warnings; at the float's limits its last product overflows too
+    top = np.finfo(float).max
+    for start, stop, points in ((-1e308, 1e308, 3), (-top, top, 4), (0.0, top, 4)):
+        values = GridSpec("a-phase", start, stop, points).values()
+        assert values[[0, -1]].tolist() == [start, stop] and np.all(np.diff(values) > 0)
+    res = sweep("concentrate", [GridSpec("a-phase", -1e308, 1e308, 3)], {"a": 0.5, "r": 1.0})
+    assert res.columns["a-phase"].tolist() == [-1e308, 0.0, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # a warning is written to stderr, not raised
+        code, out, err = _main(["sweep", "--protocol", "concentrate", "--grid", "a-phase:-1e308:1e308:3",
+                                "--fixed", "a=0.5", "--fixed", "r=1", "--format", "csv"])
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["a-phase", "-1e+308", "0", "1e+308"]
+    assert err.startswith("argmax: ") and err.count("\n") == 1
+
+
 def _main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -259,12 +278,18 @@ UNSHIFTED = {
 }
 
 
+# a 1-D log sweep whose r, probability (below 1e-4) and entropy columns lie
+# almost all outside the digit range 1e-4 <= |x| < 1, beside a concurrence
+# column inside it
+BELOW_CUT = ["sweep", "--protocol", "concentrate", "--fixed", "a=0.001", "--grid", "r:1e3:1e6:400:log"]
+
+
 def test_a_sweep_sorts_nothing_and_formats_each_axis_value_once(monkeypatch):
     """csv and json sweeps of the benchmark grids, also unshifted, where r
-    starts at 0 and a metric column repeats its first value, call no
-    np.unique, and format each point of an axis once: one digit pass takes
-    the axes' points and the metric columns, and each array is written
-    by that pass or by one text pass."""
+    starts at 0 and a metric column repeats its first value, and of a sweep
+    below the digit cut, call no np.unique and format each point of an axis
+    once: one digit pass takes the axes' points and the metric columns, and
+    at most one text pass writes the values that it leaves."""
     calls = []
     unique = np.unique
 
@@ -272,62 +297,80 @@ def test_a_sweep_sorts_nothing_and_formats_each_axis_value_once(monkeypatch):
         calls.append(1)
         return unique(*args, **kwargs)
 
-    passes, written = [], []
+    passes, texts = [], []
     digit_block, text_block = cli._digit_block, cli._text_block
 
-    def recording_digit_block(arrays, text):
-        blocks = digit_block(arrays, text)
+    def recording_digit_block(arrays, *args):
         passes.append([len(array) for array in arrays])
-        written.extend(len(array) for array, block in zip(arrays, blocks) if block is not None)
-        return blocks
+        return digit_block(arrays, *args)
 
     def recording_text_block(values, *args):
-        written.append(len(values))
+        texts.append(len(values))
         return text_block(values, *args)
 
     monkeypatch.setattr(np, "unique", counting_unique)
     monkeypatch.setattr(cli, "_digit_block", recording_digit_block)
     monkeypatch.setattr(cli, "_text_block", recording_text_block)
-    for name, points in (("sweep_exact", 41), ("sweep_filter", 61)):
-        for argv in (DIGESTS[name]["argv"], UNSHIFTED[name]):
-            for fmt in ("csv", "json"):
-                passes.clear()
-                written.clear()
-                assert _main(argv + ["--format", fmt])[0] == 0
-                assert calls == []
-                assert passes == [[points] * 2 + [points * points] * 3]
-                assert sorted(written) == [points] * 2 + [points * points] * 3, (argv, fmt)
+    cases = [(argv, [points] * 2 + [points * points] * 3)
+             for name, points in (("sweep_exact", 41), ("sweep_filter", 61))
+             for argv in (DIGESTS[name]["argv"], UNSHIFTED[name])]
+    cases.append((BELOW_CUT, [400] * 4))
+    for argv, sizes in cases:
+        for fmt in ("csv", "json"):
+            passes.clear()
+            texts.clear()
+            assert _main(argv + ["--format", fmt])[0] == 0
+            assert calls == []
+            assert passes == [sizes]
+            assert len(texts) <= 1, (argv, fmt, texts)
 
 
-@pytest.mark.parametrize("name, text_axes, points", [("sweep_exact", 41 + 41, 41 * 41),
-                                                     ("sweep_filter", 61, 61 * 61)])
-def test_json_sweeps_write_their_metric_columns_as_digits(name, text_axes, points, monkeypatch):
-    """_json_float writes each point of the axes that take the text route
-    (r1, r2 and r; the filter grid's a axis lies in the digit range) and no
-    metric value of the benchmark grids: their metric columns take the
-    digit path.  On the unshifted grids it also writes the metric values
-    that the digit path leaves, fewer than 5% of them (exact 0s and 1s
-    among them)."""
-    calls = []
-    json_float = cli._json_float
+def _left_to_text(x):
+    """Whether the digit path leaves x to the text pass: x lies outside
+    1e-4 <= |x| < 1, rounds up to 10^-z at 12 significant digits, or its
+    product |x| 10^(12+z), rounded, lies halfway between two integers."""
+    a = abs(x)
+    if not 1e-4 <= a < 1.0:
+        return True
+    z = sum(a < bound for bound in (0.1, 0.01, 0.001))
+    scaled = a * 10.0 ** (12 + z)
+    return float("%.12g" % a) == 10.0 ** -z or scaled - math.floor(scaled) == 0.5
+
+
+@pytest.mark.parametrize("name", ["sweep_exact", "sweep_filter"])
+def test_json_sweeps_write_their_metric_columns_as_digits(name, monkeypatch):
+    """_json_float writes, in one pass and in order, each value that the
+    digit path leaves of the arrays it takes (the axes' points, once each,
+    and the metric columns), and no other: none of the benchmark grids'
+    metric values; on the unshifted grids also their exact 0s and 1s and
+    the values that round to 1."""
+    calls, taken = [], []
+    json_float, digit_block = cli._json_float, cli._digit_block
 
     def counting_json_float(x):
         calls.append(x)
         return json_float(x)
 
+    def recording_digit_block(arrays, cell):
+        taken[:] = arrays
+        return digit_block(arrays, cell)
+
     monkeypatch.setattr(cli, "_json_float", counting_json_float)
-    assert _main(DIGESTS[name]["argv"] + ["--format", "json"])[0] == 0
-    assert len(calls) == text_axes
-    calls.clear()
-    assert _main(UNSHIFTED[name] + ["--format", "json"])[0] == 0
-    assert text_axes < len(calls) < text_axes + 0.05 * 3 * points
+    monkeypatch.setattr(cli, "_digit_block", recording_digit_block)
+    for argv in (DIGESTS[name]["argv"], UNSHIFTED[name]):
+        calls.clear()
+        assert _main(argv + ["--format", "json"])[0] == 0
+        left = [[x for x in array.tolist() if _left_to_text(x)] for array in taken]
+        assert calls == [x for values in left for x in values] != []
+        if argv is DIGESTS[name]["argv"]:
+            assert left[2:] == [[], [], []]
 
 
-def test_the_digit_writer_writes_each_value_as_its_text(monkeypatch):
-    """Each column of the digit block, NULs deleted, against '%.12g' % x and
+def test_the_digit_writer_writes_each_value_as_its_text():
+    """Each row of the digit blocks, NULs deleted, against '%.12g' % x and
     _json_float(x), on 200,000 seeded values in and out of the digit path's
-    range 1e-4 <= |x| < 1."""
-    monkeypatch.setattr(cli, "_DIGIT_SHARE", 0.0)  # no value too many for the digit path
+    range 1e-4 <= |x| < 1, NaN, +-inf and subnormals among them, taken as
+    three arrays in one pass."""
     rng = np.random.default_rng(1606)
     bits = rng.integers(0, 2**63, 21_000, dtype=np.int64).view(np.float64)
     values = np.concatenate([
@@ -336,28 +379,32 @@ def test_the_digit_writer_writes_each_value_as_its_text(monkeypatch):
         np.arange(8192) / 8192,  # ties at 12 significant digits below 1e-3
         rng.integers(1, 10**6, 20_000) / 1e6, rng.integers(1, 10**12, 20_000) / 1e12,
         rng.integers(1, 10**13, 21_808) / 1e13,  # of 13 digits, some of them ties
-        bits[np.isfinite(bits)][:20_000], [0.0, -0.0, 1.0, -1.0]])
+        bits[np.isfinite(bits)][:20_000], [0.0, -0.0, 1.0, -1.0],
+        [math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308],
+        rng.integers(1, 2**52, 1000).view(np.float64) * rng.choice([-1.0, 1.0], 1000)])  # subnormals
     assert len(values) >= 200_000
-    for text in ("%.12g".__mod__, cli._json_float):
-        block = cli._digit_block(values, text)
-        cells = [row.tobytes().replace(b"\0", b"").decode("ascii") for row in block]
-        wrong = [x for cell, x in zip(cells, values.tolist(), strict=True) if cell != text(x)]
+    arrays = np.array_split(values, 3)
+    for cell, text in ((f"%-{cli._TEXT_WIDTH}.12g", "%.12g".__mod__), (cli._json_float, cli._json_float)):
+        blocks = cli._digit_block(arrays, cell)
+        assert [len(block) for block in blocks] == [len(array) for array in arrays]
+        cells = [row.tobytes().replace(b"\0", b"").decode("ascii") for row in np.concatenate(blocks)]
+        wrong = [x for written, x in zip(cells, values.tolist(), strict=True) if written != text(x)]
         assert wrong == []
-    assert cli._digit_block(np.array([0.5, math.nan]), cli._json_float) is None
 
 
 def test_a_sweep_below_the_digit_cut_writes_the_reference_bytes():
-    """A 1-D log sweep whose r, probability (below 1e-4) and entropy columns
-    do not take the digit route, beside a concurrence column that takes
-    it, written as the per-row reference writes it."""
+    """Sweeps whose columns lie mostly outside the digit range, written as
+    the per-row reference writes them: a 1-D log sweep whose r, probability
+    (below 1e-4) and entropy columns lie outside it, beside a concurrence
+    column inside it, and a 2-D log sweep with and without its grid."""
     res = sweep("concentrate", [GridSpec("r", 1e3, 1e6, 400, "log")], {"a": 0.001})
     assert res.columns["probability"].max() < 1e-4
-    for text in ("%.12g".__mod__, cli._json_float):
-        direct = [name for name, column in res.columns.items() if cli._digit_block(column, text) is None]
-        assert direct == ["r", "probability", "entropy_bits"]
-    rows = [list(row) for row in zip(*(column.tolist() for column in res.columns.values()))]
-    for fmt in ("csv", "json"):
-        assert cli.emit_columns(res.columns, fmt) == _reference_emit(list(res.columns), rows, fmt)
+    plane = sweep("concentrate", [GridSpec("r", 1e3, 1e6, 50, "log"), GridSpec("a", 1e-4, 1e-3, 40, "log")], {})
+    for result, grid in ((res, ()), (plane, ()), (plane, (50, 40))):
+        rows = [list(row) for row in zip(*(column.tolist() for column in result.columns.values()))]
+        for fmt in ("csv", "json"):
+            reference = _reference_emit(list(result.columns), rows, fmt)
+            assert cli.emit_columns(result.columns, fmt, grid) == reference
 
 
 def test_an_error_at_a_later_point_reads_a_pinned_value():

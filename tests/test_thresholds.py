@@ -5,7 +5,9 @@ protocol kernel sums short rows only through its column-add helper,
 each spin-state quantity (squared norm, n.sigma, barrier transmission,
 propagation phase) and the solve routine are defined once, and no value
 reader holds a value rule of its own (a bound, a finiteness or a count
-test)."""
+test), and a sweep's float columns are written by one route: the text
+pass only inside the digit pass, the digit pass only inside the table
+writer."""
 
 import ast
 import pathlib
@@ -416,3 +418,39 @@ def test_no_reader_holds_a_value_rule():
     assert "def _to_float(" in sources["protocols.py"]
     found = [f"{module}:{line}" for module, source in sources.items() for line in _reader_bounds(source)]
     assert found == []
+
+
+def _named_in(source, name):
+    """The module-level function that names name (a call or a reference,
+    plain or as a module attribute) at each place it does, '' outside any
+    function, in source order."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = node.name if isinstance(node, ast.FunctionDef) else ""
+        found += [owner for inner in ast.walk(node)
+                  if isinstance(inner, ast.Name) and inner.id == name
+                  or isinstance(inner, ast.Attribute) and inner.attr == name]
+    return found
+
+
+def test_the_route_check_flags_a_second_site():
+    source = """
+def _digit_block(arrays, cell):
+    return _text_block(arrays, cell)
+def _plane_rows(cols, cell):
+    return _digit_block(cols, cell)
+def _column(values, cell):
+    write = cli._text_block
+    return write(values, cell)
+block = _digit_block([], None)
+"""
+    assert _named_in(source, "_text_block") == ["_digit_block", "_column"]
+    assert _named_in(source, "_digit_block") == ["_plane_rows", ""]
+
+
+def test_a_sweeps_float_columns_take_one_route():
+    # a column written by the text pass on its own, beside the digit pass,
+    # is a second route for the same bytes
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert _named_in(source, "_text_block") == ["_digit_block"]
+    assert _named_in(source, "_digit_block") == ["_plane_rows"]
